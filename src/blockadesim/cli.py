@@ -35,18 +35,7 @@ from .config import (
     resolve_time_grid,
 )
 from .core import angular_from_hz, blockade_radius_simple
-from .errors import (
-    BasisMismatchError,
-    BlockadeSimError,
-    ConfigError,
-    DegenerateDataError,
-    DomainError,
-    GeometryError,
-    InputFileError,
-    InvalidParameterError,
-    RankDeficiencyError,
-    SizeCapError,
-)
+from .errors import BlockadeSimError, ConfigError, SizeCapError
 from .exact import (
     AtomPositions,
     HamiltonianSpec,
@@ -74,17 +63,6 @@ from .runio import (
 from .superatom import simulate_cloud
 
 OUT_ENV_VAR = "BLOCKADESIM_OUT"
-
-_INPUT_ERRORS = (
-    ConfigError,
-    InputFileError,
-    InvalidParameterError,
-    GeometryError,
-    DomainError,
-    RankDeficiencyError,
-    DegenerateDataError,
-    BasisMismatchError,
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -304,10 +282,7 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BlockadeSimError as exc:  # anything else we raised on purpose
+    except BlockadeSimError as exc:  # bad input or configuration
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

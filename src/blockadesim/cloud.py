@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .constants import HBAR
 from .core import PhysicalParams, blockade_radius_collective, blockade_radius_simple
 from .errors import InvalidParameterError, SizeCapError
 from .exact import AtomPositions
@@ -206,13 +205,9 @@ def partition_superatoms(
         weight = np.ones_like(n_per)
     else:
         local = density_at(spec, centers)
-        x = params.c6 / (HBAR * params.omega0)
-        with np.errstate(divide="ignore"):
-            n_per = (
-                params.kappa**3
-                * (4.0 * math.pi / 3.0 * local) ** 0.8
-                * x**0.4
-            )
+        n_per = np.zeros_like(local)
+        occupied = local > 0.0
+        _, n_per[occupied] = blockade_radius_collective(params, local[occupied])
         with np.errstate(invalid="ignore", divide="ignore"):
             weight = atoms_in_cell / n_per
 

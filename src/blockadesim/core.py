@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import BOHR_RADIUS, HARTREE, HBAR, TWO_PI
 from .errors import InvalidParameterError
 
@@ -147,9 +149,7 @@ def blockade_radius_simple(params: PhysicalParams) -> float:
     return params.kappa * (params.c6 / (HBAR * params.omega0)) ** (1.0 / 6.0)
 
 
-def blockade_radius_collective(
-    params: PhysicalParams, local_density: float
-) -> tuple[float, float]:
+def blockade_radius_collective(params: PhysicalParams, local_density):
     """Self-consistent blockade radius when the drive is collectively enhanced.
 
     The sqrt(N) enhancement of the Rabi frequency inside a blockade sphere
@@ -163,13 +163,17 @@ def blockade_radius_collective(
         r = kappa * (C6 / (hbar*omega0))**(2/15) * (4pi*n/3)**(-1/15)
 
     Returns ``(radius, n_per)`` where ``n_per`` is the atom count of the
-    resulting sphere at the given density. At kappa=1 the pair satisfies
-    the fixed-point relation to machine precision; kappa scales the radius
-    linearly on top of it.
+    resulting sphere at the given density: floats for a scalar density,
+    arrays for an array of densities (every one must be positive). At
+    kappa=1 the pair satisfies the fixed-point relation to machine
+    precision; kappa scales the radius linearly on top of it.
     """
-    _require(local_density > 0.0, "local density must be positive")
+    local_density = np.asarray(local_density, dtype=float)
+    _require(bool(np.all(local_density > 0.0)), "local density must be positive")
     x = params.c6 / (HBAR * params.omega0)
     shell = 4.0 * math.pi / 3.0 * local_density
     radius = params.kappa * x ** (2.0 / 15.0) * shell ** (-1.0 / 15.0)
     n_per = local_density * (4.0 * math.pi / 3.0) * radius**3
+    if radius.ndim == 0:
+        return float(radius), float(n_per)
     return radius, n_per

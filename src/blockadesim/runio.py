@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
 
 import numpy as np
 
@@ -24,6 +25,8 @@ SWEEP_HEADER = "n_peak_m3,omega0_radps,n_sat,n_sat_err,R_per_s,R_err,converged"
 EXPONENTS_HEADER = "name,value,std_error,n_points"
 FIT_HEADER = "n_sat,n_sat_err,R_per_s,R_err,residual_rms,converged,n_iterations"
 
+_ROW_BLOCK = 8192  # ensemble rows per block in write_ensemble_csv
+
 
 def format_float(x: float) -> str:
     return repr(float(x))
@@ -33,11 +36,25 @@ def _format_bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
+# mkstemp creates 0600 files; outputs keep the mode a plain open() gives.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
 def atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write through a unique temp file in the target's directory, so
+    concurrent writers never share one; the temp file never outlives the call."""
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    try:
+        os.fchmod(fd, 0o666 & ~_UMASK)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def sha256_file(path: str) -> str:
@@ -108,17 +125,15 @@ def read_curve_csv(path: str) -> ExcitationCurve:
 
 
 def write_ensemble_csv(path: str, ensemble: SuperatomEnsemble) -> None:
-    rows = (
-        (
-            format_float(ensemble.centers[k, 0]),
-            format_float(ensemble.centers[k, 1]),
-            format_float(ensemble.centers[k, 2]),
-            format_float(ensemble.n_per[k]),
-            format_float(ensemble.weight[k]),
-        )
-        for k in range(len(ensemble))
-    )
-    _write_rows(path, ENSEMBLE_HEADER, rows)
+    # Column-wise: .tolist() yields Python floats, whose repr is format_float's.
+    # A block of rows at a time keeps those lists from adding to peak memory.
+    def rows():
+        for lo in range(0, len(ensemble), _ROW_BLOCK):
+            block = slice(lo, lo + _ROW_BLOCK)
+            columns = (*ensemble.centers[block].T, ensemble.n_per[block], ensemble.weight[block])
+            yield from zip(*(map(repr, col.tolist()) for col in columns))
+
+    _write_rows(path, ENSEMBLE_HEADER, rows())
 
 
 def write_sweep_csv(path: str, points: tuple[SweepPoint, ...]) -> None:

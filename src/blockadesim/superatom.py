@@ -30,9 +30,8 @@ __all__ = [
     "crossover_time",
 ]
 
-# Entries per block when accumulating cos(freq x t) outer products; bounds
-# peak memory at ~ _CHUNK * len(t) floats without changing the result
-# (summation stays in ensemble order).
+# Distinct superatom sizes per block when accumulating the (size x time)
+# population matrix; bounds peak memory at a few _CHUNK * len(t) floats.
 _CHUNK = 4096
 
 
@@ -62,9 +61,10 @@ class ExcitationCurve:
         return self.times.size
 
 
-def superatom_population(n_per: float, omega0: float, t, gamma: float = 0.0):
-    """Excitation probability of one N-atom superatom at time(s) ``t``."""
-    if n_per < 0.0:
+def superatom_population(n_per, omega0: float, t, gamma: float = 0.0):
+    """Excitation probability at time(s) ``t``; ``n_per`` broadcasts against ``t``."""
+    n_per = np.asarray(n_per, dtype=float)
+    if np.any(n_per < 0.0):
         raise InvalidParameterError("n_per must be non-negative")
     if omega0 <= 0.0:
         raise InvalidParameterError("omega0 must be positive")
@@ -81,8 +81,9 @@ def simulate_cloud(
 ) -> ExcitationCurve:
     """Weighted excitation curve of a partitioned cloud.
 
-    Deterministic: entries are summed in ensemble order, in fixed-size
-    blocks, so identical inputs give bit-identical curves.
+    Weights of exactly equal ``n_per`` are pooled, then the law is summed
+    once per distinct size, in ascending order and fixed-size blocks, so
+    identical inputs give bit-identical curves.
     """
     if len(ensemble) == 0:
         raise DegenerateDataError(
@@ -94,20 +95,20 @@ def simulate_cloud(
     if np.any(t < 0.0) or (t.size > 1 and not np.all(np.diff(t) > 0.0)):
         raise InvalidParameterError("time grid must be non-negative and increasing")
 
-    freq = np.sqrt(ensemble.n_per) * params.omega0
-    total_weight = float(ensemble.weight.sum())
-    oscillation = np.zeros_like(t)
-    for lo in range(0, len(ensemble), _CHUNK):
+    n_distinct, inverse = np.unique(ensemble.n_per, return_inverse=True)
+    grouped = np.bincount(inverse, weights=ensemble.weight)
+    values = np.zeros_like(t)
+    for lo in range(0, n_distinct.size, _CHUNK):
         hi = lo + _CHUNK
-        oscillation += ensemble.weight[lo:hi] @ np.cos(np.outer(freq[lo:hi], t))
-    envelope = np.exp(-params.gamma_dephase * t) if params.gamma_dephase > 0.0 else 1.0
-    values = 0.5 * (total_weight - envelope * oscillation)
-    values = np.maximum(values, 0.0)
+        values += grouped[lo:hi] @ superatom_population(
+            n_distinct[lo:hi, None], params.omega0, t, params.gamma_dephase
+        )
     metadata = {
         "omega0_radps": params.omega0,
         "gamma_per_s": params.gamma_dephase,
         "n_entries": len(ensemble),
-        "total_weight": total_weight,
+        "n_distinct": int(n_distinct.size),
+        "total_weight": float(ensemble.weight.sum()),
         "total_atoms_covered": ensemble.total_atoms_covered,
     }
     return ExcitationCurve(t, values, metadata)

@@ -205,6 +205,25 @@ def test_07_scaling_exponents(capsys, sweeps):
             f"simple c={simp['c']:.3f} d={simp['d']:.3f}; {elapsed:.0f} s")
 
 
+# Closed forms of the superatom model itself: the collective model has
+# n_per ~ n^0.8 omega^-0.4, the simple one a fixed cell per superatom. The
+# tolerances are the measured grid-discretisation tolerances of the
+# benchmark's EXPONENT_ORACLES (perfbench/checks.py): twice the largest
+# deviation the cell grid produced over workload seeds 0-39. This oracle is
+# much tighter than acceptance 07's window around the experiment.
+EXPONENT_CLOSED_FORMS = {
+    "collective": {"a": (0.6, 0.014), "b": (1.2, 0.031), "c": (0.2, 0.008), "d": (0.4, 0.018)},
+    "simple": {"c": (0.0, 0.099), "d": (0.5, 0.14)},
+}
+
+
+@pytest.mark.parametrize("model", ["collective", "simple"])
+def test_07_exponents_match_model_closed_forms(sweeps, model):
+    exponents = sweeps[model].exponents
+    for name, (closed_form, tol) in EXPONENT_CLOSED_FORMS[model].items():
+        assert abs(exponents[name].value - closed_form) <= tol, (model, name)
+
+
 def test_08_fit_robustness(capsys):
     truth_n_sat, truth_rate = 100.0, 5e7
     grid = np.linspace(0.0, 6e-5, 150)

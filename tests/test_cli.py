@@ -8,6 +8,7 @@ import pytest
 
 import blockadesim.analysis
 import blockadesim.cli
+from blockadesim import errors
 from blockadesim.analysis import SaturationFit
 from blockadesim.cli import main
 from blockadesim.runio import read_curve_csv
@@ -296,3 +297,26 @@ def test_scaling_nonconverged_points_exit_code(tmp_path, monkeypatch, capsys):
 def test_missing_config_file_exit_code(tmp_path, capsys):
     assert main(["cloud", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.ConfigError, 2),
+        (errors.InputFileError, 2),
+        (errors.InvalidParameterError, 2),
+        (errors.GeometryError, 2),
+        (errors.DomainError, 2),
+        (errors.RankDeficiencyError, 2),
+        (errors.DegenerateDataError, 2),
+        (errors.BasisMismatchError, 2),
+        (errors.SizeCapError, 4),
+    ],
+)
+def test_package_errors_map_to_exit_codes(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setitem(blockadesim.cli._COMMANDS, "fit", fail)
+    assert main(["fit", "curve.csv"]) == code
+    assert "error: boom" in capsys.readouterr().err

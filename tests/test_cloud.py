@@ -14,7 +14,11 @@ from blockadesim.cloud import (
     sample_positions,
 )
 from blockadesim.constants import HBAR
-from blockadesim.core import PhysicalParams, blockade_radius_simple
+from blockadesim.core import (
+    PhysicalParams,
+    blockade_radius_collective,
+    blockade_radius_simple,
+)
 from blockadesim.errors import InvalidParameterError, SizeCapError
 
 from conftest import N_ATOMS_REF, SIGMA_REF
@@ -164,6 +168,27 @@ def test_collective_center_matches_bisection_oracle(reference_cloud, strong_para
     )
     # thousands of atoms per central superatom under strong driving
     assert 3000 < ensemble.n_per[k] < 6000
+
+
+def test_collective_sizes_come_from_the_core_formula(reference_cloud, strong_params):
+    ensemble = partition_superatoms(
+        reference_cloud, strong_params, model="collective", n_min=0.0
+    )
+    _, expected = blockade_radius_collective(
+        strong_params, density_at(reference_cloud, ensemble.centers)
+    )
+    assert np.allclose(ensemble.n_per, expected, rtol=1e-15, atol=0.0)
+
+
+def test_collective_partition_drops_cells_of_zero_density(strong_params):
+    # at 40 rms radii the corner densities underflow to exactly zero
+    spec = CloudSpec.isotropic(1e4, 3e-6)
+    ensemble = partition_superatoms(
+        spec, strong_params, model="collective", n_min=0.0, span_sigmas=40.0
+    )
+    assert np.all(density_at(spec, ensemble.centers) > 0.0)
+    assert np.all(np.isfinite(ensemble.weight)) and np.all(ensemble.n_per > 0.0)
+    assert ensemble.total_atoms_covered == pytest.approx(spec.n_atoms, rel=1e-6)
 
 
 def test_collective_weights_count_superatoms_per_cell(reference_cloud, strong_params):

@@ -7,6 +7,8 @@ silent regressions in unit handling.
 
 import math
 
+import numpy as np
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -179,6 +181,17 @@ def test_collective_density_scaling(strong_params):
 def test_collective_rejects_nonpositive_density(strong_params):
     with pytest.raises(InvalidParameterError):
         blockade_radius_collective(strong_params, 0.0)
+    with pytest.raises(InvalidParameterError):
+        blockade_radius_collective(strong_params, np.array([8.2e19, 0.0, 1e18]))
+
+
+def test_collective_accepts_density_arrays(strong_params):
+    densities = np.array([8.2e19, 2.8e18, 1e15])
+    radii, n_per = blockade_radius_collective(strong_params, densities)
+    assert radii.shape == n_per.shape == (3,)
+    for density, r, n in zip(densities, radii, n_per):
+        r_one, n_one = blockade_radius_collective(strong_params, float(density))
+        assert (r, n) == (pytest.approx(r_one, rel=1e-15), pytest.approx(n_one, rel=1e-15))
 
 
 def test_collective_smaller_than_simple_in_dense_cloud(strong_params):

@@ -62,6 +62,20 @@ def test_damping_relaxes_to_half():
     )
 
 
+def test_population_broadcasts_sizes_against_times():
+    n_per = np.array([1.0, 9.0, 49.0, 400.0])
+    t = np.linspace(0.0, 2e-5, 37)
+    grid = superatom_population(n_per[:, None], OMEGA, t, gamma=3e4)
+    assert grid.shape == (4, 37)
+    for row, n in zip(grid, n_per):
+        assert np.array_equal(row, superatom_population(n, OMEGA, t, gamma=3e4))
+
+
+def test_population_rejects_any_negative_size():
+    with pytest.raises(InvalidParameterError):
+        superatom_population(np.array([4.0, 1.0, -1e-300, 9.0])[:, None], OMEGA, 0.0)
+
+
 def test_population_validates_inputs():
     with pytest.raises(InvalidParameterError):
         superatom_population(-1.0, OMEGA, 0.0)
@@ -90,6 +104,23 @@ def test_curve_starts_at_zero_and_stays_nonnegative():
     assert curve.values[0] == 0.0
     assert np.all(curve.values >= 0.0)
     assert np.all(curve.values <= ensemble.weight.sum())
+
+
+@pytest.mark.parametrize("gamma", [0.0, 4e4])
+def test_curve_matches_per_entry_population_sum(rng, gamma):
+    # heavy exact repeats (as the symmetric cell grid produces) mixed with
+    # random sizes; the grouped sum must match the entry-by-entry law
+    repeated = rng.choice(rng.uniform(1.0, 5000.0, size=40), size=6000)
+    n_per = rng.permutation(np.concatenate([repeated, rng.uniform(1.0, 5000.0, 3000)]))
+    weights = rng.uniform(0.01, 3.0, size=n_per.size)
+    params = PhysicalParams(OMEGA, 1e-60, gamma_dephase=gamma)
+    t = np.concatenate([[0.0], np.geomspace(1e-9, 1e-4, 120)])
+    curve = simulate_cloud(small_ensemble(n_per, weights), params, t)
+    expected = np.zeros_like(t)
+    for n, w in zip(n_per, weights):
+        expected += w * superatom_population(n, OMEGA, t, gamma)
+    assert np.abs(curve.values - expected).max() <= 1e-12 * weights.sum()
+    assert curve.metadata["n_distinct"] == np.unique(n_per).size
 
 
 def test_curve_invariant_under_entry_permutation(rng):
@@ -131,7 +162,13 @@ def test_curve_metadata_reports_generation():
     curve = simulate_cloud(ensemble, PARAMS, np.linspace(0, 1e-5, 10))
     assert curve.metadata["omega0_radps"] == OMEGA
     assert curve.metadata["n_entries"] == 1
+    assert curve.metadata["n_distinct"] == 1
     assert curve.metadata["total_weight"] == 7.0
+    repeated = simulate_cloud(
+        small_ensemble([10.0, 4.0, 10.0, 10.0, 4.0], [1.0] * 5), PARAMS, np.linspace(0, 1e-5, 10)
+    )
+    assert repeated.metadata["n_entries"] == 5
+    assert repeated.metadata["n_distinct"] == 2
 
 
 def test_curve_validation():
