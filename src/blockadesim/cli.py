@@ -23,6 +23,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .cloud import partition_superatoms, sample_positions
@@ -30,6 +31,7 @@ from .config import (
     RunConfig,
     config_items,
     load_config,
+    parse_value,
     resolve_cloud,
     resolve_params,
     resolve_time_grid,
@@ -64,6 +66,9 @@ from .superatom import simulate_cloud
 
 OUT_ENV_VAR = "BLOCKADESIM_OUT"
 
+# settings that the config subcommands can override from the command line
+_OVERRIDES = [f for f in fields(RunConfig) if f.metadata["flag"]]
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -73,29 +78,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_config: bool) -> None:
-        if needs_config:
-            p.add_argument("--config", required=True, help="key = value run configuration")
+    for name, text in (
+        ("exact", "exact few-atom quantum trajectory"),
+        ("cloud", "partition a cloud and simulate its curve"),
+        ("scaling", "sweep density and drive, fit exponents"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True, help="key = value run configuration")
+        for setting in _OVERRIDES:
+            choices = setting.metadata["choices"]
+            p.add_argument(
+                setting.metadata["flag"],
+                dest=setting.name,
+                metavar="{" + ",".join(choices) + "}" if choices else None,
+                help=f"override {setting.metadata['key']}",
+            )
+    fit = sub.add_parser("fit", help="fit the saturation law to a curve CSV")
+    fit.add_argument("curve", help="CSV with header t_s,n_rydberg")
+    for p in sub.choices.values():
         p.add_argument(
             "--out",
             default=None,
             help=f"output directory (default ${OUT_ENV_VAR} or the working directory)",
         )
-        p.add_argument("--seed", type=int, default=None, help="override run.seed")
-        p.add_argument(
-            "--model",
-            choices=("simple", "collective"),
-            default=None,
-            help="override partition.model",
-        )
-        p.add_argument("--threads", type=int, default=None, help="override run.threads")
-
-    add_common(sub.add_parser("exact", help="exact few-atom quantum trajectory"), True)
-    add_common(sub.add_parser("cloud", help="partition a cloud and simulate its curve"), True)
-    add_common(sub.add_parser("scaling", help="sweep density and drive, fit exponents"), True)
-    fit = sub.add_parser("fit", help="fit the saturation law to a curve CSV")
-    fit.add_argument("curve", help="CSV with header t_s,n_rydberg")
-    add_common(fit, False)
     return parser
 
 
@@ -107,12 +112,10 @@ def _output_dir(args: argparse.Namespace) -> str:
 
 def _load_config_with_overrides(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.model is not None:
-        cfg.model = args.model
-    if args.threads is not None:
-        cfg.threads = args.threads
+    for setting in _OVERRIDES:
+        text = getattr(args, setting.name)
+        if text is not None:
+            setattr(cfg, setting.name, parse_value(setting, text))
     return cfg
 
 
@@ -136,13 +139,13 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     cfg = _load_config_with_overrides(args)
     out = _output_dir(args)
     params = resolve_params(cfg)
+    if (cfg.exact_n_atoms is None) == (cfg.positions_path is None):
+        raise ConfigError("give exactly one of exact.n_atoms or exact.positions_path")
     inputs = []
     if cfg.positions_path is not None:
         positions = AtomPositions.from_text(cfg.positions_path)
         inputs.append(("positions", cfg.positions_path, sha256_file(cfg.positions_path)))
     else:
-        if cfg.exact_n_atoms is None:
-            raise ConfigError("exact needs exact.n_atoms or exact.positions_path")
         cloud = resolve_cloud(cfg)
         positions = sample_positions(cloud, cfg.exact_n_atoms, cfg.seed)
     if cfg.basis == "full":

@@ -38,9 +38,11 @@ __all__ = [
     "sample_positions",
     "partition_superatoms",
     "DEFAULT_CELL_CAP",
+    "MODELS",
 ]
 
 DEFAULT_CELL_CAP = 10_000_000
+MODELS = ("simple", "collective")
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ def partition_superatoms(
 
     Raises SizeCapError when the grid would exceed ``cell_cap`` cells.
     """
-    if model not in ("simple", "collective"):
+    if model not in MODELS:
         raise InvalidParameterError(f"unknown model {model!r}")
     if n_min < 0.0:
         raise InvalidParameterError("n_min must be non-negative")

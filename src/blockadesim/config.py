@@ -8,104 +8,90 @@ are ignored and a leading ``config.`` prefix is stripped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .cloud import DEFAULT_CELL_CAP, CloudSpec
+from .cloud import DEFAULT_CELL_CAP, MODELS, CloudSpec
 from .core import PhysicalParams, TwoPhotonDrive, convert_c6_atomic_units, two_photon_rabi
 from .errors import ConfigError
+from .exact import DEFAULT_MAX_ATOMS_FULL, DEFAULT_MAX_ATOMS_RESTRICTED
 
-__all__ = ["RunConfig", "load_config", "parse_config_text", "config_items"]
+__all__ = ["RunConfig", "load_config", "parse_config_text", "parse_value", "config_items"]
+
+
+def _key(
+    key: str, kind: str, default=None, choices: tuple[str, ...] = (), flag: str | None = None
+):
+    """Declare one setting: its dotted key, value kind ("float", "int",
+    "str" or "floats"), default, allowed values and optional CLI flag."""
+    return field(
+        default=default,
+        metadata={"key": key, "kind": kind, "choices": choices, "flag": flag},
+    )
 
 
 @dataclass
 class RunConfig:
     """All recognized keys with their defaults; None means unset."""
 
-    omega0_hz: float | None = None
-    omega1_hz: float | None = None
-    omega2_hz: float | None = None
-    delta_hz: float | None = None
-    c6_au: float | None = None
-    c6_jm6: float | None = None
-    gamma_per_s: float = 0.0
-    kappa: float = 1.0
-    detuning_hz: float = 0.0
-    cloud_n_atoms: float | None = None
-    peak_density_m3: float | None = None
-    sigma_x_m: float | None = None
-    sigma_y_m: float | None = None
-    sigma_z_m: float | None = None
-    model: str = "collective"
-    n_min: float = 1.0
-    span_sigmas: float = 5.0
-    cell_cap: int = DEFAULT_CELL_CAP
-    time_stop_s: float | None = None
-    time_start_s: float | None = None
-    time_num: int = 200
-    time_spacing: str = "linear"
-    exact_n_atoms: int | None = None
-    positions_path: str | None = None
-    basis: str = "full"
-    restriction_radius_m: float | None = None
-    max_atoms_full: int = 14
-    max_atoms_restricted: int = 24
-    sweep_densities_m3: tuple[float, ...] | None = None
-    sweep_omega0_hz: tuple[float, ...] | None = None
-    seed: int = 0
-    threads: int = 1
+    omega0_hz: float | None = _key("physical.omega0_hz", "float")
+    omega1_hz: float | None = _key("physical.omega1_hz", "float")
+    omega2_hz: float | None = _key("physical.omega2_hz", "float")
+    delta_hz: float | None = _key("physical.delta_hz", "float")
+    c6_au: float | None = _key("physical.c6_au", "float")
+    c6_jm6: float | None = _key("physical.c6_jm6", "float")
+    gamma_per_s: float = _key("physical.gamma_per_s", "float", 0.0)
+    kappa: float = _key("physical.kappa", "float", 1.0)
+    detuning_hz: float = _key("physical.detuning_hz", "float", 0.0)
+    cloud_n_atoms: float | None = _key("cloud.n_atoms", "float")
+    peak_density_m3: float | None = _key("cloud.peak_density_m3", "float")
+    sigma_x_m: float | None = _key("cloud.sigma_x_m", "float")
+    sigma_y_m: float | None = _key("cloud.sigma_y_m", "float")
+    sigma_z_m: float | None = _key("cloud.sigma_z_m", "float")
+    model: str = _key("partition.model", "str", "collective", choices=MODELS, flag="--model")
+    n_min: float = _key("partition.n_min", "float", 1.0)
+    span_sigmas: float = _key("partition.span_sigmas", "float", 5.0)
+    cell_cap: int = _key("partition.cell_cap", "int", DEFAULT_CELL_CAP)
+    time_stop_s: float | None = _key("time.stop_s", "float")
+    time_start_s: float | None = _key("time.start_s", "float")
+    time_num: int = _key("time.num", "int", 200)
+    time_spacing: str = _key("time.spacing", "str", "linear", choices=("linear", "log"))
+    exact_n_atoms: int | None = _key("exact.n_atoms", "int")
+    positions_path: str | None = _key("exact.positions_path", "str")
+    basis: str = _key("exact.basis", "str", "full", choices=("full", "restricted"))
+    restriction_radius_m: float | None = _key("exact.restriction_radius_m", "float")
+    max_atoms_full: int = _key("exact.max_atoms_full", "int", DEFAULT_MAX_ATOMS_FULL)
+    max_atoms_restricted: int = _key(
+        "exact.max_atoms_restricted", "int", DEFAULT_MAX_ATOMS_RESTRICTED
+    )
+    sweep_densities_m3: tuple[float, ...] | None = _key("sweep.densities_m3", "floats")
+    sweep_omega0_hz: tuple[float, ...] | None = _key("sweep.omega0_hz", "floats")
+    seed: int = _key("run.seed", "int", 0, flag="--seed")
+    threads: int = _key("run.threads", "int", 1, flag="--threads")
 
 
-# dotted config key -> (RunConfig attribute, value kind)
-_KEYS: dict[str, tuple[str, str]] = {
-    "physical.omega0_hz": ("omega0_hz", "float"),
-    "physical.omega1_hz": ("omega1_hz", "float"),
-    "physical.omega2_hz": ("omega2_hz", "float"),
-    "physical.delta_hz": ("delta_hz", "float"),
-    "physical.c6_au": ("c6_au", "float"),
-    "physical.c6_jm6": ("c6_jm6", "float"),
-    "physical.gamma_per_s": ("gamma_per_s", "float"),
-    "physical.kappa": ("kappa", "float"),
-    "physical.detuning_hz": ("detuning_hz", "float"),
-    "cloud.n_atoms": ("cloud_n_atoms", "float"),
-    "cloud.peak_density_m3": ("peak_density_m3", "float"),
-    "cloud.sigma_x_m": ("sigma_x_m", "float"),
-    "cloud.sigma_y_m": ("sigma_y_m", "float"),
-    "cloud.sigma_z_m": ("sigma_z_m", "float"),
-    "partition.model": ("model", "str"),
-    "partition.n_min": ("n_min", "float"),
-    "partition.span_sigmas": ("span_sigmas", "float"),
-    "partition.cell_cap": ("cell_cap", "int"),
-    "time.stop_s": ("time_stop_s", "float"),
-    "time.start_s": ("time_start_s", "float"),
-    "time.num": ("time_num", "int"),
-    "time.spacing": ("time_spacing", "str"),
-    "exact.n_atoms": ("exact_n_atoms", "int"),
-    "exact.positions_path": ("positions_path", "str"),
-    "exact.basis": ("basis", "str"),
-    "exact.restriction_radius_m": ("restriction_radius_m", "float"),
-    "exact.max_atoms_full": ("max_atoms_full", "int"),
-    "exact.max_atoms_restricted": ("max_atoms_restricted", "int"),
-    "sweep.densities_m3": ("sweep_densities_m3", "floats"),
-    "sweep.omega0_hz": ("sweep_omega0_hz", "floats"),
-    "run.seed": ("seed", "int"),
-    "run.threads": ("threads", "int"),
-}
-
-_CHOICES = {
-    "partition.model": ("simple", "collective"),
-    "time.spacing": ("linear", "log"),
-    "exact.basis": ("full", "restricted"),
-}
+_KEYS: dict[str, Field] = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
-def _parse_value(key: str, kind: str, text: str):
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        number = float(text)  # integral literals such as 1e7
+        if not number.is_integer():
+            raise ValueError(f"{text!r} is not an integer") from None
+        return int(number)
+
+
+def parse_value(setting: Field, text: str):
+    """Parse one value of a RunConfig field; errors name its dotted key."""
+    key, kind = setting.metadata["key"], setting.metadata["kind"]
     try:
         if kind == "float":
             return float(text)
         if kind == "int":
-            return int(text)
+            return _parse_int(text)
         if kind == "floats":
             parts = [p.strip() for p in text.split(",") if p.strip()]
             if not parts:
@@ -113,7 +99,7 @@ def _parse_value(key: str, kind: str, text: str):
             return tuple(float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
-    choices = _CHOICES.get(key)
+    choices = setting.metadata["choices"]
     if choices and text not in choices:
         raise ConfigError(f"bad value for {key}: expected one of {choices}, got {text!r}")
     return text
@@ -142,8 +128,8 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
                 f"{source}, line {lineno}: duplicate key {key!r} (first on line {seen[key]})"
             )
         seen[key] = lineno
-        attr, kind = _KEYS[key]
-        setattr(cfg, attr, _parse_value(key, kind, value))
+        setting = _KEYS[key]
+        setattr(cfg, setting.name, parse_value(setting, value))
     return cfg
 
 
@@ -163,8 +149,9 @@ def config_items(cfg: RunConfig) -> list[tuple[str, str]]:
     parse_config_text bit-exactly (floats via repr).
     """
     items = []
-    for key, (attr, kind) in _KEYS.items():
-        value = getattr(cfg, attr)
+    for key, setting in _KEYS.items():
+        kind = setting.metadata["kind"]
+        value = getattr(cfg, setting.name)
         if value is None:
             continue
         if kind == "float":

@@ -254,14 +254,6 @@ class Hamiltonian:
     def dim(self) -> int:
         return self.basis.n_states
 
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        amplitudes = np.asarray(amplitudes)
-        if amplitudes.shape != (self.dim,):
-            raise BasisMismatchError(
-                f"amplitude vector of length {amplitudes.shape} does not match dim {self.dim}"
-            )
-        return self.matrix @ amplitudes
-
 
 def build_hamiltonian(spec: HamiltonianSpec, basis: Basis) -> Hamiltonian:
     """Assemble the CSR matrix of the blockade Hamiltonian on ``basis``.
@@ -361,11 +353,10 @@ def evolve(
     hamiltonian: Hamiltonian,
     initial: QuantumState,
     time_grid,
-    dense_cutoff: int = DENSE_DIM_CUTOFF,
 ) -> list[QuantumState]:
     """Propagate ``initial`` under exp(-i H t) to every grid time.
 
-    Below ``dense_cutoff`` dimensions a single dense eigendecomposition
+    Up to ``DENSE_DIM_CUTOFF`` dimensions a single dense eigendecomposition
     evaluates all times at once; above it the state is stepped interval by
     interval with a sparse Krylov propagator. Both are spectrally exact:
     refining the grid does not change the values at common times (beyond
@@ -380,7 +371,7 @@ def evolve(
     if abs(initial.norm() - 1.0) > 1e-9:
         raise InvalidParameterError("initial state must be normalized to 1e-9")
 
-    if hamiltonian.dim <= dense_cutoff:
+    if hamiltonian.dim <= DENSE_DIM_CUTOFF:
         w, u = scipy.linalg.eigh(hamiltonian.matrix.toarray())
         c0 = u.conj().T @ initial.amplitudes
         phases = np.exp(-1j * np.outer(t, w))

@@ -173,6 +173,14 @@ def test_exact_positions_file_and_digest(tmp_path):
     assert curve.values.max() <= 1.02
 
 
+def test_exact_rejects_both_atom_sources(tmp_path, capsys):
+    positions = tmp_path / "atoms.txt"
+    positions.write_text("0 0 0\n2e-7 0 0\n")
+    cfg = write_config(tmp_path, EXACT_CONFIG + f"exact.positions_path = {positions}\n")
+    assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "exactly one of exact.n_atoms or exact.positions_path" in capsys.readouterr().err
+
+
 def test_exact_malformed_positions_exit_code(tmp_path, capsys):
     positions = tmp_path / "atoms.txt"
     positions.write_text("0 0 0\n1e-6 what 0\n")
@@ -292,6 +300,26 @@ def test_scaling_nonconverged_points_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(blockadesim.analysis, "fit_saturation", stubborn)
     assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "did not" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cloud", "exact", "scaling"])
+def test_config_subcommands_accept_override_flags(command):
+    args = blockadesim.cli._build_parser().parse_args(
+        [command, "--config", "run.cfg", "--seed", "1", "--model", "simple", "--threads", "2"]
+    )
+    assert (args.seed, args.model, args.threads) == ("1", "simple", "2")
+
+
+def test_fit_refuses_override_flags(tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fit", str(tmp_path / "curve.csv"), "--seed", "1"])
+    assert excinfo.value.code == 2
+
+
+def test_bad_override_value_exits_like_bad_config_value(tmp_path, capsys):
+    cfg = write_config(tmp_path, CLOUD_CONFIG)
+    assert main(["cloud", "--config", cfg, "--out", str(tmp_path / "o"), "--model", "bogus"]) == 2
+    assert "bad value for partition.model" in capsys.readouterr().err
 
 
 def test_missing_config_file_exit_code(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Config parsing, resolution helpers, manifest round trips."""
 
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +56,14 @@ def test_bad_float_cites_key():
 def test_bad_choice_rejected():
     with pytest.raises(ConfigError, match="partition.model"):
         parse_config_text("partition.model = exactish")
+
+
+def test_integer_keys_accept_integral_literals():
+    cfg = parse_config_text("partition.cell_cap = 1e7")
+    assert cfg.cell_cap == 10_000_000
+    assert ("partition.cell_cap", "10000000") in config_items(cfg)
+    with pytest.raises(ConfigError, match="partition.cell_cap"):
+        parse_config_text("partition.cell_cap = 1.5")
 
 
 def test_list_values_parse():
@@ -174,3 +184,11 @@ def test_resolve_time_grid_validation():
         resolve_time_grid(parse_config_text("time.stop_s = 1e-5\ntime.spacing = log"))
     with pytest.raises(ConfigError, match="num"):
         resolve_time_grid(parse_config_text("time.stop_s = 1e-5\ntime.num = 0"))
+
+
+def test_readme_documents_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = [
+        f.metadata["key"] for f in fields(RunConfig) if f"`{f.metadata['key']}`" not in readme
+    ]
+    assert missing == []

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+import blockadesim.exact
 from blockadesim.constants import HBAR
 from blockadesim.errors import (
     BasisMismatchError,
@@ -222,8 +224,8 @@ def test_hamiltonian_is_hermitian(rng):
     assert np.abs(asym).max() == 0.0
     phi = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     psi = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    lhs = np.vdot(phi, h.apply(psi))
-    rhs = np.conj(np.vdot(psi, h.apply(phi)))
+    lhs = np.vdot(phi, h.matrix @ psi)
+    rhs = np.conj(np.vdot(psi, h.matrix @ phi))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -279,36 +281,47 @@ def test_two_blockaded_atoms_oscillate_at_sqrt2(rng):
     assert n_r.max() <= 1.02
 
 
-def test_sparse_and_dense_routes_agree(rng):
+def test_sparse_and_dense_routes_agree(rng, monkeypatch):
     positions = cluster(rng, 6, 1.5e-6)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(6))
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 40)
     psi0 = ground_state(h.basis)
     dense = evolve(h, psi0, t)
-    sparse = evolve(h, psi0, t, dense_cutoff=0)
+    monkeypatch.setattr(blockadesim.exact, "DENSE_DIM_CUTOFF", 0)
+    krylov, steps = scipy.sparse.linalg.expm_multiply, []
+
+    def counted(*args):
+        steps.append(1)
+        return krylov(*args)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counted)
+    sparse = evolve(h, psi0, t)
+    assert len(steps) == t.size - 1  # the cutoff is read at call time
     diff = max(
         np.abs(a.amplitudes - b.amplitudes).max() for a, b in zip(dense, sparse)
     )
     assert diff < 1e-8
 
 
-def test_grid_refinement_leaves_values_unchanged(rng):
+def test_grid_refinement_leaves_values_unchanged(rng, monkeypatch):
     positions = cluster(rng, 4, 1.5e-6)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(4))
     coarse = np.linspace(0.0, 2 * np.pi / OMEGA, 33)
     fine = np.linspace(0.0, 2 * np.pi / OMEGA, 65)  # midpoints inserted
     psi0 = ground_state(h.basis)
-    on_coarse = [rydberg_number(s) for s in evolve(h, psi0, coarse, dense_cutoff=0)]
-    on_fine = [rydberg_number(s) for s in evolve(h, psi0, fine, dense_cutoff=0)]
+    monkeypatch.setattr(blockadesim.exact, "DENSE_DIM_CUTOFF", 0)
+    on_coarse = [rydberg_number(s) for s in evolve(h, psi0, coarse)]
+    on_fine = [rydberg_number(s) for s in evolve(h, psi0, fine)]
     assert np.abs(np.array(on_coarse) - np.array(on_fine)[::2]).max() < 1e-8
 
 
-def test_norm_conserved_along_trajectory(rng):
+def test_norm_conserved_along_trajectory(rng, monkeypatch):
     positions = cluster(rng, 5, 1.5e-6)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 200)
     for route in (full_basis(5).n_states + 1, 0):  # dense, then sparse
-        states = evolve(h, ground_state(h.basis), t, dense_cutoff=route)
+        monkeypatch.setattr(blockadesim.exact, "DENSE_DIM_CUTOFF", route)
+        states = evolve(h, ground_state(h.basis), t)
         drift = max(abs(s.norm() - 1.0) for s in states)
         assert drift < 1e-9
 
