@@ -45,6 +45,7 @@ from .exact import (
     evolve,
     full_basis,
     ground_state,
+    plan_propagation,
     restricted_basis,
     rydberg_number,
     w_state_fidelity,
@@ -165,9 +166,11 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     w_fid = [w_state_fidelity(s) for s in states]
     write_trajectory_csv(os.path.join(out, "trajectory.csv"), grid, n_ryd, w_fid)
     _finish_manifest(out, "exact", cfg, inputs, [("trajectory", "trajectory.csv")])
+    plan = plan_propagation(hamiltonian, grid)
     print(
         f"exact: {len(positions)} atoms, {basis.n_states} basis states "
-        f"({basis.kind}), {grid.size} times -> {out}/trajectory.csv"
+        f"({basis.kind}), {grid.size} times, {plan.route} propagator "
+        f"({int(plan.substeps.sum())} Taylor substeps) -> {out}/trajectory.csv"
     )
     return 0
 

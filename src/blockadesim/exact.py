@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .constants import HBAR
 from .errors import (
@@ -45,6 +44,8 @@ __all__ = [
     "restricted_basis",
     "build_hamiltonian",
     "ground_state",
+    "PropagationPlan",
+    "plan_propagation",
     "evolve",
     "rydberg_number",
     "w_state_fidelity",
@@ -55,9 +56,17 @@ __all__ = [
 DEFAULT_MAX_ATOMS_FULL = 14
 DEFAULT_MAX_ATOMS_RESTRICTED = 24
 
-# Above this dimension evolve() switches from dense eigendecomposition to
-# sparse Krylov propagation.
+# evolve() never diagonalises a matrix above this dimension: the cutoff caps
+# the memory of the dense route, while plan_propagation() weighs its cost.
 DENSE_DIM_CUTOFF = 1024
+
+# Truncated Taylor propagation as in Al-Mohy & Higham (2011), the algorithm
+# behind scipy's expm_multiply: substeps of at most TAYLOR_THETA / ||A||_1
+# keep the series of at most TAYLOR_DEGREE terms within TAYLOR_TOL
+# (scipy's _theta[55] at unit roundoff).
+TAYLOR_DEGREE = 55
+TAYLOR_THETA = 9.9
+TAYLOR_TOL = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -148,9 +157,10 @@ class Basis:
         self.n_atoms = n_atoms
         self.states = np.asarray(states, dtype=np.int64)
         self.restriction_radius = restriction_radius
-        occ = (self.states[:, None] >> np.arange(n_atoms)) & 1
-        self.occupancy = occ.astype(np.float64)
-        self.popcounts = self.occupancy.sum(axis=1)
+        popcounts = np.zeros(self.states.shape, dtype=np.int64)
+        for i in range(n_atoms):
+            popcounts += (self.states >> i) & 1
+        self.popcounts = popcounts.astype(np.float64)
         self.singles = np.flatnonzero(self.popcounts == 1)
 
     @property
@@ -269,33 +279,27 @@ def build_hamiltonian(spec: HamiltonianSpec, basis: Basis) -> Hamiltonian:
     m = basis.n_atoms
     states = basis.states
     dim = basis.n_states
-    occ = basis.occupancy
 
+    diag = spec.detuning * basis.popcounts
     if spec.c6 > 0.0 and m > 1:
         dist = spec.positions.pairwise_distances()
-        np.fill_diagonal(dist, np.inf)
-        vmat = spec.c6 / (HBAR * dist**6)
-    else:
-        vmat = np.zeros((m, m))
-    diag = spec.detuning * basis.popcounts + 0.5 * np.einsum(
-        "si,ij,sj->s", occ, vmat, occ
-    )
+        for i in range(m - 1):
+            excited = (states >> i) & 1
+            for j in range(i + 1, m):
+                diag += (spec.c6 / (HBAR * dist[i, j] ** 6)) * (excited & (states >> j))
 
-    index = {int(s): k for k, s in enumerate(states)}
+    # one flip per atom: couple each state to the basis state with bit i set
     rows, cols = [], []
-    half_rabi = spec.omega0 / 2.0
-    for k, s in enumerate(states):
-        s = int(s)
-        for i in range(m):
-            flipped = s ^ (1 << i)
-            if flipped > s:
-                kk = index.get(flipped)
-                if kk is not None:
-                    rows.append(k)
-                    cols.append(kk)
-    rows = np.array(rows, dtype=np.int64)
-    cols = np.array(cols, dtype=np.int64)
-    data = np.full(rows.shape, half_rabi)
+    for i in range(m):
+        lower = np.flatnonzero(((states >> i) & 1) == 0)
+        upper = states[lower] | (1 << i)
+        found = np.minimum(np.searchsorted(states, upper), dim - 1)
+        hit = states[found] == upper
+        rows.append(lower[hit])
+        cols.append(found[hit])
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    data = np.full(rows.shape, spec.omega0 / 2.0)
     matrix = scipy.sparse.coo_matrix(
         (
             np.concatenate([data, data, diag]),
@@ -349,6 +353,57 @@ def _validate_time_grid(time_grid) -> np.ndarray:
     return t
 
 
+@dataclass(frozen=True)
+class PropagationPlan:
+    """How evolve() propagates one Hamiltonian over one time grid.
+
+    ``substeps[k]`` counts the Taylor substeps of the interval ending at
+    grid time k (0 for a grid starting at t = 0); ``shift`` is the mean
+    diagonal, taken out of H before Taylor stepping and put back as a phase.
+    """
+
+    route: str
+    shift: float
+    substeps: np.ndarray
+
+
+def plan_propagation(hamiltonian: Hamiltonian, time_grid) -> PropagationPlan:
+    """Choose dense diagonalisation or Taylor stepping by their cost.
+
+    Dense ``eigh`` costs about dim**3; Taylor stepping at most
+    TAYLOR_DEGREE sparse products of nnz each per substep. Dense is taken
+    when it is the cheaper of the two and dim <= DENSE_DIM_CUTOFF.
+    """
+    t = _validate_time_grid(time_grid)
+    matrix = hamiltonian.matrix
+    diag = matrix.diagonal()
+    shift = float(diag.mean())
+    # ||H - shift I||_1: column sums of |H| with the diagonal shifted
+    colsums = np.asarray(abs(matrix).sum(axis=0)).ravel()
+    norm = float((colsums - np.abs(diag) + np.abs(diag - shift)).max())
+    dts = np.diff(t, prepend=0.0)
+    substeps = np.where(dts > 0.0, np.maximum(1.0, np.ceil(dts * norm / TAYLOR_THETA)), 0.0)
+    taylor_cost = float(substeps.sum()) * TAYLOR_DEGREE * matrix.nnz
+    dim = hamiltonian.dim
+    dense = dim <= DENSE_DIM_CUTOFF and taylor_cost >= float(dim) ** 3
+    return PropagationPlan("dense" if dense else "taylor", shift, substeps.astype(np.int64))
+
+
+def _taylor_step(generator, psi: np.ndarray, dt: float) -> np.ndarray:
+    """exp(dt * generator) @ psi, the series cut where scipy's expm_multiply cuts it."""
+    term, total = psi, psi.copy()
+    c1 = np.abs(term).max()
+    for j in range(1, TAYLOR_DEGREE + 1):
+        term = generator @ term
+        term *= dt / j
+        total += term
+        c2 = np.abs(term).max()
+        if c1 + c2 <= TAYLOR_TOL * np.abs(total).max():
+            break
+        c1 = c2
+    return total
+
+
 def evolve(
     hamiltonian: Hamiltonian,
     initial: QuantumState,
@@ -356,9 +411,10 @@ def evolve(
 ) -> list[QuantumState]:
     """Propagate ``initial`` under exp(-i H t) to every grid time.
 
-    Up to ``DENSE_DIM_CUTOFF`` dimensions a single dense eigendecomposition
-    evaluates all times at once; above it the state is stepped interval by
-    interval with a sparse Krylov propagator. Both are spectrally exact:
+    plan_propagation() picks the route. On the dense route a single
+    eigendecomposition evaluates all times at once; on the Taylor route
+    the state is stepped interval by interval with a truncated Taylor
+    series of the shifted sparse generator. Both are exact to rounding:
     refining the grid does not change the values at common times (beyond
     1e-8), and the norm drifts by less than 1e-9 over a collective period.
 
@@ -371,22 +427,23 @@ def evolve(
     if abs(initial.norm() - 1.0) > 1e-9:
         raise InvalidParameterError("initial state must be normalized to 1e-9")
 
-    if hamiltonian.dim <= DENSE_DIM_CUTOFF:
+    plan = plan_propagation(hamiltonian, t)
+    if plan.route == "dense":
         w, u = scipy.linalg.eigh(hamiltonian.matrix.toarray())
         c0 = u.conj().T @ initial.amplitudes
         phases = np.exp(-1j * np.outer(t, w))
         amps = (phases * c0) @ u.T
     else:
-        generator = (-1j) * hamiltonian.matrix.tocsc().astype(np.complex128)
+        # -i (H - shift I), complex once: scipy would convert a real matrix
+        # to complex inside every product
+        identity = scipy.sparse.identity(hamiltonian.dim, format="csr")
+        generator = (hamiltonian.matrix - plan.shift * identity) * -1j
         amps = np.empty((t.size, hamiltonian.dim), dtype=np.complex128)
-        psi = initial.amplitudes.copy()
-        prev = 0.0
-        for k, tk in enumerate(t):
-            dt = tk - prev
-            if dt > 0.0:
-                psi = scipy.sparse.linalg.expm_multiply(generator * dt, psi)
-            amps[k] = psi
-            prev = tk
+        psi = initial.amplitudes
+        for k, (dt, steps) in enumerate(zip(np.diff(t, prepend=0.0), plan.substeps)):
+            for _ in range(steps):
+                psi = _taylor_step(generator, psi, dt / steps)
+            amps[k] = psi * np.exp(-1j * plan.shift * t[k])
     return [QuantumState(amps[k], hamiltonian.basis) for k in range(t.size)]
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import blockadesim.analysis
 import blockadesim.cli
+import blockadesim.exact
 from blockadesim import errors
 from blockadesim.analysis import SaturationFit
 from blockadesim.cli import main
@@ -155,6 +156,21 @@ def test_exact_rerun_from_manifest_identical(tmp_path):
     assert main(["exact", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["exact", "--config", str(out1 / "manifest.txt"), "--out", str(out2)]) == 0
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+
+
+def test_exact_summary_names_propagator_only_on_stdout(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, EXACT_CONFIG)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["exact", "--config", cfg, "--out", str(out1)]) == 0
+    assert "dense propagator (" in capsys.readouterr().out
+    monkeypatch.setattr(blockadesim.exact, "DENSE_DIM_CUTOFF", 0)
+    assert main(["exact", "--config", cfg, "--out", str(out2)]) == 0
+    summary = capsys.readouterr().out
+    assert "taylor propagator (" in summary and " Taylor substeps)" in summary
+    for out in (out1, out2):
+        for name in ("trajectory.csv", "manifest.txt"):
+            text = (out / name).read_text().lower()
+            assert "propagator" not in text and "taylor" not in text and "dense" not in text
 
 
 def test_exact_positions_file_and_digest(tmp_path):

@@ -1,10 +1,12 @@
 """Exact solver: basis enumeration, Hamiltonian structure, propagation."""
 
 import math
+import time
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
+import scipy.linalg
+import scipy.sparse
 
 import blockadesim.exact
 from blockadesim.constants import HBAR
@@ -23,6 +25,7 @@ from blockadesim.exact import (
     evolve,
     full_basis,
     ground_state,
+    plan_propagation,
     restricted_basis,
     rydberg_number,
     w_state_fidelity,
@@ -242,6 +245,62 @@ def test_restricted_couplings_stay_in_basis(rng):
     assert np.all(coo.data[offdiag] == OMEGA / 2)
 
 
+def loop_hamiltonian(spec, basis):
+    """Oracle: per-state loops, flips looked up in a dict of basis states."""
+    m, states, dim = basis.n_atoms, basis.states, basis.n_states
+    dist = spec.positions.pairwise_distances()
+    diag = []
+    for s in states.tolist():
+        value = spec.detuning * bin(s).count("1")
+        for i in range(m - 1):
+            for j in range(i + 1, m):
+                if (s >> i) & (s >> j) & 1:
+                    value += spec.c6 / (HBAR * dist[i, j] ** 6)
+        diag.append(value)
+    index = {s: k for k, s in enumerate(states.tolist())}
+    rows, cols = [], []
+    for k, s in enumerate(states.tolist()):
+        for i in range(m):
+            kk = index.get(s ^ (1 << i))
+            if s ^ (1 << i) > s and kk is not None:
+                rows.append(k)
+                cols.append(kk)
+    data = np.full(len(rows), spec.omega0 / 2.0)
+    return scipy.sparse.coo_matrix(
+        (
+            np.concatenate([data, data, diag]),
+            (np.concatenate([rows, cols, np.arange(dim)]),
+             np.concatenate([cols, rows, np.arange(dim)])),
+        ),
+        shape=(dim, dim),
+    ).tocsr()
+
+
+@pytest.mark.parametrize("kind", ["full", "restricted"])
+def test_vectorised_hamiltonian_equals_loop_oracle(rng, kind):
+    positions = cluster(rng, 9, 2e-6)
+    if kind == "full":
+        basis = full_basis(9)
+    else:
+        dist = positions.pairwise_distances()
+        basis = restricted_basis(positions, float(np.median(dist[dist > 0])))
+        assert 10 < basis.n_states < 2**9
+    spec = HamiltonianSpec(positions, OMEGA, C6, detuning=-0.3 * OMEGA)
+    new, old = build_hamiltonian(spec, basis).matrix, loop_hamiltonian(spec, basis)
+    assert np.array_equal(new.indptr, old.indptr)
+    assert np.array_equal(new.indices, old.indices)
+    assert np.array_equal(new.data, old.data)
+    # the pair sum as the occupancy einsum wrote it, rounded differently
+    occ = ((basis.states[:, None] >> np.arange(9)) & 1).astype(float)
+    dist = positions.pairwise_distances()
+    np.fill_diagonal(dist, np.inf)
+    vmat = C6 / (HBAR * dist**6)
+    einsum = spec.detuning * occ.sum(axis=1) + 0.5 * np.einsum("si,ij,sj->s", occ, vmat, occ)
+    # m*m summed terms, each rounding once
+    assert np.abs(new.diagonal() - einsum).max() <= 81 * np.finfo(float).eps * np.abs(einsum).max()
+    assert np.array_equal(basis.popcounts, occ.sum(axis=1))
+
+
 def test_geometry_basis_mismatch(rng):
     positions = cluster(rng, 4, 1e-6)
     with pytest.raises(BasisMismatchError):
@@ -281,26 +340,40 @@ def test_two_blockaded_atoms_oscillate_at_sqrt2(rng):
     assert n_r.max() <= 1.02
 
 
+def evolve_by(route, monkeypatch, h, psi0, t):
+    """evolve() on the named route; fails if the other route ran.
+
+    A zero cutoff forces Taylor stepping. Dense cannot be forced (the cost
+    rule has no knob), so dense callers pass inputs the rule sends to dense
+    and the eigh spy proves it did.
+    """
+    eigh, calls = scipy.linalg.eigh, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.linalg, "eigh", counted)
+        if route == "taylor":
+            patch.setattr(blockadesim.exact, "DENSE_DIM_CUTOFF", 0)
+        states = evolve(h, psi0, t)
+    assert len(calls) == (1 if route == "dense" else 0)
+    return states
+
+
+def max_amplitude_gap(a, b):
+    return max(np.abs(x.amplitudes - y.amplitudes).max() for x, y in zip(a, b))
+
+
 def test_sparse_and_dense_routes_agree(rng, monkeypatch):
     positions = cluster(rng, 6, 1.5e-6)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(6))
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 40)
     psi0 = ground_state(h.basis)
-    dense = evolve(h, psi0, t)
-    monkeypatch.setattr(blockadesim.exact, "DENSE_DIM_CUTOFF", 0)
-    krylov, steps = scipy.sparse.linalg.expm_multiply, []
-
-    def counted(*args):
-        steps.append(1)
-        return krylov(*args)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counted)
-    sparse = evolve(h, psi0, t)
-    assert len(steps) == t.size - 1  # the cutoff is read at call time
-    diff = max(
-        np.abs(a.amplitudes - b.amplitudes).max() for a, b in zip(dense, sparse)
-    )
-    assert diff < 1e-8
+    dense = evolve_by("dense", monkeypatch, h, psi0, t)
+    taylor = evolve_by("taylor", monkeypatch, h, psi0, t)  # cutoff read at call time
+    assert max_amplitude_gap(dense, taylor) < 1e-8
 
 
 def test_grid_refinement_leaves_values_unchanged(rng, monkeypatch):
@@ -309,21 +382,92 @@ def test_grid_refinement_leaves_values_unchanged(rng, monkeypatch):
     coarse = np.linspace(0.0, 2 * np.pi / OMEGA, 33)
     fine = np.linspace(0.0, 2 * np.pi / OMEGA, 65)  # midpoints inserted
     psi0 = ground_state(h.basis)
-    monkeypatch.setattr(blockadesim.exact, "DENSE_DIM_CUTOFF", 0)
-    on_coarse = [rydberg_number(s) for s in evolve(h, psi0, coarse)]
-    on_fine = [rydberg_number(s) for s in evolve(h, psi0, fine)]
-    assert np.abs(np.array(on_coarse) - np.array(on_fine)[::2]).max() < 1e-8
+    for route in ("dense", "taylor"):
+        on_coarse = [rydberg_number(s) for s in evolve_by(route, monkeypatch, h, psi0, coarse)]
+        on_fine = [rydberg_number(s) for s in evolve_by(route, monkeypatch, h, psi0, fine)]
+        assert np.abs(np.array(on_coarse) - np.array(on_fine)[::2]).max() < 1e-8
 
 
 def test_norm_conserved_along_trajectory(rng, monkeypatch):
     positions = cluster(rng, 5, 1.5e-6)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 200)
-    for route in (full_basis(5).n_states + 1, 0):  # dense, then sparse
-        monkeypatch.setattr(blockadesim.exact, "DENSE_DIM_CUTOFF", route)
-        states = evolve(h, ground_state(h.basis), t)
+    for route in ("dense", "taylor"):
+        states = evolve_by(route, monkeypatch, h, ground_state(h.basis), t)
         drift = max(abs(s.norm() - 1.0) for s in states)
         assert drift < 1e-9
+
+
+def test_taylor_splits_one_long_step_into_substeps(rng, monkeypatch):
+    positions = cluster(rng, 5, 1.5e-6)
+    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
+    t = np.array([2 * np.pi / OMEGA])  # a single interval from t = 0
+    assert plan_propagation(h, t).substeps[0] > 10
+    psi0 = ground_state(h.basis)
+    gap = max_amplitude_gap(
+        evolve_by("dense", monkeypatch, h, psi0, t),
+        evolve_by("taylor", monkeypatch, h, psi0, t),
+    )
+    assert gap < 1e-8
+
+
+def test_taylor_matches_dense_on_log_grid(rng, monkeypatch):
+    # the grid that time.spacing = log builds: 0, then geometric times
+    positions = cluster(rng, 5, 1.5e-6)
+    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
+    t = np.concatenate([[0.0], np.geomspace(1e-10, 2 * np.pi / OMEGA, 59)])
+    steps = plan_propagation(h, t).substeps
+    assert steps[0] == 0 and steps[1] == 1 and steps[-1] > steps[-2] > 1
+    psi0 = ground_state(h.basis)
+    gap = max_amplitude_gap(
+        evolve_by("dense", monkeypatch, h, psi0, t),
+        evolve_by("taylor", monkeypatch, h, psi0, t),
+    )
+    assert gap < 1e-8
+
+
+def test_taylor_matches_dense_with_detuning(rng, monkeypatch):
+    # a detuning of 30 omega0 moves the mean diagonal the Taylor route removes
+    positions = cluster(rng, 5, 3e-6)
+    spec = HamiltonianSpec(positions, OMEGA, C6, detuning=30 * OMEGA)
+    h = build_hamiltonian(spec, full_basis(5))
+    t = np.linspace(0.0, 2 * np.pi / OMEGA, 50)
+    plan = plan_propagation(h, t)
+    assert plan.shift == pytest.approx(h.matrix.diagonal().mean())
+    assert plan.shift > 2.5 * 30 * OMEGA  # half the atoms excited on average
+    psi0 = ground_state(h.basis)
+    gap = max_amplitude_gap(
+        evolve_by("dense", monkeypatch, h, psi0, t),
+        evolve_by("taylor", monkeypatch, h, psi0, t),
+    )
+    assert gap < 1e-8
+
+
+def test_strongly_blockaded_polygon_takes_dense_route_quickly(monkeypatch):
+    # acceptance 02's largest case: diagonal entries up to 2.6e6 hbar omega0
+    # would need 2.7e5 Taylor substeps, so the cost rule must pick dense
+    diameter = (C6 / (1e3 * HBAR * OMEGA)) ** (1.0 / 6.0)
+    h = build_hamiltonian(
+        HamiltonianSpec(polygon(8, diameter / 2), OMEGA, C6), full_basis(8)
+    )
+    t_pi = np.pi / (math.sqrt(8) * OMEGA)
+    t = np.linspace(0.0, 1.2 * t_pi, 241)
+    plan = plan_propagation(h, t)
+    assert plan.route == "dense" and plan.substeps.sum() > 1e5
+    start = time.perf_counter()
+    states = evolve_by("dense", monkeypatch, h, ground_state(h.basis), t)
+    assert time.perf_counter() - start < 1.0
+    assert w_state_fidelity(states[200]) > 0.99
+
+
+def test_benchmark_sizes_pick_the_expected_route(rng):
+    # dense only while dim**3 undercuts the Taylor products
+    t = np.linspace(0.0, 5e-6, 200)
+    omega = 2 * np.pi * 210e3
+    for m, route in ((8, "dense"), (9, "taylor"), (10, "taylor")):
+        positions = cluster(rng, m, 5e-6)
+        h = build_hamiltonian(HamiltonianSpec(positions, omega, C6), full_basis(m))
+        assert plan_propagation(h, t).route == route
 
 
 def test_restricted_matches_full_when_strongly_blockaded(rng):
