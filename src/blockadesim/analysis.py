@@ -19,7 +19,6 @@ enforces positivity without constraints and makes the convergence test
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,6 +44,9 @@ __all__ = [
     "fit_power_law",
     "scaling_experiment",
 ]
+
+FIT_MAX_ITERATIONS = 200
+FIT_REL_TOL = 1e-10
 
 
 def saturation_model(t, n_sat: float, rate: float):
@@ -78,16 +80,14 @@ class SaturationFit:
     n_iterations: int
 
 
-def fit_saturation(
-    curve: ExcitationCurve, max_iterations: int = 200, rel_tol: float = 1e-10
-) -> SaturationFit:
+def fit_saturation(curve: ExcitationCurve) -> SaturationFit:
     """Fit the saturation law to a curve by damped least squares.
 
     Initial guesses: n_sat from the curve maximum, the rate from the
     secant slope across the first quartile of points. The iteration runs
     in log-parameter space (both parameters are positive by construction)
     and stops when the largest relative parameter change drops below
-    ``rel_tol`` or after ``max_iterations`` steps.
+    FIT_REL_TOL or after FIT_MAX_ITERATIONS steps.
     """
     t = curve.times
     y = curve.values
@@ -112,7 +112,7 @@ def fit_saturation(
     lam = 1e-3
     converged = False
     n_iter = 0
-    for n_iter in range(1, max_iterations + 1):
+    for n_iter in range(1, FIT_MAX_ITERATIONS + 1):
         n_sat, rate = np.exp(theta)
         # chain rule: columns are d(model)/d(log p) = d(model)/dp * p
         jac = _saturation_jacobian(t, n_sat, rate) * np.exp(theta)
@@ -137,7 +137,7 @@ def fit_saturation(
             lam *= 5.0
         if step is None:
             break
-        if float(np.max(np.abs(step))) < rel_tol:
+        if float(np.max(np.abs(step))) < FIT_REL_TOL:
             converged = True
             break
 
@@ -284,7 +284,6 @@ def scaling_experiment(
     n_min: float = 1.0,
     span_sigmas: float = 5.0,
     cell_cap: int = DEFAULT_CELL_CAP,
-    threads: int = 1,
 ) -> ScalingResult:
     """Sweep (peak density, drive) grids and extract scaling exponents.
 
@@ -296,9 +295,7 @@ def scaling_experiment(
 
     For meaningful exponents each grid should span at least a factor of a
     few with three or more points; a single-valued axis yields NaN for its
-    exponents rather than an error. The sweep is deterministic, and with
-    ``threads`` > 1 the points are fitted concurrently without changing
-    results (ordered gather).
+    exponents rather than an error. The sweep is deterministic.
     """
     density_grid = [float(n) for n in density_grid]
     omega0_grid = [float(o) for o in omega0_grid]
@@ -306,35 +303,26 @@ def scaling_experiment(
         raise InvalidParameterError("density and drive grids must be non-empty")
     if any(n <= 0.0 for n in density_grid) or any(o <= 0.0 for o in omega0_grid):
         raise InvalidParameterError("grid values must be positive")
-    if threads < 1:
-        raise InvalidParameterError("threads must be at least 1")
     time_grid = np.asarray(time_grid, dtype=float)
 
-    jobs = [(n, o) for n in density_grid for o in omega0_grid]
-
-    def run_point(job: tuple[float, float]) -> SweepPoint:
-        n_peak, omega0 = job
+    points = []
+    for n_peak in density_grid:
         spec = CloudSpec.from_peak_density(n_peak, sigma)
-        params = replace(params_base, omega0=omega0)
-        ensemble = partition_superatoms(
-            spec, params, model=model, n_min=n_min,
-            span_sigmas=span_sigmas, cell_cap=cell_cap,
-        )
-        curve = simulate_cloud(ensemble, params, time_grid)
-        fit = fit_saturation(curve)
-        return SweepPoint(
-            n_peak, omega0, fit.n_sat, fit.n_sat_err, fit.rate, fit.rate_err,
-            fit.converged,
-        )
-
-    if threads == 1:
-        points = tuple(run_point(job) for job in jobs)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = tuple(pool.map(run_point, jobs))
+        for omega0 in omega0_grid:
+            params = replace(params_base, omega0=omega0)
+            ensemble = partition_superatoms(
+                spec, params, model=model, n_min=n_min,
+                span_sigmas=span_sigmas, cell_cap=cell_cap,
+            )
+            curve = simulate_cloud(ensemble, params, time_grid)
+            fit = fit_saturation(curve)
+            points.append(SweepPoint(
+                n_peak, omega0, fit.n_sat, fit.n_sat_err, fit.rate, fit.rate_err,
+                fit.converged,
+            ))
 
     good = [p for p in points if p.converged]
     rate_est = _joint_exponents(good, lambda p: p.rate, ("a", "b"))
     nsat_est = _joint_exponents(good, lambda p: p.n_sat, ("c", "d"))
     exponents = {e.name: e for e in rate_est + nsat_est}
-    return ScalingResult(points, exponents, len(points) - len(good))
+    return ScalingResult(tuple(points), exponents, len(points) - len(good))

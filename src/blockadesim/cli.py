@@ -227,7 +227,6 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         n_min=cfg.n_min,
         span_sigmas=cfg.span_sigmas,
         cell_cap=cfg.cell_cap,
-        threads=cfg.threads,
     )
     write_sweep_csv(os.path.join(out, "sweep.csv"), result.points)
     write_exponents_csv(os.path.join(out, "exponents.csv"), result.exponents)

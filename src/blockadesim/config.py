@@ -3,7 +3,8 @@
 One assignment per line, ``#`` starts a full-line comment, keys are
 dotted lowercase. Unknown keys are rejected by name so typos fail fast.
 Manifests written by the CLI parse as configs too: ``manifest.*`` keys
-are ignored and a leading ``config.`` prefix is stripped.
+and the retired ``config.run.threads`` are ignored, and a leading
+``config.`` prefix is stripped.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ class RunConfig:
     sweep_densities_m3: tuple[float, ...] | None = _key("sweep.densities_m3", "floats")
     sweep_omega0_hz: tuple[float, ...] | None = _key("sweep.omega0_hz", "floats")
     seed: int = _key("run.seed", "int", 0, flag="--seed")
-    threads: int = _key("run.threads", "int", 1, flag="--threads")
 
 
 _KEYS: dict[str, Field] = {f.metadata["key"]: f for f in fields(RunConfig)}
@@ -117,7 +117,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key.startswith("manifest."):
+        # manifests of earlier versions record the retired sweep setting
+        # config.run.threads; it never changed a result
+        if key.startswith("manifest.") or key == "config.run.threads":
             continue
         if key.startswith("config."):
             key = key[len("config.") :]

@@ -29,6 +29,7 @@ __all__ = [
     "convert_c6_atomic_units",
     "blockade_radius_simple",
     "blockade_radius_collective",
+    "validate_time_grid",
 ]
 
 
@@ -45,6 +46,17 @@ def hz_from_angular(omega: float) -> float:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidParameterError(message)
+
+
+def validate_time_grid(time_grid) -> np.ndarray:
+    """Return the grid as a float array; it must be a non-empty, finite,
+    strictly increasing 1-D sequence starting at or after 0."""
+    t = np.asarray(time_grid, dtype=float)
+    _require(t.ndim == 1 and t.size >= 1, "time grid must be a non-empty 1-D array")
+    _require(bool(np.all(np.isfinite(t))), "time grid must be finite")
+    _require(t[0] >= 0.0, "time grid must start at or after 0")
+    _require(bool(np.all(np.diff(t) > 0.0)), "time grid must be strictly increasing")
+    return t
 
 
 @dataclass(frozen=True)
@@ -117,10 +129,14 @@ class PhysicalParams:
     kappa: float = 1.0
 
     def __post_init__(self) -> None:
-        _require(self.omega0 > 0.0, "omega0 must be positive")
-        _require(self.c6 > 0.0, "c6 must be positive")
-        _require(self.gamma_dephase >= 0.0, "gamma_dephase must be non-negative")
-        _require(self.kappa > 0.0, "kappa must be positive")
+        # chained comparisons with inf also reject NaN
+        _require(0.0 < self.omega0 < math.inf, "omega0 must be positive and finite")
+        _require(0.0 < self.c6 < math.inf, "c6 must be positive and finite")
+        _require(
+            0.0 <= self.gamma_dephase < math.inf,
+            "gamma_dephase must be non-negative and finite",
+        )
+        _require(0.0 < self.kappa < math.inf, "kappa must be positive and finite")
 
     @classmethod
     def from_hz(

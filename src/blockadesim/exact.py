@@ -26,6 +26,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .constants import HBAR
+from .core import validate_time_grid
 from .errors import (
     BasisMismatchError,
     GeometryError,
@@ -204,8 +205,10 @@ def restricted_basis(
     reproduces the full basis. Enumeration is a depth-first walk over the
     independent sets of the proximity graph.
     """
-    if radius < 0.0:
-        raise InvalidParameterError("restriction radius must be non-negative")
+    if not radius >= 0.0:  # a NaN radius would blockade no pair
+        raise InvalidParameterError(
+            f"restriction radius must be non-negative, got {radius}"
+        )
     m = len(positions)
     if m > max_atoms:
         raise SizeCapError(
@@ -246,10 +249,13 @@ class HamiltonianSpec:
     detuning: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.omega0 <= 0.0:
-            raise InvalidParameterError("omega0 must be positive")
-        if self.c6 < 0.0:
-            raise InvalidParameterError("c6 must be non-negative")
+        # chained comparisons with inf also reject NaN
+        if not 0.0 < self.omega0 < np.inf:
+            raise InvalidParameterError("omega0 must be positive and finite")
+        if not 0.0 <= self.c6 < np.inf:
+            raise InvalidParameterError("c6 must be non-negative and finite")
+        if not np.isfinite(self.detuning):
+            raise InvalidParameterError("detuning must be finite")
 
 
 class Hamiltonian:
@@ -325,7 +331,7 @@ class QuantumState:
                 f"{amps.shape} amplitudes for a basis of {self.basis.n_states} states"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:  # a NaN norm fails too
             raise InvalidParameterError(f"state norm {norm} is not 1")
         self.amplitudes = amps
 
@@ -338,19 +344,6 @@ def ground_state(basis: Basis) -> QuantumState:
     amps = np.zeros(basis.n_states, dtype=np.complex128)
     amps[0] = 1.0
     return QuantumState(amps, basis)
-
-
-def _validate_time_grid(time_grid) -> np.ndarray:
-    t = np.asarray(time_grid, dtype=float)
-    if t.ndim != 1 or t.size < 1:
-        raise InvalidParameterError("time grid must be a non-empty 1-D array")
-    if not np.all(np.isfinite(t)):
-        raise InvalidParameterError("time grid must be finite")
-    if t[0] < 0.0:
-        raise InvalidParameterError("time grid must start at or after 0")
-    if t.size > 1 and not np.all(np.diff(t) > 0.0):
-        raise InvalidParameterError("time grid must be strictly increasing")
-    return t
 
 
 @dataclass(frozen=True)
@@ -374,7 +367,7 @@ def plan_propagation(hamiltonian: Hamiltonian, time_grid) -> PropagationPlan:
     TAYLOR_DEGREE sparse products of nnz each per substep. Dense is taken
     when it is the cheaper of the two and dim <= DENSE_DIM_CUTOFF.
     """
-    t = _validate_time_grid(time_grid)
+    t = validate_time_grid(time_grid)
     matrix = hamiltonian.matrix
     diag = matrix.diagonal()
     shift = float(diag.mean())
@@ -421,10 +414,10 @@ def evolve(
     Memory note: the result holds n_states * len(time_grid) complex
     amplitudes.
     """
-    t = _validate_time_grid(time_grid)
+    t = validate_time_grid(time_grid)
     if initial.basis != hamiltonian.basis:
         raise BasisMismatchError("initial state and Hamiltonian use different bases")
-    if abs(initial.norm() - 1.0) > 1e-9:
+    if not abs(initial.norm() - 1.0) <= 1e-9:
         raise InvalidParameterError("initial state must be normalized to 1e-9")
 
     plan = plan_propagation(hamiltonian, t)

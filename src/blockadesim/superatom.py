@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import SuperatomEnsemble
-from .core import PhysicalParams
+from .core import PhysicalParams, validate_time_grid
 from .errors import DegenerateDataError, InvalidParameterError
 
 __all__ = [
@@ -89,11 +89,7 @@ def simulate_cloud(
         raise DegenerateDataError(
             "ensemble is empty (n_min above the central superatom size?)"
         )
-    t = np.asarray(time_grid, dtype=float)
-    if t.ndim != 1 or t.size < 1:
-        raise InvalidParameterError("time grid must be a non-empty 1-D array")
-    if np.any(t < 0.0) or (t.size > 1 and not np.all(np.diff(t) > 0.0)):
-        raise InvalidParameterError("time grid must be non-negative and increasing")
+    t = validate_time_grid(time_grid)
 
     n_distinct, inverse = np.unique(ensemble.n_per, return_inverse=True)
     grouped = np.bincount(inverse, weights=ensemble.weight)

@@ -76,7 +76,7 @@ def sweeps(c6, strong_params):
     results = {
         model: scaling_experiment(
             sigma, densities, omegas, strong_params, time_grid,
-            model=model, n_min=0.0, threads=4,
+            model=model, n_min=0.0,
         )
         for model in ("collective", "simple")
     }

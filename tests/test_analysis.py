@@ -283,16 +283,6 @@ def test_scaling_degenerate_axis_reports_nan(strong_params):
     assert math.isfinite(result.exponents["d"].value)
 
 
-def test_scaling_threads_do_not_change_results(strong_params):
-    kwargs = dict(model="simple", n_min=0.0, span_sigmas=3.0)
-    grids = ((SIGMA_REF,) * 3, [2e19, 8e19], [2 * math.pi * 1e5, 2 * math.pi * 2e5])
-    serial = scaling_experiment(*grids, strong_params, quick_time_grid(), **kwargs)
-    threaded = scaling_experiment(
-        *grids, strong_params, quick_time_grid(), threads=3, **kwargs
-    )
-    assert serial.points == threaded.points
-
-
 def test_scaling_validates_grids(strong_params):
     with pytest.raises(InvalidParameterError):
         scaling_experiment(
@@ -301,8 +291,4 @@ def test_scaling_validates_grids(strong_params):
     with pytest.raises(InvalidParameterError):
         scaling_experiment(
             (SIGMA_REF,) * 3, [1e19], [-1e5], strong_params, quick_time_grid()
-        )
-    with pytest.raises(InvalidParameterError):
-        scaling_experiment(
-            (SIGMA_REF,) * 3, [1e19], [1e5], strong_params, quick_time_grid(), threads=0
         )

@@ -1,7 +1,10 @@
 """End-to-end CLI runs in temp directories: outputs, manifests, exit codes."""
 
+import argparse
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +200,36 @@ def test_exact_rejects_both_atom_sources(tmp_path, capsys):
     assert "exactly one of exact.n_atoms or exact.positions_path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "physical.omega0_hz = inf",
+        "physical.detuning_hz = nan",
+        "physical.detuning_hz = inf",
+        "physical.c6_jm6 = inf",
+        "physical.gamma_per_s = inf",
+        "physical.kappa = inf",
+    ],
+)
+def test_exact_rejects_non_finite_physical_input(tmp_path, capsys, line):
+    base = EXACT_CONFIG.replace("physical.c6_au = 1.7e19", "physical.c6_jm6 = 1.6e-60")
+    key = line.split(" = ")[0]
+    rows = [row for row in base.splitlines() if not row.startswith(key + " ")]
+    cfg = write_config(tmp_path, "\n".join(rows + [line]) + "\n")
+    out = tmp_path / "o"
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_exact_rejects_nan_restriction_radius(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, EXACT_CONFIG + "exact.basis = restricted\nexact.restriction_radius_m = nan\n"
+    )
+    assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "restriction radius" in capsys.readouterr().err
+
+
 def test_exact_malformed_positions_exit_code(tmp_path, capsys):
     positions = tmp_path / "atoms.txt"
     positions.write_text("0 0 0\n1e-6 what 0\n")
@@ -286,12 +319,29 @@ def test_scaling_rerun_from_manifest_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_scaling_threads_flag_keeps_output_identical(tmp_path):
+def test_scaling_replays_manifest_recording_retired_threads_key(tmp_path):
+    # manifests of earlier versions carry config.run.threads
     cfg = write_config(tmp_path, SCALING_CONFIG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["scaling", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["scaling", "--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    manifest = out1 / "manifest.txt"
+    manifest.write_text(manifest.read_text() + "config.run.threads = 4\n")
+    assert main(["scaling", "--config", str(manifest), "--out", str(out2)]) == 0
+    for name in ("sweep.csv", "exponents.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_scaling_threads_flag_is_gone(tmp_path):
+    cfg = write_config(tmp_path, SCALING_CONFIG)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["scaling", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "2"])
+    assert excinfo.value.code == 2
+
+
+def test_run_threads_config_key_is_unknown(tmp_path, capsys):
+    cfg = write_config(tmp_path, SCALING_CONFIG + "run.threads = 2\n")
+    assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown configuration key 'run.threads'" in capsys.readouterr().err
 
 
 def test_scaling_degenerate_density_grid_warns(tmp_path, capsys):
@@ -321,9 +371,25 @@ def test_scaling_nonconverged_points_exit_code(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("command", ["cloud", "exact", "scaling"])
 def test_config_subcommands_accept_override_flags(command):
     args = blockadesim.cli._build_parser().parse_args(
-        [command, "--config", "run.cfg", "--seed", "1", "--model", "simple", "--threads", "2"]
+        [command, "--config", "run.cfg", "--seed", "1", "--model", "simple"]
     )
-    assert (args.seed, args.model, args.threads) == ("1", "simple", "2")
+    assert (args.seed, args.model) == ("1", "simple")
+
+
+def test_readme_names_exactly_the_parser_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parser = blockadesim.cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        option
+        for p in [parser, *sub.choices.values()]
+        for action in p._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert documented == defined
 
 
 def test_fit_refuses_override_flags(tmp_path):

@@ -212,6 +212,11 @@ def test_collective_smaller_than_simple_in_dense_cloud(strong_params):
         dict(omega0=1e6, c6=0.0),
         dict(omega0=1e6, c6=1e-60, gamma_dephase=-1.0),
         dict(omega0=1e6, c6=1e-60, kappa=0.0),
+        dict(omega0=math.inf, c6=1e-60),
+        dict(omega0=math.nan, c6=1e-60),
+        dict(omega0=1e6, c6=math.inf),
+        dict(omega0=1e6, c6=1e-60, gamma_dephase=math.inf),
+        dict(omega0=1e6, c6=1e-60, kappa=math.inf),
     ],
 )
 def test_physical_params_validation(kwargs):

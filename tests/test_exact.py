@@ -515,6 +515,9 @@ def test_evolve_validates_grid(rng):
         evolve(h, psi0, np.array([-1.0, 0.0]))
     with pytest.raises(InvalidParameterError):
         evolve(h, psi0, np.array([]))
+    for grid in ([0.0, np.inf], [np.nan]):
+        with pytest.raises(InvalidParameterError, match="time grid must be finite"):
+            evolve(h, psi0, grid)
 
 
 def test_evolve_rejects_basis_mismatch(rng):
@@ -529,6 +532,24 @@ def test_quantum_state_requires_normalization():
     basis = full_basis(2)
     with pytest.raises(InvalidParameterError):
         QuantumState(np.array([0.5, 0.0, 0.0, 0.0]), basis)
+    with pytest.raises(InvalidParameterError, match="nan"):
+        QuantumState(np.array([np.nan, 0.0, 0.0, 0.0]), basis)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(omega0=math.inf),
+        dict(c6=math.inf),
+        dict(c6=math.nan),
+        dict(detuning=math.nan),
+        dict(detuning=-math.inf),
+    ],
+)
+def test_hamiltonian_spec_requires_finite_values(rng, kwargs):
+    spec = dict(positions=cluster(rng, 2, 1e-6), omega0=OMEGA, c6=C6) | kwargs
+    with pytest.raises(InvalidParameterError, match="finite"):
+        HamiltonianSpec(**spec)
 
 
 # --- observables ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Superatom oscillations, cloud curves, crossover detection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,14 @@ def test_empty_ensemble_rejected():
     empty = SuperatomEnsemble(np.array([]), np.array([]), np.zeros((0, 3)), 0.0)
     with pytest.raises(DegenerateDataError):
         simulate_cloud(empty, PARAMS, np.linspace(0, 1e-5, 10))
+
+
+@pytest.mark.parametrize("grid", [[0.0, math.inf], [math.nan]])
+def test_non_finite_time_grid_rejected_before_evaluation(grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="time grid must be finite"):
+            simulate_cloud(small_ensemble([10.0], [1.0]), PARAMS, grid)
 
 
 def test_curve_metadata_reports_generation():
