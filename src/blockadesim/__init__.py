@@ -15,11 +15,9 @@ __version__ = "0.1.0"
 
 from .analysis import (
     ExponentEstimate,
-    PowerLawFit,
     SaturationFit,
     ScalingResult,
     SweepPoint,
-    fit_power_law,
     fit_saturation,
     saturation_model,
     scaling_experiment,

@@ -25,23 +25,16 @@ import numpy as np
 
 from .cloud import DEFAULT_CELL_CAP, CloudSpec, partition_superatoms
 from .core import PhysicalParams
-from .errors import (
-    DegenerateDataError,
-    DomainError,
-    InvalidParameterError,
-    RankDeficiencyError,
-)
+from .errors import DegenerateDataError, InvalidParameterError
 from .superatom import ExcitationCurve, simulate_cloud
 
 __all__ = [
     "SaturationFit",
-    "PowerLawFit",
     "SweepPoint",
     "ExponentEstimate",
     "ScalingResult",
     "saturation_model",
     "fit_saturation",
-    "fit_power_law",
     "scaling_experiment",
 ]
 
@@ -159,52 +152,6 @@ def fit_saturation(curve: ExcitationCurve) -> SaturationFit:
         residual_rms=float(np.sqrt(ssr / t.size)),
         converged=converged,
         n_iterations=n_iter,
-    )
-
-
-@dataclass(frozen=True)
-class PowerLawFit:
-    """y = prefactor * x**exponent fitted by least squares in log-log."""
-
-    exponent: float
-    prefactor: float
-    exponent_err: float
-    n_points: int
-
-
-def fit_power_law(x, y) -> PowerLawFit:
-    """Fit a single power law through (x, y) by ordinary least squares on logs.
-
-    Requires strictly positive data (DomainError otherwise) and at least
-    two distinct x values (RankDeficiencyError otherwise). With exactly
-    two points the fit is exact and the exponent error is reported as 0.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape or x.size < 2:
-        raise InvalidParameterError("need matching 1-D arrays of at least 2 points")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise InvalidParameterError("data must be finite")
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise DomainError("power-law fitting needs strictly positive data")
-    lx = np.log(x)
-    ly = np.log(y)
-    if np.all(lx == lx[0]):
-        raise RankDeficiencyError("all x values identical; exponent not identifiable")
-    design = np.column_stack([np.ones_like(lx), lx])
-    coef, _, _, _ = np.linalg.lstsq(design, ly, rcond=None)
-    resid = ly - design @ coef
-    n = x.size
-    sxx = float(((lx - lx.mean()) ** 2).sum())
-    if n > 2:
-        exponent_err = math.sqrt(float(resid @ resid) / (n - 2) / sxx)
-    else:
-        exponent_err = 0.0
-    return PowerLawFit(
-        exponent=float(coef[1]),
-        prefactor=float(math.exp(coef[0])),
-        exponent_err=exponent_err,
-        n_points=n,
     )
 
 

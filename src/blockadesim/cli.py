@@ -161,10 +161,11 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     )
     hamiltonian = build_hamiltonian(spec, basis)
     grid = resolve_time_grid(cfg)
-    states = evolve(hamiltonian, ground_state(basis), grid)
-    n_ryd = [rydberg_number(s) for s in states]
-    w_fid = [w_state_fidelity(s) for s in states]
-    write_trajectory_csv(os.path.join(out, "trajectory.csv"), grid, n_ryd, w_fid)
+    trajectory = evolve(hamiltonian, ground_state(basis), grid)
+    write_trajectory_csv(
+        os.path.join(out, "trajectory.csv"),
+        grid, rydberg_number(trajectory), w_state_fidelity(trajectory),
+    )
     _finish_manifest(out, "exact", cfg, inputs, [("trajectory", "trajectory.csv")])
     plan = plan_propagation(hamiltonian, grid)
     print(

@@ -170,10 +170,13 @@ def partition_superatoms(
     """
     if model not in MODELS:
         raise InvalidParameterError(f"unknown model {model!r}")
-    if n_min < 0.0:
-        raise InvalidParameterError("n_min must be non-negative")
-    if span_sigmas <= 0.0:
-        raise InvalidParameterError("span_sigmas must be positive")
+    # negated comparisons also reject NaN
+    if not n_min >= 0.0:
+        raise InvalidParameterError(f"n_min must be non-negative, got {n_min}")
+    if not 0.0 < span_sigmas < math.inf:
+        raise InvalidParameterError(
+            f"span_sigmas must be positive and finite, got {span_sigmas}"
+        )
 
     n0 = peak_density(spec)
     if model == "simple":

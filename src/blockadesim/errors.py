@@ -30,14 +30,6 @@ class DegenerateDataError(BlockadeSimError, ValueError):
     """Data carries no usable signal (all zeros, empty ensemble)."""
 
 
-class DomainError(BlockadeSimError, ValueError):
-    """Data violates a transform's domain (non-positive values under log)."""
-
-
-class RankDeficiencyError(BlockadeSimError, ValueError):
-    """A regression design matrix has no usable rank (all x identical)."""
-
-
 class InputFileError(BlockadeSimError):
     """A positions or CSV file failed to parse; message cites file and line."""
 

@@ -319,24 +319,43 @@ def build_hamiltonian(spec: HamiltonianSpec, basis: Basis) -> Hamiltonian:
 
 @dataclass
 class QuantumState:
-    """Complex amplitudes over a basis; norm must be 1 within 1e-6."""
+    """Complex amplitudes over a basis: one state of shape (D,), or a
+    trajectory of shape (T, D) with one state per row. Every row's norm
+    must be 1 within 1e-6."""
 
     amplitudes: np.ndarray
     basis: Basis
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.basis.n_states,):
+        if amps.ndim not in (1, 2) or amps.shape[-1] != self.basis.n_states:
             raise BasisMismatchError(
                 f"{amps.shape} amplitudes for a basis of {self.basis.n_states} states"
             )
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= 1e-6:  # a NaN norm fails too
-            raise InvalidParameterError(f"state norm {norm} is not 1")
         self.amplitudes = amps
+        norms = np.atleast_1d(self.norm())
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-6))  # a NaN norm fails too
+        if bad.size:
+            row = f" in row {bad[0]}" if amps.ndim == 2 else ""
+            raise InvalidParameterError(f"state norm {norms[bad[0]]}{row} is not 1")
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self):
+        """The norm: a float for one state, a (T,) array for a trajectory."""
+        return _per_row(np.sqrt(_sum_abs2(self.amplitudes)))
+
+
+def _sum_abs2(amps: np.ndarray, *weights: np.ndarray):
+    """sum_i |amps_i|**2 * weights_i over the last axis.
+
+    einsum over the real and imaginary views allocates nothing the size of
+    ``amps``; abs(amps)**2 would allocate a float copy of a whole trajectory.
+    """
+    spec = "...i,...i" + ",i" * len(weights) + "->..."
+    return sum(np.einsum(spec, part, part, *weights) for part in (amps.real, amps.imag))
+
+
+def _per_row(values):
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def ground_state(basis: Basis) -> QuantumState:
@@ -401,7 +420,7 @@ def evolve(
     hamiltonian: Hamiltonian,
     initial: QuantumState,
     time_grid,
-) -> list[QuantumState]:
+) -> QuantumState:
     """Propagate ``initial`` under exp(-i H t) to every grid time.
 
     plan_propagation() picks the route. On the dense route a single
@@ -411,12 +430,19 @@ def evolve(
     refining the grid does not change the values at common times (beyond
     1e-8), and the norm drifts by less than 1e-9 over a collective period.
 
+    Returns one QuantumState whose amplitudes have shape
+    (len(time_grid), n_states), row k being the state at time_grid[k];
+    every row is checked to have norm 1 within 1e-6. ``initial`` must be a
+    single state normalized to 1e-9.
+
     Memory note: the result holds n_states * len(time_grid) complex
     amplitudes.
     """
     t = validate_time_grid(time_grid)
     if initial.basis != hamiltonian.basis:
         raise BasisMismatchError("initial state and Hamiltonian use different bases")
+    if initial.amplitudes.ndim != 1:
+        raise InvalidParameterError("initial state must be one state, not a trajectory")
     if not abs(initial.norm() - 1.0) <= 1e-9:
         raise InvalidParameterError("initial state must be normalized to 1e-9")
 
@@ -437,22 +463,25 @@ def evolve(
             for _ in range(steps):
                 psi = _taylor_step(generator, psi, dt / steps)
             amps[k] = psi * np.exp(-1j * plan.shift * t[k])
-    return [QuantumState(amps[k], hamiltonian.basis) for k in range(t.size)]
+    return QuantumState(amps, hamiltonian.basis)
 
 
-def rydberg_number(state: QuantumState) -> float:
-    """Expected number of excited atoms <sum_i n_i>."""
-    prob = np.abs(state.amplitudes) ** 2
-    return float(prob @ state.basis.popcounts)
+def rydberg_number(state: QuantumState):
+    """Expected number of excited atoms <sum_i n_i>.
+
+    A float for one state, a (T,) array for a trajectory.
+    """
+    return _per_row(_sum_abs2(state.amplitudes, state.basis.popcounts))
 
 
-def w_state_fidelity(state: QuantumState) -> float:
+def w_state_fidelity(state: QuantumState):
     """Overlap squared with the symmetric one-excitation state.
 
     |<W|psi>|**2 where W is the equal-amplitude superposition of all
     single-excitation bitmasks. This is the collective state a fully
-    blockaded cluster Rabi-oscillates into.
+    blockaded cluster Rabi-oscillates into. A float for one state, a (T,)
+    array for a trajectory.
     """
     m = state.basis.n_atoms
-    amp_sum = state.amplitudes[state.basis.singles].sum()
-    return float(abs(amp_sum) ** 2 / m)
+    amp_sum = state.amplitudes[..., state.basis.singles].sum(axis=-1)
+    return _per_row(np.abs(amp_sum) ** 2 / m)

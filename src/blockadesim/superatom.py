@@ -44,14 +44,10 @@ class ExcitationCurve:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
+        times = validate_time_grid(self.times)
         values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape or times.size < 1:
+        if times.shape != values.shape:
             raise InvalidParameterError("times and values must be matching 1-D arrays")
-        if times.size > 1 and not np.all(np.diff(times) > 0.0):
-            raise InvalidParameterError("curve times must be strictly increasing")
-        if times[0] < 0.0:
-            raise InvalidParameterError("curve times must be non-negative")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise InvalidParameterError("curve values must be finite and non-negative")
         object.__setattr__(self, "times", times)
@@ -121,9 +117,9 @@ def noninteracting_reference(
     """
     if n_atoms <= 0.0:
         raise InvalidParameterError("n_atoms must be positive")
-    t = np.asarray(time_grid, dtype=float)
+    t = validate_time_grid(time_grid)
     values = n_atoms * superatom_population(1.0, params.omega0, t, params.gamma_dephase)
-    return ExcitationCurve(t, np.atleast_1d(values), {"n_atoms": n_atoms})
+    return ExcitationCurve(t, values, {"n_atoms": n_atoms})
 
 
 def crossover_time(

@@ -49,8 +49,8 @@ def _report(capsys, number: int, name: str, ok: bool, detail: str) -> None:
 def _trajectory(positions: AtomPositions, omega: float, c6: float, time_grid):
     basis = full_basis(len(positions))
     h = build_hamiltonian(HamiltonianSpec(positions, omega, c6), basis)
-    states = evolve(h, ground_state(basis), time_grid)
-    return np.array([rydberg_number(s) for s in states]), states
+    trajectory = evolve(h, ground_state(basis), time_grid)
+    return rydberg_number(trajectory), trajectory
 
 
 def _polygon(m: int, circumradius: float) -> AtomPositions:
@@ -105,11 +105,11 @@ def test_02_collective_rabi_sqrt_n(capsys, c6):
         t_pi = np.pi / (np.sqrt(m) * OMEGA)
         # index 200 of this grid is the collective pi time itself
         grid = np.linspace(0.0, 1.2 * t_pi, 241)
-        values, states = _trajectory(_polygon(m, diameter / 2.0), OMEGA, c6, grid)
+        values, trajectory = _trajectory(_polygon(m, diameter / 2.0), OMEGA, c6, grid)
         peak_idx = int(np.argmax(values))
         worst_dev = max(worst_dev, abs(grid[peak_idx] - t_pi) / t_pi)
         worst_peak = max(worst_peak, float(values.max()))
-        worst_fid = min(worst_fid, w_state_fidelity(states[200]))
+        worst_fid = min(worst_fid, w_state_fidelity(trajectory)[200])
     elapsed = walltime.perf_counter() - start
     ok = worst_dev <= 0.02 and worst_peak <= 1.02 and worst_fid >= 0.99 and elapsed < 30.0
     _report(capsys, 2, "collective sqrt(N) law", ok,
@@ -135,8 +135,7 @@ def test_04_restricted_basis_validity(capsys, c6):
     full_values, _ = _trajectory(positions, OMEGA, c6, grid)
     basis = restricted_basis(positions, r100)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, c6), basis)
-    states = evolve(h, ground_state(basis), grid)
-    restricted_values = np.array([rydberg_number(s) for s in states])
+    restricted_values = rydberg_number(evolve(h, ground_state(basis), grid))
     rel_dev = float(np.max(np.abs(full_values - restricted_values)) / full_values.max())
     ok = rel_dev <= 0.01
     _report(capsys, 4, "restricted-basis validity", ok,

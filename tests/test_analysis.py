@@ -1,4 +1,4 @@
-"""Saturation fits, power-law regression, scaling sweeps."""
+"""Saturation fits and scaling sweeps."""
 
 import math
 
@@ -9,18 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockadesim.analysis import (
-    fit_power_law,
     fit_saturation,
     saturation_model,
     scaling_experiment,
 )
 from blockadesim.core import PhysicalParams
-from blockadesim.errors import (
-    DegenerateDataError,
-    DomainError,
-    InvalidParameterError,
-    RankDeficiencyError,
-)
+from blockadesim.errors import DegenerateDataError, InvalidParameterError
 from blockadesim.superatom import ExcitationCurve
 
 from conftest import SIGMA_REF
@@ -144,67 +138,6 @@ def test_fit_statistics_over_seeds():
 def test_reported_iterations_bounded():
     fit = fit_saturation(clean_curve())
     assert 1 <= fit.n_iterations <= 200
-
-
-# --- power law ------------------------------------------------------------------------
-
-
-def test_power_law_two_points_exact():
-    fit = fit_power_law([1.0, 2.0], [2.0, 8.0])
-    assert fit.exponent == pytest.approx(2.0, rel=1e-12)
-    assert fit.prefactor == pytest.approx(2.0, rel=1e-12)
-    assert fit.exponent_err == 0.0
-    assert fit.n_points == 2
-
-
-def test_power_law_exact_law_has_zero_residual_error():
-    x = np.geomspace(0.1, 10.0, 20)
-    fit = fit_power_law(x, 3.0 * x**1.5)
-    assert fit.exponent == pytest.approx(1.5, rel=1e-12)
-    assert fit.prefactor == pytest.approx(3.0, rel=1e-12)
-    assert fit.exponent_err < 1e-10
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.floats(1e-3, 1e3))
-def test_power_law_exponent_invariant_under_x_rescaling(alpha):
-    x = np.geomspace(1.0, 50.0, 12)
-    y = 0.7 * x**0.38
-    base = fit_power_law(x, y)
-    scaled = fit_power_law(alpha * x, y)
-    assert scaled.exponent == pytest.approx(base.exponent, rel=1e-9, abs=1e-12)
-    assert scaled.prefactor == pytest.approx(
-        base.prefactor * alpha ** (-base.exponent), rel=1e-9
-    )
-
-
-def test_power_law_error_is_calibrated():
-    # fixed-seed replicates: the 2-sigma interval should hold ~95% of them
-    inside = 0
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        x = np.geomspace(1.0, 100.0, 30)
-        y = 2.0 * x**0.5 * np.exp(0.1 * rng.standard_normal(30))
-        fit = fit_power_law(x, y)
-        inside += abs(fit.exponent - 0.5) <= 2 * fit.exponent_err
-    assert inside >= 90
-
-
-def test_power_law_rejects_nonpositive_data():
-    with pytest.raises(DomainError):
-        fit_power_law([1.0, 2.0, 0.0], [1.0, 2.0, 3.0])
-    with pytest.raises(DomainError):
-        fit_power_law([1.0, 2.0], [1.0, -2.0])
-
-
-def test_power_law_rejects_single_x_value():
-    with pytest.raises(RankDeficiencyError):
-        fit_power_law([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
-
-
-def test_power_law_needs_two_points():
-    with pytest.raises(InvalidParameterError):
-        fit_power_law([1.0], [1.0])
 
 
 # --- scaling sweeps ---------------------------------------------------------------------

@@ -103,6 +103,19 @@ def test_cloud_empty_ensemble_is_input_error(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, value", [("span_sigmas", "nan"), ("span_sigmas", "inf"), ("n_min", "nan")]
+)
+def test_cloud_rejects_non_finite_partition_input(tmp_path, capsys, name, value):
+    key = f"partition.{name}"
+    rows = [row for row in CLOUD_CONFIG.splitlines() if not row.startswith(key + " ")]
+    cfg = write_config(tmp_path, "\n".join(rows + [f"{key} = {value}"]) + "\n")
+    out = tmp_path / "o"
+    assert main(["cloud", "--config", cfg, "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not (out / "ensemble.csv").exists()
+
+
 def test_cell_cap_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, CLOUD_CONFIG + "partition.cell_cap = 10\n")
     assert main(["cloud", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
@@ -283,6 +296,15 @@ def test_fit_wrong_header_exit_code(tmp_path):
     assert main(["fit", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_fit_rejects_infinite_time(tmp_path, capsys):
+    curve = tmp_path / "c.csv"
+    curve.write_text("t_s,n_rydberg\n0.0,0.0\n1e-6,0.5\n2e-6,0.8\n3e-6,0.9\ninf,1.0\n")
+    out = tmp_path / "o"
+    assert main(["fit", str(curve), "--out", str(out)]) == 2
+    assert "time grid must be finite" in capsys.readouterr().err
+    assert not (out / "fit.csv").exists()
+
+
 def test_fit_nonconverged_exit_code(tmp_path, monkeypatch, capsys):
     curve = tmp_path / "c.csv"
     t = np.linspace(0, 1e-5, 20)
@@ -416,8 +438,6 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
         (errors.InputFileError, 2),
         (errors.InvalidParameterError, 2),
         (errors.GeometryError, 2),
-        (errors.DomainError, 2),
-        (errors.RankDeficiencyError, 2),
         (errors.DegenerateDataError, 2),
         (errors.BasisMismatchError, 2),
         (errors.SizeCapError, 4),

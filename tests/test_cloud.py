@@ -245,6 +245,9 @@ def test_partition_rejects_bad_model(reference_cloud, strong_params):
         partition_superatoms(reference_cloud, strong_params, n_min=-1.0)
     with pytest.raises(InvalidParameterError):
         partition_superatoms(reference_cloud, strong_params, span_sigmas=0.0)
+    for bad in (dict(n_min=math.nan), dict(span_sigmas=math.nan), dict(span_sigmas=math.inf)):
+        with pytest.raises(InvalidParameterError, match=next(iter(bad))):
+            partition_superatoms(reference_cloud, strong_params, **bad)
 
 
 def test_ensemble_validation():
@@ -262,8 +265,6 @@ def test_ensemble_validation():
 
 def test_total_weight_scales_with_density_to_the_fifth_root(strong_params):
     # number of collective superatoms ~ integral of n/N_local ~ n0**(1/5)
-    from blockadesim.analysis import fit_power_law
-
     densities = np.geomspace(8.2e18, 8.2e19, 5)
     totals = [
         partition_superatoms(
@@ -274,13 +275,11 @@ def test_total_weight_scales_with_density_to_the_fifth_root(strong_params):
         ).total_superatoms
         for n in densities
     ]
-    fit = fit_power_law(densities, totals)
-    assert fit.exponent == pytest.approx(0.2, abs=0.01)
+    exponent = np.polyfit(np.log(densities), np.log(totals), 1)[0]
+    assert exponent == pytest.approx(0.2, abs=0.01)
 
 
 def test_total_weight_scales_with_drive(reference_cloud, c6):
-    from blockadesim.analysis import fit_power_law
-
     drives = np.geomspace(42e3, 210e3, 5)
     totals = [
         partition_superatoms(
@@ -291,5 +290,5 @@ def test_total_weight_scales_with_drive(reference_cloud, c6):
         ).total_superatoms
         for f in drives
     ]
-    fit = fit_power_law(drives, totals)
-    assert fit.exponent == pytest.approx(0.4, abs=0.01)
+    exponent = np.polyfit(np.log(drives), np.log(totals), 1)[0]
+    assert exponent == pytest.approx(0.4, abs=0.01)

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,8 +315,7 @@ def test_single_atom_rabi_oscillation():
     positions = AtomPositions(np.zeros((1, 3)))
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, 0.0), full_basis(1))
     t = np.linspace(0.0, 5 * 2 * np.pi / OMEGA, 600)
-    states = evolve(h, ground_state(h.basis), t)
-    n_r = np.array([rydberg_number(s) for s in states])
+    n_r = rydberg_number(evolve(h, ground_state(h.basis), t))
     assert np.abs(n_r - np.sin(OMEGA * t / 2) ** 2).max() < 1e-12
 
 
@@ -323,8 +323,7 @@ def test_noninteracting_atoms_factorize(rng):
     positions = cluster(rng, 3, 1e-6)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, 0.0), full_basis(3))
     t = np.linspace(0.0, 2 * 2 * np.pi / OMEGA, 300)
-    states = evolve(h, ground_state(h.basis), t)
-    n_r = np.array([rydberg_number(s) for s in states])
+    n_r = rydberg_number(evolve(h, ground_state(h.basis), t))
     assert np.abs(n_r - 3 * np.sin(OMEGA * t / 2) ** 2).max() < 1e-12
 
 
@@ -333,8 +332,7 @@ def test_two_blockaded_atoms_oscillate_at_sqrt2(rng):
     positions = AtomPositions(np.array([[0, 0, 0], [d, 0, 0]]))
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(2))
     t = np.linspace(0.0, 2 * np.pi / (math.sqrt(2) * OMEGA), 400)[1:]
-    states = evolve(h, ground_state(h.basis), t)
-    n_r = np.array([rydberg_number(s) for s in states])
+    n_r = rydberg_number(evolve(h, ground_state(h.basis), t))
     ideal = np.sin(math.sqrt(2) * OMEGA * t / 2) ** 2
     assert np.abs(n_r - ideal).max() < 0.01
     assert n_r.max() <= 1.02
@@ -357,13 +355,13 @@ def evolve_by(route, monkeypatch, h, psi0, t):
         patch.setattr(scipy.linalg, "eigh", counted)
         if route == "taylor":
             patch.setattr(blockadesim.exact, "DENSE_DIM_CUTOFF", 0)
-        states = evolve(h, psi0, t)
+        trajectory = evolve(h, psi0, t)
     assert len(calls) == (1 if route == "dense" else 0)
-    return states
+    return trajectory
 
 
 def max_amplitude_gap(a, b):
-    return max(np.abs(x.amplitudes - y.amplitudes).max() for x, y in zip(a, b))
+    return np.abs(a.amplitudes - b.amplitudes).max()
 
 
 def test_sparse_and_dense_routes_agree(rng, monkeypatch):
@@ -383,9 +381,9 @@ def test_grid_refinement_leaves_values_unchanged(rng, monkeypatch):
     fine = np.linspace(0.0, 2 * np.pi / OMEGA, 65)  # midpoints inserted
     psi0 = ground_state(h.basis)
     for route in ("dense", "taylor"):
-        on_coarse = [rydberg_number(s) for s in evolve_by(route, monkeypatch, h, psi0, coarse)]
-        on_fine = [rydberg_number(s) for s in evolve_by(route, monkeypatch, h, psi0, fine)]
-        assert np.abs(np.array(on_coarse) - np.array(on_fine)[::2]).max() < 1e-8
+        on_coarse = rydberg_number(evolve_by(route, monkeypatch, h, psi0, coarse))
+        on_fine = rydberg_number(evolve_by(route, monkeypatch, h, psi0, fine))
+        assert np.abs(on_coarse - on_fine[::2]).max() < 1e-8
 
 
 def test_norm_conserved_along_trajectory(rng, monkeypatch):
@@ -393,8 +391,8 @@ def test_norm_conserved_along_trajectory(rng, monkeypatch):
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 200)
     for route in ("dense", "taylor"):
-        states = evolve_by(route, monkeypatch, h, ground_state(h.basis), t)
-        drift = max(abs(s.norm() - 1.0) for s in states)
+        trajectory = evolve_by(route, monkeypatch, h, ground_state(h.basis), t)
+        drift = np.abs(trajectory.norm() - 1.0).max()
         assert drift < 1e-9
 
 
@@ -455,9 +453,9 @@ def test_strongly_blockaded_polygon_takes_dense_route_quickly(monkeypatch):
     plan = plan_propagation(h, t)
     assert plan.route == "dense" and plan.substeps.sum() > 1e5
     start = time.perf_counter()
-    states = evolve_by("dense", monkeypatch, h, ground_state(h.basis), t)
+    trajectory = evolve_by("dense", monkeypatch, h, ground_state(h.basis), t)
     assert time.perf_counter() - start < 1.0
-    assert w_state_fidelity(states[200]) > 0.99
+    assert w_state_fidelity(trajectory)[200] > 0.99
 
 
 def test_benchmark_sizes_pick_the_expected_route(rng):
@@ -480,12 +478,8 @@ def test_restricted_matches_full_when_strongly_blockaded(rng):
     )
     assert h_rest.dim < h_full.dim
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 120)
-    n_full = np.array(
-        [rydberg_number(s) for s in evolve(h_full, ground_state(h_full.basis), t)]
-    )
-    n_rest = np.array(
-        [rydberg_number(s) for s in evolve(h_rest, ground_state(h_rest.basis), t)]
-    )
+    n_full = rydberg_number(evolve(h_full, ground_state(h_full.basis), t))
+    n_rest = rydberg_number(evolve(h_rest, ground_state(h_rest.basis), t))
     assert np.abs(n_full - n_rest).max() < 0.01 * n_full.max()
 
 
@@ -499,9 +493,7 @@ def test_blockade_only_suppresses(rng):
             HamiltonianSpec(positions, OMEGA, C6), full_basis(m)
         )
         t = np.linspace(0.0, np.pi / OMEGA, 150)[1:]
-        n_r = np.array(
-            [rydberg_number(s) for s in evolve(h, ground_state(h.basis), t)]
-        )
+        n_r = rydberg_number(evolve(h, ground_state(h.basis), t))
         assert np.all(n_r <= m * np.sin(OMEGA * t / 2) ** 2 + 1e-9)
 
 
@@ -520,6 +512,57 @@ def test_evolve_validates_grid(rng):
             evolve(h, psi0, grid)
 
 
+def test_evolve_returns_one_trajectory_state(rng):
+    positions = cluster(rng, 5, 1.5e-6)
+    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
+    t = np.linspace(0.0, 2 * np.pi / OMEGA, 40)
+    trajectory = evolve(h, ground_state(h.basis), t)
+    assert isinstance(trajectory, QuantumState)
+    assert trajectory.amplitudes.shape == (t.size, 32)
+    assert trajectory.basis == h.basis
+    # per-row oracles: the single-state formulas, one row at a time
+    rows = trajectory.amplitudes
+    n_rows = [float(np.abs(r) ** 2 @ h.basis.popcounts) for r in rows]
+    w_rows = [float(abs(r[h.basis.singles].sum()) ** 2 / 5) for r in rows]
+    for observable, oracle in (
+        (trajectory.norm(), [float(np.linalg.norm(r)) for r in rows]),
+        (rydberg_number(trajectory), n_rows),
+        (w_state_fidelity(trajectory), w_rows),
+    ):
+        assert observable.shape == (t.size,)
+        assert np.abs(observable - oracle).max() <= 64 * np.finfo(float).eps * max(oracle)
+
+
+def test_evolve_rejects_a_trajectory_as_initial_state(rng):
+    positions = cluster(rng, 2, 1e-6)
+    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(2))
+    trajectory = evolve(h, ground_state(h.basis), np.array([0.0, 1e-7]))
+    with pytest.raises(InvalidParameterError, match="one state"):
+        evolve(h, trajectory, np.array([0.0, 1e-7]))
+
+
+def test_trajectory_observables_allocate_no_trajectory_sized_array(rng):
+    basis = full_basis(12)
+    shape = (50, basis.n_states)
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    # abs(amps)**2 alone would allocate amps.nbytes / 2
+    limit = amps.nbytes / 16
+    for observe in (
+        lambda: QuantumState(amps, basis),
+        lambda: QuantumState(amps, basis).norm(),
+        lambda: rydberg_number(QuantumState(amps, basis)),
+        lambda: w_state_fidelity(QuantumState(amps, basis)),
+    ):
+        tracemalloc.start()
+        try:
+            observe()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+
+
 def test_evolve_rejects_basis_mismatch(rng):
     positions = cluster(rng, 3, 1e-6)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(3))
@@ -534,6 +577,22 @@ def test_quantum_state_requires_normalization():
         QuantumState(np.array([0.5, 0.0, 0.0, 0.0]), basis)
     with pytest.raises(InvalidParameterError, match="nan"):
         QuantumState(np.array([np.nan, 0.0, 0.0, 0.0]), basis)
+
+
+def test_quantum_state_trajectory_checks_every_row():
+    basis = full_basis(2)
+    rows = np.eye(4, dtype=complex)[:3]
+    trajectory = QuantumState(rows, basis)
+    assert np.array_equal(trajectory.norm(), np.ones(3))
+    assert isinstance(QuantumState(rows[0], basis).norm(), float)
+    for k, bad in ((1, 0.5), (2, np.nan)):
+        broken = rows.copy()
+        broken[k, k] = bad
+        with pytest.raises(InvalidParameterError, match=f"{bad} in row {k}"):
+            QuantumState(broken, basis)
+    for shape in ((3, 8), (2, 3, 4), ()):
+        with pytest.raises(BasisMismatchError):
+            QuantumState(np.ones(shape, dtype=complex) / 2, basis)
 
 
 @pytest.mark.parametrize(
@@ -556,7 +615,8 @@ def test_hamiltonian_spec_requires_finite_values(rng, kwargs):
 
 
 def test_rydberg_number_of_ground_state():
-    assert rydberg_number(ground_state(full_basis(3))) == 0.0
+    n_r = rydberg_number(ground_state(full_basis(3)))
+    assert isinstance(n_r, float) and n_r == 0.0
 
 
 def test_rydberg_number_counts_excitations():
@@ -576,7 +636,8 @@ def test_w_state_has_unit_fidelity_and_single_excitation():
 
 
 def test_w_fidelity_of_ground_state_is_zero():
-    assert w_state_fidelity(ground_state(full_basis(3))) == 0.0
+    fidelity = w_state_fidelity(ground_state(full_basis(3)))
+    assert isinstance(fidelity, float) and fidelity == 0.0
 
 
 def test_blockaded_pi_pulse_lands_on_w_state(rng):
@@ -585,5 +646,5 @@ def test_blockaded_pi_pulse_lands_on_w_state(rng):
     positions = polygon(m, radius / 2)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(m))
     t_pi = np.pi / (math.sqrt(m) * OMEGA)
-    state = evolve(h, ground_state(h.basis), np.array([t_pi]))[0]
-    assert w_state_fidelity(state) > 0.99
+    trajectory = evolve(h, ground_state(h.basis), np.array([t_pi]))
+    assert w_state_fidelity(trajectory)[0] > 0.99

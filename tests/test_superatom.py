@@ -166,6 +166,14 @@ def test_non_finite_time_grid_rejected_before_evaluation(grid):
             simulate_cloud(small_ensemble([10.0], [1.0]), PARAMS, grid)
 
 
+@pytest.mark.parametrize("grid", [[0.0, math.inf], [math.nan]])
+def test_noninteracting_reference_rejects_non_finite_grid_before_evaluation(grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="time grid must be finite"):
+            noninteracting_reference(1e3, PARAMS, grid)
+
+
 def test_curve_metadata_reports_generation():
     ensemble = small_ensemble([10.0], [7.0])
     curve = simulate_cloud(ensemble, PARAMS, np.linspace(0, 1e-5, 10))
@@ -187,6 +195,9 @@ def test_curve_validation():
         ExcitationCurve(np.array([1.0, 0.5]), np.array([0.0, 0.1]))
     with pytest.raises(InvalidParameterError):
         ExcitationCurve(np.array([0.0, 1.0]), np.array([0.0]))
+    for times in ([-1.0, 0.0], [0.0, math.inf], [math.nan, 1.0]):
+        with pytest.raises(InvalidParameterError, match="time grid"):
+            ExcitationCurve(np.array(times), np.array([0.0, 0.1]))
 
 
 def test_noninteracting_reference_is_scaled_single_atom():
