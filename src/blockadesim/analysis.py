@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cloud import DEFAULT_CELL_CAP, CloudSpec, partition_superatoms
+from .cloud import CloudSpec, partition_superatoms
 from .core import PhysicalParams
 from .errors import DegenerateDataError, InvalidParameterError
 from .superatom import ExcitationCurve, simulate_cloud
@@ -230,7 +230,6 @@ def scaling_experiment(
     model: str = "collective",
     n_min: float = 1.0,
     span_sigmas: float = 5.0,
-    cell_cap: int = DEFAULT_CELL_CAP,
 ) -> ScalingResult:
     """Sweep (peak density, drive) grids and extract scaling exponents.
 
@@ -258,8 +257,7 @@ def scaling_experiment(
         for omega0 in omega0_grid:
             params = replace(params_base, omega0=omega0)
             ensemble = partition_superatoms(
-                spec, params, model=model, n_min=n_min,
-                span_sigmas=span_sigmas, cell_cap=cell_cap,
+                spec, params, model=model, n_min=n_min, span_sigmas=span_sigmas
             )
             curve = simulate_cloud(ensemble, params, time_grid)
             fit = fit_saturation(curve)

@@ -14,7 +14,8 @@ configuration; feeding it back through --config reruns the workflow and,
 for the deterministic paths, reproduces the CSVs byte for byte.
 
 Exit codes: 0 success, 2 bad input or configuration, 3 a fit failed to
-converge, 4 a resource cap was exceeded.
+converge, 4 a step would exceed the memory limit (refused before it
+allocates) or a basis has more than 63 atoms.
 """
 
 from __future__ import annotations
@@ -150,12 +151,12 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         cloud = resolve_cloud(cfg)
         positions = sample_positions(cloud, cfg.exact_n_atoms, cfg.seed)
     if cfg.basis == "full":
-        basis = full_basis(len(positions), cfg.max_atoms_full)
+        basis = full_basis(len(positions))
     else:
         radius = cfg.restriction_radius_m
         if radius is None:
             radius = blockade_radius_simple(params)
-        basis = restricted_basis(positions, radius, cfg.max_atoms_restricted)
+        basis = restricted_basis(positions, radius)
     spec = HamiltonianSpec(
         positions, params.omega0, params.c6, angular_from_hz(cfg.detuning_hz)
     )
@@ -188,7 +189,6 @@ def _cmd_cloud(args: argparse.Namespace) -> int:
         model=cfg.model,
         n_min=cfg.n_min,
         span_sigmas=cfg.span_sigmas,
-        cell_cap=cfg.cell_cap,
     )
     curve = simulate_cloud(ensemble, params, grid)
     write_ensemble_csv(os.path.join(out, "ensemble.csv"), ensemble)
@@ -227,7 +227,6 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         model=cfg.model,
         n_min=cfg.n_min,
         span_sigmas=cfg.span_sigmas,
-        cell_cap=cfg.cell_cap,
     )
     write_sweep_csv(os.path.join(out, "sweep.csv"), result.points)
     write_exponents_csv(os.path.join(out, "exponents.csv"), result.exponents)

@@ -3,8 +3,10 @@
 One assignment per line, ``#`` starts a full-line comment, keys are
 dotted lowercase. Unknown keys are rejected by name so typos fail fast.
 Manifests written by the CLI parse as configs too: ``manifest.*`` keys
-and the retired ``config.run.threads`` are ignored, and a leading
+and the ``config.*`` lines of retired settings are ignored, and a leading
 ``config.`` prefix is stripped.
+No key sets a size limit: each large step estimates its bytes and is
+refused before allocating past ``core.MEMORY_LIMIT_BYTES`` (exit code 4).
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .cloud import DEFAULT_CELL_CAP, MODELS, CloudSpec
+from .cloud import MODELS, CloudSpec
 from .core import PhysicalParams, TwoPhotonDrive, convert_c6_atomic_units, two_photon_rabi
 from .errors import ConfigError
-from .exact import DEFAULT_MAX_ATOMS_FULL, DEFAULT_MAX_ATOMS_RESTRICTED
 
 __all__ = ["RunConfig", "load_config", "parse_config_text", "parse_value", "config_items"]
 
@@ -53,7 +54,6 @@ class RunConfig:
     model: str = _key("partition.model", "str", "collective", choices=MODELS, flag="--model")
     n_min: float = _key("partition.n_min", "float", 1.0)
     span_sigmas: float = _key("partition.span_sigmas", "float", 5.0)
-    cell_cap: int = _key("partition.cell_cap", "int", DEFAULT_CELL_CAP)
     time_stop_s: float | None = _key("time.stop_s", "float")
     time_start_s: float | None = _key("time.start_s", "float")
     time_num: int = _key("time.num", "int", 200)
@@ -62,16 +62,16 @@ class RunConfig:
     positions_path: str | None = _key("exact.positions_path", "str")
     basis: str = _key("exact.basis", "str", "full", choices=("full", "restricted"))
     restriction_radius_m: float | None = _key("exact.restriction_radius_m", "float")
-    max_atoms_full: int = _key("exact.max_atoms_full", "int", DEFAULT_MAX_ATOMS_FULL)
-    max_atoms_restricted: int = _key(
-        "exact.max_atoms_restricted", "int", DEFAULT_MAX_ATOMS_RESTRICTED
-    )
     sweep_densities_m3: tuple[float, ...] | None = _key("sweep.densities_m3", "floats")
     sweep_omega0_hz: tuple[float, ...] | None = _key("sweep.omega0_hz", "floats")
     seed: int = _key("run.seed", "int", 0, flag="--seed")
 
 
 _KEYS: dict[str, Field] = {f.metadata["key"]: f for f in fields(RunConfig)}
+
+# manifest lines of settings that never changed a result; replays skip them
+_RETIRED = {"config.run.threads", "config.exact.max_atoms_full",
+            "config.exact.max_atoms_restricted", "config.partition.cell_cap"}
 
 
 def _parse_int(text: str) -> int:
@@ -117,9 +117,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        # manifests of earlier versions record the retired sweep setting
-        # config.run.threads; it never changed a result
-        if key.startswith("manifest.") or key == "config.run.threads":
+        if key.startswith("manifest.") or key in _RETIRED:
             continue
         if key.startswith("config."):
             key = key[len("config.") :]

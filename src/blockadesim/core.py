@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import BOHR_RADIUS, HARTREE, HBAR, TWO_PI
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, SizeCapError
 
 __all__ = [
     "TwoPhotonDrive",
@@ -30,7 +30,13 @@ __all__ = [
     "blockade_radius_simple",
     "blockade_radius_collective",
     "validate_time_grid",
+    "MEMORY_LIMIT_BYTES",
+    "require_memory",
 ]
+
+# the one size limit: every benchmark input estimates under 50 MB, while a
+# 20-atom full basis (about 1.2 GB of Hamiltonian) is refused unenumerated
+MEMORY_LIMIT_BYTES = 2**30
 
 
 def angular_from_hz(f: float) -> float:
@@ -46,6 +52,15 @@ def hz_from_angular(omega: float) -> float:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidParameterError(message)
+
+
+def require_memory(nbytes: float, what: str) -> None:
+    """Raise SizeCapError unless ``nbytes``, the float estimate made before
+    ``what`` allocates, fits MEMORY_LIMIT_BYTES; inf and NaN are refused."""
+    if not nbytes <= MEMORY_LIMIT_BYTES:
+        raise SizeCapError(
+            f"{what} needs about {nbytes:.3g} bytes, over the memory cap of {MEMORY_LIMIT_BYTES}"
+        )
 
 
 def validate_time_grid(time_grid) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Everything raised on purpose derives from BlockadeSimError so callers can
 catch package errors without swallowing genuine bugs. The CLI maps these
-onto exit codes (input problems 2, non-convergence 3, resource caps 4).
+onto exit codes (input problems 2, non-convergence 3, size caps 4).
 """
 
 
@@ -19,7 +19,7 @@ class GeometryError(BlockadeSimError, ValueError):
 
 
 class SizeCapError(BlockadeSimError):
-    """A problem size exceeds its configured cap (basis atoms, grid cells)."""
+    """A step would exceed the memory limit, or a basis has more than 63 atoms."""
 
 
 class BasisMismatchError(BlockadeSimError, ValueError):

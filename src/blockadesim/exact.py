@@ -26,7 +26,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .constants import HBAR
-from .core import validate_time_grid
+from .core import require_memory, validate_time_grid
 from .errors import (
     BasisMismatchError,
     GeometryError,
@@ -50,12 +50,14 @@ __all__ = [
     "evolve",
     "rydberg_number",
     "w_state_fidelity",
-    "DEFAULT_MAX_ATOMS_FULL",
-    "DEFAULT_MAX_ATOMS_RESTRICTED",
+    "MAX_ATOMS",
 ]
 
-DEFAULT_MAX_ATOMS_FULL = 14
-DEFAULT_MAX_ATOMS_RESTRICTED = 24
+MAX_ATOMS = 63  # bit i of an int64 bitmask is atom i
+
+# basis plus build_hamiltonian() peaked at 46-50 B per nonzero on the
+# benchmark's 14-atom full and 20-atom restricted bases (tracemalloc)
+_BUILD_BYTES_PER_NONZERO = 56.0
 
 # evolve() never diagonalises a matrix above this dimension: the cutoff caps
 # the memory of the dense route, while plan_propagation() weighs its cost.
@@ -182,57 +184,46 @@ class Basis:
         return f"Basis(kind={self.kind!r}, n_atoms={self.n_atoms}, n_states={self.n_states})"
 
 
-def full_basis(n_atoms: int, max_atoms: int = DEFAULT_MAX_ATOMS_FULL) -> Basis:
-    """All 2**M product states, ascending."""
+def _require_basis_memory(n_states: float, n_atoms: int) -> None:
+    """SizeCapError past MAX_ATOMS, or if the Hamiltonian of the states, at
+    n_atoms + 1 nonzeros each, would exceed the memory limit."""
+    if n_atoms > MAX_ATOMS:
+        raise SizeCapError(f"{n_atoms} atoms exceed the int64 bitmask cap of {MAX_ATOMS}")
+    nbytes = n_states * (n_atoms + 1) * _BUILD_BYTES_PER_NONZERO
+    require_memory(nbytes, f"a basis of {n_states:.3g} states over {n_atoms} atoms")
+
+
+def full_basis(n_atoms: int) -> Basis:
+    """All 2**M product states, ascending; checked before enumerating."""
     if n_atoms < 1:
         raise InvalidParameterError("need at least one atom")
-    if n_atoms > max_atoms:
-        raise SizeCapError(
-            f"{n_atoms} atoms exceeds the full-basis cap of {max_atoms}"
-        )
+    _require_basis_memory(1.0, n_atoms)  # the atom cap, before 2.0**M overflows
+    _require_basis_memory(2.0**n_atoms, n_atoms)
     return Basis("full", n_atoms, np.arange(2**n_atoms, dtype=np.int64))
 
 
-def restricted_basis(
-    positions: AtomPositions,
-    radius: float,
-    max_atoms: int = DEFAULT_MAX_ATOMS_RESTRICTED,
-) -> Basis:
+def restricted_basis(positions: AtomPositions, radius: float) -> Basis:
     """States with no two excited atoms closer than ``radius``.
 
     Pairs at separation strictly below the radius are treated as
     blockaded; a radius below the minimum pairwise distance therefore
-    reproduces the full basis. Enumeration is a depth-first walk over the
-    independent sets of the proximity graph.
+    reproduces the full basis. One ascending sweep adds atom i to each state
+    that excites none of its partners below i, checking each step first.
     """
     if not radius >= 0.0:  # a NaN radius would blockade no pair
         raise InvalidParameterError(
             f"restriction radius must be non-negative, got {radius}"
         )
     m = len(positions)
-    if m > max_atoms:
-        raise SizeCapError(
-            f"{m} atoms exceeds the restricted-basis cap of {max_atoms}"
-        )
-    dist = positions.pairwise_distances()
-    adjacency = [0] * m
+    _require_basis_memory(1.0, m)  # the atom cap, before the M x M distances
+    close = positions.pairwise_distances() < radius
+    states = np.zeros(1, dtype=np.int64)
     for i in range(m):
-        for j in range(m):
-            if i != j and dist[i, j] < radius:
-                adjacency[i] |= 1 << j
-
-    states = [0]
-
-    def extend(mask: int, start: int, forbidden: int) -> None:
-        for i in range(start, m):
-            if (forbidden >> i) & 1:
-                continue
-            grown = mask | (1 << i)
-            states.append(grown)
-            extend(grown, i + 1, forbidden | adjacency[i])
-
-    extend(0, 0, 0)
-    return Basis("restricted", m, np.sort(np.array(states, dtype=np.int64)), radius)
+        partners = sum(1 << int(j) for j in np.flatnonzero(close[i, :i]))
+        free = (states & partners) == 0
+        _require_basis_memory(float(states.size + np.count_nonzero(free)), m)
+        states = np.concatenate([states, states[free] | (1 << i)])
+    return Basis("restricted", m, states, radius)
 
 
 @dataclass(frozen=True)
@@ -435,8 +426,8 @@ def evolve(
     every row is checked to have norm 1 within 1e-6. ``initial`` must be a
     single state normalized to 1e-9.
 
-    Memory note: the result holds n_states * len(time_grid) complex
-    amplitudes.
+    SizeCapError refuses, before propagating, a run whose result, held
+    Hamiltonian and working set would exceed the memory limit.
     """
     t = validate_time_grid(time_grid)
     if initial.basis != hamiltonian.basis:
@@ -447,7 +438,11 @@ def evolve(
         raise InvalidParameterError("initial state must be normalized to 1e-9")
 
     plan = plan_propagation(hamiltonian, t)
-    if plan.route == "dense":
+    dim, nnz, n_t = float(hamiltonian.dim), float(hamiltonian.matrix.nnz), t.size
+    dense = plan.route == "dense"  # eigh's arrays peaked at 24 B per element
+    working = 32.0 * dim * (dim + n_t) if dense else 20.0 * nnz + 128.0 * dim
+    require_memory(16.0 * n_t * dim + 12.0 * nnz + working, f"{n_t} times of {dim:.0f} states")
+    if dense:
         w, u = scipy.linalg.eigh(hamiltonian.matrix.toarray())
         c0 = u.conj().T @ initial.amplitudes
         phases = np.exp(-1j * np.outer(t, w))

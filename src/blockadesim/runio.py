@@ -1,15 +1,15 @@
 """CSV and manifest output with bit-stable formatting.
 
 Floats are serialized with repr(), which round-trips exactly, so a rerun
-of a deterministic workflow produces byte-identical files. All writes go
+of a deterministic workflow produces byte-identical files. All writes stream
 through a temp file plus os.replace, so readers never see partial output.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
-import tempfile
 
 import numpy as np
 
@@ -36,21 +36,14 @@ def _format_bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-# mkstemp creates 0600 files; outputs keep the mode a plain open() gives.
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write through a unique temp file in the target's directory, so
-    concurrent writers never share one; the temp file never outlives the call."""
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
+def atomic_write_text(path: str, chunks) -> None:
+    """Stream the str chunks into a new temp file of random name beside ``path``
+    (so concurrent writers never share one), then rename it over ``path``."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        os.fchmod(fd, 0o666 & ~_UMASK)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -66,9 +59,8 @@ def sha256_file(path: str) -> str:
 
 
 def _write_rows(path: str, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    lines = itertools.chain([[header]], rows)
+    atomic_write_text(path, (",".join(row) + "\n" for row in lines))
 
 
 def write_trajectory_csv(path: str, times, n_rydberg, w_fidelity) -> None:
@@ -126,7 +118,7 @@ def read_curve_csv(path: str) -> ExcitationCurve:
 
 def write_ensemble_csv(path: str, ensemble: SuperatomEnsemble) -> None:
     # Column-wise: .tolist() yields Python floats, whose repr is format_float's.
-    # A block of rows at a time keeps those lists from adding to peak memory.
+    # A block of rows at a time, streamed to the file, bounds peak memory.
     def rows():
         for lo in range(0, len(ensemble), _ROW_BLOCK):
             block = slice(lo, lo + _ROW_BLOCK)
@@ -201,4 +193,4 @@ def write_manifest(
         lines.append(f"manifest.output.{name}.sha256 = {digest}")
     for key, value in config_items:
         lines.append(f"config.{key} = {value}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, (line + "\n" for line in lines))

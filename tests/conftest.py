@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,16 @@ WEAK_DRIVE_HZ = 42e3
 # exactly 8.2e19 m^-3.
 SIGMA_REF = 2.26465752498e-5
 N_ATOMS_REF = 1.5e7
+
+
+def traced_peak(call):
+    """tracemalloc peak of call(), in bytes; an exception from call propagates."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -117,9 +117,50 @@ def test_cloud_rejects_non_finite_partition_input(tmp_path, capsys, name, value)
 
 
 def test_cell_cap_exit_code(tmp_path, capsys):
-    cfg = write_config(tmp_path, CLOUD_CONFIG + "partition.cell_cap = 10\n")
+    cfg = write_config(tmp_path, CLOUD_CONFIG + "partition.span_sigmas = 1e6\n")
     assert main(["cloud", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("span", ["1e306", "1e308"])
+def test_overflowing_span_exits_4_with_a_short_message(tmp_path, capsys, span):
+    cfg = write_config(tmp_path, CLOUD_CONFIG + f"partition.span_sigmas = {span}\n")
+    out = tmp_path / "o"
+    assert main(["cloud", "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "bytes" in err and len(err) < 200
+    assert not (out / "ensemble.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key", [("exact", "exact.max_atoms_full"), ("cloud", "partition.cell_cap")]
+)
+def test_retired_size_keys_are_unknown(tmp_path, capsys, command, key):
+    config = {"exact": EXACT_CONFIG, "cloud": CLOUD_CONFIG}[command]
+    cfg = write_config(tmp_path, config + f"{key} = 14\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown configuration key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, outputs",
+    [("cloud", ("ensemble.csv", "curve.csv")), ("exact", ("trajectory.csv",))],
+)
+def test_replays_manifest_recording_retired_size_keys(tmp_path, command, outputs):
+    # manifests of earlier versions carry the three size caps
+    cfg = write_config(tmp_path, {"exact": EXACT_CONFIG, "cloud": CLOUD_CONFIG}[command])
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main([command, "--config", cfg, "--out", str(out1)]) == 0
+    manifest = out1 / "manifest.txt"
+    manifest.write_text(
+        manifest.read_text()
+        + "config.partition.cell_cap = 10000000\n"
+        + "config.exact.max_atoms_full = 14\n"
+        + "config.exact.max_atoms_restricted = 24\n"
+    )
+    assert main([command, "--config", str(manifest), "--out", str(out2)]) == 0
+    for name in outputs:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_unknown_key_exit_code(tmp_path, capsys):
@@ -260,6 +301,21 @@ def test_exact_atom_cap_exit_code(tmp_path, capsys):
     )
     assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     assert "cap" in capsys.readouterr().err
+
+
+def test_exact_64_atoms_exit_code(tmp_path, capsys):
+    # 64 fully blockaded atoms need only 65 states, but not an int64 bitmask
+    positions = tmp_path / "atoms.txt"
+    positions.write_text("".join(f"{k * 1e-8} 0 0\n" for k in range(64)))
+    cfg = write_config(
+        tmp_path,
+        EXACT_CONFIG.replace("exact.n_atoms = 2", f"exact.positions_path = {positions}")
+        + "exact.basis = restricted\nexact.restriction_radius_m = 1.0\n",
+    )
+    out = tmp_path / "o"
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == 4
+    assert "63" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_fit_round_trips_cloud_output(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import blockadesim.core
 from blockadesim.cloud import (
     CloudSpec,
     SuperatomEnsemble,
@@ -21,7 +22,7 @@ from blockadesim.core import (
 )
 from blockadesim.errors import InvalidParameterError, SizeCapError
 
-from conftest import N_ATOMS_REF, SIGMA_REF
+from conftest import N_ATOMS_REF, SIGMA_REF, traced_peak
 
 
 # --- density profile -----------------------------------------------------------
@@ -233,9 +234,33 @@ def test_n_min_drops_small_superatoms(reference_cloud, strong_params):
     assert cut.total_atoms_covered < full.total_atoms_covered
 
 
-def test_partition_cell_cap(reference_cloud, strong_params):
+def test_partition_cell_cap(reference_cloud, strong_params, monkeypatch):
+    # the cap counts bytes: 1e6 sigmas of cells are refused before allocating
+    limit = 64 * 2**20
+    monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", limit)
+
+    def refused():
+        with pytest.raises(SizeCapError, match="cells"):
+            partition_superatoms(reference_cloud, strong_params, span_sigmas=1e6)
+
+    assert traced_peak(refused) < limit
+
+
+@pytest.mark.parametrize("model", ["collective", "simple"])
+@pytest.mark.parametrize("drive_hz", [42e3, 210e3])
+def test_memory_estimate_bounds_the_traced_peak(reference_cloud, c6, monkeypatch, model, drive_hz):
+    # a limit just below the traced peak must refuse, four times it admit
+    params = PhysicalParams.from_hz(drive_hz, c6)
+
+    def partition():
+        return partition_superatoms(reference_cloud, params, model=model, n_min=0.0)
+
+    peak = traced_peak(partition)
+    monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", peak - 1)
     with pytest.raises(SizeCapError):
-        partition_superatoms(reference_cloud, strong_params, cell_cap=1000)
+        partition()
+    monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", 4 * peak)
+    partition()
 
 
 def test_partition_rejects_bad_model(reference_cloud, strong_params):

@@ -59,11 +59,11 @@ def test_bad_choice_rejected():
 
 
 def test_integer_keys_accept_integral_literals():
-    cfg = parse_config_text("partition.cell_cap = 1e7")
-    assert cfg.cell_cap == 10_000_000
-    assert ("partition.cell_cap", "10000000") in config_items(cfg)
-    with pytest.raises(ConfigError, match="partition.cell_cap"):
-        parse_config_text("partition.cell_cap = 1.5")
+    cfg = parse_config_text("time.num = 2e2")
+    assert cfg.time_num == 200
+    assert ("time.num", "200") in config_items(cfg)
+    with pytest.raises(ConfigError, match="time.num"):
+        parse_config_text("time.num = 1.5")
 
 
 def test_list_values_parse():

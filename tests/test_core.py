@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from blockadesim.constants import HBAR, TWO_PI
 from blockadesim.core import (
+    MEMORY_LIMIT_BYTES,
     PhysicalParams,
     TwoPhotonDrive,
     angular_from_hz,
@@ -22,9 +23,10 @@ from blockadesim.core import (
     blockade_radius_simple,
     convert_c6_atomic_units,
     hz_from_angular,
+    require_memory,
     two_photon_rabi,
 )
-from blockadesim.errors import InvalidParameterError
+from blockadesim.errors import InvalidParameterError, SizeCapError
 
 from conftest import C6_AU, STRONG_DRIVE_HZ
 
@@ -227,3 +229,10 @@ def test_physical_params_validation(kwargs):
 def test_from_hz_is_angular(c6):
     params = PhysicalParams.from_hz(STRONG_DRIVE_HZ, c6)
     assert params.omega0 == pytest.approx(TWO_PI * STRONG_DRIVE_HZ, rel=1e-15)
+
+
+def test_require_memory_refuses_over_the_limit_and_non_finite_estimates():
+    require_memory(float(MEMORY_LIMIT_BYTES), "at the limit")
+    for nbytes in (MEMORY_LIMIT_BYTES + 1.0, math.inf, math.nan):
+        with pytest.raises(SizeCapError, match="memory cap"):
+            require_memory(nbytes, "a step")

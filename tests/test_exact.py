@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+import blockadesim.core
 import blockadesim.exact
 from blockadesim.constants import HBAR
 from blockadesim.errors import (
@@ -31,6 +32,8 @@ from blockadesim.exact import (
     rydberg_number,
     w_state_fidelity,
 )
+
+from conftest import traced_peak
 
 OMEGA = 2 * math.pi * 1e6  # generic 1 MHz drive for unit tests
 C6 = 1.6274841951863897e-60
@@ -137,9 +140,12 @@ def test_full_basis_is_ascending_range():
 
 
 def test_full_basis_cap():
-    with pytest.raises(SizeCapError):
-        full_basis(15)
-    full_basis(15, max_atoms=15)  # cap is adjustable
+    assert full_basis(15).n_states == 2**15
+    with pytest.raises(SizeCapError, match="bytes"):
+        full_basis(40)
+    for n_atoms in (64, 5000):  # 2.0**5000 would overflow a float
+        with pytest.raises(SizeCapError, match="63"):
+            full_basis(n_atoms)
 
 
 def test_restricted_fully_blockaded_cluster():
@@ -180,9 +186,80 @@ def test_restricted_radius_above_all_distances_gives_single_excitation(rng):
 
 
 def test_restricted_cap(rng):
-    positions = cluster(rng, 25, 1e-6)
-    with pytest.raises(SizeCapError):
-        restricted_basis(positions, 1.0)
+    # the cap counts states, not atoms: 25 fully blockaded atoms have 26
+    assert restricted_basis(cluster(rng, 25, 1e-6), 1.0).n_states == 26
+    with pytest.raises(SizeCapError, match="bytes"):
+        restricted_basis(cluster(rng, 24, 1e-6), 0.0)
+    with pytest.raises(SizeCapError, match="63"):
+        restricted_basis(cluster(rng, 64, 1e-6), 1.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_restricted_sweep_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    positions = cluster(rng, 6 + seed % 5, 1e-6)
+    dist = positions.pairwise_distances()
+    for q in (0.1, 0.3, 0.6, 0.9):
+        radius = float(np.quantile(dist[dist > 0], q))
+        basis = restricted_basis(positions, radius)
+        assert np.array_equal(basis.states, brute_force_independent_sets(positions, radius))
+
+
+LIMIT_64_MIB = 64 * 2**20
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["restricted-24-radius-0", "full-40", "full-14-evolve-1e6-times"],
+)
+def test_memory_cap_refuses_before_allocating(rng, monkeypatch, name):
+    if name == "full-14-evolve-1e6-times":
+        h = build_hamiltonian(
+            HamiltonianSpec(cluster(rng, 14, 5e-6), OMEGA, C6), full_basis(14)
+        )
+        psi0, t = ground_state(h.basis), np.linspace(0.0, 1e-6, 10**6)
+        call = lambda: evolve(h, psi0, t)  # noqa: E731
+    elif name == "full-40":
+        call = lambda: full_basis(40)  # noqa: E731
+    else:
+        positions = cluster(rng, 24, 1e-6)
+        call = lambda: restricted_basis(positions, 0.0)  # noqa: E731
+    monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", LIMIT_64_MIB)
+
+    def refused():
+        with pytest.raises(SizeCapError, match="memory cap"):
+            call()
+
+    assert traced_peak(refused) < LIMIT_64_MIB
+
+
+@pytest.mark.parametrize("kind", ["full", "restricted", "dense"])
+def test_memory_estimates_bound_the_traced_peaks(rng, monkeypatch, kind):
+    # a limit just below the traced peak must refuse, four times it admit
+    positions = cluster(rng, 12, 5e-6)
+    if kind == "full":
+        make_basis = lambda: full_basis(12)  # noqa: E731
+    elif kind == "restricted":
+        radius = float(np.quantile(positions.pairwise_distances(), 0.3))
+        make_basis = lambda: restricted_basis(positions, radius)  # noqa: E731
+    else:  # strongly blockaded, so evolve() diagonalises
+        positions = polygon(8, distance_for_interaction(1e3) / 2)
+        make_basis = lambda: full_basis(8)  # noqa: E731
+    spec = HamiltonianSpec(positions, OMEGA, C6)
+    build_peak = traced_peak(lambda: build_hamiltonian(spec, make_basis()))
+    h = build_hamiltonian(spec, make_basis())
+    t = np.linspace(0.0, 5e-6, 50)
+    assert (plan_propagation(h, t).route == "dense") == (kind == "dense")
+    evolve_peak = traced_peak(lambda: evolve(h, ground_state(h.basis), t))
+    for peak, call in (
+        (build_peak, make_basis),
+        (evolve_peak, lambda: evolve(h, ground_state(h.basis), t)),
+    ):
+        monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", peak - 1)
+        with pytest.raises(SizeCapError):
+            call()
+        monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", 4 * peak)
+        call()
 
 
 def test_basis_equality(rng):
@@ -638,6 +715,21 @@ def test_w_state_has_unit_fidelity_and_single_excitation():
 def test_w_fidelity_of_ground_state_is_zero():
     fidelity = w_state_fidelity(ground_state(full_basis(3)))
     assert isinstance(fidelity, float) and fidelity == 0.0
+
+
+@pytest.mark.parametrize("m", [25, 40, 63])
+def test_fully_blockaded_cluster_follows_the_collective_law(rng, m):
+    # one excitation shared by all m atoms: n_ryd = sin^2(sqrt(m) omega0 t / 2)
+    positions = cluster(rng, m, 1e-7)
+    basis = restricted_basis(positions, 1.0)
+    assert basis.n_states == m + 1
+    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), basis)
+    t_half = np.pi / (math.sqrt(m) * OMEGA)  # half the collective period
+    t = np.linspace(0.0, 4 * t_half, 201)
+    trajectory = evolve(h, ground_state(basis), t)
+    ideal = np.sin(math.sqrt(m) * OMEGA * t / 2) ** 2
+    assert np.abs(rydberg_number(trajectory) - ideal).max() < 1e-12
+    assert w_state_fidelity(trajectory)[50] > 1 - 1e-12
 
 
 def test_blockaded_pi_pulse_lands_on_w_state(rng):

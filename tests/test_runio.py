@@ -13,6 +13,8 @@ from blockadesim.runio import (
     write_ensemble_csv,
 )
 
+from conftest import traced_peak
+
 
 def test_atomic_write_leaves_no_temp_file_and_spares_foreign_tmp(tmp_path):
     target = tmp_path / "curve.csv"
@@ -56,3 +58,16 @@ def test_ensemble_csv_rows_are_repr_of_each_entry(tmp_path, rng):
     ]
     assert path.read_text().splitlines() == expected
     assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1)[:, 3], n_per)
+
+
+def test_ensemble_csv_streams_rows_to_the_file(tmp_path, rng):
+    # the 200k rows take about 21 MB as text; only a block is held at once
+    n = 200_000
+    ensemble = SuperatomEnsemble(
+        rng.uniform(1.0, 5e3, size=n), rng.uniform(1e-3, 2.0, size=n),
+        rng.normal(scale=1e-5, size=(n, 3)), 1.0,
+    )
+    path = tmp_path / "ensemble.csv"
+    assert traced_peak(lambda: write_ensemble_csv(str(path), ensemble)) < 8 * 2**20
+    assert path.stat().st_size > 16 * 2**20
+
