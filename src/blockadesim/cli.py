@@ -42,6 +42,7 @@ from .errors import BlockadeSimError, ConfigError, SizeCapError
 from .exact import (
     AtomPositions,
     HamiltonianSpec,
+    _require_basis_memory,
     build_hamiltonian,
     evolve,
     full_basis,
@@ -141,6 +142,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     cfg = _load_config_with_overrides(args)
     out = _output_dir(args)
     params = resolve_params(cfg)
+    grid = resolve_time_grid(cfg)
     if (cfg.exact_n_atoms is None) == (cfg.positions_path is None):
         raise ConfigError("give exactly one of exact.n_atoms or exact.positions_path")
     inputs = []
@@ -149,6 +151,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         inputs.append(("positions", cfg.positions_path, sha256_file(cfg.positions_path)))
     else:
         cloud = resolve_cloud(cfg)
+        _require_basis_memory(1.0, cfg.exact_n_atoms)  # the atom cap, before sampling
         positions = sample_positions(cloud, cfg.exact_n_atoms, cfg.seed)
     if cfg.basis == "full":
         basis = full_basis(len(positions))
@@ -161,7 +164,6 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         positions, params.omega0, params.c6, angular_from_hz(cfg.detuning_hz)
     )
     hamiltonian = build_hamiltonian(spec, basis)
-    grid = resolve_time_grid(cfg)
     trajectory = evolve(hamiltonian, ground_state(basis), grid)
     write_trajectory_csv(
         os.path.join(out, "trajectory.csv"),

@@ -16,7 +16,9 @@ from dataclasses import Field, dataclass, field, fields
 import numpy as np
 
 from .cloud import MODELS, CloudSpec
-from .core import PhysicalParams, TwoPhotonDrive, convert_c6_atomic_units, two_photon_rabi
+from .core import (
+    PhysicalParams, TwoPhotonDrive, convert_c6_atomic_units, require_memory, two_photon_rabi
+)
 from .errors import ConfigError
 
 __all__ = ["RunConfig", "load_config", "parse_config_text", "parse_value", "config_items"]
@@ -210,6 +212,7 @@ def resolve_time_grid(cfg: RunConfig) -> np.ndarray:
         raise ConfigError("time.stop_s must be set and positive")
     if cfg.time_num < 1:
         raise ConfigError("time.num must be at least 1")
+    require_memory(8.0 * cfg.time_num, f"a time grid of {cfg.time_num:.3g} points")
     if cfg.time_spacing == "linear":
         return np.linspace(0.0, cfg.time_stop_s, cfg.time_num)
     start = cfg.time_start_s

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import SuperatomEnsemble
-from .core import PhysicalParams, validate_time_grid
-from .errors import DegenerateDataError, InvalidParameterError
+from .core import PhysicalParams, _require, require_memory, validate_time_grid
+from .errors import DegenerateDataError
 
 __all__ = [
     "ExcitationCurve",
@@ -30,8 +30,9 @@ __all__ = [
     "crossover_time",
 ]
 
-# Distinct superatom sizes per block when accumulating the (size x time)
-# population matrix; bounds peak memory at a few _CHUNK * len(t) floats.
+# Distinct superatom sizes per block of the (size x time) population matrix.
+# simulate_cloud's memory estimate pads its traced peaks: 16 B per block
+# element, and 41 B per ensemble entry in np.unique.
 _CHUNK = 4096
 
 
@@ -46,10 +47,9 @@ class ExcitationCurve:
     def __post_init__(self) -> None:
         times = validate_time_grid(self.times)
         values = np.asarray(self.values, dtype=float)
-        if times.shape != values.shape:
-            raise InvalidParameterError("times and values must be matching 1-D arrays")
-        if not np.all(np.isfinite(values)) or np.any(values < 0.0):
-            raise InvalidParameterError("curve values must be finite and non-negative")
+        _require(times.shape == values.shape, "times and values must be matching 1-D arrays")
+        valid = (0.0 <= values) & (values < np.inf)  # NaN fails both
+        _require(bool(np.all(valid)), "curve values must be finite and non-negative")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -60,12 +60,11 @@ class ExcitationCurve:
 def superatom_population(n_per, omega0: float, t, gamma: float = 0.0):
     """Excitation probability at time(s) ``t``; ``n_per`` broadcasts against ``t``."""
     n_per = np.asarray(n_per, dtype=float)
-    if np.any(n_per < 0.0):
-        raise InvalidParameterError("n_per must be non-negative")
-    if omega0 <= 0.0:
-        raise InvalidParameterError("omega0 must be positive")
-    if gamma < 0.0:
-        raise InvalidParameterError("gamma must be non-negative")
+    # comparisons with 0 and inf also reject NaN
+    valid = (0.0 <= n_per) & (n_per < np.inf)
+    _require(bool(np.all(valid)), "n_per must be non-negative and finite")
+    _require(0.0 < omega0 < np.inf, "omega0 must be positive and finite")
+    _require(0.0 <= gamma < np.inf, "gamma must be non-negative and finite")
     t = np.asarray(t, dtype=float)
     envelope = np.exp(-gamma * t) if gamma > 0.0 else 1.0
     value = 0.5 * (1.0 - envelope * np.cos(np.sqrt(n_per) * omega0 * t))
@@ -86,7 +85,8 @@ def simulate_cloud(
             "ensemble is empty (n_min above the central superatom size?)"
         )
     t = validate_time_grid(time_grid)
-
+    nbytes = 48.0 * len(ensemble) + 20.0 * min(len(ensemble), _CHUNK) * t.size
+    require_memory(nbytes, f"a curve of {len(ensemble)} superatom entries at {t.size} times")
     n_distinct, inverse = np.unique(ensemble.n_per, return_inverse=True)
     grouped = np.bincount(inverse, weights=ensemble.weight)
     values = np.zeros_like(t)
@@ -115,8 +115,7 @@ def noninteracting_reference(
     excitation number is n_atoms * sin^2(omega0 t / 2) (damped by gamma
     the same way single superatoms are).
     """
-    if n_atoms <= 0.0:
-        raise InvalidParameterError("n_atoms must be positive")
+    _require(n_atoms > 0.0, "n_atoms must be positive")
     t = validate_time_grid(time_grid)
     values = n_atoms * superatom_population(1.0, params.omega0, t, params.gamma_dephase)
     return ExcitationCurve(t, values, {"n_atoms": n_atoms})
@@ -136,12 +135,10 @@ def crossover_time(
     Points where the reference is zero (including t = 0) carry no signal
     and are skipped.
     """
-    if not (0.0 < threshold < 1.0):
-        raise InvalidParameterError("threshold must be in (0, 1)")
-    if curve.times.shape != reference.times.shape or not np.array_equal(
-        curve.times, reference.times
-    ):
-        raise InvalidParameterError("curve and reference must share a time grid")
+    _require(0.0 < threshold < 1.0, "threshold must be in (0, 1)")
+    _require(
+        np.array_equal(curve.times, reference.times), "curve and reference must share a time grid"
+    )
     t = curve.times
     gap = curve.values - (1.0 - threshold) * reference.values
     for k in range(t.size):

@@ -1,8 +1,12 @@
+import contextlib
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import blockadesim.cli
+import blockadesim.exact
 from blockadesim.cloud import CloudSpec
 from blockadesim.core import PhysicalParams, convert_c6_atomic_units
 
@@ -26,6 +30,25 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture
+def force_taylor(monkeypatch):
+    """``with force_taylor():`` makes evolve() and the exact CLI summary plan
+    Taylor stepping, whatever route the cost rule picks."""
+    plan = blockadesim.exact.plan_propagation
+
+    def taylor(hamiltonian, time_grid):
+        return dataclasses.replace(plan(hamiltonian, time_grid), route="taylor")
+
+    @contextlib.contextmanager
+    def forced():
+        with monkeypatch.context() as patch:
+            patch.setattr(blockadesim.exact, "plan_propagation", taylor)
+            patch.setattr(blockadesim.cli, "plan_propagation", taylor)
+            yield
+
+    return forced
 
 
 @pytest.fixture(scope="session")

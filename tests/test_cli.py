@@ -11,11 +11,15 @@ import pytest
 
 import blockadesim.analysis
 import blockadesim.cli
-import blockadesim.exact
+import blockadesim.core
 from blockadesim import errors
 from blockadesim.analysis import SaturationFit
 from blockadesim.cli import main
+from blockadesim.constants import HBAR
+from blockadesim.core import convert_c6_atomic_units
 from blockadesim.runio import read_curve_csv
+
+from conftest import traced_peak
 
 CLOUD_CONFIG = """
 physical.omega0_hz = 210e3
@@ -215,13 +219,13 @@ def test_exact_rerun_from_manifest_identical(tmp_path):
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
 
 
-def test_exact_summary_names_propagator_only_on_stdout(tmp_path, capsys, monkeypatch):
+def test_exact_summary_names_propagator_only_on_stdout(tmp_path, capsys, force_taylor):
     cfg = write_config(tmp_path, EXACT_CONFIG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["exact", "--config", cfg, "--out", str(out1)]) == 0
     assert "dense propagator (" in capsys.readouterr().out
-    monkeypatch.setattr(blockadesim.exact, "DENSE_DIM_CUTOFF", 0)
-    assert main(["exact", "--config", cfg, "--out", str(out2)]) == 0
+    with force_taylor():
+        assert main(["exact", "--config", cfg, "--out", str(out2)]) == 0
     summary = capsys.readouterr().out
     assert "taylor propagator (" in summary and " Taylor substeps)" in summary
     for out in (out1, out2):
@@ -301,6 +305,54 @@ def test_exact_atom_cap_exit_code(tmp_path, capsys):
     )
     assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     assert "cap" in capsys.readouterr().err
+
+
+def test_exact_atom_cap_is_checked_before_sampling(tmp_path, capsys, monkeypatch):
+    # a million sampled atoms would take about 100 MB before the basis
+    limit = 64 * 2**20
+    monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", limit)
+    cfg = write_config(
+        tmp_path, EXACT_CONFIG.replace("exact.n_atoms = 2", "exact.n_atoms = 1e6")
+    )
+    out = tmp_path / "o"
+    codes = []
+    run = lambda: codes.append(main(["exact", "--config", cfg, "--out", str(out)]))  # noqa: E731
+    assert traced_peak(run) < limit
+    assert codes == [4]
+    assert "1000000 atoms exceed" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command, text", [("cloud", CLOUD_CONFIG), ("exact", EXACT_CONFIG)])
+def test_huge_time_grid_exits_4_before_allocating(tmp_path, capsys, command, text):
+    cfg = write_config(tmp_path, re.sub(r"time.num = \d+", "time.num = 1e12", text))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert "time grid of 1e+12 points" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_exact_stiff_polygon_too_large_for_dense_exits_4(tmp_path, capsys):
+    # 13 atoms at 1e3 hbar omega0 pair shifts: 8192 states that dense
+    # eigh cannot hold and Taylor stepping would take hours
+    m, omega = 13, 2 * math.pi * 1e6
+    diameter = (convert_c6_atomic_units(1.7e19) / (1e3 * HBAR * omega)) ** (1.0 / 6.0)
+    angles = 2 * math.pi * np.arange(m) / m
+    positions = tmp_path / "atoms.txt"
+    positions.write_text("".join(
+        f"{diameter / 2 * math.cos(a)!r} {diameter / 2 * math.sin(a)!r} 0\n" for a in angles
+    ))
+    t_stop = 1.2 * math.pi / (math.sqrt(m) * omega)
+    cfg = write_config(
+        tmp_path,
+        EXACT_CONFIG.replace("exact.n_atoms = 2", f"exact.positions_path = {positions}")
+        .replace("time.stop_s = 2e-6", f"time.stop_s = {t_stop!r}")
+        .replace("time.num = 60", "time.num = 241"),
+    )
+    out = tmp_path / "o"
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == 4
+    assert "241 times of 8192 states" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_exact_64_atoms_exit_code(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Exact solver: basis enumeration, Hamiltonian structure, propagation."""
 
+import contextlib
 import math
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ import scipy.linalg
 import scipy.sparse
 
 import blockadesim.core
-import blockadesim.exact
 from blockadesim.constants import HBAR
 from blockadesim.errors import (
     BasisMismatchError,
@@ -233,7 +234,7 @@ def test_memory_cap_refuses_before_allocating(rng, monkeypatch, name):
     assert traced_peak(refused) < LIMIT_64_MIB
 
 
-@pytest.mark.parametrize("kind", ["full", "restricted", "dense"])
+@pytest.mark.parametrize("kind", ["full", "restricted", "dense", "dense-2048"])
 def test_memory_estimates_bound_the_traced_peaks(rng, monkeypatch, kind):
     # a limit just below the traced peak must refuse, four times it admit
     positions = cluster(rng, 12, 5e-6)
@@ -243,13 +244,14 @@ def test_memory_estimates_bound_the_traced_peaks(rng, monkeypatch, kind):
         radius = float(np.quantile(positions.pairwise_distances(), 0.3))
         make_basis = lambda: restricted_basis(positions, radius)  # noqa: E731
     else:  # strongly blockaded, so evolve() diagonalises
-        positions = polygon(8, distance_for_interaction(1e3) / 2)
-        make_basis = lambda: full_basis(8)  # noqa: E731
+        m = 11 if kind == "dense-2048" else 8
+        positions = polygon(m, distance_for_interaction(1e3) / 2)
+        make_basis = lambda: full_basis(m)  # noqa: E731
     spec = HamiltonianSpec(positions, OMEGA, C6)
     build_peak = traced_peak(lambda: build_hamiltonian(spec, make_basis()))
     h = build_hamiltonian(spec, make_basis())
     t = np.linspace(0.0, 5e-6, 50)
-    assert (plan_propagation(h, t).route == "dense") == (kind == "dense")
+    assert (plan_propagation(h, t).route == "dense") == kind.startswith("dense")
     evolve_peak = traced_peak(lambda: evolve(h, ground_state(h.basis), t))
     for peak, call in (
         (build_peak, make_basis),
@@ -415,25 +417,17 @@ def test_two_blockaded_atoms_oscillate_at_sqrt2(rng):
     assert n_r.max() <= 1.02
 
 
-def evolve_by(route, monkeypatch, h, psi0, t):
+def evolve_by(route, force_taylor, h, psi0, t):
     """evolve() on the named route; fails if the other route ran.
 
-    A zero cutoff forces Taylor stepping. Dense cannot be forced (the cost
-    rule has no knob), so dense callers pass inputs the rule sends to dense
-    and the eigh spy proves it did.
+    The force_taylor fixture forces Taylor stepping. Dense cannot be forced
+    (the cost rule has no knob), so dense callers pass inputs the rule
+    sends to dense and the eigh spy proves it did.
     """
-    eigh, calls = scipy.linalg.eigh, []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(scipy.linalg, "eigh", counted)
-        if route == "taylor":
-            patch.setattr(blockadesim.exact, "DENSE_DIM_CUTOFF", 0)
+    forced = force_taylor() if route == "taylor" else contextlib.nullcontext()
+    with forced, mock.patch.object(scipy.linalg, "eigh", wraps=scipy.linalg.eigh) as eigh:
         trajectory = evolve(h, psi0, t)
-    assert len(calls) == (1 if route == "dense" else 0)
+    assert eigh.call_count == (1 if route == "dense" else 0)
     return trajectory
 
 
@@ -441,52 +435,52 @@ def max_amplitude_gap(a, b):
     return np.abs(a.amplitudes - b.amplitudes).max()
 
 
-def test_sparse_and_dense_routes_agree(rng, monkeypatch):
+def test_sparse_and_dense_routes_agree(rng, force_taylor):
     positions = cluster(rng, 6, 1.5e-6)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(6))
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 40)
     psi0 = ground_state(h.basis)
-    dense = evolve_by("dense", monkeypatch, h, psi0, t)
-    taylor = evolve_by("taylor", monkeypatch, h, psi0, t)  # cutoff read at call time
+    dense = evolve_by("dense", force_taylor, h, psi0, t)
+    taylor = evolve_by("taylor", force_taylor, h, psi0, t)
     assert max_amplitude_gap(dense, taylor) < 1e-8
 
 
-def test_grid_refinement_leaves_values_unchanged(rng, monkeypatch):
+def test_grid_refinement_leaves_values_unchanged(rng, force_taylor):
     positions = cluster(rng, 4, 1.5e-6)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(4))
     coarse = np.linspace(0.0, 2 * np.pi / OMEGA, 33)
     fine = np.linspace(0.0, 2 * np.pi / OMEGA, 65)  # midpoints inserted
     psi0 = ground_state(h.basis)
     for route in ("dense", "taylor"):
-        on_coarse = rydberg_number(evolve_by(route, monkeypatch, h, psi0, coarse))
-        on_fine = rydberg_number(evolve_by(route, monkeypatch, h, psi0, fine))
+        on_coarse = rydberg_number(evolve_by(route, force_taylor, h, psi0, coarse))
+        on_fine = rydberg_number(evolve_by(route, force_taylor, h, psi0, fine))
         assert np.abs(on_coarse - on_fine[::2]).max() < 1e-8
 
 
-def test_norm_conserved_along_trajectory(rng, monkeypatch):
+def test_norm_conserved_along_trajectory(rng, force_taylor):
     positions = cluster(rng, 5, 1.5e-6)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 200)
     for route in ("dense", "taylor"):
-        trajectory = evolve_by(route, monkeypatch, h, ground_state(h.basis), t)
+        trajectory = evolve_by(route, force_taylor, h, ground_state(h.basis), t)
         drift = np.abs(trajectory.norm() - 1.0).max()
         assert drift < 1e-9
 
 
-def test_taylor_splits_one_long_step_into_substeps(rng, monkeypatch):
+def test_taylor_splits_one_long_step_into_substeps(rng, force_taylor):
     positions = cluster(rng, 5, 1.5e-6)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
     t = np.array([2 * np.pi / OMEGA])  # a single interval from t = 0
     assert plan_propagation(h, t).substeps[0] > 10
     psi0 = ground_state(h.basis)
     gap = max_amplitude_gap(
-        evolve_by("dense", monkeypatch, h, psi0, t),
-        evolve_by("taylor", monkeypatch, h, psi0, t),
+        evolve_by("dense", force_taylor, h, psi0, t),
+        evolve_by("taylor", force_taylor, h, psi0, t),
     )
     assert gap < 1e-8
 
 
-def test_taylor_matches_dense_on_log_grid(rng, monkeypatch):
+def test_taylor_matches_dense_on_log_grid(rng, force_taylor):
     # the grid that time.spacing = log builds: 0, then geometric times
     positions = cluster(rng, 5, 1.5e-6)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
@@ -495,13 +489,13 @@ def test_taylor_matches_dense_on_log_grid(rng, monkeypatch):
     assert steps[0] == 0 and steps[1] == 1 and steps[-1] > steps[-2] > 1
     psi0 = ground_state(h.basis)
     gap = max_amplitude_gap(
-        evolve_by("dense", monkeypatch, h, psi0, t),
-        evolve_by("taylor", monkeypatch, h, psi0, t),
+        evolve_by("dense", force_taylor, h, psi0, t),
+        evolve_by("taylor", force_taylor, h, psi0, t),
     )
     assert gap < 1e-8
 
 
-def test_taylor_matches_dense_with_detuning(rng, monkeypatch):
+def test_taylor_matches_dense_with_detuning(rng, force_taylor):
     # a detuning of 30 omega0 moves the mean diagonal the Taylor route removes
     positions = cluster(rng, 5, 3e-6)
     spec = HamiltonianSpec(positions, OMEGA, C6, detuning=30 * OMEGA)
@@ -512,27 +506,60 @@ def test_taylor_matches_dense_with_detuning(rng, monkeypatch):
     assert plan.shift > 2.5 * 30 * OMEGA  # half the atoms excited on average
     psi0 = ground_state(h.basis)
     gap = max_amplitude_gap(
-        evolve_by("dense", monkeypatch, h, psi0, t),
-        evolve_by("taylor", monkeypatch, h, psi0, t),
+        evolve_by("dense", force_taylor, h, psi0, t),
+        evolve_by("taylor", force_taylor, h, psi0, t),
     )
     assert gap < 1e-8
 
 
-def test_strongly_blockaded_polygon_takes_dense_route_quickly(monkeypatch):
+def stiff_polygon(m):
+    """Acceptance 02's m-gon at 1e3 hbar omega0 pair shifts (full basis) and
+    241 times up to 1.2 collective pi times."""
+    diameter = distance_for_interaction(1e3)
+    h = build_hamiltonian(
+        HamiltonianSpec(polygon(m, diameter / 2), OMEGA, C6), full_basis(m)
+    )
+    return h, np.linspace(0.0, 1.2 * np.pi / (math.sqrt(m) * OMEGA), 241)
+
+
+def test_strongly_blockaded_polygon_takes_dense_route_quickly(force_taylor):
     # acceptance 02's largest case: diagonal entries up to 2.6e6 hbar omega0
     # would need 2.7e5 Taylor substeps, so the cost rule must pick dense
-    diameter = (C6 / (1e3 * HBAR * OMEGA)) ** (1.0 / 6.0)
-    h = build_hamiltonian(
-        HamiltonianSpec(polygon(8, diameter / 2), OMEGA, C6), full_basis(8)
-    )
-    t_pi = np.pi / (math.sqrt(8) * OMEGA)
-    t = np.linspace(0.0, 1.2 * t_pi, 241)
+    h, t = stiff_polygon(8)
     plan = plan_propagation(h, t)
     assert plan.route == "dense" and plan.substeps.sum() > 1e5
     start = time.perf_counter()
-    trajectory = evolve_by("dense", monkeypatch, h, ground_state(h.basis), t)
+    trajectory = evolve_by("dense", force_taylor, h, ground_state(h.basis), t)
     assert time.perf_counter() - start < 1.0
     assert w_state_fidelity(trajectory)[200] > 0.99
+
+
+def test_stiff_polygon_beyond_1024_states_takes_dense_route(force_taylor):
+    # 2048 states: Taylor stepping would take about 25 minutes, so the plan
+    # is checked before evolving
+    m = 11
+    h, t = stiff_polygon(m)
+    assert plan_propagation(h, t).route == "dense"
+    start = time.perf_counter()
+    trajectory = evolve_by("dense", force_taylor, h, ground_state(h.basis), t)
+    assert time.perf_counter() - start < 5.0
+    assert w_state_fidelity(trajectory)[200] > 0.99  # t[200] is the pi time
+    ideal = np.sin(math.sqrt(m) * OMEGA * t / 2) ** 2
+    assert np.abs(rydberg_number(trajectory) - ideal).max() < 1e-5
+
+
+def test_stiff_polygon_too_large_for_dense_is_refused_before_allocating():
+    # 8192 states: dense is cheaper but does not fit, and there is no
+    # Taylor fallback
+    h, t = stiff_polygon(13)
+    assert plan_propagation(h, t).route == "dense"
+    psi0 = ground_state(h.basis)
+
+    def refused():
+        with pytest.raises(SizeCapError, match="memory cap"):
+            evolve(h, psi0, t)
+
+    assert traced_peak(refused) < 2 * 2**20
 
 
 def test_benchmark_sizes_pick_the_expected_route(rng):

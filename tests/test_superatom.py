@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+import blockadesim.core
 from blockadesim.cloud import SuperatomEnsemble, partition_superatoms
 from blockadesim.core import PhysicalParams
-from blockadesim.errors import DegenerateDataError, InvalidParameterError
+from blockadesim.errors import DegenerateDataError, InvalidParameterError, SizeCapError
 from blockadesim.superatom import (
     ExcitationCurve,
     crossover_time,
@@ -16,6 +17,8 @@ from blockadesim.superatom import (
     simulate_cloud,
     superatom_population,
 )
+
+from conftest import traced_peak
 
 OMEGA = 2 * math.pi * 1e5
 PARAMS = PhysicalParams(OMEGA, 1e-60)
@@ -84,6 +87,24 @@ def test_population_validates_inputs():
         superatom_population(1.0, 0.0, 0.0)
     with pytest.raises(InvalidParameterError):
         superatom_population(1.0, OMEGA, 0.0, gamma=-1.0)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("n_per", math.nan),
+        ("n_per", math.inf),
+        ("n_per", np.array([4.0, math.nan])),
+        ("omega0", math.nan),
+        ("omega0", math.inf),
+        ("gamma", math.nan),
+        ("gamma", math.inf),
+    ],
+)
+def test_population_rejects_non_finite_input(name, value):
+    args = dict(n_per=10.0, omega0=OMEGA, t=np.linspace(0.0, 1e-5, 5), gamma=0.0)
+    with pytest.raises(InvalidParameterError, match=f"{name} must be"):
+        superatom_population(**(args | {name: value}))
 
 
 # --- cloud curves -----------------------------------------------------------------
@@ -172,6 +193,37 @@ def test_noninteracting_reference_rejects_non_finite_grid_before_evaluation(grid
         warnings.simplefilter("error")
         with pytest.raises(InvalidParameterError, match="time grid must be finite"):
             noninteracting_reference(1e3, PARAMS, grid)
+
+
+def test_curve_blocks_are_refused_before_allocating(monkeypatch):
+    # 4096 distinct sizes at 4096 times: 134 MB per (size x time) block
+    limit = 64 * 2**20
+    monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", limit)
+    ensemble = small_ensemble(np.arange(1.0, 4097.0), np.ones(4096))
+    t = np.linspace(0.0, 2e-5, 4096)
+
+    def refused():
+        with pytest.raises(SizeCapError, match="memory cap"):
+            simulate_cloud(ensemble, PARAMS, t)
+
+    assert traced_peak(refused) < limit
+
+
+@pytest.mark.parametrize("model", ["collective", "simple"])
+@pytest.mark.parametrize("drive_hz", [42e3, 210e3])
+def test_curve_memory_estimate_bounds_the_traced_peak(
+    reference_cloud, c6, monkeypatch, model, drive_hz
+):
+    # a limit just below the traced peak must refuse, four times it admit
+    params = PhysicalParams.from_hz(drive_hz, c6)
+    ensemble = partition_superatoms(reference_cloud, params, model=model, n_min=0.0)
+    t = np.linspace(0.0, 2e-5, 200)
+    peak = traced_peak(lambda: simulate_cloud(ensemble, params, t))
+    monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", peak - 1)
+    with pytest.raises(SizeCapError):
+        simulate_cloud(ensemble, params, t)
+    monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", 4 * peak)
+    simulate_cloud(ensemble, params, t)
 
 
 def test_curve_metadata_reports_generation():
