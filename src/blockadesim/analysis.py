@@ -11,9 +11,8 @@ the four scaling exponents
     R     ~ n**a * omega0**b
     n_sat ~ n**c * omega0**d
 
-The fitter is a Levenberg-Marquardt iteration over log-parameters, which
-enforces positivity without constraints and makes the convergence test
-(max relative parameter change) a plain step-norm test.
+The fit is by variable projection: at a fixed decay rate k = R/n_sat the
+law is linear in n_sat, which is solved exactly, so only k is searched.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ __all__ = [
     "scaling_experiment",
 ]
 
-FIT_MAX_ITERATIONS = 200
-FIT_REL_TOL = 1e-10
+FIT_SCAN_PER_DECADE = 4
+FIT_REL_TOL = 1e-13  # final bisection bracket width over its upper end
 
 
 def saturation_model(t, n_sat: float, rate: float):
@@ -54,14 +53,23 @@ def _saturation_jacobian(t: np.ndarray, n_sat: float, rate: float) -> np.ndarray
     return np.column_stack([-np.expm1(-x) - x * decay, t * decay])
 
 
+def _project(t: np.ndarray, y: np.ndarray, k: float) -> tuple[float, np.ndarray]:
+    """Least-squares n_sat at decay rate k, and the residual y - n_sat * f."""
+    f = -np.expm1(-k * t)
+    n_sat = float(f @ y) / float(f @ f)
+    return n_sat, y - n_sat * f
+
+
 @dataclass(frozen=True)
 class SaturationFit:
     """Result of a saturation-law fit.
 
     ``n_sat`` and ``rate`` are the plateau and initial slope; their
     standard errors come from the linearized covariance sigma^2 (J^T J)^-1
-    at the optimum. ``converged`` is False when the iteration cap was hit
-    or damping stalled, in which case the best iterate is still reported.
+    at the optimum. ``converged`` is False when the best scanned decay rate
+    lies at an end of the scan or ties its right neighbour: the curve then
+    resolves its rise or its plateau but not both, and the best rate found
+    is still reported. ``n_iterations`` counts bisection steps.
     """
 
     n_sat: float
@@ -74,84 +82,59 @@ class SaturationFit:
 
 
 def fit_saturation(curve: ExcitationCurve) -> SaturationFit:
-    """Fit the saturation law to a curve by damped least squares.
+    """Least-squares fit of the saturation law by variable projection.
 
-    Initial guesses: n_sat from the curve maximum, the rate from the
-    secant slope across the first quartile of points. The iteration runs
-    in log-parameter space (both parameters are positive by construction)
-    and stops when the largest relative parameter change drops below
-    FIT_REL_TOL or after FIT_MAX_ITERATIONS steps.
+    With f = 1 - exp(-k t), n_sat(k) = (f.y)/(f.f) exactly. The residual
+    sum of squares S(k) is scanned at FIT_SCAN_PER_DECADE log-spaced rates
+    per decade from 1e-8/t_max (a straight line) to 1e2/t_1, t_1 the first
+    positive time (saturated by the first sample). Between the best scanned
+    rate's neighbours, k is bisected on the sign of
+    dS/dk = -2 n_sat (t exp(-k t)).r; then R = n_sat * k.
     """
     t = curve.times
     y = curve.values
     if t.size < 4:
         raise InvalidParameterError("saturation fit needs at least 4 points")
-    if not np.any(y > 0.0):
-        raise DegenerateDataError("curve has no positive values to fit")
+    # f(0) = 0, so a value at t = 0 carries no information
+    first = int(t[0] == 0.0)
+    if not np.any(y[first:] > 0.0):
+        raise DegenerateDataError("curve has no positive value after t = 0 to fit")
 
-    n_sat0 = float(y.max())
-    quartile = max(1, t.size // 4)
-    slope = (y[quartile] - y[0]) / (t[quartile] - t[0])
-    if not (np.isfinite(slope) and slope > 0.0):
-        slope = n_sat0 / (t[-1] - t[0])
-    theta = np.log([n_sat0, slope])
+    t_1, t_max = float(t[first]), float(t[-1])
+    k_lo, k_hi = 1e-8 / t_max, 1e2 / t_1
+    if not k_hi < math.inf:
+        raise InvalidParameterError(f"first positive time {t_1!r} is too small to fit")
+    n_scan = 1 + math.ceil(FIT_SCAN_PER_DECADE * (math.log10(k_hi) - math.log10(k_lo)))
+    rates = np.geomspace(k_lo, k_hi, n_scan).tolist()
+    # one rate at a time: no (scan x T) array
+    scan_ssr = [float(r @ r) for _, r in (_project(t, y, k) for k in rates)]
+    best = int(np.argmin(scan_ssr))
+    # the first minimum is already strictly below its left neighbour
+    converged = 0 < best < n_scan - 1 and scan_ssr[best] < scan_ssr[best + 1]
 
-    def objective(th: np.ndarray) -> tuple[np.ndarray, float]:
-        n_sat, rate = np.exp(th)
-        resid = saturation_model(t, n_sat, rate) - y
-        return resid, float(resid @ resid)
-
-    resid, ssr = objective(theta)
-    lam = 1e-3
-    converged = False
+    lo, hi = rates[max(best - 1, 0)], rates[min(best + 1, n_scan - 1)]
     n_iter = 0
-    for n_iter in range(1, FIT_MAX_ITERATIONS + 1):
-        n_sat, rate = np.exp(theta)
-        # chain rule: columns are d(model)/d(log p) = d(model)/dp * p
-        jac = _saturation_jacobian(t, n_sat, rate) * np.exp(theta)
-        grad = jac.T @ resid
-        jtj = jac.T @ jac
-        damping = np.diag(jtj).copy()
-        damping[damping <= 0.0] = 1e-300
-        step = None
-        while lam < 1e15:
-            try:
-                delta = np.linalg.solve(jtj + lam * np.diag(damping), -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = np.clip(theta + delta, -700.0, 700.0)
-            resid_new, ssr_new = objective(trial)
-            if math.isfinite(ssr_new) and ssr_new <= ssr:
-                step = trial - theta
-                theta, resid, ssr = trial, resid_new, ssr_new
-                lam = max(lam * 0.3, 1e-12)
-                break
-            lam *= 5.0
-        if step is None:
-            break
-        if float(np.max(np.abs(step))) < FIT_REL_TOL:
-            converged = True
-            break
+    while hi - lo > FIT_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        resid = _project(t, y, mid)[1]
+        if (t * np.exp(-mid * t)) @ resid > 0.0:  # dS/dk < 0 as n_sat > 0
+            lo = mid
+        else:
+            hi = mid
+        n_iter += 1
 
-    n_sat, rate = np.exp(theta)
-    dof = t.size - 2
-    sigma2 = ssr / dof
-    jac = _saturation_jacobian(t, n_sat, rate)
-    jtj = jac.T @ jac
+    k = 0.5 * (lo + hi)
+    n_sat, resid = _project(t, y, k)
+    ssr = float(resid @ resid)
+    jac = _saturation_jacobian(t, n_sat, n_sat * k)
     try:
-        cov = sigma2 * np.linalg.inv(jtj)
+        cov = ssr / (t.size - 2) * np.linalg.inv(jac.T @ jac)
         errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         errs = np.array([np.inf, np.inf])
     return SaturationFit(
-        n_sat=float(n_sat),
-        rate=float(rate),
-        n_sat_err=float(errs[0]),
-        rate_err=float(errs[1]),
-        residual_rms=float(np.sqrt(ssr / t.size)),
-        converged=converged,
-        n_iterations=n_iter,
+        n_sat, n_sat * k, float(errs[0]), float(errs[1]), math.sqrt(ssr / t.size),
+        converged, n_iter,
     )
 
 
@@ -180,7 +163,11 @@ class ExponentEstimate:
 class ScalingResult:
     points: tuple[SweepPoint, ...]
     exponents: dict[str, ExponentEstimate]
-    n_excluded: int
+
+    @property
+    def n_excluded(self) -> int:
+        """Points whose fit did not converge, left out of the exponents."""
+        return sum(not p.converged for p in self.points)
 
 
 def _joint_exponents(
@@ -270,4 +257,4 @@ def scaling_experiment(
     rate_est = _joint_exponents(good, lambda p: p.rate, ("a", "b"))
     nsat_est = _joint_exponents(good, lambda p: p.n_sat, ("c", "d"))
     exponents = {e.name: e for e in rate_est + nsat_est}
-    return ScalingResult(tuple(points), exponents, len(points) - len(good))
+    return ScalingResult(tuple(points), exponents)

@@ -13,9 +13,10 @@ The manifest records digests of every file and the fully resolved
 configuration; feeding it back through --config reruns the workflow and,
 for the deterministic paths, reproduces the CSVs byte for byte.
 
-Exit codes: 0 success, 2 bad input or configuration, 3 a fit failed to
-converge, 4 a step would exceed the memory limit (refused before it
-allocates) or a basis has more than 63 atoms.
+Exit codes: 0 success, 2 bad input or configuration, 3 a fit did not
+converge (the curve resolves its rise or its plateau, not both), 4 a
+step would exceed the memory limit (refused before it allocates) or a
+basis has more than 63 atoms.
 """
 
 from __future__ import annotations
@@ -266,10 +267,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     print(f"R     = {format_float(fit.rate)} +/- {format_float(fit.rate_err)} 1/s")
     print(
         f"residual_rms = {format_float(fit.residual_rms)}, "
-        f"converged = {fit.converged} after {fit.n_iterations} iterations"
+        f"converged = {fit.converged} after {fit.n_iterations} bisection steps"
     )
     if not fit.converged:
-        print("warning: fit did not converge; values are the best iterate", file=sys.stderr)
+        print("warning: fit did not converge; values are at the best rate found", file=sys.stderr)
         return 3
     return 0
 

@@ -123,7 +123,6 @@ class SuperatomEnsemble:
     n_per: np.ndarray
     weight: np.ndarray
     centers: np.ndarray
-    total_atoms_covered: float
 
     def __post_init__(self) -> None:
         n_per = np.asarray(self.n_per, dtype=float)
@@ -146,6 +145,10 @@ class SuperatomEnsemble:
     @property
     def total_superatoms(self) -> float:
         return float(self.weight.sum())
+
+    @property
+    def total_atoms_covered(self) -> float:
+        return float((self.weight * self.n_per).sum())
 
 
 def _axis_masses(sigma: float, k: int, side: float) -> tuple[np.ndarray, np.ndarray]:
@@ -222,5 +225,4 @@ def partition_superatoms(
     n_per = n_per[keep]
     weight = weight[keep]
     centers = centers[keep]
-    covered = float((weight * n_per).sum())
-    return SuperatomEnsemble(n_per, weight, centers, covered)
+    return SuperatomEnsemble(n_per, weight, centers)

@@ -66,6 +66,7 @@ def superatom_population(n_per, omega0: float, t, gamma: float = 0.0):
     _require(0.0 < omega0 < np.inf, "omega0 must be positive and finite")
     _require(0.0 <= gamma < np.inf, "gamma must be non-negative and finite")
     t = np.asarray(t, dtype=float)
+    _require(bool(np.all((0.0 <= t) & (t < np.inf))), "t must be non-negative and finite")
     envelope = np.exp(-gamma * t) if gamma > 0.0 else 1.0
     value = 0.5 * (1.0 - envelope * np.cos(np.sqrt(n_per) * omega0 * t))
     return float(value) if value.ndim == 0 else value

@@ -17,7 +17,7 @@ from blockadesim.core import PhysicalParams
 from blockadesim.errors import DegenerateDataError, InvalidParameterError
 from blockadesim.superatom import ExcitationCurve
 
-from conftest import SIGMA_REF
+from conftest import SIGMA_REF, traced_peak
 
 TRUTH_NSAT = 1.7e4
 TRUTH_RATE = 1.7e11
@@ -138,6 +138,71 @@ def test_fit_statistics_over_seeds():
 def test_reported_iterations_bounded():
     fit = fit_saturation(clean_curve())
     assert 1 <= fit.n_iterations <= 200
+
+
+LINE_T = np.linspace(0.0, 1e-5, 50)
+EARLY_T = np.linspace(0.0, 4.9e-6, 50)  # first positive time 1e-7
+
+
+@pytest.mark.parametrize(
+    "t, values, rate",
+    [
+        # only the initial slope is identifiable, and it is still reported
+        pytest.param(LINE_T, 3e9 * LINE_T, 3e9, id="straight-line"),
+        pytest.param(LINE_T, (LINE_T >= LINE_T[25]).astype(float), None, id="step"),
+        # k t_1 = 100: every sample after t = 0 sits on the plateau
+        pytest.param(
+            EARLY_T, saturation_model(EARLY_T, 1e3, 1e12), None, id="saturated-early"
+        ),
+        # its first positive sample lies above its mean, so nothing rises
+        pytest.param(
+            LINE_T, 1.0 + 0.01 * np.random.default_rng(1).standard_normal(50), None,
+            id="flat-noise",
+        ),
+        pytest.param(LINE_T, np.exp(-LINE_T / 2e-6), None, id="decaying"),
+        pytest.param(LINE_T, (LINE_T == LINE_T[-1]).astype(float), None, id="spike-at-end"),
+    ],
+)
+def test_curves_that_do_not_determine_the_fit_do_not_converge(t, values, rate):
+    fit = fit_saturation(ExcitationCurve(t, values))
+    assert fit.converged is False
+    if rate is not None:
+        assert fit.rate == pytest.approx(rate, rel=0.01)
+
+
+def test_fit_rejects_curve_positive_only_at_time_zero():
+    t = np.linspace(0.0, 1.0, 10)
+    values = np.zeros_like(t)
+    values[0] = 1.0
+    with pytest.raises(DegenerateDataError, match="after t = 0"):
+        fit_saturation(ExcitationCurve(t, values))
+
+
+def test_rise_within_the_first_sample_of_a_wide_log_grid_is_resolved():
+    # t_1 / t_max = 1e-12 and k t_1 = 1: a scan ending at 1e2 / t_max would
+    # stop eleven decades short of the rate
+    t = np.concatenate([[0.0], np.geomspace(1e-12, 1.0, 60)])
+    fit = fit_saturation(ExcitationCurve(t, saturation_model(t, 5.0, 5e12)))
+    assert fit.converged
+    assert fit.rate == pytest.approx(5e12, rel=1e-10)
+    assert fit.n_sat == pytest.approx(5.0, rel=1e-10)
+
+
+def test_scan_reaches_a_tiny_first_time_or_refuses_it():
+    t = np.concatenate([[0.0, 1e-300], np.linspace(0.1, 3.0, 30)])
+    fit = fit_saturation(ExcitationCurve(t, saturation_model(t, 5.0, 5.0)))
+    assert fit.converged
+    assert fit.rate == pytest.approx(5.0, rel=1e-10)
+    t[1] = 1e-310  # 1e2 / t_1 overflows
+    with pytest.raises(InvalidParameterError, match="first positive time"):
+        fit_saturation(ExcitationCurve(t, saturation_model(t, 5.0, 5.0)))
+
+
+def test_million_point_fit_holds_at_most_eight_curve_sized_arrays():
+    n = 10**6
+    curve = clean_curve(num=n)
+    peak = traced_peak(lambda: fit_saturation(curve))
+    assert peak <= 8 * 8 * n
 
 
 # --- scaling sweeps ---------------------------------------------------------------------

@@ -427,6 +427,18 @@ def test_fit_nonconverged_exit_code(tmp_path, monkeypatch, capsys):
     assert "converge" in capsys.readouterr().err
 
 
+def test_fit_of_a_straight_line_exits_3_and_still_writes_fit_csv(tmp_path, capsys):
+    curve = tmp_path / "c.csv"
+    t = np.linspace(0, 1e-5, 50)
+    lines = ["t_s,n_rydberg"] + [f"{float(x)!r},{float(3e9 * x)!r}" for x in t]
+    curve.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert main(["fit", str(curve), "--out", str(out)]) == 3
+    assert "warning: fit did not converge" in capsys.readouterr().err
+    header, row = (out / "fit.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["converged"] == "false"
+
+
 def test_scaling_small_grid(tmp_path, capsys):
     cfg = write_config(tmp_path, SCALING_CONFIG)
     out = tmp_path / "o"

@@ -277,14 +277,10 @@ def test_partition_rejects_bad_model(reference_cloud, strong_params):
 
 def test_ensemble_validation():
     with pytest.raises(InvalidParameterError):
-        SuperatomEnsemble(
-            np.array([1.0, 2.0]), np.array([1.0]), np.zeros((2, 3)), 3.0
-        )
+        SuperatomEnsemble(np.array([1.0, 2.0]), np.array([1.0]), np.zeros((2, 3)))
     with pytest.raises(InvalidParameterError):
-        SuperatomEnsemble(
-            np.array([1.0, -2.0]), np.array([1.0, 1.0]), np.zeros((2, 3)), 3.0
-        )
-    empty = SuperatomEnsemble(np.array([]), np.array([]), np.zeros((0, 3)), 0.0)
+        SuperatomEnsemble(np.array([1.0, -2.0]), np.array([1.0, 1.0]), np.zeros((2, 3)))
+    empty = SuperatomEnsemble(np.array([]), np.array([]), np.zeros((0, 3)))
     assert len(empty) == 0
 
 

@@ -49,7 +49,7 @@ def test_ensemble_csv_rows_are_repr_of_each_entry(tmp_path, rng):
     centers = rng.normal(scale=1e-5, size=(n, 3))
     n_per = rng.uniform(1.0, 5e3, size=n)
     weight = rng.uniform(1e-3, 2.0, size=n)
-    ensemble = SuperatomEnsemble(n_per, weight, centers, float((n_per * weight).sum()))
+    ensemble = SuperatomEnsemble(n_per, weight, centers)
     path = tmp_path / "ensemble.csv"
     write_ensemble_csv(str(path), ensemble)
     expected = [ENSEMBLE_HEADER] + [
@@ -65,7 +65,7 @@ def test_ensemble_csv_streams_rows_to_the_file(tmp_path, rng):
     n = 200_000
     ensemble = SuperatomEnsemble(
         rng.uniform(1.0, 5e3, size=n), rng.uniform(1e-3, 2.0, size=n),
-        rng.normal(scale=1e-5, size=(n, 3)), 1.0,
+        rng.normal(scale=1e-5, size=(n, 3)),
     )
     path = tmp_path / "ensemble.csv"
     assert traced_peak(lambda: write_ensemble_csv(str(path), ensemble)) < 8 * 2**20

@@ -28,7 +28,7 @@ def small_ensemble(n_per, weights):
     n_per = np.asarray(n_per, dtype=float)
     weights = np.asarray(weights, dtype=float)
     centers = np.zeros((n_per.size, 3))
-    return SuperatomEnsemble(n_per, weights, centers, float((n_per * weights).sum()))
+    return SuperatomEnsemble(n_per, weights, centers)
 
 
 # --- single superatom ------------------------------------------------------------
@@ -107,6 +107,12 @@ def test_population_rejects_non_finite_input(name, value):
         superatom_population(**(args | {name: value}))
 
 
+@pytest.mark.parametrize("t", [math.nan, -1.0, math.inf])
+def test_population_rejects_negative_or_non_finite_time(t):
+    with pytest.raises(InvalidParameterError, match="t must be"):
+        superatom_population(4.0, 1e6, np.array([0.0, t]))
+
+
 # --- cloud curves -----------------------------------------------------------------
 
 
@@ -174,7 +180,7 @@ def test_damped_curve_settles_at_half_weight():
 
 
 def test_empty_ensemble_rejected():
-    empty = SuperatomEnsemble(np.array([]), np.array([]), np.zeros((0, 3)), 0.0)
+    empty = SuperatomEnsemble(np.array([]), np.array([]), np.zeros((0, 3)))
     with pytest.raises(DegenerateDataError):
         simulate_cloud(empty, PARAMS, np.linspace(0, 1e-5, 10))
 
