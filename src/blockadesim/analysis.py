@@ -67,9 +67,10 @@ class SaturationFit:
     ``n_sat`` and ``rate`` are the plateau and initial slope; their
     standard errors come from the linearized covariance sigma^2 (J^T J)^-1
     at the optimum. ``converged`` is False when the best scanned decay rate
-    lies at an end of the scan or ties its right neighbour: the curve then
-    resolves its rise or its plateau but not both, and the best rate found
-    is still reported. ``n_iterations`` counts bisection steps.
+    lies at an end of the scan or ties its right neighbour, or when
+    ``rate_err`` is not below ``rate``: the curve then resolves its rise or
+    its plateau but not both, or neither (flat noise), and the best rate
+    found is still reported. ``n_iterations`` counts bisection steps.
     """
 
     n_sat: float
@@ -132,9 +133,11 @@ def fit_saturation(curve: ExcitationCurve) -> SaturationFit:
         errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         errs = np.array([np.inf, np.inf])
+    rate, rate_err = n_sat * k, float(errs[1])
+    # a rate within its own error is not determined by the curve
     return SaturationFit(
-        n_sat, n_sat * k, float(errs[0]), float(errs[1]), math.sqrt(ssr / t.size),
-        converged, n_iter,
+        n_sat, rate, float(errs[0]), rate_err, math.sqrt(ssr / t.size),
+        converged and rate_err < rate, n_iter,
     )
 
 

@@ -110,7 +110,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _output_dir(args: argparse.Namespace) -> str:
     out = args.out or os.environ.get(OUT_ENV_VAR) or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out}: {exc.strerror or exc}") from exc
     return out
 
 

@@ -11,6 +11,7 @@ refused before allocating past ``core.MEMORY_LIMIT_BYTES`` (exit code 4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
@@ -19,7 +20,7 @@ from .cloud import MODELS, CloudSpec
 from .core import (
     PhysicalParams, TwoPhotonDrive, convert_c6_atomic_units, require_memory, two_photon_rabi
 )
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
 __all__ = ["RunConfig", "load_config", "parse_config_text", "parse_value", "config_items"]
 
@@ -136,12 +137,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    return parse_config_text(text, source=path)
+    return parse_config_text(read_text(path, ConfigError), source=path)
 
 
 def config_items(cfg: RunConfig) -> list[tuple[str, str]]:
@@ -208,8 +204,8 @@ def resolve_cloud(cfg: RunConfig) -> CloudSpec:
 
 
 def resolve_time_grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.time_stop_s is None or cfg.time_stop_s <= 0.0:
-        raise ConfigError("time.stop_s must be set and positive")
+    if cfg.time_stop_s is None or not 0.0 < cfg.time_stop_s < math.inf:
+        raise ConfigError("time.stop_s must be set, positive and finite")
     if cfg.time_num < 1:
         raise ConfigError("time.num must be at least 1")
     require_memory(8.0 * cfg.time_num, f"a time grid of {cfg.time_num:.3g} points")

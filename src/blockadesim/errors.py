@@ -36,3 +36,15 @@ class InputFileError(BlockadeSimError):
 
 class ConfigError(BlockadeSimError):
     """A run configuration is malformed or inconsistent."""
+
+
+def read_text(path: str, error: type[BlockadeSimError]) -> str:
+    """Return the UTF-8 text of ``path``; a file that cannot be opened, read
+    or decoded raises ``error`` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from exc

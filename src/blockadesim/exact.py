@@ -33,6 +33,7 @@ from .errors import (
     InputFileError,
     InvalidParameterError,
     SizeCapError,
+    read_text,
 )
 
 __all__ = [
@@ -111,12 +112,7 @@ class AtomPositions:
         citing the line number.
         """
         rows = []
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise InputFileError(f"{path}: {exc.strerror or exc}") from exc
-        for lineno, raw in enumerate(lines, start=1):
+        for lineno, raw in enumerate(read_text(path, InputFileError).splitlines(), start=1):
             text = raw.split("#", 1)[0].strip()
             if not text:
                 continue

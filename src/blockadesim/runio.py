@@ -1,21 +1,23 @@
 """CSV and manifest output with bit-stable formatting.
 
-Floats are serialized with repr(), which round-trips exactly, so a rerun
-of a deterministic workflow produces byte-identical files. All writes stream
-through a temp file plus os.replace, so readers never see partial output.
+Every CSV goes through write_table, which formats a cell by its column's
+dtype: floats with repr(), which round-trips exactly, so reruns of a
+deterministic workflow are byte-identical; bools as true/false; integers
+and strings with str(). Rows stream in blocks through a temp file plus
+os.replace, so readers never see partial output.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
+from dataclasses import fields
 
 import numpy as np
 
 from .analysis import ExponentEstimate, SaturationFit, SweepPoint
 from .cloud import SuperatomEnsemble
-from .errors import InputFileError
+from .errors import InputFileError, read_text
 from .superatom import ExcitationCurve
 
 CURVE_HEADER = "t_s,n_rydberg"
@@ -25,15 +27,11 @@ SWEEP_HEADER = "n_peak_m3,omega0_radps,n_sat,n_sat_err,R_per_s,R_err,converged"
 EXPONENTS_HEADER = "name,value,std_error,n_points"
 FIT_HEADER = "n_sat,n_sat_err,R_per_s,R_err,residual_rms,converged,n_iterations"
 
-_ROW_BLOCK = 8192  # ensemble rows per block in write_ensemble_csv
+_ROW_BLOCK = 8192  # rows formatted and held at once by write_table
 
 
 def format_float(x: float) -> str:
     return repr(float(x))
-
-
-def _format_bool(flag: bool) -> str:
-    return "true" if flag else "false"
 
 
 def atomic_write_text(path: str, chunks) -> None:
@@ -58,25 +56,39 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_rows(path: str, header: str, rows) -> None:
-    lines = itertools.chain([[header]], rows)
-    atomic_write_text(path, (",".join(row) + "\n" for row in lines))
+def _cells(column: np.ndarray):
+    """Lazily format one column slice: repr floats, true/false, str otherwise.
+    tolist() yields Python scalars, so a float's repr is format_float's."""
+    if column.dtype.kind == "b":
+        return ("true" if flag else "false" for flag in column.tolist())
+    return map(repr if column.dtype.kind == "f" else str, column.tolist())
+
+
+def write_table(path: str, header: str, columns) -> None:
+    """Write equal-length columns under ``header``, formatting and streaming
+    _ROW_BLOCK rows at a time, so one block of cells is held at once."""
+    columns = [np.asarray(column) for column in columns]
+
+    def lines():
+        yield header + "\n"
+        for lo in range(0, len(columns[0]), _ROW_BLOCK):
+            for row in zip(*(_cells(column[lo : lo + _ROW_BLOCK]) for column in columns)):
+                yield ",".join(row) + "\n"
+
+    atomic_write_text(path, lines())
+
+
+def _field_columns(records, cls) -> list[list]:
+    """One column per dataclass field of ``cls``, in field order."""
+    return [[getattr(record, f.name) for record in records] for f in fields(cls)]
 
 
 def write_trajectory_csv(path: str, times, n_rydberg, w_fidelity) -> None:
-    rows = (
-        (format_float(t), format_float(n), format_float(w))
-        for t, n, w in zip(times, n_rydberg, w_fidelity)
-    )
-    _write_rows(path, TRAJECTORY_HEADER, rows)
+    write_table(path, TRAJECTORY_HEADER, [times, n_rydberg, w_fidelity])
 
 
 def write_curve_csv(path: str, curve: ExcitationCurve) -> None:
-    rows = (
-        (format_float(t), format_float(v))
-        for t, v in zip(curve.times, curve.values)
-    )
-    _write_rows(path, CURVE_HEADER, rows)
+    write_table(path, CURVE_HEADER, [curve.times, curve.values])
 
 
 def read_curve_csv(path: str) -> ExcitationCurve:
@@ -86,11 +98,7 @@ def read_curve_csv(path: str) -> ExcitationCurve:
     problems (negative values, unordered times) surface through the
     ExcitationCurve validator.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise InputFileError(f"{path}: {exc.strerror or exc}") from exc
+    lines = read_text(path, InputFileError).splitlines()
     if not lines:
         raise InputFileError(f"{path}: file is empty")
     header = [c.strip() for c in lines[0].split(",")]
@@ -117,52 +125,26 @@ def read_curve_csv(path: str) -> ExcitationCurve:
 
 
 def write_ensemble_csv(path: str, ensemble: SuperatomEnsemble) -> None:
-    # Column-wise: .tolist() yields Python floats, whose repr is format_float's.
-    # A block of rows at a time, streamed to the file, bounds peak memory.
-    def rows():
-        for lo in range(0, len(ensemble), _ROW_BLOCK):
-            block = slice(lo, lo + _ROW_BLOCK)
-            columns = (*ensemble.centers[block].T, ensemble.n_per[block], ensemble.weight[block])
-            yield from zip(*(map(repr, col.tolist()) for col in columns))
-
-    _write_rows(path, ENSEMBLE_HEADER, rows())
+    write_table(
+        path, ENSEMBLE_HEADER, [*ensemble.centers.T, ensemble.n_per, ensemble.weight]
+    )
 
 
 def write_sweep_csv(path: str, points: tuple[SweepPoint, ...]) -> None:
-    rows = (
-        (
-            format_float(p.n_peak),
-            format_float(p.omega0),
-            format_float(p.n_sat),
-            format_float(p.n_sat_err),
-            format_float(p.rate),
-            format_float(p.rate_err),
-            _format_bool(p.converged),
-        )
-        for p in points
-    )
-    _write_rows(path, SWEEP_HEADER, rows)
+    write_table(path, SWEEP_HEADER, _field_columns(points, SweepPoint))
 
 
 def write_exponents_csv(path: str, exponents: dict[str, ExponentEstimate]) -> None:
-    rows = (
-        (e.name, format_float(e.value), format_float(e.std_error), str(e.n_points))
-        for e in (exponents[name] for name in ("a", "b", "c", "d"))
-    )
-    _write_rows(path, EXPONENTS_HEADER, rows)
+    write_table(path, EXPONENTS_HEADER, _field_columns(
+        [exponents[name] for name in ("a", "b", "c", "d")], ExponentEstimate
+    ))
 
 
 def write_fit_csv(path: str, fit: SaturationFit) -> None:
-    row = (
-        format_float(fit.n_sat),
-        format_float(fit.n_sat_err),
-        format_float(fit.rate),
-        format_float(fit.rate_err),
-        format_float(fit.residual_rms),
-        _format_bool(fit.converged),
-        str(fit.n_iterations),
-    )
-    _write_rows(path, FIT_HEADER, [row])
+    write_table(path, FIT_HEADER, [
+        [fit.n_sat], [fit.n_sat_err], [fit.rate], [fit.rate_err],
+        [fit.residual_rms], [fit.converged], [fit.n_iterations],
+    ])
 
 
 def write_manifest(

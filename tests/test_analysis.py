@@ -170,6 +170,18 @@ def test_curves_that_do_not_determine_the_fit_do_not_converge(t, values, rate):
         assert fit.rate == pytest.approx(rate, rel=0.01)
 
 
+def test_flat_noise_never_converges():
+    # the interior-minimum rule alone read one low first sample as a
+    # resolved rise in 99 of these 200 curves
+    fits = [
+        fit_saturation(ExcitationCurve(
+            LINE_T, 1.0 + 0.01 * np.random.default_rng(seed).standard_normal(50)
+        ))
+        for seed in range(200)
+    ]
+    assert [seed for seed, fit in enumerate(fits) if fit.converged is not False] == []
+
+
 def test_fit_rejects_curve_positive_only_at_time_zero():
     t = np.linspace(0.0, 1.0, 10)
     values = np.zeros_like(t)

@@ -4,6 +4,7 @@ import argparse
 import math
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -549,6 +550,51 @@ def test_bad_override_value_exits_like_bad_config_value(tmp_path, capsys):
 def test_missing_config_file_exit_code(tmp_path, capsys):
     assert main(["cloud", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "cloud", "exact"])
+def test_non_utf8_input_file_exits_2_naming_it(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    if command == "fit":
+        bad.write_bytes(b"t_s,n_rydberg\n0.0,\xff\n")
+        argv = ["fit", str(bad)]
+    elif command == "cloud":
+        bad.write_bytes(CLOUD_CONFIG.encode() + b"# \xff\n")
+        argv = ["cloud", "--config", str(bad)]
+    else:
+        bad.write_bytes(b"0 0 0\n2e-7 0 0 # \xff\n")
+        positions = f"exact.positions_path = {bad}"
+        argv = ["exact", "--config", write_config(
+            tmp_path, EXACT_CONFIG.replace("exact.n_atoms = 2", positions)
+        )]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: not UTF-8 text" in err
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_out_naming_an_existing_file_exits_2(tmp_path, capsys):
+    curve = tmp_path / "c.csv"
+    curve.write_text("t_s,n_rydberg\n0.0,0.0\n1.0,0.6\n2.0,0.9\n3.0,1.0\n")
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    assert main(["fit", str(curve), "--out", str(afile)]) == 2
+    assert f"output directory {afile}: " in capsys.readouterr().err
+    assert afile.read_text() == "kept"
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["cloud", "exact"])
+def test_non_finite_stop_time_exits_2_naming_the_key(tmp_path, capsys, command, value):
+    config = {"cloud": CLOUD_CONFIG, "exact": EXACT_CONFIG}[command]
+    text = re.sub(r"time\.stop_s = \S+", f"time.stop_s = {value}", config)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    assert "time.stop_s must be set, positive and finite" in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize(

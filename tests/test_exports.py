@@ -1,10 +1,14 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, so a deletion cannot leave a stale export,
+and so does every name the benchmark's trace wraps."""
 
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import blockadesim
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def submodules():
@@ -28,3 +32,17 @@ def test_package_exports_only_declared_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported <= declared, sorted(exported - declared)
+
+
+def test_every_traced_name_resolves_to_a_callable(monkeypatch):
+    # a layer counts as present if any one of its names exists, so a single
+    # renamed writer would silently move its time into the trace gap
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    missing = [
+        f"{layer}: {module}.{attr}"
+        for layer, targets in tracing.LAYERS.items()
+        for module, attr in targets
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []

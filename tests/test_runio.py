@@ -1,4 +1,4 @@
-"""Output files: atomic writes and the per-cell ensemble dump."""
+"""Output files: atomic writes, cell formats and streamed CSV writes."""
 
 import os
 
@@ -11,6 +11,8 @@ from blockadesim.runio import (
     atomic_write_text,
     format_float,
     write_ensemble_csv,
+    write_table,
+    write_trajectory_csv,
 )
 
 from conftest import traced_peak
@@ -71,3 +73,20 @@ def test_ensemble_csv_streams_rows_to_the_file(tmp_path, rng):
     assert traced_peak(lambda: write_ensemble_csv(str(path), ensemble)) < 8 * 2**20
     assert path.stat().st_size > 16 * 2**20
 
+
+
+def test_trajectory_csv_streams_rows_to_the_file(tmp_path, rng):
+    n = 200_000
+    times, n_rydberg, w_fidelity = rng.uniform(0.0, 1.0, size=(3, n))
+    path = tmp_path / "trajectory.csv"
+    peak = traced_peak(lambda: write_trajectory_csv(str(path), times, n_rydberg, w_fidelity))
+    assert peak < 8 * 2**20
+    assert path.stat().st_size > 8 * 2**20
+
+
+def test_write_table_formats_each_column_by_its_dtype(tmp_path):
+    path = tmp_path / "table.csv"
+    write_table(str(path), "name,value,flag,count", [
+        ["a", "b"], [0.1, float("nan")], [True, False], [7, 2**40],
+    ])
+    assert path.read_text() == "name,value,flag,count\na,0.1,true,7\nb,nan,false,1099511627776\n"
