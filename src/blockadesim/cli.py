@@ -109,6 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _output_dir(args: argparse.Namespace) -> str:
+    """Create the output directory; called once the inputs are read and
+    validated, so a run refused for bad input leaves no directory behind."""
     out = args.out or os.environ.get(OUT_ENV_VAR) or "."
     try:
         os.makedirs(out, exist_ok=True)
@@ -144,7 +146,6 @@ def _finish_manifest(out, command, cfg, inputs, written) -> None:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     cfg = _load_config_with_overrides(args)
-    out = _output_dir(args)
     params = resolve_params(cfg)
     grid = resolve_time_grid(cfg)
     if (cfg.exact_n_atoms is None) == (cfg.positions_path is None):
@@ -157,6 +158,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         cloud = resolve_cloud(cfg)
         _require_basis_memory(1.0, cfg.exact_n_atoms)  # the atom cap, before sampling
         positions = sample_positions(cloud, cfg.exact_n_atoms, cfg.seed)
+    out = _output_dir(args)
     if cfg.basis == "full":
         basis = full_basis(len(positions))
     else:
@@ -175,20 +177,21 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     )
     _finish_manifest(out, "exact", cfg, inputs, [("trajectory", "trajectory.csv")])
     plan = plan_propagation(hamiltonian, grid)
+    terms = f" ({plan.terms} terms)" if plan.route == "chebyshev" else ""
     print(
         f"exact: {len(positions)} atoms, {basis.n_states} basis states "
-        f"({basis.kind}), {grid.size} times, {plan.route} propagator "
-        f"({int(plan.substeps.sum())} Taylor substeps) -> {out}/trajectory.csv"
+        f"({basis.kind}), {grid.size} times, {plan.route} propagator{terms} "
+        f"-> {out}/trajectory.csv"
     )
     return 0
 
 
 def _cmd_cloud(args: argparse.Namespace) -> int:
     cfg = _load_config_with_overrides(args)
-    out = _output_dir(args)
     params = resolve_params(cfg)
     cloud = resolve_cloud(cfg)
     grid = resolve_time_grid(cfg)
+    out = _output_dir(args)
     ensemble = partition_superatoms(
         cloud,
         params,
@@ -213,7 +216,6 @@ def _cmd_cloud(args: argparse.Namespace) -> int:
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
     cfg = _load_config_with_overrides(args)
-    out = _output_dir(args)
     if not cfg.sweep_densities_m3 or not cfg.sweep_omega0_hz:
         raise ConfigError("scaling needs sweep.densities_m3 and sweep.omega0_hz")
     sigma = (cfg.sigma_x_m, cfg.sigma_y_m, cfg.sigma_z_m)
@@ -224,6 +226,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     params = resolve_params(cfg)
     grid = resolve_time_grid(cfg)
     omega_grid = [angular_from_hz(f) for f in cfg.sweep_omega0_hz]
+    out = _output_dir(args)
     result = scaling_experiment(
         sigma,
         cfg.sweep_densities_m3,
@@ -257,8 +260,8 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    out = _output_dir(args)
     curve = read_curve_csv(args.curve)
+    out = _output_dir(args)
     fit = fit_saturation(curve)
     write_fit_csv(os.path.join(out, "fit.csv"), fit)
     _finish_manifest(

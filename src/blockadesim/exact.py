@@ -15,6 +15,11 @@ restricted basis keeping only configurations with no two excited atoms
 closer than a given radius (the independent sets of the proximity graph).
 The restriction is what makes clusters of ~20 fully blockaded atoms
 tractable: a mutually blockaded cluster needs only M+1 states.
+
+H is real and symmetric. evolve() propagates a state to every time of a
+grid at once, by one Chebyshev expansion of exp(-i H t) in the sparse
+matrix or, for stiff clusters whose expansion would need too many terms,
+by one dense eigendecomposition; plan_propagation() picks the cheaper.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.sparse
+import scipy.special
 
 from .constants import HBAR
 from .core import require_memory, validate_time_grid
@@ -59,14 +66,16 @@ MAX_ATOMS = 63  # bit i of an int64 bitmask is atom i
 # basis plus build_hamiltonian() peaked at 46-50 B per nonzero on the
 # benchmark's 14-atom full and 20-atom restricted bases (tracemalloc)
 _BUILD_BYTES_PER_NONZERO = 56.0
+# states per block of the pair-shift sum in build_hamiltonian()
+_DIAGONAL_ROWS = 1024
 
-# Truncated Taylor propagation as in Al-Mohy & Higham (2011), the algorithm
-# behind scipy's expm_multiply: substeps of at most TAYLOR_THETA / ||A||_1
-# keep the series of at most TAYLOR_DEGREE terms within TAYLOR_TOL
-# (scipy's _theta[55] at unit roundoff).
-TAYLOR_DEGREE = 55
-TAYLOR_THETA = 9.9
-TAYLOR_TOL = 2.0**-53
+# the Chebyshev series is cut where its Bessel coefficients fall below
+# unit roundoff; its vectors are summed into the trajectory _BLOCK at a
+# time, and its coefficients transformed _COEFFICIENT_ROWS times at a time
+CHEBYSHEV_TOL = 2.0**-53
+_MAX_TERMS = 2**30
+_BLOCK = 8
+_COEFFICIENT_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -253,6 +262,21 @@ class Hamiltonian:
         return self.basis.n_states
 
 
+def _pair_shifts(spec: HamiltonianSpec, states: np.ndarray) -> np.ndarray:
+    """sum_{i<j} c6 / (hbar r_ij**6) n_i n_j of each state: half of
+    occ . shifts . occ, over (_DIAGONAL_ROWS, M) blocks of occupations."""
+    dist = spec.positions.pairwise_distances()
+    np.fill_diagonal(dist, np.inf)
+    shifts = spec.c6 / (HBAR * dist**6)  # zero on the diagonal
+    bits = np.arange(len(spec.positions))
+    total = np.empty(states.shape)
+    for start in range(0, states.size, _DIAGONAL_ROWS):
+        block = slice(start, start + _DIAGONAL_ROWS)
+        occ = ((states[block, None] >> bits) & 1).astype(np.float64)
+        total[block] = 0.5 * np.einsum("si,si->s", occ @ shifts, occ)
+    return total
+
+
 def build_hamiltonian(spec: HamiltonianSpec, basis: Basis) -> Hamiltonian:
     """Assemble the CSR matrix of the blockade Hamiltonian on ``basis``.
 
@@ -270,11 +294,7 @@ def build_hamiltonian(spec: HamiltonianSpec, basis: Basis) -> Hamiltonian:
 
     diag = spec.detuning * basis.popcounts
     if spec.c6 > 0.0 and m > 1:
-        dist = spec.positions.pairwise_distances()
-        for i in range(m - 1):
-            excited = (states >> i) & 1
-            for j in range(i + 1, m):
-                diag += (spec.c6 / (HBAR * dist[i, j] ** 6)) * (excited & (states >> j))
+        diag += _pair_shifts(spec, states)
 
     # one flip per atom: couple each state to the basis state with bit i set
     rows, cols = [], []
@@ -351,52 +371,95 @@ def ground_state(basis: Basis) -> QuantumState:
 class PropagationPlan:
     """How evolve() propagates one Hamiltonian over one time grid.
 
-    ``substeps[k]`` counts the Taylor substeps of the interval ending at
-    grid time k (0 for a grid starting at t = 0); ``shift`` is the mean
-    diagonal, taken out of H before Taylor stepping and put back as a phase.
+    The spectrum of H lies in [center - half_width, center + half_width]
+    (Gershgorin's discs); ``terms`` is the number N of Chebyshev terms that
+    serve every grid time.
     """
 
     route: str
-    shift: float
-    substeps: np.ndarray
+    center: float
+    half_width: float
+    terms: int
+
+
+def _chebyshev_terms(x: float) -> int:
+    """The first order n > x at which |J_n(x)| falls below CHEBYSHEV_TOL.
+
+    Past n = x the Bessel functions fall monotonically and faster than
+    geometrically, so every neglected term is smaller still. The search
+    walks windows about as wide as the x**(1/3) transition region. From
+    _MAX_TERMS on, no coefficient table fits the memory limit, so that
+    lower bound is returned unsearched.
+    """
+    if not x < _MAX_TERMS:  # NaN and inf too
+        return _MAX_TERMS
+    width = 16 + int(12.0 * np.cbrt(x))
+    low = int(x) + 1
+    while True:
+        orders = np.arange(low, low + width)
+        small = np.flatnonzero(np.abs(scipy.special.jv(orders, x)) < CHEBYSHEV_TOL)
+        if small.size:
+            return int(orders[small[0]])
+        low += width
 
 
 def plan_propagation(hamiltonian: Hamiltonian, time_grid) -> PropagationPlan:
-    """Choose dense diagonalisation or Taylor stepping by their cost.
+    """Choose dense diagonalisation or one Chebyshev expansion by their cost.
 
-    Dense ``eigh`` costs about dim**3; Taylor stepping at most
-    TAYLOR_DEGREE sparse products of nnz each per substep. Dense is taken
-    whenever it is the cheaper. Only evolve()'s memory check bounds it, and
-    a stiff basis too large for it is refused, not stepped for hours: the
-    restricted basis, which drops the stiff states, is the route there.
+    The expansion's coefficients are J_n(half_width * t); its N terms stop
+    at the first n > half_width * t_max with |J_n(half_width * t_max)| <
+    2**-53, which bounds every grid time. It costs N sparse products of nnz
+    each plus T x N x D sums into the trajectory; dense ``eigh`` about
+    dim**3, and it is taken whenever it is the cheaper. Only evolve()'s
+    memory check bounds either route: a stiff basis too large for dense is
+    refused, not expanded to millions of terms (the restricted basis drops
+    the stiff states).
     """
     t = validate_time_grid(time_grid)
     matrix = hamiltonian.matrix
     diag = matrix.diagonal()
-    shift = float(diag.mean())
-    # ||H - shift I||_1: column sums of |H| with the diagonal shifted
-    colsums = np.asarray(abs(matrix).sum(axis=0)).ravel()
-    norm = float((colsums - np.abs(diag) + np.abs(diag - shift)).max())
-    dts = np.diff(t, prepend=0.0)
-    substeps = np.where(dts > 0.0, np.maximum(1.0, np.ceil(dts * norm / TAYLOR_THETA)), 0.0)
-    taylor_cost = float(substeps.sum()) * TAYLOR_DEGREE * matrix.nnz
-    dense = taylor_cost >= float(hamiltonian.dim) ** 3
-    return PropagationPlan("dense" if dense else "taylor", shift, substeps.astype(np.int64))
+    radii = np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(diag)
+    low, high = float((diag - radii).min()), float((diag + radii).max())
+    center, half_width = (high + low) / 2.0, (high - low) / 2.0
+    terms = _chebyshev_terms(half_width * t[-1])
+    dim = float(hamiltonian.dim)
+    cost = terms * (float(matrix.nnz) + t.size * dim)
+    route = "dense" if cost >= dim**3 else "chebyshev"
+    return PropagationPlan(route, center, half_width, terms)
 
 
-def _taylor_step(generator, psi: np.ndarray, dt: float) -> np.ndarray:
-    """exp(dt * generator) @ psi, the series cut where scipy's expm_multiply cuts it."""
-    term, total = psi, psi.copy()
-    c1 = np.abs(term).max()
-    for j in range(1, TAYLOR_DEGREE + 1):
-        term = generator @ term
-        term *= dt / j
-        total += term
-        c2 = np.abs(term).max()
-        if c1 + c2 <= TAYLOR_TOL * np.abs(total).max():
-            break
-        c1 = c2
-    return total
+def _chebyshev_coefficients(plan: PropagationPlan, t: np.ndarray) -> np.ndarray:
+    """(T, N) table of exp(-i b t) (2 - delta_n0) (-i)**n J_n(a t).
+
+    These are the cosine coefficients of exp(-i a t cos(theta)), read off
+    the FFT of its 2N samples; the aliased orders 2N - n are past N and so
+    below the cut. Rows are transformed a block at a time.
+    """
+    n = plan.terms
+    cosines = np.cos(np.pi * np.arange(2 * n) / n)
+    coef = np.empty((t.size, n), dtype=np.complex128)
+    for k in range(0, t.size, _COEFFICIENT_ROWS):
+        rows = slice(k, k + _COEFFICIENT_ROWS)
+        samples = np.exp(np.outer(-1j * plan.half_width * t[rows], cosines))
+        coef[rows] = np.fft.fft(samples, axis=1)[:, :n]
+    coef[:, 0] /= 2.0
+    coef *= (np.exp(-1j * plan.center * t) / n)[:, None]
+    return coef
+
+
+def _chebyshev_vectors(matrix, plan: PropagationPlan, psi: np.ndarray):
+    """Yield T_n((H - center) / half_width) psi for n = 0, 1, ...; the
+    vector of order n costs the n-th sparse product."""
+    b, a = plan.center, plan.half_width
+    yield psi
+    previous, current = psi, (matrix @ psi - b * psi) / a
+    while True:
+        yield current
+        following = matrix @ current
+        following -= b * current
+        following *= 2.0 / a
+        following -= previous
+        previous, current = current, following
 
 
 def evolve(
@@ -407,11 +470,18 @@ def evolve(
     """Propagate ``initial`` under exp(-i H t) to every grid time.
 
     plan_propagation() picks the route. On the dense route a single
-    eigendecomposition evaluates all times at once; on the Taylor route
-    the state is stepped interval by interval with a truncated Taylor
-    series of the shifted sparse generator. Both are exact to rounding:
-    refining the grid does not change the values at common times (beyond
-    1e-8), and the norm drifts by less than 1e-9 over a collective period.
+    eigendecomposition evaluates all times at once. On the Chebyshev route
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)),
+
+        exp(-i H t) psi = exp(-i b t) sum_n (2 - delta_n0) (-i)**n
+                          J_n(a t) T_n((H - b) / a) psi,
+
+    with [b - a, b + a] the Gershgorin bounds of the spectrum. The vectors
+    T_n(.) psi do not depend on t, so one three-term recurrence serves every
+    grid time; blocks of them are summed into the trajectory in place. Both
+    routes are exact to rounding: refining the grid does not change the
+    values at common times (beyond 1e-8), and the norm drifts by less than
+    1e-9 over a collective period.
 
     Returns one QuantumState whose amplitudes have shape
     (len(time_grid), n_states), row k being the state at time_grid[k];
@@ -419,7 +489,9 @@ def evolve(
     single state normalized to 1e-9.
 
     SizeCapError refuses, before propagating, a run whose result, Hamiltonian
-    and working set exceed the memory limit (dense: ~5,600 states at 200 times).
+    and working set (dense: the eigenvectors; Chebyshev: the T x N
+    coefficient table) exceed the memory limit (dense: ~5,600 states at
+    200 times).
     """
     t = validate_time_grid(time_grid)
     if initial.basis != hamiltonian.basis:
@@ -432,24 +504,35 @@ def evolve(
     plan = plan_propagation(hamiltonian, t)
     dim, nnz, n_t = float(hamiltonian.dim), float(hamiltonian.matrix.nnz), t.size
     dense = plan.route == "dense"  # eigh's arrays peaked at 24 B per element
-    working = 32.0 * dim * (dim + n_t) if dense else 20.0 * nnz + 128.0 * dim
+    if dense:
+        working = 32.0 * dim * (dim + n_t)
+    else:  # the table, its FFT rows, the gather buffer and four vectors
+        working = 16.0 * plan.terms * (n_t + 4 * _COEFFICIENT_ROWS) + 16.0 * (_BLOCK + 4) * dim
     require_memory(16.0 * n_t * dim + 12.0 * nnz + working, f"{n_t} times of {dim:.0f} states")
     if dense:
         w, u = scipy.linalg.eigh(hamiltonian.matrix.toarray())
         c0 = u.conj().T @ initial.amplitudes
         phases = np.exp(-1j * np.outer(t, w))
-        amps = (phases * c0) @ u.T
-    else:
-        # -i (H - shift I), complex once: scipy would convert a real matrix
-        # to complex inside every product
-        identity = scipy.sparse.identity(hamiltonian.dim, format="csr")
-        generator = (hamiltonian.matrix - plan.shift * identity) * -1j
-        amps = np.empty((t.size, hamiltonian.dim), dtype=np.complex128)
-        psi = initial.amplitudes
-        for k, (dt, steps) in enumerate(zip(np.diff(t, prepend=0.0), plan.substeps)):
-            for _ in range(steps):
-                psi = _taylor_step(generator, psi, dt / steps)
-            amps[k] = psi * np.exp(-1j * plan.shift * t[k])
+        return QuantumState((phases * c0) @ u.T, hamiltonian.basis)
+
+    coef = _chebyshev_coefficients(plan, t)
+    psi = initial.amplitudes
+    # real and, if any, imaginary parts as real columns: real sparse
+    # products cost a third of complex ones and need no complex copy of H
+    columns = [psi.real, psi.imag] if psi.imag.any() else [psi.real]
+    vectors = _chebyshev_vectors(hamiltonian.matrix, plan, np.stack(columns, axis=1))
+    amps = np.zeros((n_t, hamiltonian.dim), dtype=np.complex128)
+    gathered = np.zeros((_BLOCK, hamiltonian.dim), dtype=np.complex128)
+    slots = gathered.view(np.float64).reshape(_BLOCK, -1, 2)[:, :, :len(columns)]
+    for start in range(0, plan.terms, _BLOCK):
+        block = min(_BLOCK, plan.terms - start)
+        for slot in slots[:block]:
+            slot[...] = next(vectors)
+        # amps += coef[:, block] @ gathered[:block], summed in place
+        scipy.linalg.blas.zgemm(
+            1.0, gathered[:block].T, coef[:, start:start + block].T,
+            beta=1.0, c=amps.T, overwrite_c=1,
+        )
     return QuantumState(amps, hamiltonian.basis)
 
 

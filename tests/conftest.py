@@ -33,19 +33,19 @@ def traced_peak(call):
 
 
 @pytest.fixture
-def force_taylor(monkeypatch):
-    """``with force_taylor():`` makes evolve() and the exact CLI summary plan
-    Taylor stepping, whatever route the cost rule picks."""
+def force_chebyshev(monkeypatch):
+    """``with force_chebyshev():`` makes evolve() and the exact CLI summary
+    plan the Chebyshev expansion, whatever route the cost rule picks."""
     plan = blockadesim.exact.plan_propagation
 
-    def taylor(hamiltonian, time_grid):
-        return dataclasses.replace(plan(hamiltonian, time_grid), route="taylor")
+    def chebyshev(hamiltonian, time_grid):
+        return dataclasses.replace(plan(hamiltonian, time_grid), route="chebyshev")
 
     @contextlib.contextmanager
     def forced():
         with monkeypatch.context() as patch:
-            patch.setattr(blockadesim.exact, "plan_propagation", taylor)
-            patch.setattr(blockadesim.cli, "plan_propagation", taylor)
+            patch.setattr(blockadesim.exact, "plan_propagation", chebyshev)
+            patch.setattr(blockadesim.cli, "plan_propagation", chebyshev)
             yield
 
     return forced

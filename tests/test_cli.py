@@ -220,19 +220,20 @@ def test_exact_rerun_from_manifest_identical(tmp_path):
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
 
 
-def test_exact_summary_names_propagator_only_on_stdout(tmp_path, capsys, force_taylor):
+def test_exact_summary_names_propagator_only_on_stdout(tmp_path, capsys, force_chebyshev):
     cfg = write_config(tmp_path, EXACT_CONFIG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["exact", "--config", cfg, "--out", str(out1)]) == 0
-    assert "dense propagator (" in capsys.readouterr().out
-    with force_taylor():
+    assert ", dense propagator -> " in capsys.readouterr().out
+    with force_chebyshev():
         assert main(["exact", "--config", cfg, "--out", str(out2)]) == 0
     summary = capsys.readouterr().out
-    assert "taylor propagator (" in summary and " Taylor substeps)" in summary
+    assert re.search(r", chebyshev propagator \([1-9][0-9]* terms\) -> ", summary)
     for out in (out1, out2):
         for name in ("trajectory.csv", "manifest.txt"):
             text = (out / name).read_text().lower()
-            assert "propagator" not in text and "taylor" not in text and "dense" not in text
+            for word in ("propagator", "chebyshev", "dense", "terms"):
+                assert word not in text
 
 
 def test_exact_positions_file_and_digest(tmp_path):
@@ -330,12 +331,12 @@ def test_huge_time_grid_exits_4_before_allocating(tmp_path, capsys, command, tex
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 4
     assert "time grid of 1e+12 points" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_exact_stiff_polygon_too_large_for_dense_exits_4(tmp_path, capsys):
     # 13 atoms at 1e3 hbar omega0 pair shifts: 8192 states that dense
-    # eigh cannot hold and Taylor stepping would take hours
+    # eigh cannot hold and the Chebyshev expansion would need 3.7e7 terms
     m, omega = 13, 2 * math.pi * 1e6
     diameter = (convert_c6_atomic_units(1.7e19) / (1e3 * HBAR * omega)) ** (1.0 / 6.0)
     angles = 2 * math.pi * np.arange(m) / m
@@ -571,7 +572,7 @@ def test_non_utf8_input_file_exits_2_naming_it(tmp_path, capsys, command):
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"error: {bad}: not UTF-8 text" in err
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_out_naming_an_existing_file_exits_2(tmp_path, capsys):
@@ -594,7 +595,7 @@ def test_non_finite_stop_time_exits_2_naming_the_key(tmp_path, capsys, command, 
         warnings.simplefilter("error")
         assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
     assert "time.stop_s must be set, positive and finite" in capsys.readouterr().err
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.special
 
 import blockadesim.core
 from blockadesim.constants import HBAR
@@ -22,6 +23,7 @@ from blockadesim.errors import (
 )
 from blockadesim.exact import (
     AtomPositions,
+    Hamiltonian,
     HamiltonianSpec,
     QuantumState,
     build_hamiltonian,
@@ -369,7 +371,12 @@ def test_vectorised_hamiltonian_equals_loop_oracle(rng, kind):
     new, old = build_hamiltonian(spec, basis).matrix, loop_hamiltonian(spec, basis)
     assert np.array_equal(new.indptr, old.indptr)
     assert np.array_equal(new.indices, old.indices)
-    assert np.array_equal(new.data, old.data)
+    # the flips exactly; the pair sums, added in another order, to rounding
+    rows = np.repeat(np.arange(basis.n_states), np.diff(new.indptr))
+    flips = new.indices != rows
+    assert np.array_equal(new.data[flips], old.data[flips])
+    loop_diag = old.diagonal()
+    assert np.abs(new.diagonal() - loop_diag).max() <= 81 * np.finfo(float).eps * np.abs(loop_diag).max()
     # the pair sum as the occupancy einsum wrote it, rounded differently
     occ = ((basis.states[:, None] >> np.arange(9)) & 1).astype(float)
     dist = positions.pairwise_distances()
@@ -417,14 +424,14 @@ def test_two_blockaded_atoms_oscillate_at_sqrt2(rng):
     assert n_r.max() <= 1.02
 
 
-def evolve_by(route, force_taylor, h, psi0, t):
+def evolve_by(route, force_chebyshev, h, psi0, t):
     """evolve() on the named route; fails if the other route ran.
 
-    The force_taylor fixture forces Taylor stepping. Dense cannot be forced
-    (the cost rule has no knob), so dense callers pass inputs the rule
-    sends to dense and the eigh spy proves it did.
+    The force_chebyshev fixture forces the Chebyshev expansion. Dense cannot
+    be forced (the cost rule has no knob), so dense callers pass inputs the
+    rule sends to dense and the eigh spy proves it did.
     """
-    forced = force_taylor() if route == "taylor" else contextlib.nullcontext()
+    forced = force_chebyshev() if route == "chebyshev" else contextlib.nullcontext()
     with forced, mock.patch.object(scipy.linalg, "eigh", wraps=scipy.linalg.eigh) as eigh:
         trajectory = evolve(h, psi0, t)
     assert eigh.call_count == (1 if route == "dense" else 0)
@@ -435,81 +442,129 @@ def max_amplitude_gap(a, b):
     return np.abs(a.amplitudes - b.amplitudes).max()
 
 
-def test_sparse_and_dense_routes_agree(rng, force_taylor):
+def routes_gap(force_chebyshev, h, psi0, t):
+    return max_amplitude_gap(
+        evolve_by("dense", force_chebyshev, h, psi0, t),
+        evolve_by("chebyshev", force_chebyshev, h, psi0, t),
+    )
+
+
+def test_sparse_and_dense_routes_agree(rng, force_chebyshev):
     positions = cluster(rng, 6, 1.5e-6)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(6))
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 40)
-    psi0 = ground_state(h.basis)
-    dense = evolve_by("dense", force_taylor, h, psi0, t)
-    taylor = evolve_by("taylor", force_taylor, h, psi0, t)
-    assert max_amplitude_gap(dense, taylor) < 1e-8
+    assert routes_gap(force_chebyshev, h, ground_state(h.basis), t) < 1e-8
 
 
-def test_grid_refinement_leaves_values_unchanged(rng, force_taylor):
+def test_grid_refinement_leaves_values_unchanged(rng, force_chebyshev):
     positions = cluster(rng, 4, 1.5e-6)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(4))
     coarse = np.linspace(0.0, 2 * np.pi / OMEGA, 33)
     fine = np.linspace(0.0, 2 * np.pi / OMEGA, 65)  # midpoints inserted
     psi0 = ground_state(h.basis)
-    for route in ("dense", "taylor"):
-        on_coarse = rydberg_number(evolve_by(route, force_taylor, h, psi0, coarse))
-        on_fine = rydberg_number(evolve_by(route, force_taylor, h, psi0, fine))
+    for route in ("dense", "chebyshev"):
+        on_coarse = rydberg_number(evolve_by(route, force_chebyshev, h, psi0, coarse))
+        on_fine = rydberg_number(evolve_by(route, force_chebyshev, h, psi0, fine))
         assert np.abs(on_coarse - on_fine[::2]).max() < 1e-8
 
 
-def test_norm_conserved_along_trajectory(rng, force_taylor):
+def test_norm_conserved_along_trajectory(rng, force_chebyshev):
     positions = cluster(rng, 5, 1.5e-6)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 200)
-    for route in ("dense", "taylor"):
-        trajectory = evolve_by(route, force_taylor, h, ground_state(h.basis), t)
+    for route in ("dense", "chebyshev"):
+        trajectory = evolve_by(route, force_chebyshev, h, ground_state(h.basis), t)
         drift = np.abs(trajectory.norm() - 1.0).max()
         assert drift < 1e-9
 
 
-def test_taylor_splits_one_long_step_into_substeps(rng, force_taylor):
+def test_chebyshev_matches_dense_over_one_long_interval(rng, force_chebyshev):
     positions = cluster(rng, 5, 1.5e-6)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
-    t = np.array([2 * np.pi / OMEGA])  # a single interval from t = 0
-    assert plan_propagation(h, t).substeps[0] > 10
-    psi0 = ground_state(h.basis)
-    gap = max_amplitude_gap(
-        evolve_by("dense", force_taylor, h, psi0, t),
-        evolve_by("taylor", force_taylor, h, psi0, t),
-    )
-    assert gap < 1e-8
+    t = np.array([2 * np.pi / OMEGA])  # a single time, far from t = 0
+    assert plan_propagation(h, t).terms > 20
+    assert routes_gap(force_chebyshev, h, ground_state(h.basis), t) < 1e-8
 
 
-def test_taylor_matches_dense_on_log_grid(rng, force_taylor):
+def test_chebyshev_matches_dense_on_log_grid(rng, force_chebyshev):
     # the grid that time.spacing = log builds: 0, then geometric times
     positions = cluster(rng, 5, 1.5e-6)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
     t = np.concatenate([[0.0], np.geomspace(1e-10, 2 * np.pi / OMEGA, 59)])
-    steps = plan_propagation(h, t).substeps
-    assert steps[0] == 0 and steps[1] == 1 and steps[-1] > steps[-2] > 1
-    psi0 = ground_state(h.basis)
-    gap = max_amplitude_gap(
-        evolve_by("dense", force_taylor, h, psi0, t),
-        evolve_by("taylor", force_taylor, h, psi0, t),
-    )
-    assert gap < 1e-8
+    # the last time alone sets the number of terms
+    assert plan_propagation(h, t).terms == plan_propagation(h, t[-1:]).terms
+    assert routes_gap(force_chebyshev, h, ground_state(h.basis), t) < 1e-8
 
 
-def test_taylor_matches_dense_with_detuning(rng, force_taylor):
-    # a detuning of 30 omega0 moves the mean diagonal the Taylor route removes
+def test_chebyshev_matches_dense_with_detuning(rng, force_chebyshev):
+    # a detuning of 30 omega0 moves the spectrum's centre, which the
+    # expansion takes out of H and puts back as the phase exp(-i b t)
     positions = cluster(rng, 5, 3e-6)
     spec = HamiltonianSpec(positions, OMEGA, C6, detuning=30 * OMEGA)
     h = build_hamiltonian(spec, full_basis(5))
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 50)
     plan = plan_propagation(h, t)
-    assert plan.shift == pytest.approx(h.matrix.diagonal().mean())
-    assert plan.shift > 2.5 * 30 * OMEGA  # half the atoms excited on average
-    psi0 = ground_state(h.basis)
-    gap = max_amplitude_gap(
-        evolve_by("dense", force_taylor, h, psi0, t),
-        evolve_by("taylor", force_taylor, h, psi0, t),
-    )
-    assert gap < 1e-8
+    spectrum = np.linalg.eigvalsh(h.matrix.toarray())
+    assert plan.center - plan.half_width <= spectrum[0]
+    assert spectrum[-1] <= plan.center + plan.half_width
+    assert plan.center > 2.5 * 30 * OMEGA  # half the atoms excited on average
+    assert routes_gap(force_chebyshev, h, ground_state(h.basis), t) < 1e-8
+
+
+def test_chebyshev_matches_dense_on_a_grid_starting_late(rng, force_chebyshev):
+    positions = cluster(rng, 5, 1.5e-6)
+    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
+    t = np.linspace(0.7, 1.5, 30) * 2 * np.pi / OMEGA
+    assert routes_gap(force_chebyshev, h, ground_state(h.basis), t) < 1e-8
+
+
+def test_chebyshev_matches_dense_from_a_complex_initial_state(rng, force_chebyshev):
+    # the recurrence then carries real and imaginary parts as two columns
+    positions = cluster(rng, 5, 1.5e-6)
+    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
+    amps = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    psi0 = QuantumState(amps / np.linalg.norm(amps), h.basis)
+    t = np.linspace(0.0, 2 * np.pi / OMEGA, 40)
+    assert routes_gap(force_chebyshev, h, psi0, t) < 1e-8
+
+
+class CountingMatrix(scipy.sparse.csr_matrix):
+    """A CSR matrix that counts its products with vectors."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingMatrix.products += 1
+        return super().__matmul__(other)
+
+
+def test_chebyshev_evolve_makes_one_sparse_product_per_term(rng, monkeypatch):
+    positions = cluster(rng, 8, 5e-6)
+    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(8))
+    counted = Hamiltonian(h.basis, CountingMatrix(h.matrix))
+    t = np.linspace(0.0, 2 * np.pi / OMEGA, 50)
+    plan = plan_propagation(counted, t)
+    assert plan.route == "chebyshev" and plan.terms > 20
+    monkeypatch.setattr(CountingMatrix, "products", 0)
+    evolve(counted, ground_state(h.basis), t)
+    assert CountingMatrix.products == plan.terms - 1
+
+
+def test_chebyshev_terms_grow_as_the_bessel_cut(rng):
+    # 14 atoms from the reference cloud at 210 kHz for 5 us, as perfbench's
+    # exact-full-14: terms n with a t_max < n <= a t_max + C (a t_max)**(1/3),
+    # where C = 12 bounds the measured 10.1-11.6 for a t_max from 5 to 1e6
+    omega = 2 * np.pi * 210e3
+    positions = cluster(rng, 14, 22.6e-6)
+    h = build_hamiltonian(HamiltonianSpec(positions, omega, C6), full_basis(14))
+    t = np.linspace(0.0, 5e-6, 50)
+    plan = plan_propagation(h, t)
+    x = plan.half_width * t[-1]
+    assert plan.route == "chebyshev" and x > 20
+    assert x < plan.terms <= x + 12 * np.cbrt(x)
+    # the series stops at the first order past a t_max below unit roundoff
+    j = np.abs(scipy.special.jv([plan.terms - 1, plan.terms], x))
+    assert j[1] < 2.0**-53 <= j[0]
 
 
 def stiff_polygon(m):
@@ -522,26 +577,26 @@ def stiff_polygon(m):
     return h, np.linspace(0.0, 1.2 * np.pi / (math.sqrt(m) * OMEGA), 241)
 
 
-def test_strongly_blockaded_polygon_takes_dense_route_quickly(force_taylor):
+def test_strongly_blockaded_polygon_takes_dense_route_quickly(force_chebyshev):
     # acceptance 02's largest case: diagonal entries up to 2.6e6 hbar omega0
-    # would need 2.7e5 Taylor substeps, so the cost rule must pick dense
+    # would need 1.8e6 Chebyshev terms, so the cost rule must pick dense
     h, t = stiff_polygon(8)
     plan = plan_propagation(h, t)
-    assert plan.route == "dense" and plan.substeps.sum() > 1e5
+    assert plan.route == "dense" and plan.terms > 1e6
     start = time.perf_counter()
-    trajectory = evolve_by("dense", force_taylor, h, ground_state(h.basis), t)
+    trajectory = evolve_by("dense", force_chebyshev, h, ground_state(h.basis), t)
     assert time.perf_counter() - start < 1.0
     assert w_state_fidelity(trajectory)[200] > 0.99
 
 
-def test_stiff_polygon_beyond_1024_states_takes_dense_route(force_taylor):
-    # 2048 states: Taylor stepping would take about 25 minutes, so the plan
-    # is checked before evolving
+def test_stiff_polygon_beyond_1024_states_takes_dense_route(force_chebyshev):
+    # 2048 states: the expansion would need 1.3e7 terms, so the plan is
+    # checked before evolving
     m = 11
     h, t = stiff_polygon(m)
     assert plan_propagation(h, t).route == "dense"
     start = time.perf_counter()
-    trajectory = evolve_by("dense", force_taylor, h, ground_state(h.basis), t)
+    trajectory = evolve_by("dense", force_chebyshev, h, ground_state(h.basis), t)
     assert time.perf_counter() - start < 5.0
     assert w_state_fidelity(trajectory)[200] > 0.99  # t[200] is the pi time
     ideal = np.sin(math.sqrt(m) * OMEGA * t / 2) ** 2
@@ -550,7 +605,7 @@ def test_stiff_polygon_beyond_1024_states_takes_dense_route(force_taylor):
 
 def test_stiff_polygon_too_large_for_dense_is_refused_before_allocating():
     # 8192 states: dense is cheaper but does not fit, and there is no
-    # Taylor fallback
+    # Chebyshev fallback
     h, t = stiff_polygon(13)
     assert plan_propagation(h, t).route == "dense"
     psi0 = ground_state(h.basis)
@@ -562,14 +617,40 @@ def test_stiff_polygon_too_large_for_dense_is_refused_before_allocating():
     assert traced_peak(refused) < 2 * 2**20
 
 
+def test_forced_chebyshev_on_the_stiff_polygon_is_refused_before_allocating(force_chebyshev):
+    # 3.7e7 terms: the T x N coefficient table alone would take 143 GB
+    h, t = stiff_polygon(13)
+    assert plan_propagation(h, t).terms * t.size * 16 > 2**37
+    psi0 = ground_state(h.basis)
+
+    def refused():
+        with force_chebyshev(), pytest.raises(SizeCapError, match="memory cap"):
+            evolve(h, psi0, t)
+
+    assert traced_peak(refused) < 2 * 2**20
+
+
+def test_nanometre_pair_is_planned_without_a_bessel_search():
+    # a pair shift of 1.6e28 rad/s: a t_max = 8e21, far past any table the
+    # memory limit admits and past the orders float64 can tell apart
+    positions = AtomPositions(np.array([[0.0, 0.0, 0.0], [1e-9, 0.0, 0.0]]))
+    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(2))
+    t = np.linspace(0.0, 1e-6, 20)
+    start = time.perf_counter()
+    plan = plan_propagation(h, t)
+    assert time.perf_counter() - start < 1.0
+    assert plan.route == "dense" and plan.terms >= 2**30
+
+
 def test_benchmark_sizes_pick_the_expected_route(rng):
-    # dense only while dim**3 undercuts the Taylor products
+    # perfbench's exact-dense sizes: the expansion undercuts dim**3 even at
+    # 256 states
     t = np.linspace(0.0, 5e-6, 200)
     omega = 2 * np.pi * 210e3
-    for m, route in ((8, "dense"), (9, "taylor"), (10, "taylor")):
+    for m in (8, 9, 10):
         positions = cluster(rng, m, 5e-6)
         h = build_hamiltonian(HamiltonianSpec(positions, omega, C6), full_basis(m))
-        assert plan_propagation(h, t).route == route
+        assert plan_propagation(h, t).route == "chebyshev"
 
 
 def test_restricted_matches_full_when_strongly_blockaded(rng):
