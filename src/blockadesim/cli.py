@@ -7,9 +7,10 @@ Four workflows:
 * ``scaling``: (density, drive) sweep with saturation fits and exponents
 * ``fit``: saturation fit of an existing curve CSV
 
-Each run writes its CSVs plus a ``manifest.txt`` into the output
-directory (--out, else $BLOCKADESIM_OUT, else the working directory).
-The manifest records digests of every file and the fully resolved
+Each command only computes and returns a Run. Once it has returned,
+_finish creates the output directory (--out, else $BLOCKADESIM_OUT, else
+the working directory) and writes the CSVs plus a ``manifest.txt`` into
+it, so a run that exits 2 or 4 leaves no directory behind. The manifest records digests of every file and the fully resolved
 configuration; feeding it back through --config reruns the workflow and,
 for the deterministic paths, reproduces the CSVs byte for byte.
 
@@ -26,6 +27,7 @@ import math
 import os
 import sys
 from dataclasses import fields
+from typing import NamedTuple
 
 from . import __version__
 from .cloud import partition_superatoms, sample_positions
@@ -36,6 +38,7 @@ from .config import (
     parse_value,
     resolve_cloud,
     resolve_params,
+    resolve_sigma,
     resolve_time_grid,
 )
 from .core import angular_from_hz, blockade_radius_simple
@@ -108,15 +111,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_dir(args: argparse.Namespace) -> str:
-    """Create the output directory; called once the inputs are read and
-    validated, so a run refused for bad input leaves no directory behind."""
-    out = args.out or os.environ.get(OUT_ENV_VAR) or "."
+class Run(NamedTuple):
+    """What one command computed; _finish writes and reports it."""
+
+    config: list  # (dotted key, value) items for the manifest
+    inputs: list  # (name, path, sha256), digested when read
+    outputs: list  # (manifest name, file name, write(path))
+    stdout: list[str]
+    stderr: tuple[str, ...] = ()
+    code: int = 0  # or 3: a fit did not converge
+
+
+def _output_dir(out: str) -> None:
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output directory {out}: {exc.strerror or exc}") from exc
-    return out
+
+
+def _finish(command: str, out: str, run: Run) -> int:
+    """Create ``out`` once the command has computed, write and digest each
+    output, write the manifest and print the summary."""
+    _output_dir(out)
+    outputs = []
+    for name, filename, write in run.outputs:
+        path = os.path.join(out, filename)
+        write(path)
+        outputs.append((name, filename, sha256_file(path)))
+    write_manifest(
+        os.path.join(out, "manifest.txt"), command=command, version=__version__,
+        config_items=run.config, inputs=run.inputs, outputs=outputs,
+    )
+    for line in run.stdout:
+        print(line)
+    for line in run.stderr:
+        print(line, file=sys.stderr)
+    return run.code
 
 
 def _load_config_with_overrides(args: argparse.Namespace) -> RunConfig:
@@ -128,23 +158,7 @@ def _load_config_with_overrides(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _finish_manifest(out, command, cfg, inputs, written) -> None:
-    outputs = [
-        (name, filename, sha256_file(os.path.join(out, filename)))
-        for name, filename in written
-    ]
-    items = config_items(cfg) if cfg is not None else []
-    write_manifest(
-        os.path.join(out, "manifest.txt"),
-        command=command,
-        version=__version__,
-        config_items=items,
-        inputs=inputs,
-        outputs=outputs,
-    )
-
-
-def _cmd_exact(args: argparse.Namespace) -> int:
+def _cmd_exact(args: argparse.Namespace) -> Run:
     cfg = _load_config_with_overrides(args)
     params = resolve_params(cfg)
     grid = resolve_time_grid(cfg)
@@ -158,7 +172,6 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         cloud = resolve_cloud(cfg)
         _require_basis_memory(1.0, cfg.exact_n_atoms)  # the atom cap, before sampling
         positions = sample_positions(cloud, cfg.exact_n_atoms, cfg.seed)
-    out = _output_dir(args)
     if cfg.basis == "full":
         basis = full_basis(len(positions))
     else:
@@ -171,114 +184,95 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     )
     hamiltonian = build_hamiltonian(spec, basis)
     trajectory = evolve(hamiltonian, ground_state(basis), grid)
-    write_trajectory_csv(
-        os.path.join(out, "trajectory.csv"),
-        grid, rydberg_number(trajectory), w_state_fidelity(trajectory),
-    )
-    _finish_manifest(out, "exact", cfg, inputs, [("trajectory", "trajectory.csv")])
+    n_rydberg, fidelity = rydberg_number(trajectory), w_state_fidelity(trajectory)
     plan = plan_propagation(hamiltonian, grid)
     terms = f" ({plan.terms} terms)" if plan.route == "chebyshev" else ""
-    print(
-        f"exact: {len(positions)} atoms, {basis.n_states} basis states "
-        f"({basis.kind}), {grid.size} times, {plan.route} propagator{terms} "
-        f"-> {out}/trajectory.csv"
+    return Run(
+        config_items(cfg),
+        inputs,
+        [("trajectory", "trajectory.csv",
+          lambda path: write_trajectory_csv(path, grid, n_rydberg, fidelity))],
+        [f"exact: {len(positions)} atoms, {basis.n_states} basis states "
+         f"({basis.kind}), {grid.size} times, {plan.route} propagator{terms} "
+         f"-> {args.out}/trajectory.csv"],
     )
-    return 0
 
 
-def _cmd_cloud(args: argparse.Namespace) -> int:
+def _cmd_cloud(args: argparse.Namespace) -> Run:
     cfg = _load_config_with_overrides(args)
     params = resolve_params(cfg)
     cloud = resolve_cloud(cfg)
     grid = resolve_time_grid(cfg)
-    out = _output_dir(args)
     ensemble = partition_superatoms(
-        cloud,
-        params,
-        model=cfg.model,
-        n_min=cfg.n_min,
-        span_sigmas=cfg.span_sigmas,
+        cloud, params, model=cfg.model, n_min=cfg.n_min, span_sigmas=cfg.span_sigmas
     )
     curve = simulate_cloud(ensemble, params, grid)
-    write_ensemble_csv(os.path.join(out, "ensemble.csv"), ensemble)
-    write_curve_csv(os.path.join(out, "curve.csv"), curve)
-    _finish_manifest(
-        out, "cloud", cfg, [],
-        [("ensemble", "ensemble.csv"), ("curve", "curve.csv")],
+    return Run(
+        config_items(cfg),
+        [],
+        [("ensemble", "ensemble.csv", lambda path: write_ensemble_csv(path, ensemble)),
+         ("curve", "curve.csv", lambda path: write_curve_csv(path, curve))],
+        [f"cloud: {len(ensemble)} superatom entries covering "
+         f"{format_float(ensemble.total_atoms_covered)} of "
+         f"{format_float(cloud.n_atoms)} atoms ({cfg.model}) -> {args.out}/curve.csv"],
     )
-    print(
-        f"cloud: {len(ensemble)} superatom entries covering "
-        f"{format_float(ensemble.total_atoms_covered)} of "
-        f"{format_float(cloud.n_atoms)} atoms ({cfg.model}) -> {out}/curve.csv"
-    )
-    return 0
 
 
-def _cmd_scaling(args: argparse.Namespace) -> int:
+def _cmd_scaling(args: argparse.Namespace) -> Run:
     cfg = _load_config_with_overrides(args)
     if not cfg.sweep_densities_m3 or not cfg.sweep_omega0_hz:
         raise ConfigError("scaling needs sweep.densities_m3 and sweep.omega0_hz")
-    sigma = (cfg.sigma_x_m, cfg.sigma_y_m, cfg.sigma_z_m)
-    if any(s is None for s in sigma):
-        raise ConfigError("scaling needs cloud.sigma_x_m, sigma_y_m and sigma_z_m")
+    sigma = resolve_sigma(cfg, "scaling")
     if cfg.omega0_hz is None and cfg.omega1_hz is None:
         cfg.omega0_hz = cfg.sweep_omega0_hz[0]
     params = resolve_params(cfg)
     grid = resolve_time_grid(cfg)
     omega_grid = [angular_from_hz(f) for f in cfg.sweep_omega0_hz]
-    out = _output_dir(args)
     result = scaling_experiment(
-        sigma,
-        cfg.sweep_densities_m3,
-        omega_grid,
-        params,
-        grid,
-        model=cfg.model,
-        n_min=cfg.n_min,
-        span_sigmas=cfg.span_sigmas,
+        sigma, cfg.sweep_densities_m3, omega_grid, params, grid,
+        model=cfg.model, n_min=cfg.n_min, span_sigmas=cfg.span_sigmas,
     )
-    write_sweep_csv(os.path.join(out, "sweep.csv"), result.points)
-    write_exponents_csv(os.path.join(out, "exponents.csv"), result.exponents)
-    _finish_manifest(
-        out, "scaling", cfg, [],
-        [("sweep", "sweep.csv"), ("exponents", "exponents.csv")],
-    )
+    lines = []
     for name in ("a", "b", "c", "d"):
         e = result.exponents[name]
         if math.isnan(e.value):
-            print(f"warning: exponent {name} not identifiable (single-valued grid axis)")
+            lines.append(f"warning: exponent {name} not identifiable (single-valued grid axis)")
         else:
-            print(f"{name} = {e.value:+.4f} +/- {e.std_error:.4f} (n={e.n_points})")
-    if result.n_excluded:
-        print(
-            f"warning: {result.n_excluded} of {len(result.points)} fits did not "
-            "converge and were excluded",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+            lines.append(f"{name} = {e.value:+.4f} +/- {e.std_error:.4f} (n={e.n_points})")
+    warnings = (
+        f"warning: {result.n_excluded} of {len(result.points)} fits did not "
+        "converge and were excluded",
+    ) if result.n_excluded else ()
+    return Run(
+        config_items(cfg),
+        [],
+        [("sweep", "sweep.csv", lambda path: write_sweep_csv(path, result.points)),
+         ("exponents", "exponents.csv",
+          lambda path: write_exponents_csv(path, result.exponents))],
+        lines,
+        warnings,
+        3 if warnings else 0,
+    )
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace) -> Run:
     curve = read_curve_csv(args.curve)
-    out = _output_dir(args)
+    inputs = [("curve", args.curve, sha256_file(args.curve))]
     fit = fit_saturation(curve)
-    write_fit_csv(os.path.join(out, "fit.csv"), fit)
-    _finish_manifest(
-        out, "fit", None,
-        [("curve", args.curve, sha256_file(args.curve))],
-        [("fit", "fit.csv")],
+    warnings = () if fit.converged else (
+        "warning: fit did not converge; values are at the best rate found",
     )
-    print(f"n_sat = {format_float(fit.n_sat)} +/- {format_float(fit.n_sat_err)}")
-    print(f"R     = {format_float(fit.rate)} +/- {format_float(fit.rate_err)} 1/s")
-    print(
-        f"residual_rms = {format_float(fit.residual_rms)}, "
-        f"converged = {fit.converged} after {fit.n_iterations} bisection steps"
+    return Run(
+        [],
+        inputs,
+        [("fit", "fit.csv", lambda path: write_fit_csv(path, fit))],
+        [f"n_sat = {format_float(fit.n_sat)} +/- {format_float(fit.n_sat_err)}",
+         f"R     = {format_float(fit.rate)} +/- {format_float(fit.rate_err)} 1/s",
+         f"residual_rms = {format_float(fit.residual_rms)}, "
+         f"converged = {fit.converged} after {fit.n_iterations} bisection steps"],
+        warnings,
+        3 if warnings else 0,
     )
-    if not fit.converged:
-        print("warning: fit did not converge; values are at the best rate found", file=sys.stderr)
-        return 3
-    return 0
 
 
 _COMMANDS = {
@@ -291,8 +285,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    args.out = args.out or os.environ.get(OUT_ENV_VAR) or "."
     try:
-        return _COMMANDS[args.command](args)
+        return _finish(args.command, args.out, _COMMANDS[args.command](args))
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -192,10 +192,16 @@ def resolve_params(cfg: RunConfig) -> PhysicalParams:
     return PhysicalParams.from_hz(omega0_hz, c6, cfg.gamma_per_s, cfg.kappa)
 
 
-def resolve_cloud(cfg: RunConfig) -> CloudSpec:
+def resolve_sigma(cfg: RunConfig, command: str) -> tuple[float, float, float]:
+    """The cloud's three rms radii, which ``command`` needs all set."""
     sigma = (cfg.sigma_x_m, cfg.sigma_y_m, cfg.sigma_z_m)
     if any(s is None for s in sigma):
-        raise ConfigError("cloud needs cloud.sigma_x_m, sigma_y_m and sigma_z_m")
+        raise ConfigError(f"{command} needs cloud.sigma_x_m, sigma_y_m and sigma_z_m")
+    return sigma
+
+
+def resolve_cloud(cfg: RunConfig) -> CloudSpec:
+    sigma = resolve_sigma(cfg, "cloud")
     if (cfg.cloud_n_atoms is None) == (cfg.peak_density_m3 is None):
         raise ConfigError("give exactly one of cloud.n_atoms or cloud.peak_density_m3")
     if cfg.cloud_n_atoms is not None:

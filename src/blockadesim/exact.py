@@ -24,6 +24,7 @@ by one dense eigendecomposition; plan_propagation() picks the cheaper.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,8 @@ _DIAGONAL_ROWS = 1024
 # the Chebyshev series is cut where its Bessel coefficients fall below
 # unit roundoff; its vectors are summed into the trajectory _BLOCK at a
 # time, and its coefficients transformed _COEFFICIENT_ROWS times at a time
-CHEBYSHEV_TOL = 2.0**-53
+_UNIT_ROUNDOFF = 2.0**-53
+CHEBYSHEV_TOL = _UNIT_ROUNDOFF
 _MAX_TERMS = 2**30
 _BLOCK = 8
 _COEFFICIENT_ROWS = 16
@@ -261,6 +263,21 @@ class Hamiltonian:
     def dim(self) -> int:
         return self.basis.n_states
 
+    @functools.cached_property
+    def scales(self) -> tuple[float, float, float]:
+        """(low, high, coupling), computed once and held as three floats:
+        the spectrum lies in [low, high] (Gershgorin's discs), and coupling
+        is the smallest stored off-diagonal |H_ij| (inf if there is none)."""
+        magnitude = abs(self.matrix)
+        diag = self.matrix.diagonal()
+        radii = np.asarray(magnitude.sum(axis=1)).ravel() - np.abs(diag)
+        low, high = float((diag - radii).min()), float((diag + radii).max())
+        rows = np.repeat(
+            np.arange(self.dim, dtype=magnitude.indices.dtype), np.diff(magnitude.indptr)
+        )
+        np.copyto(magnitude.data, np.inf, where=magnitude.indices == rows)
+        return low, high, float(np.min(magnitude.data, initial=np.inf))
+
 
 def _pair_shifts(spec: HamiltonianSpec, states: np.ndarray) -> np.ndarray:
     """sum_{i<j} c6 / (hbar r_ij**6) n_i n_j of each state: half of
@@ -416,14 +433,11 @@ def plan_propagation(hamiltonian: Hamiltonian, time_grid) -> PropagationPlan:
     the stiff states).
     """
     t = validate_time_grid(time_grid)
-    matrix = hamiltonian.matrix
-    diag = matrix.diagonal()
-    radii = np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(diag)
-    low, high = float((diag - radii).min()), float((diag + radii).max())
+    low, high, _ = hamiltonian.scales
     center, half_width = (high + low) / 2.0, (high - low) / 2.0
     terms = _chebyshev_terms(half_width * t[-1])
     dim = float(hamiltonian.dim)
-    cost = terms * (float(matrix.nnz) + t.size * dim)
+    cost = terms * (float(hamiltonian.matrix.nnz) + t.size * dim)
     route = "dense" if cost >= dim**3 else "chebyshev"
     return PropagationPlan(route, center, half_width, terms)
 
@@ -492,6 +506,16 @@ def evolve(
     and working set (dense: the eigenvectors; Chebyshev: the T x N
     coefficient table) exceed the memory limit (dense: ~5,600 states at
     200 times).
+
+    InvalidParameterError refuses, also before propagating, a Hamiltonian
+    whose smallest coupling |H_ij| (i != j) is below u = 2**-53 times its
+    spectral width w = high - low. eigh returns the exact eigenpairs of
+    some H + E with ||E||_2 <= p(n) u ||H||_2 (LAPACK's backward error,
+    p(n) >= 1), and ||H||_2 >= w / 2, so E may reach u w / 2: the size of
+    such a coupling. The Chebyshev route, which scales H by w / 2, rounds
+    it away alike. Two atoms 1 nm apart give w = 1.6e28 rad/s, an eigh
+    error of about 1e12 rad/s and a coupling of pi * 1e6 rad/s at 1 MHz,
+    and eigh then returned no excitation at any time.
     """
     t = validate_time_grid(time_grid)
     if initial.basis != hamiltonian.basis:
@@ -500,6 +524,12 @@ def evolve(
         raise InvalidParameterError("initial state must be one state, not a trajectory")
     if not abs(initial.norm() - 1.0) <= 1e-9:
         raise InvalidParameterError("initial state must be normalized to 1e-9")
+    low, high, coupling = hamiltonian.scales
+    if coupling < _UNIT_ROUNDOFF * (high - low):
+        raise InvalidParameterError(
+            f"coupling {coupling:.3g} rad/s is below float64 rounding of the "
+            f"spectral width {high - low:.3g} rad/s"
+        )
 
     plan = plan_propagation(hamiltonian, t)
     dim, nnz, n_t = float(hamiltonian.dim), float(hamiltonian.matrix.nnz), t.size

@@ -305,8 +305,10 @@ def test_exact_atom_cap_exit_code(tmp_path, capsys):
     cfg = write_config(
         tmp_path, EXACT_CONFIG.replace("exact.n_atoms = 2", "exact.n_atoms = 20")
     )
-    assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    out = tmp_path / "o"
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == 4
     assert "cap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exact_atom_cap_is_checked_before_sampling(tmp_path, capsys, monkeypatch):
@@ -322,7 +324,7 @@ def test_exact_atom_cap_is_checked_before_sampling(tmp_path, capsys, monkeypatch
     assert traced_peak(run) < limit
     assert codes == [4]
     assert "1000000 atoms exceed" in capsys.readouterr().err
-    assert not (out / "trajectory.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, text", [("cloud", CLOUD_CONFIG), ("exact", EXACT_CONFIG)])
@@ -354,7 +356,7 @@ def test_exact_stiff_polygon_too_large_for_dense_exits_4(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["exact", "--config", cfg, "--out", str(out)]) == 4
     assert "241 times of 8192 states" in capsys.readouterr().err
-    assert not (out / "trajectory.csv").exists()
+    assert not out.exists()
 
 
 def test_exact_64_atoms_exit_code(tmp_path, capsys):
@@ -369,7 +371,7 @@ def test_exact_64_atoms_exit_code(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["exact", "--config", cfg, "--out", str(out)]) == 4
     assert "63" in capsys.readouterr().err
-    assert not (out / "trajectory.csv").exists()
+    assert not out.exists()
 
 
 def test_fit_round_trips_cloud_output(tmp_path, capsys):
@@ -425,8 +427,10 @@ def test_fit_nonconverged_exit_code(tmp_path, monkeypatch, capsys):
         return SaturationFit(1.0, 1.0, 0.1, 0.1, 0.0, False, 200)
 
     monkeypatch.setattr(blockadesim.cli, "fit_saturation", stubborn)
-    assert main(["fit", str(curve), "--out", str(tmp_path / "o")]) == 3
+    out = tmp_path / "o"
+    assert main(["fit", str(curve), "--out", str(out)]) == 3
     assert "converge" in capsys.readouterr().err
+    assert (out / "fit.csv").exists() and (out / "manifest.txt").exists()
 
 
 def test_fit_of_a_straight_line_exits_3_and_still_writes_fit_csv(tmp_path, capsys):
@@ -439,6 +443,7 @@ def test_fit_of_a_straight_line_exits_3_and_still_writes_fit_csv(tmp_path, capsy
     assert "warning: fit did not converge" in capsys.readouterr().err
     header, row = (out / "fit.csv").read_text().splitlines()
     assert dict(zip(header.split(","), row.split(",")))["converged"] == "false"
+    assert "manifest.output.fit.sha256 = " in (out / "manifest.txt").read_text()
 
 
 def test_scaling_small_grid(tmp_path, capsys):
@@ -508,8 +513,46 @@ def test_scaling_nonconverged_points_exit_code(tmp_path, monkeypatch, capsys):
         return SaturationFit(1.0, 1.0, 0.1, 0.1, 0.0, False, 200)
 
     monkeypatch.setattr(blockadesim.analysis, "fit_saturation", stubborn)
-    assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    out = tmp_path / "o"
+    assert main(["scaling", "--config", cfg, "--out", str(out)]) == 3
     assert "did not" in capsys.readouterr().err
+    for name in ("sweep.csv", "exponents.csv", "manifest.txt"):
+        assert (out / name).exists()
+
+
+def test_scaling_refused_at_its_densest_point_leaves_no_directory(tmp_path, capsys):
+    # the collective cell shrinks with density: 27,000 cells at 2e19 m^-3,
+    # more than the memory limit admits at 1e34 m^-3, the last grid point
+    cfg = write_config(tmp_path, SCALING_CONFIG.replace(
+        "partition.model = simple", "partition.model = collective"
+    ).replace("sweep.densities_m3 = 2e19, 8e19", "sweep.densities_m3 = 2e19, 1e34"))
+    out = tmp_path / "o"
+    assert main(["scaling", "--config", cfg, "--out", str(out)]) == 4
+    assert "partition cells" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [("cloud", CLOUD_CONFIG), ("scaling", SCALING_CONFIG)])
+def test_missing_sigma_exits_2_naming_the_command(tmp_path, capsys, command, config):
+    text = "\n".join(row for row in config.splitlines() if not row.startswith("cloud.sigma_y_m"))
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    assert f"{command} needs cloud.sigma_x_m, sigma_y_m and sigma_z_m" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exact_nanometre_pair_exits_2_and_leaves_no_directory(tmp_path, capsys):
+    # a pair shift of 1.6e28 rad/s: float64 cannot resolve the 1 MHz drive
+    positions = tmp_path / "atoms.txt"
+    positions.write_text("0 0 0\n1e-9 0 0\n")
+    cfg = write_config(
+        tmp_path,
+        EXACT_CONFIG.replace("exact.n_atoms = 2", f"exact.positions_path = {positions}"),
+    )
+    out = tmp_path / "o"
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == 2
+    assert "below float64 rounding of the spectral width" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["cloud", "exact", "scaling"])

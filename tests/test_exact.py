@@ -642,6 +642,46 @@ def test_nanometre_pair_is_planned_without_a_bessel_search():
     assert plan.route == "dense" and plan.terms >= 2**30
 
 
+def test_nanometre_pair_is_refused_before_propagating():
+    # eigh's backward error (about 1e12 rad/s) swamps the pi * 1e6 rad/s
+    # coupling, and the dense route returned n_ryd = 0 at every time
+    positions = AtomPositions(np.array([[0.0, 0.0, 0.0], [1e-9, 0.0, 0.0]]))
+    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(2))
+    psi0 = ground_state(h.basis)
+
+    def refused():
+        with pytest.raises(InvalidParameterError, match="below float64 rounding"):
+            evolve(h, psi0, np.linspace(0.0, 1e-6, 20))
+
+    assert traced_peak(refused) < 2**20
+
+
+@pytest.mark.parametrize("shift, resolved", [(2.0**51, True), (2.0**55, False)])
+def test_coupling_is_refused_below_rounding_of_the_spectral_width(shift, resolved):
+    # one atom, coupling 1 rad/s, excited level at ``shift``: the width is
+    # shift + 2, so the bound 2**-53 * width sits between the two cases
+    matrix = scipy.sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, shift]]))
+    h = Hamiltonian(full_basis(1), matrix)
+    assert h.scales == (-1.0, shift + 1.0, 1.0)
+    grid = np.linspace(0.0, 1.0, 3)
+    if resolved:
+        assert evolve(h, ground_state(h.basis), grid).amplitudes.shape == (3, 2)
+    else:
+        with pytest.raises(InvalidParameterError):
+            evolve(h, ground_state(h.basis), grid)
+
+
+def test_second_plan_reuses_the_hamiltonians_scales(rng):
+    # the Gershgorin bounds copy |H| once per Hamiltonian, not per plan
+    positions = cluster(rng, 14, 22.6e-6)
+    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(14))
+    t = np.linspace(0.0, 5e-6, 50)
+    first = traced_peak(lambda: plan_propagation(h, t))
+    assert first > 12 * h.matrix.nnz
+    assert traced_peak(lambda: plan_propagation(h, t)) < 2**16
+    assert all(type(value) is float for value in h.scales)
+
+
 def test_benchmark_sizes_pick_the_expected_route(rng):
     # perfbench's exact-dense sizes: the expansion undercuts dim**3 even at
     # 256 states
