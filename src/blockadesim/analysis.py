@@ -183,8 +183,6 @@ def _joint_exponents(
     fitted. Exact fits (as many points as columns) report zero errors.
     """
     m = len(points)
-    if m == 0:
-        return [ExponentEstimate(name, math.nan, math.nan, 0) for name in names]
     ln_n = np.log([p.n_peak for p in points])
     ln_o = np.log([p.omega0 for p in points])
     ln_y = np.log([value_of(p) for p in points])
@@ -237,8 +235,9 @@ def scaling_experiment(
     omega0_grid = [float(o) for o in omega0_grid]
     if not density_grid or not omega0_grid:
         raise InvalidParameterError("density and drive grids must be non-empty")
-    if any(n <= 0.0 for n in density_grid) or any(o <= 0.0 for o in omega0_grid):
-        raise InvalidParameterError("grid values must be positive")
+    for name, grid in (("density", density_grid), ("drive", omega0_grid)):
+        if not all(0.0 < v < math.inf for v in grid):  # NaN fails too
+            raise InvalidParameterError(f"{name} grid values must be positive and finite")
     time_grid = np.asarray(time_grid, dtype=float)
 
     points = []

@@ -118,8 +118,7 @@ class Run(NamedTuple):
     inputs: list  # (name, path, sha256), digested when read
     outputs: list  # (manifest name, file name, write(path))
     stdout: list[str]
-    stderr: tuple[str, ...] = ()
-    code: int = 0  # or 3: a fit did not converge
+    stderr: tuple[str, ...] = ()  # warnings: a fit did not converge, exit 3
 
 
 def _output_dir(out: str) -> None:
@@ -131,7 +130,7 @@ def _output_dir(out: str) -> None:
 
 def _finish(command: str, out: str, run: Run) -> int:
     """Create ``out`` once the command has computed, write and digest each
-    output, write the manifest and print the summary."""
+    output, write the manifest and print the summary; 3 if it warned."""
     _output_dir(out)
     outputs = []
     for name, filename, write in run.outputs:
@@ -146,7 +145,7 @@ def _finish(command: str, out: str, run: Run) -> int:
         print(line)
     for line in run.stderr:
         print(line, file=sys.stderr)
-    return run.code
+    return 3 if run.stderr else 0
 
 
 def _load_config_with_overrides(args: argparse.Namespace) -> RunConfig:
@@ -251,7 +250,6 @@ def _cmd_scaling(args: argparse.Namespace) -> Run:
           lambda path: write_exponents_csv(path, result.exponents))],
         lines,
         warnings,
-        3 if warnings else 0,
     )
 
 
@@ -271,7 +269,6 @@ def _cmd_fit(args: argparse.Namespace) -> Run:
          f"residual_rms = {format_float(fit.residual_rms)}, "
          f"converged = {fit.converged} after {fit.n_iterations} bisection steps"],
         warnings,
-        3 if warnings else 0,
     )
 
 
@@ -288,12 +285,9 @@ def main(argv=None) -> int:
     args.out = args.out or os.environ.get(OUT_ENV_VAR) or "."
     try:
         return _finish(args.command, args.out, _COMMANDS[args.command](args))
-    except SizeCapError as exc:
+    except BlockadeSimError as exc:  # 4: the memory limit, 2: bad input or configuration
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except BlockadeSimError as exc:  # bad input or configuration
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(exc, SizeCapError) else 2
 
 
 if __name__ == "__main__":

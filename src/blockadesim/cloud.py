@@ -59,11 +59,17 @@ class CloudSpec:
     sigma: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        if not (self.n_atoms > 0.0 and math.isfinite(self.n_atoms)):
-            raise InvalidParameterError("n_atoms must be positive and finite")
         sigma = tuple(float(s) for s in self.sigma)
         if len(sigma) != 3 or not all(s > 0.0 and math.isfinite(s) for s in sigma):
             raise InvalidParameterError("sigma must be three positive finite radii")
+        # refuses NaN, zero, negative or infinite n_atoms too; a volume
+        # that underflows to 0 would divide by zero
+        volume = _gaussian_volume(sigma)
+        if not (volume > 0.0 and 0.0 < self.n_atoms / volume < math.inf):
+            raise InvalidParameterError(
+                f"peak density n_atoms / ((2 pi)**1.5 sx sy sz) must be positive and finite,"
+                f" got n_atoms = {self.n_atoms!r}, sigma = {sigma!r} m"
+            )
         object.__setattr__(self, "sigma", sigma)
 
     @classmethod
@@ -75,17 +81,21 @@ class CloudSpec:
         cls, peak: float, sigma: tuple[float, float, float]
     ) -> "CloudSpec":
         """Fix the total atom number so the central density equals ``peak``."""
-        if peak <= 0.0:
-            raise InvalidParameterError("peak density must be positive")
+        if not 0.0 < peak < math.inf:  # NaN fails too
+            raise InvalidParameterError(f"peak density must be positive and finite, got {peak!r}")
         sx, sy, sz = sigma
         n_atoms = peak * (2.0 * math.pi) ** 1.5 * sx * sy * sz
         return cls(n_atoms, tuple(sigma))
 
 
+def _gaussian_volume(sigma: tuple[float, float, float]) -> float:
+    sx, sy, sz = sigma
+    return (2.0 * math.pi) ** 1.5 * sx * sy * sz
+
+
 def peak_density(spec: CloudSpec) -> float:
     """Central density n0 in m^-3."""
-    sx, sy, sz = spec.sigma
-    return spec.n_atoms / ((2.0 * math.pi) ** 1.5 * sx * sy * sz)
+    return spec.n_atoms / _gaussian_volume(spec.sigma)
 
 
 def density_at(spec: CloudSpec, point) -> float | np.ndarray:
@@ -103,6 +113,8 @@ def sample_positions(spec: CloudSpec, count: int, seed: int) -> AtomPositions:
     """Draw atom positions from the cloud's Gaussian profile, reproducibly."""
     if count < 1:
         raise InvalidParameterError("count must be at least 1")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     coords = rng.standard_normal((count, 3)) * np.array(spec.sigma)
     return AtomPositions(coords)
@@ -192,6 +204,11 @@ def partition_superatoms(
     else:
         r_peak, _ = blockade_radius_collective(params, n0)
     side = (4.0 * math.pi / 3.0) ** (1.0 / 3.0) * r_peak
+    if not 0.0 < side < math.inf:
+        raise InvalidParameterError(
+            f"cell side {side!r} m of the central blockade radius must be positive and"
+            f" finite (kappa = {params.kappa!r})"
+        )
 
     # Python floats: an overflowing span gives an inf count, not an error
     counts = [max(1.0, float(np.ceil(2.0 * span_sigmas * s / side))) for s in spec.sigma]
@@ -212,17 +229,13 @@ def partition_superatoms(
 
     if model == "simple":
         n_per = atoms_in_cell
-        weight = np.ones_like(n_per)
     else:
         local = density_at(spec, centers)
         n_per = np.zeros_like(local)
         occupied = local > 0.0
         _, n_per[occupied] = blockade_radius_collective(params, local[occupied])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            weight = atoms_in_cell / n_per
 
     keep = (atoms_in_cell > 0.0) & (n_per >= n_min) & (n_per > 0.0)
+    # a simple cell's weight is x / x, exactly 1
     n_per = n_per[keep]
-    weight = weight[keep]
-    centers = centers[keep]
-    return SuperatomEnsemble(n_per, weight, centers)
+    return SuperatomEnsemble(n_per, atoms_in_cell[keep] / n_per, centers[keep])

@@ -87,25 +87,33 @@ def _parse_int(text: str) -> int:
         return int(number)
 
 
+def _parse_floats(text: str) -> tuple[float, ...]:
+    values = tuple(float(p) for p in text.split(",") if p.strip())
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+# value kind: (parse the config text, print it back bit-exactly)
+_KINDS = {
+    "float": (float, lambda value: repr(float(value))),
+    "int": (_parse_int, lambda value: str(int(value))),
+    "floats": (_parse_floats, lambda values: ",".join(repr(float(v)) for v in values)),
+    "str": (str, str),
+}
+
+
 def parse_value(setting: Field, text: str):
     """Parse one value of a RunConfig field; errors name its dotted key."""
     key, kind = setting.metadata["key"], setting.metadata["kind"]
     try:
-        if kind == "float":
-            return float(text)
-        if kind == "int":
-            return _parse_int(text)
-        if kind == "floats":
-            parts = [p.strip() for p in text.split(",") if p.strip()]
-            if not parts:
-                raise ValueError("empty list")
-            return tuple(float(p) for p in parts)
+        value = _KINDS[kind][0](text)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
     choices = setting.metadata["choices"]
-    if choices and text not in choices:
+    if choices and value not in choices:
         raise ConfigError(f"bad value for {key}: expected one of {choices}, got {text!r}")
-    return text
+    return value
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -148,19 +156,9 @@ def config_items(cfg: RunConfig) -> list[tuple[str, str]]:
     """
     items = []
     for key, setting in _KEYS.items():
-        kind = setting.metadata["kind"]
         value = getattr(cfg, setting.name)
-        if value is None:
-            continue
-        if kind == "float":
-            text = repr(float(value))
-        elif kind == "int":
-            text = str(int(value))
-        elif kind == "floats":
-            text = ",".join(repr(float(v)) for v in value)
-        else:
-            text = str(value)
-        items.append((key, text))
+        if value is not None:
+            items.append((key, _KINDS[setting.metadata["kind"]][1](value)))
     return items
 
 

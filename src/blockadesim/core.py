@@ -152,6 +152,13 @@ class PhysicalParams:
             "gamma_dephase must be non-negative and finite",
         )
         _require(0.0 < self.kappa < math.inf, "kappa must be positive and finite")
+        # the blockade radii divide by hbar * omega0 and take roots of the ratio
+        hbar_omega = HBAR * self.omega0
+        _require(
+            hbar_omega > 0.0 and 0.0 < self.c6 / hbar_omega < math.inf,
+            f"c6 / (hbar omega0) must be positive and finite in float64, got "
+            f"c6 = {self.c6!r} J m^6, omega0 = {self.omega0!r} rad/s",
+        )
 
     @classmethod
     def from_hz(

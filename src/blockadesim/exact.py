@@ -94,16 +94,14 @@ class AtomPositions:
             )
         if not np.all(np.isfinite(coords)):
             raise GeometryError("positions must be finite")
-        m = coords.shape[0]
-        if m > 1:
-            # zero distance means identical rows, so a sort finds it in
-            # M log M instead of an M x M distance matrix
-            order = np.lexsort(coords.T)
-            same = np.all(coords[order[1:]] == coords[order[:-1]], axis=1)
-            if np.any(same):
-                k = int(np.flatnonzero(same)[0])
-                i, j = sorted((int(order[k]), int(order[k + 1])))
-                raise GeometryError(f"atoms {i} and {j} are coincident")
+        # zero distance means identical rows, so a sort finds it in
+        # M log M instead of an M x M distance matrix
+        order = np.lexsort(coords.T)
+        same = np.all(coords[order[1:]] == coords[order[:-1]], axis=1)
+        if np.any(same):
+            k = int(np.flatnonzero(same)[0])
+            i, j = sorted((int(order[k]), int(order[k + 1])))
+            raise GeometryError(f"atoms {i} and {j} are coincident")
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
@@ -148,18 +146,16 @@ class Basis:
     """An ordered set of bitmask states over ``n_atoms`` atoms.
 
     States are int64 bitmasks in ascending numeric order, so index 0 is
-    always the vacuum. Instances are immutable by convention; equality
-    compares kind, atom count, restriction radius and the state list.
+    always the vacuum; with no restriction radius the basis is full. Immutable
+    by convention; equality compares atoms, restriction radius and states.
     """
 
     def __init__(
         self,
-        kind: str,
         n_atoms: int,
         states: np.ndarray,
         restriction_radius: float | None = None,
     ):
-        self.kind = kind
         self.n_atoms = n_atoms
         self.states = np.asarray(states, dtype=np.int64)
         self.restriction_radius = restriction_radius
@@ -170,6 +166,10 @@ class Basis:
         self.singles = np.flatnonzero(self.popcounts == 1)
 
     @property
+    def kind(self) -> str:
+        return "full" if self.restriction_radius is None else "restricted"
+
+    @property
     def n_states(self) -> int:
         return self.states.shape[0]
 
@@ -177,8 +177,7 @@ class Basis:
         if not isinstance(other, Basis):
             return NotImplemented
         return (
-            self.kind == other.kind
-            and self.n_atoms == other.n_atoms
+            self.n_atoms == other.n_atoms
             and self.restriction_radius == other.restriction_radius
             and np.array_equal(self.states, other.states)
         )
@@ -202,7 +201,7 @@ def full_basis(n_atoms: int) -> Basis:
         raise InvalidParameterError("need at least one atom")
     _require_basis_memory(1.0, n_atoms)  # the atom cap, before 2.0**M overflows
     _require_basis_memory(2.0**n_atoms, n_atoms)
-    return Basis("full", n_atoms, np.arange(2**n_atoms, dtype=np.int64))
+    return Basis(n_atoms, np.arange(2**n_atoms, dtype=np.int64))
 
 
 def restricted_basis(positions: AtomPositions, radius: float) -> Basis:
@@ -226,7 +225,7 @@ def restricted_basis(positions: AtomPositions, radius: float) -> Basis:
         free = (states & partners) == 0
         _require_basis_memory(float(states.size + np.count_nonzero(free)), m)
         states = np.concatenate([states, states[free] | (1 << i)])
-    return Basis("restricted", m, states, radius)
+    return Basis(m, states, radius)
 
 
 @dataclass(frozen=True)
@@ -281,16 +280,23 @@ class Hamiltonian:
 
 def _pair_shifts(spec: HamiltonianSpec, states: np.ndarray) -> np.ndarray:
     """sum_{i<j} c6 / (hbar r_ij**6) n_i n_j of each state: half of
-    occ . shifts . occ, over (_DIAGONAL_ROWS, M) blocks of occupations."""
+    occ . shifts . occ, over (_DIAGONAL_ROWS, M) blocks of occupations.
+    InvalidParameterError if any state's shift overflows float64."""
     dist = spec.positions.pairwise_distances()
     np.fill_diagonal(dist, np.inf)
-    shifts = spec.c6 / (HBAR * dist**6)  # zero on the diagonal
     bits = np.arange(len(spec.positions))
     total = np.empty(states.shape)
-    for start in range(0, states.size, _DIAGONAL_ROWS):
-        block = slice(start, start + _DIAGONAL_ROWS)
-        occ = ((states[block, None] >> bits) & 1).astype(np.float64)
-        total[block] = 0.5 * np.einsum("si,si->s", occ @ shifts, occ)
+    # an overflowing shift or sum ends as inf or NaN, refused below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        shifts = spec.c6 / (HBAR * dist**6)  # zero on the diagonal
+        for start in range(0, states.size, _DIAGONAL_ROWS):
+            block = slice(start, start + _DIAGONAL_ROWS)
+            occ = ((states[block, None] >> bits) & 1).astype(np.float64)
+            total[block] = 0.5 * np.einsum("si,si->s", occ @ shifts, occ)
+    if not np.all(np.isfinite(total)):
+        raise InvalidParameterError(
+            f"pair shifts of c6 = {spec.c6:.3g} J m^6 at {dist.min():.3g} m overflow float64"
+        )
     return total
 
 
@@ -310,7 +316,7 @@ def build_hamiltonian(spec: HamiltonianSpec, basis: Basis) -> Hamiltonian:
     dim = basis.n_states
 
     diag = spec.detuning * basis.popcounts
-    if spec.c6 > 0.0 and m > 1:
+    if spec.c6 > 0.0:
         diag += _pair_shifts(spec, states)
 
     # one flip per atom: couple each state to the basis state with bit i set
@@ -525,7 +531,7 @@ def evolve(
     if not abs(initial.norm() - 1.0) <= 1e-9:
         raise InvalidParameterError("initial state must be normalized to 1e-9")
     low, high, coupling = hamiltonian.scales
-    if coupling < _UNIT_ROUNDOFF * (high - low):
+    if not coupling >= _UNIT_ROUNDOFF * (high - low):  # NaN bounds too
         raise InvalidParameterError(
             f"coupling {coupling:.3g} rad/s is below float64 rounding of the "
             f"spectral width {high - low:.3g} rad/s"

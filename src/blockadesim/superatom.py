@@ -67,8 +67,7 @@ def superatom_population(n_per, omega0: float, t, gamma: float = 0.0):
     _require(0.0 <= gamma < np.inf, "gamma must be non-negative and finite")
     t = np.asarray(t, dtype=float)
     _require(bool(np.all((0.0 <= t) & (t < np.inf))), "t must be non-negative and finite")
-    envelope = np.exp(-gamma * t) if gamma > 0.0 else 1.0
-    value = 0.5 * (1.0 - envelope * np.cos(np.sqrt(n_per) * omega0 * t))
+    value = 0.5 * (1.0 - np.exp(-gamma * t) * np.cos(np.sqrt(n_per) * omega0 * t))
     return float(value) if value.ndim == 0 else value
 
 
@@ -129,9 +128,9 @@ def crossover_time(
 
     Both curves must share a time grid. The crossing is located by linear
     interpolation of f(t) = curve - (1 - threshold) * reference between
-    the bracketing grid points; if the curve is already below at the
-    second grid point the interpolation degenerates and that grid time is
-    returned. Returns None when no crossing occurs on the grid.
+    the bracketing grid points; if the curve is already below at the first
+    grid point, or the previous one carried neither curve nor reference,
+    that grid time is returned. Returns None when no crossing occurs.
 
     Points where the reference is zero (including t = 0) carry no signal
     and are skipped.
@@ -141,18 +140,14 @@ def crossover_time(
         np.array_equal(curve.times, reference.times), "curve and reference must share a time grid"
     )
     t = curve.times
+    signal = reference.values > 0.0
     gap = curve.values - (1.0 - threshold) * reference.values
-    for k in range(t.size):
-        if reference.values[k] == 0.0:
-            continue
-        if gap[k] < 0.0:
-            if k == 0:
-                return float(t[0])
-            prev = gap[k - 1]
-            if prev > 0.0:
-                frac = prev / (prev - gap[k])
-                return float(t[k - 1] + frac * (t[k] - t[k - 1]))
-            if prev == 0.0 and reference.values[k - 1] > 0.0:
-                return float(t[k - 1])  # exact touch at the previous point
-            return float(t[k])  # previous point carried no signal
-    return None
+    below = np.flatnonzero(signal & (gap < 0.0))
+    if below.size == 0:
+        return None
+    k = int(below[0])
+    # gap >= 0 before k; at gap[k - 1] = 0 the interpolation gives t[k - 1]
+    if k > 0 and (gap[k - 1] > 0.0 or signal[k - 1]):
+        prev = gap[k - 1]
+        return float(t[k - 1] + prev / (prev - gap[k]) * (t[k] - t[k - 1]))
+    return float(t[k])

@@ -260,26 +260,65 @@ def test_exact_rejects_both_atom_sources(tmp_path, capsys):
     assert "exactly one of exact.n_atoms or exact.positions_path" in capsys.readouterr().err
 
 
+def _refused(command, line, named):
+    # exact cases take the bare line as id, so their ids stay stable
+    return pytest.param(command, line, named, id=line if command == "exact" else f"{command}: {line}")
+
+
+TWO_PHOTON = "physical.omega0_hz =; physical.omega2_hz = 1e7; physical.delta_hz = 1e9"
+
+
 @pytest.mark.parametrize(
-    "line",
+    "command, line, named",
     [
-        "physical.omega0_hz = inf",
-        "physical.detuning_hz = nan",
-        "physical.detuning_hz = inf",
-        "physical.c6_jm6 = inf",
-        "physical.gamma_per_s = inf",
-        "physical.kappa = inf",
+        _refused("exact", "physical.omega0_hz = inf", "finite"),
+        _refused("exact", "physical.detuning_hz = nan", "finite"),
+        _refused("exact", "physical.detuning_hz = inf", "finite"),
+        _refused("exact", "physical.c6_jm6 = inf", "finite"),
+        _refused("exact", "physical.gamma_per_s = inf", "finite"),
+        _refused("exact", "physical.kappa = inf", "finite"),
+        _refused("exact", "physical.c6_jm6 = 1e300", "c6 / (hbar omega0)"),
+        _refused("exact", "physical.c6_jm6 = 1e270", "pair shifts of c6 = 1e+270"),
+        _refused("exact", "run.seed = -1", "seed must be non-negative"),
+        _refused("cloud", "physical.omega0_hz = 1e-300", "c6 / (hbar omega0)"),
+        _refused("cloud", "physical.omega0_hz = 1e300", "c6 / (hbar omega0)"),
+        _refused("cloud", "physical.omega0_hz = 5e-324", "c6 / (hbar omega0)"),
+        _refused("cloud", "physical.kappa = 5e-324", "kappa = 5e-324"),
+        _refused("cloud", "cloud.n_atoms = 1e300", "n_atoms = 1e+300"),
+        _refused("cloud", "cloud.sigma_x_m = 1e-300", "sigma = (1e-300,"),
+        _refused("cloud", "cloud.sigma_x_m = 5e-324", "sigma = (5e-324,"),
+        _refused("cloud", f"physical.omega1_hz = 1e-300; {TWO_PHOTON}", "c6 / (hbar omega0)"),
+        _refused("scaling", "physical.kappa = 5e-324", "kappa = 5e-324"),
+        _refused("scaling", "cloud.sigma_x_m = 5e-324", "sigma = (5e-324,"),
+        _refused("scaling", "sweep.omega0_hz = 1e-300", "c6 / (hbar omega0)"),
+        _refused("scaling", "sweep.omega0_hz = 1e300", "c6 / (hbar omega0)"),
+        _refused("scaling", "sweep.omega0_hz = 5e-324", "c6 / (hbar omega0)"),
+        _refused("scaling", "sweep.densities_m3 = nan", "density grid"),
+        _refused("scaling", "sweep.densities_m3 = inf", "density grid"),
     ],
 )
-def test_exact_rejects_non_finite_physical_input(tmp_path, capsys, line):
-    base = EXACT_CONFIG.replace("physical.c6_au = 1.7e19", "physical.c6_jm6 = 1.6e-60")
-    key = line.split(" = ")[0]
-    rows = [row for row in base.splitlines() if not row.startswith(key + " ")]
-    cfg = write_config(tmp_path, "\n".join(rows + [line]) + "\n")
+def test_exact_rejects_non_finite_physical_input(tmp_path, capsys, command, line, named):
+    """Inputs that are not finite, or that put a model scale out of float64's
+    range, exit 2 with one error line naming them and leave no --out.
+
+    ``line`` holds ``key = value`` assignments joined by "; ", each replacing
+    its key's row of the command's config; an empty value only drops the row.
+    """
+    base = {
+        "cloud": CLOUD_CONFIG,
+        "exact": EXACT_CONFIG.replace("physical.c6_au = 1.7e19", "physical.c6_jm6 = 1.6e-60"),
+        "scaling": SCALING_CONFIG,
+    }[command]
+    assignments = [a.partition("=") for a in line.split("; ")]
+    keys = {key.strip() for key, _, _ in assignments}
+    rows = [row for row in base.splitlines() if row.partition("=")[0].strip() not in keys]
+    rows += [f"{key.strip()} = {value.strip()}" for key, _, value in assignments if value.strip()]
+    cfg = write_config(tmp_path, "\n".join(rows) + "\n")
     out = tmp_path / "o"
-    assert main(["exact", "--config", cfg, "--out", str(out)]) == 2
-    assert "finite" in capsys.readouterr().err
-    assert not (out / "trajectory.csv").exists()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not out.exists()
 
 
 def test_exact_rejects_nan_restriction_radius(tmp_path, capsys):
