@@ -32,7 +32,6 @@ from .cloud import (
 )
 from .core import (
     PhysicalParams,
-    TwoPhotonDrive,
     angular_from_hz,
     blockade_radius_collective,
     blockade_radius_simple,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cloud import CloudSpec, partition_superatoms
 from .core import PhysicalParams
-from .errors import DegenerateDataError, InvalidParameterError
+from .errors import InvalidParameterError
 from .superatom import ExcitationCurve, simulate_cloud
 
 __all__ = [
@@ -99,12 +99,14 @@ def fit_saturation(curve: ExcitationCurve) -> SaturationFit:
     # f(0) = 0, so a value at t = 0 carries no information
     first = int(t[0] == 0.0)
     if not np.any(y[first:] > 0.0):
-        raise DegenerateDataError("curve has no positive value after t = 0 to fit")
+        raise InvalidParameterError("curve has no positive value after t = 0 to fit")
 
     t_1, t_max = float(t[first]), float(t[-1])
     k_lo, k_hi = 1e-8 / t_max, 1e2 / t_1
     if not k_hi < math.inf:
         raise InvalidParameterError(f"first positive time {t_1!r} is too small to fit")
+    if not k_hi * t_max < math.inf:  # so no scanned k * t overflows
+        raise InvalidParameterError(f"times {t_1!r} to {t_max!r} s span too many decades to fit")
     n_scan = 1 + math.ceil(FIT_SCAN_PER_DECADE * (math.log10(k_hi) - math.log10(k_lo)))
     rates = np.geomspace(k_lo, k_hi, n_scan).tolist()
     # one rate at a time: no (scan x T) array

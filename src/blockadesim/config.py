@@ -18,7 +18,8 @@ import numpy as np
 
 from .cloud import MODELS, CloudSpec
 from .core import (
-    PhysicalParams, TwoPhotonDrive, convert_c6_atomic_units, require_memory, two_photon_rabi
+    PhysicalParams, angular_from_hz, convert_c6_atomic_units, hz_from_angular, require_memory,
+    two_photon_rabi,
 )
 from .errors import ConfigError, read_text
 
@@ -179,8 +180,8 @@ def resolve_params(cfg: RunConfig) -> PhysicalParams:
             raise ConfigError(
                 "two-photon drive needs physical.omega1_hz, omega2_hz and delta_hz"
             )
-        drive = TwoPhotonDrive.from_hz(cfg.omega1_hz, cfg.omega2_hz, cfg.delta_hz)
-        omega0_hz = abs(two_photon_rabi(drive)) / (2.0 * np.pi)
+        legs = (cfg.omega1_hz, cfg.omega2_hz, cfg.delta_hz)
+        omega0_hz = hz_from_angular(abs(two_photon_rabi(*map(angular_from_hz, legs))))
     else:
         raise ConfigError("no drive strength configured (physical.omega0_hz)")
 

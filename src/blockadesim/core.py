@@ -21,7 +21,6 @@ from .constants import BOHR_RADIUS, HARTREE, HBAR, TWO_PI
 from .errors import InvalidParameterError, SizeCapError
 
 __all__ = [
-    "TwoPhotonDrive",
     "PhysicalParams",
     "angular_from_hz",
     "hz_from_angular",
@@ -74,40 +73,22 @@ def validate_time_grid(time_grid) -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
-class TwoPhotonDrive:
-    """Parameters of a two-step drive through a far-detuned intermediate level.
-
-    Attributes are angular (rad/s): ``omega1`` and ``omega2`` are the single
-    photon Rabi frequencies of the two legs, ``delta`` the detuning from the
-    intermediate level. Use :meth:`from_hz` with lab values.
-    """
-
-    omega1: float
-    omega2: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        _require(self.omega1 >= 0.0, "omega1 must be non-negative")
-        _require(self.omega2 >= 0.0, "omega2 must be non-negative")
-        _require(self.delta != 0.0, "intermediate-state detuning must be nonzero")
-
-    @classmethod
-    def from_hz(cls, omega1_hz: float, omega2_hz: float, delta_hz: float) -> "TwoPhotonDrive":
-        return cls(
-            omega1=angular_from_hz(omega1_hz),
-            omega2=angular_from_hz(omega2_hz),
-            delta=angular_from_hz(delta_hz),
-        )
-
-
-def two_photon_rabi(drive: TwoPhotonDrive) -> float:
+def two_photon_rabi(omega1: float, omega2: float, delta: float) -> float:
     """Effective two-photon Rabi frequency omega1*omega2/(2*delta), in rad/s.
 
-    Valid in the adiabatic-elimination regime delta >> omega1, omega2. The
-    sign follows delta; magnitude is what matters downstream.
+    ``omega1`` and ``omega2`` are the single-photon Rabi frequencies of the
+    two legs and ``delta`` the detuning from the intermediate level, all
+    angular (rad/s). Valid in the adiabatic-elimination regime delta >>
+    omega1, omega2. The sign follows delta; magnitude is what matters
+    downstream.
     """
-    return drive.omega1 * drive.omega2 / (2.0 * drive.delta)
+    # chained comparisons with inf also reject NaN
+    _require(0.0 <= omega1 < math.inf, "omega1 must be non-negative and finite")
+    _require(0.0 <= omega2 < math.inf, "omega2 must be non-negative and finite")
+    _require(
+        0.0 < abs(delta) < math.inf, "intermediate-state detuning must be nonzero and finite"
+    )
+    return omega1 * omega2 / (2.0 * delta)
 
 
 def convert_c6_atomic_units(c6_au: float) -> float:

@@ -11,23 +11,13 @@ class BlockadeSimError(Exception):
 
 
 class InvalidParameterError(BlockadeSimError, ValueError):
-    """A numeric argument is outside its documented domain."""
-
-
-class GeometryError(BlockadeSimError, ValueError):
-    """Atom positions are unusable (coincident atoms, bad shape, non-finite)."""
+    """An argument is outside its documented domain: a number, atom positions
+    (bad shape, non-finite, coincident or too far apart), a state and an
+    operator over different bases, or data with no usable signal."""
 
 
 class SizeCapError(BlockadeSimError):
     """A step would exceed the memory limit, or a basis has more than 63 atoms."""
-
-
-class BasisMismatchError(BlockadeSimError, ValueError):
-    """A state and an operator were built over different bases."""
-
-
-class DegenerateDataError(BlockadeSimError, ValueError):
-    """Data carries no usable signal (all zeros, empty ensemble)."""
 
 
 class InputFileError(BlockadeSimError):

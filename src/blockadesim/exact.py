@@ -35,14 +35,7 @@ import scipy.special
 
 from .constants import HBAR
 from .core import require_memory, validate_time_grid
-from .errors import (
-    BasisMismatchError,
-    GeometryError,
-    InputFileError,
-    InvalidParameterError,
-    SizeCapError,
-    read_text,
-)
+from .errors import InputFileError, InvalidParameterError, SizeCapError, read_text
 
 __all__ = [
     "AtomPositions",
@@ -74,7 +67,6 @@ _DIAGONAL_ROWS = 1024
 # unit roundoff; its vectors are summed into the trajectory _BLOCK at a
 # time, and its coefficients transformed _COEFFICIENT_ROWS times at a time
 _UNIT_ROUNDOFF = 2.0**-53
-CHEBYSHEV_TOL = _UNIT_ROUNDOFF
 _MAX_TERMS = 2**30
 _BLOCK = 8
 _COEFFICIENT_ROWS = 16
@@ -89,11 +81,19 @@ class AtomPositions:
     def __post_init__(self) -> None:
         coords = np.array(self.coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 3 or coords.shape[0] < 1:
-            raise GeometryError(
+            raise InvalidParameterError(
                 f"positions must have shape (M, 3) with M >= 1, got {coords.shape}"
             )
         if not np.all(np.isfinite(coords)):
-            raise GeometryError("positions must be finite")
+            raise InvalidParameterError("positions must be finite")
+        # no pair's squared distance exceeds the sum of the squared per-axis
+        # spans; Python floats overflow to inf without a warning
+        spans = [float(hi) - float(lo) for lo, hi in zip(coords.min(axis=0), coords.max(axis=0))]
+        if not sum(span * span for span in spans) < np.inf:
+            raise InvalidParameterError(
+                "positions spread over {:.3g}, {:.3g} and {:.3g} m per axis: their "
+                "squared distances overflow float64".format(*spans)
+            )
         # zero distance means identical rows, so a sort finds it in
         # M log M instead of an M x M distance matrix
         order = np.lexsort(coords.T)
@@ -101,7 +101,7 @@ class AtomPositions:
         if np.any(same):
             k = int(np.flatnonzero(same)[0])
             i, j = sorted((int(order[k]), int(order[k + 1])))
-            raise GeometryError(f"atoms {i} and {j} are coincident")
+            raise InvalidParameterError(f"atoms {i} and {j} are coincident")
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
@@ -138,7 +138,7 @@ class AtomPositions:
             raise InputFileError(f"{path}: no atom positions found")
         try:
             return cls(np.array(rows))
-        except GeometryError as exc:
+        except InvalidParameterError as exc:
             raise InputFileError(f"{path}: {exc}") from exc
 
 
@@ -308,7 +308,7 @@ def build_hamiltonian(spec: HamiltonianSpec, basis: Basis) -> Hamiltonian:
     if both states are in the basis.
     """
     if basis.n_atoms != len(spec.positions):
-        raise BasisMismatchError(
+        raise InvalidParameterError(
             f"basis over {basis.n_atoms} atoms, geometry has {len(spec.positions)}"
         )
     m = basis.n_atoms
@@ -354,7 +354,7 @@ class QuantumState:
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.ndim not in (1, 2) or amps.shape[-1] != self.basis.n_states:
-            raise BasisMismatchError(
+            raise InvalidParameterError(
                 f"{amps.shape} amplitudes for a basis of {self.basis.n_states} states"
             )
         self.amplitudes = amps
@@ -406,7 +406,7 @@ class PropagationPlan:
 
 
 def _chebyshev_terms(x: float) -> int:
-    """The first order n > x at which |J_n(x)| falls below CHEBYSHEV_TOL.
+    """The first order n > x at which |J_n(x)| falls below _UNIT_ROUNDOFF.
 
     Past n = x the Bessel functions fall monotonically and faster than
     geometrically, so every neglected term is smaller still. The search
@@ -420,7 +420,7 @@ def _chebyshev_terms(x: float) -> int:
     low = int(x) + 1
     while True:
         orders = np.arange(low, low + width)
-        small = np.flatnonzero(np.abs(scipy.special.jv(orders, x)) < CHEBYSHEV_TOL)
+        small = np.flatnonzero(np.abs(scipy.special.jv(orders, x)) < _UNIT_ROUNDOFF)
         if small.size:
             return int(orders[small[0]])
         low += width
@@ -525,7 +525,7 @@ def evolve(
     """
     t = validate_time_grid(time_grid)
     if initial.basis != hamiltonian.basis:
-        raise BasisMismatchError("initial state and Hamiltonian use different bases")
+        raise InvalidParameterError("initial state and Hamiltonian use different bases")
     if initial.amplitudes.ndim != 1:
         raise InvalidParameterError("initial state must be one state, not a trajectory")
     if not abs(initial.norm() - 1.0) <= 1e-9:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .cloud import SuperatomEnsemble
 from .core import PhysicalParams, _require, require_memory, validate_time_grid
-from .errors import DegenerateDataError
 
 __all__ = [
     "ExcitationCurve",
@@ -31,7 +30,7 @@ __all__ = [
 ]
 
 # Distinct superatom sizes per block of the (size x time) population matrix.
-# simulate_cloud's memory estimate pads its traced peaks: 16 B per block
+# simulate_cloud's memory estimate pads its traced peaks: 9 B per block
 # element, and 41 B per ensemble entry in np.unique.
 _CHUNK = 4096
 
@@ -67,7 +66,18 @@ def superatom_population(n_per, omega0: float, t, gamma: float = 0.0):
     _require(0.0 <= gamma < np.inf, "gamma must be non-negative and finite")
     t = np.asarray(t, dtype=float)
     _require(bool(np.all((0.0 <= t) & (t < np.inf))), "t must be non-negative and finite")
-    value = 0.5 * (1.0 - np.exp(-gamma * t) * np.cos(np.sqrt(n_per) * omega0 * t))
+    # an overflowing phase is refused below; an overflowing gamma t damps fully
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.asarray(np.sqrt(n_per) * omega0 * t)
+        envelope = np.exp(-gamma * t)
+    _require(
+        bool(np.all(phase < np.inf)), "t is too long: the phase sqrt(n_per) omega0 t overflows"
+    )
+    # (1 - envelope cos(phase)) / 2 in the phase's buffer
+    value = np.cos(phase, out=phase)
+    value *= envelope
+    np.subtract(1.0, value, out=value)
+    value *= 0.5
     return float(value) if value.ndim == 0 else value
 
 
@@ -80,12 +90,9 @@ def simulate_cloud(
     once per distinct size, in ascending order and fixed-size blocks, so
     identical inputs give bit-identical curves.
     """
-    if len(ensemble) == 0:
-        raise DegenerateDataError(
-            "ensemble is empty (n_min above the central superatom size?)"
-        )
+    _require(len(ensemble) > 0, "ensemble is empty (n_min above the central superatom size?)")
     t = validate_time_grid(time_grid)
-    nbytes = 48.0 * len(ensemble) + 20.0 * min(len(ensemble), _CHUNK) * t.size
+    nbytes = 48.0 * len(ensemble) + 12.0 * min(len(ensemble), _CHUNK) * t.size
     require_memory(nbytes, f"a curve of {len(ensemble)} superatom entries at {t.size} times")
     n_distinct, inverse = np.unique(ensemble.n_per, return_inverse=True)
     grouped = np.bincount(inverse, weights=ensemble.weight)

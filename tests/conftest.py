@@ -7,6 +7,7 @@ import pytest
 
 import blockadesim.cli
 import blockadesim.exact
+from blockadesim import errors
 from blockadesim.cloud import CloudSpec
 from blockadesim.core import PhysicalParams, convert_c6_atomic_units
 
@@ -30,6 +31,16 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def package_errors():
+    """Every BlockadeSimError subclass that errors.py defines, by name."""
+    return sorted(
+        (value for value in vars(errors).values()
+         if isinstance(value, type) and issubclass(value, errors.BlockadeSimError)
+         and value is not errors.BlockadeSimError),
+        key=lambda error: error.__name__,
+    )
 
 
 @pytest.fixture

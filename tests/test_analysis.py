@@ -14,7 +14,7 @@ from blockadesim.analysis import (
     scaling_experiment,
 )
 from blockadesim.core import PhysicalParams
-from blockadesim.errors import DegenerateDataError, InvalidParameterError
+from blockadesim.errors import InvalidParameterError
 from blockadesim.superatom import ExcitationCurve
 
 from conftest import SIGMA_REF, traced_peak
@@ -99,7 +99,7 @@ def test_fit_needs_four_points():
 
 def test_fit_rejects_all_zero_curve():
     t = np.linspace(0.0, 1.0, 10)
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(InvalidParameterError, match="no positive value after t = 0"):
         fit_saturation(ExcitationCurve(t, np.zeros_like(t)))
 
 
@@ -186,7 +186,7 @@ def test_fit_rejects_curve_positive_only_at_time_zero():
     t = np.linspace(0.0, 1.0, 10)
     values = np.zeros_like(t)
     values[0] = 1.0
-    with pytest.raises(DegenerateDataError, match="after t = 0"):
+    with pytest.raises(InvalidParameterError, match="after t = 0"):
         fit_saturation(ExcitationCurve(t, values))
 
 
@@ -208,6 +208,14 @@ def test_scan_reaches_a_tiny_first_time_or_refuses_it():
     t[1] = 1e-310  # 1e2 / t_1 overflows
     with pytest.raises(InvalidParameterError, match="first positive time"):
         fit_saturation(ExcitationCurve(t, saturation_model(t, 5.0, 5.0)))
+
+
+def test_fit_refuses_times_whose_scanned_decay_overflows():
+    # 1e2 / t_1 * t_max = 1e310: the scan's last k * t would overflow
+    t = np.array([0.0, 1e-8, 1.0, 1e100, 1e300])
+    values = np.array([0.0, 1.0, 2.0, 2.0, 2.0])
+    with pytest.raises(InvalidParameterError, match="1e-08 to 1e\\+300 s span too many decades"):
+        fit_saturation(ExcitationCurve(t, values))
 
 
 def test_million_point_fit_holds_at_most_eight_curve_sized_arrays():

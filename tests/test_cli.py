@@ -4,7 +4,9 @@ import argparse
 import math
 import os
 import re
+import shutil
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +18,12 @@ import blockadesim.core
 from blockadesim import errors
 from blockadesim.analysis import SaturationFit
 from blockadesim.cli import main
+from blockadesim.config import RunConfig
 from blockadesim.constants import HBAR
 from blockadesim.core import convert_c6_atomic_units
 from blockadesim.runio import read_curve_csv
 
-from conftest import traced_peak
+from conftest import package_errors, traced_peak
 
 CLOUD_CONFIG = """
 physical.omega0_hz = 210e3
@@ -266,6 +269,8 @@ def _refused(command, line, named):
 
 
 TWO_PHOTON = "physical.omega0_hz =; physical.omega2_hz = 1e7; physical.delta_hz = 1e9"
+NAN_DETUNING = TWO_PHOTON.replace("1e9", "nan")
+INF_DETUNING = TWO_PHOTON.replace("1e9", "inf")
 
 
 @pytest.mark.parametrize(
@@ -295,6 +300,12 @@ TWO_PHOTON = "physical.omega0_hz =; physical.omega2_hz = 1e7; physical.delta_hz 
         _refused("scaling", "sweep.omega0_hz = 5e-324", "c6 / (hbar omega0)"),
         _refused("scaling", "sweep.densities_m3 = nan", "density grid"),
         _refused("scaling", "sweep.densities_m3 = inf", "density grid"),
+        _refused("exact", "cloud.sigma_x_m = 1e300", "squared distances overflow float64"),
+        _refused("cloud", "time.stop_s = 1e300", "t is too long"),
+        _refused("scaling", "time.stop_s = 1e300", "span too many decades to fit"),
+        _refused("cloud", f"physical.omega1_hz = inf; {TWO_PHOTON}", "omega1 must be"),
+        _refused("cloud", f"physical.omega1_hz = 1e6; {NAN_DETUNING}", "detuning must be"),
+        _refused("cloud", f"physical.omega1_hz = 1e6; {INF_DETUNING}", "detuning must be"),
     ],
 )
 def test_exact_rejects_non_finite_physical_input(tmp_path, capsys, command, line, named):
@@ -338,6 +349,19 @@ def test_exact_malformed_positions_exit_code(tmp_path, capsys):
     )
     assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_exact_positions_too_far_apart_exit_2_naming_the_file(tmp_path, capsys):
+    positions = tmp_path / "atoms.txt"
+    positions.write_text("0 0 0\n1e300 0 0\n")
+    cfg = write_config(
+        tmp_path,
+        EXACT_CONFIG.replace("exact.n_atoms = 2", f"exact.positions_path = {positions}"),
+    )
+    out = tmp_path / "o"
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == 2
+    assert f"error: {positions}: positions spread over 1e+300" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exact_atom_cap_exit_code(tmp_path, capsys):
@@ -682,15 +706,7 @@ def test_non_finite_stop_time_exits_2_naming_the_key(tmp_path, capsys, command, 
 
 @pytest.mark.parametrize(
     "error, code",
-    [
-        (errors.ConfigError, 2),
-        (errors.InputFileError, 2),
-        (errors.InvalidParameterError, 2),
-        (errors.GeometryError, 2),
-        (errors.DegenerateDataError, 2),
-        (errors.BasisMismatchError, 2),
-        (errors.SizeCapError, 4),
-    ],
+    [(error, 4 if error is errors.SizeCapError else 2) for error in package_errors()],
 )
 def test_package_errors_map_to_exit_codes(monkeypatch, capsys, error, code):
     def fail(args):
@@ -699,3 +715,43 @@ def test_package_errors_map_to_exit_codes(monkeypatch, capsys, error, code):
     monkeypatch.setitem(blockadesim.cli._COMMANDS, "fit", fail)
     assert main(["fit", "curve.csv"]) == code
     assert "error: boom" in capsys.readouterr().err
+
+
+# the values at float64's edges that every float and every int key takes
+EXTREME_VALUES = {
+    "float": ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "5e-324", "-0.0"),
+    "int": ("-1", "0", "1e18"),
+}
+
+
+def test_extreme_config_values_exit_cleanly(tmp_path, capsys):
+    """Each float and int key of RunConfig, at each extreme value, on each
+    config command: the run exits 0, 2, 3 or 4, raises nothing (tier-1
+    turns a numpy RuntimeWarning into an error) and leaves no --out when it
+    exits 2 or 4."""
+    failures = []
+    runs = 0
+    # a narrower partition than the default 5 sigmas keeps each cloud run short
+    sweep_cloud = CLOUD_CONFIG + "partition.span_sigmas = 2.0\n"
+    for command, config in (
+        ("cloud", sweep_cloud), ("exact", EXACT_CONFIG), ("scaling", SCALING_CONFIG)
+    ):
+        for setting in fields(RunConfig):
+            key = setting.metadata["key"]
+            rows = [row for row in config.splitlines() if row.partition("=")[0].strip() != key]
+            for value in EXTREME_VALUES.get(setting.metadata["kind"], ()):
+                runs += 1
+                cfg = write_config(tmp_path, "\n".join([*rows, f"{key} = {value}"]) + "\n")
+                out = tmp_path / "o"
+                try:
+                    code = main([command, "--config", cfg, "--out", str(out)])
+                except Exception as exc:
+                    failures.append(f"{command} {key} = {value}: {exc!r}")
+                    continue
+                finally:
+                    capsys.readouterr()
+                if code not in (0, 2, 3, 4) or (code in (2, 4) and out.exists()):
+                    failures.append(f"{command} {key} = {value}: exit {code}")
+                shutil.rmtree(out, ignore_errors=True)
+    assert runs == 540
+    assert not failures, "\n".join(failures)

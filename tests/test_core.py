@@ -17,7 +17,6 @@ from blockadesim.constants import HBAR, TWO_PI
 from blockadesim.core import (
     MEMORY_LIMIT_BYTES,
     PhysicalParams,
-    TwoPhotonDrive,
     angular_from_hz,
     blockade_radius_collective,
     blockade_radius_simple,
@@ -51,44 +50,59 @@ def test_angular_is_two_pi_times_hz(f):
 def test_strong_drive_reduction():
     # 9.7 MHz and 21 MHz legs, 478 MHz detuned: frozen 213075.3138... Hz,
     # which is the quoted 210 kHz within rounding.
-    drive = TwoPhotonDrive.from_hz(9.7e6, 21e6, 478e6)
-    f0 = hz_from_angular(two_photon_rabi(drive))
+    f0 = hz_from_angular(two_photon_rabi(*map(angular_from_hz, (9.7e6, 21e6, 478e6))))
     assert f0 == pytest.approx(213075.31380753138, rel=1e-12)
     assert f0 == pytest.approx(210e3, rel=0.02)
 
 
 def test_weak_drive_reduction():
-    drive = TwoPhotonDrive.from_hz(2.0e6, 21e6, 478e6)
-    f0 = hz_from_angular(two_photon_rabi(drive))
+    f0 = hz_from_angular(two_photon_rabi(*map(angular_from_hz, (2.0e6, 21e6, 478e6))))
     assert f0 == pytest.approx(43933.05439330544, rel=1e-12)
     assert f0 == pytest.approx(42e3, rel=0.05)
 
 
 def test_zero_leg_gives_zero_drive():
-    assert two_photon_rabi(TwoPhotonDrive.from_hz(0.0, 21e6, 478e6)) == 0.0
+    assert two_photon_rabi(*map(angular_from_hz, (0.0, 21e6, 478e6))) == 0.0
 
 
 def test_zero_detuning_rejected():
-    with pytest.raises(InvalidParameterError):
-        TwoPhotonDrive.from_hz(9.7e6, 21e6, 0.0)
+    with pytest.raises(InvalidParameterError, match="detuning must be nonzero"):
+        two_photon_rabi(*map(angular_from_hz, (9.7e6, 21e6, 0.0)))
 
 
 def test_negative_leg_rejected():
-    with pytest.raises(InvalidParameterError):
-        TwoPhotonDrive.from_hz(-9.7e6, 21e6, 478e6)
+    with pytest.raises(InvalidParameterError, match="omega1 must be non-negative"):
+        two_photon_rabi(*map(angular_from_hz, (-9.7e6, 21e6, 478e6)))
+
+
+@pytest.mark.parametrize(
+    "legs, named",
+    [
+        ((math.inf, 1.0, 1.0), "omega1"),
+        ((math.nan, 1.0, 1.0), "omega1"),
+        ((1.0, math.inf, 1.0), "omega2"),
+        ((1.0, math.nan, 1.0), "omega2"),
+        ((1.0, 1.0, math.inf), "detuning"),
+        ((1.0, 1.0, -math.inf), "detuning"),
+        ((1.0, 1.0, math.nan), "detuning"),
+    ],
+)
+def test_non_finite_two_photon_input_rejected_by_name(legs, named):
+    with pytest.raises(InvalidParameterError, match=f"{named} must be .* and finite"):
+        two_photon_rabi(*legs)
 
 
 @given(positive_floats)
 def test_two_photon_bilinear_in_first_leg(k):
-    base = two_photon_rabi(TwoPhotonDrive.from_hz(3e6, 21e6, 478e6))
-    scaled = two_photon_rabi(TwoPhotonDrive.from_hz(3e6 * k, 21e6, 478e6))
+    base = two_photon_rabi(*map(angular_from_hz, (3e6, 21e6, 478e6)))
+    scaled = two_photon_rabi(*map(angular_from_hz, (3e6 * k, 21e6, 478e6)))
     assert scaled == pytest.approx(k * base, rel=1e-12)
 
 
 @given(positive_floats)
 def test_two_photon_inverse_in_detuning(k):
-    base = two_photon_rabi(TwoPhotonDrive.from_hz(3e6, 21e6, 478e6))
-    scaled = two_photon_rabi(TwoPhotonDrive.from_hz(3e6, 21e6, 478e6 * k))
+    base = two_photon_rabi(*map(angular_from_hz, (3e6, 21e6, 478e6)))
+    scaled = two_photon_rabi(*map(angular_from_hz, (3e6, 21e6, 478e6 * k)))
     assert scaled == pytest.approx(base / k, rel=1e-12)
 
 

@@ -14,13 +14,7 @@ import scipy.special
 
 import blockadesim.core
 from blockadesim.constants import HBAR
-from blockadesim.errors import (
-    BasisMismatchError,
-    GeometryError,
-    InputFileError,
-    InvalidParameterError,
-    SizeCapError,
-)
+from blockadesim.errors import InputFileError, InvalidParameterError, SizeCapError
 from blockadesim.exact import (
     AtomPositions,
     Hamiltonian,
@@ -78,17 +72,17 @@ def brute_force_independent_sets(positions, radius):
 
 
 def test_positions_shape_validation():
-    with pytest.raises(GeometryError):
+    with pytest.raises(InvalidParameterError, match="must have shape"):
         AtomPositions(np.zeros((3, 2)))
 
 
 def test_positions_reject_nonfinite():
-    with pytest.raises(GeometryError):
+    with pytest.raises(InvalidParameterError, match="positions must be finite"):
         AtomPositions(np.array([[0.0, 0.0, np.inf]]))
 
 
 def test_positions_reject_coincident_atoms():
-    with pytest.raises(GeometryError, match="coincident"):
+    with pytest.raises(InvalidParameterError, match="coincident"):
         AtomPositions(np.array([[0.0, 0.0, 0.0], [1e-6, 0, 0], [0.0, 0.0, 0.0]]))
 
 
@@ -390,7 +384,7 @@ def test_vectorised_hamiltonian_equals_loop_oracle(rng, kind):
 
 def test_geometry_basis_mismatch(rng):
     positions = cluster(rng, 4, 1e-6)
-    with pytest.raises(BasisMismatchError):
+    with pytest.raises(InvalidParameterError, match="basis over 5 atoms, geometry has 4"):
         build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
 
 
@@ -792,7 +786,7 @@ def test_evolve_rejects_basis_mismatch(rng):
     positions = cluster(rng, 3, 1e-6)
     h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(3))
     other = ground_state(restricted_basis(positions, 1.0))
-    with pytest.raises(BasisMismatchError):
+    with pytest.raises(InvalidParameterError, match="use different bases"):
         evolve(h, other, np.array([0.0, 1e-7]))
 
 
@@ -816,7 +810,7 @@ def test_quantum_state_trajectory_checks_every_row():
         with pytest.raises(InvalidParameterError, match=f"{bad} in row {k}"):
             QuantumState(broken, basis)
     for shape in ((3, 8), (2, 3, 4), ()):
-        with pytest.raises(BasisMismatchError):
+        with pytest.raises(InvalidParameterError, match="amplitudes for a basis of 4 states"):
             QuantumState(np.ones(shape, dtype=complex) / 2, basis)
 
 

@@ -1,5 +1,6 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-and so does every name the benchmark's trace wraps."""
+and so does every name the benchmark's trace wraps; every error class is
+raised somewhere."""
 
 import importlib
 import inspect
@@ -7,6 +8,8 @@ import pkgutil
 from pathlib import Path
 
 import blockadesim
+
+from conftest import package_errors
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,3 +49,9 @@ def test_every_traced_name_resolves_to_a_callable(monkeypatch):
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_every_package_error_is_raised_by_name():
+    source = "".join(path.read_text() for path in Path(blockadesim.__file__).parent.glob("*.py"))
+    unraised = [e.__name__ for e in package_errors() if f"raise {e.__name__}(" not in source]
+    assert unraised == []

@@ -9,7 +9,7 @@ import pytest
 import blockadesim.core
 from blockadesim.cloud import SuperatomEnsemble, partition_superatoms
 from blockadesim.core import PhysicalParams
-from blockadesim.errors import DegenerateDataError, InvalidParameterError, SizeCapError
+from blockadesim.errors import InvalidParameterError, SizeCapError
 from blockadesim.superatom import (
     ExcitationCurve,
     crossover_time,
@@ -113,6 +113,27 @@ def test_population_rejects_negative_or_non_finite_time(t):
         superatom_population(4.0, 1e6, np.array([0.0, t]))
 
 
+def test_population_refuses_an_overflowing_phase_naming_t():
+    with pytest.raises(InvalidParameterError, match="t is too long"):
+        superatom_population(4.0, 1e9, np.array([0.0, 1e300]))  # phase 2e309
+
+
+def test_overflowing_damping_is_full_damping_without_a_warning():
+    # gamma t = 1e310 overflows float64: exp(-inf) = 0, so p = 1/2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = superatom_population(4.0, 1e6, np.array([0.0, 1e10]), gamma=1e300)
+    assert np.array_equal(value, [0.0, 0.5])
+
+
+def test_population_is_bit_identical_to_the_closed_form(rng):
+    n_per = rng.uniform(0.0, 1e4, 64)[:, None]
+    t = np.linspace(0.0, 3e-5, 50)
+    expected = 0.5 * (1.0 - np.exp(-3e4 * t) * np.cos(np.sqrt(n_per) * OMEGA * t))
+    assert np.array_equal(superatom_population(n_per, OMEGA, t, gamma=3e4), expected)
+    assert superatom_population(9.0, OMEGA, 1e-6) == 0.5 * (1.0 - math.cos(3.0 * OMEGA * 1e-6))
+
+
 # --- cloud curves -----------------------------------------------------------------
 
 
@@ -181,7 +202,7 @@ def test_damped_curve_settles_at_half_weight():
 
 def test_empty_ensemble_rejected():
     empty = SuperatomEnsemble(np.array([]), np.array([]), np.zeros((0, 3)))
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(InvalidParameterError, match="ensemble is empty"):
         simulate_cloud(empty, PARAMS, np.linspace(0, 1e-5, 10))
 
 
