@@ -43,7 +43,6 @@ from .exact import (
     AtomPositions,
     Basis,
     Hamiltonian,
-    HamiltonianSpec,
     QuantumState,
     build_hamiltonian,
     evolve,

@@ -45,7 +45,6 @@ from .core import angular_from_hz, blockade_radius_simple
 from .errors import BlockadeSimError, ConfigError, SizeCapError
 from .exact import (
     AtomPositions,
-    HamiltonianSpec,
     _require_basis_memory,
     build_hamiltonian,
     evolve,
@@ -178,10 +177,9 @@ def _cmd_exact(args: argparse.Namespace) -> Run:
         if radius is None:
             radius = blockade_radius_simple(params)
         basis = restricted_basis(positions, radius)
-    spec = HamiltonianSpec(
-        positions, params.omega0, params.c6, angular_from_hz(cfg.detuning_hz)
+    hamiltonian = build_hamiltonian(
+        positions, basis, params.omega0, params.c6, angular_from_hz(cfg.detuning_hz)
     )
-    hamiltonian = build_hamiltonian(spec, basis)
     trajectory = evolve(hamiltonian, ground_state(basis), grid)
     n_rydberg, fidelity = rydberg_number(trajectory), w_state_fidelity(trajectory)
     plan = plan_propagation(hamiltonian, grid)
@@ -213,7 +211,9 @@ def _cmd_cloud(args: argparse.Namespace) -> Run:
          ("curve", "curve.csv", lambda path: write_curve_csv(path, curve))],
         [f"cloud: {len(ensemble)} superatom entries covering "
          f"{format_float(ensemble.total_atoms_covered)} of "
-         f"{format_float(cloud.n_atoms)} atoms ({cfg.model}) -> {args.out}/curve.csv"],
+         f"{format_float(cloud.n_atoms)} atoms ({cfg.model}), "
+         f"{100.0 * ensemble.sub_atom_share:.1f} % of the superatom weight at n_per < 1 "
+         f"-> {args.out}/curve.csv"],
     )
 
 

@@ -83,14 +83,21 @@ class CloudSpec:
         """Fix the total atom number so the central density equals ``peak``."""
         if not 0.0 < peak < math.inf:  # NaN fails too
             raise InvalidParameterError(f"peak density must be positive and finite, got {peak!r}")
-        sx, sy, sz = sigma
-        n_atoms = peak * (2.0 * math.pi) ** 1.5 * sx * sy * sz
+        # peak's mantissa leads the product and its power of two comes last:
+        # every rounding is that of peak * volume, so replays stay
+        # byte-identical, yet no partial product overflows
+        mantissa, exponent = math.frexp(peak)
+        try:
+            n_atoms = math.ldexp(_gaussian_volume(sigma, mantissa), exponent)
+        except OverflowError:
+            n_atoms = math.inf  # refused by __post_init__
         return cls(n_atoms, tuple(sigma))
 
 
-def _gaussian_volume(sigma: tuple[float, float, float]) -> float:
+def _gaussian_volume(sigma: tuple[float, float, float], scale: float = 1.0) -> float:
+    """scale * (2 pi)**1.5 * sx * sy * sz, multiplied from left to right."""
     sx, sy, sz = sigma
-    return (2.0 * math.pi) ** 1.5 * sx * sy * sz
+    return scale * (2.0 * math.pi) ** 1.5 * sx * sy * sz
 
 
 def peak_density(spec: CloudSpec) -> float:
@@ -162,6 +169,12 @@ class SuperatomEnsemble:
     def total_atoms_covered(self) -> float:
         return float((self.weight * self.n_per).sum())
 
+    @property
+    def sub_atom_share(self) -> float:
+        """Share of the superatom weight in entries with n_per < 1: cells
+        that count more superatoms than they hold atoms."""
+        return float(self.weight[self.n_per < 1.0].sum()) / self.total_superatoms
+
 
 def _axis_masses(sigma: float, k: int, side: float) -> tuple[np.ndarray, np.ndarray]:
     """Cell-center coordinates and Gaussian mass fractions along one axis."""
@@ -206,8 +219,7 @@ def partition_superatoms(
     side = (4.0 * math.pi / 3.0) ** (1.0 / 3.0) * r_peak
     if not 0.0 < side < math.inf:
         raise InvalidParameterError(
-            f"cell side {side!r} m of the central blockade radius must be positive and"
-            f" finite (kappa = {params.kappa!r})"
+            f"cell side {side!r} m of the central blockade radius must be positive and finite"
         )
 
     # Python floats: an overflowing span gives an inf count, not an error

@@ -3,8 +3,9 @@
 One assignment per line, ``#`` starts a full-line comment, keys are
 dotted lowercase. Unknown keys are rejected by name so typos fail fast.
 Manifests written by the CLI parse as configs too: ``manifest.*`` keys
-and the ``config.*`` lines of retired settings are ignored, and a leading
-``config.`` prefix is stripped.
+are ignored, a ``config.*`` line of a retired setting is skipped if its
+value replays and refused if not, and a leading ``config.`` prefix is
+stripped.
 No key sets a size limit: each large step estimates its bytes and is
 refused before allocating past ``core.MEMORY_LIMIT_BYTES`` (exit code 4).
 """
@@ -48,7 +49,6 @@ class RunConfig:
     c6_au: float | None = _key("physical.c6_au", "float")
     c6_jm6: float | None = _key("physical.c6_jm6", "float")
     gamma_per_s: float = _key("physical.gamma_per_s", "float", 0.0)
-    kappa: float = _key("physical.kappa", "float", 1.0)
     detuning_hz: float = _key("physical.detuning_hz", "float", 0.0)
     cloud_n_atoms: float | None = _key("cloud.n_atoms", "float")
     peak_density_m3: float | None = _key("cloud.peak_density_m3", "float")
@@ -73,9 +73,12 @@ class RunConfig:
 
 _KEYS: dict[str, Field] = {f.metadata["key"]: f for f in fields(RunConfig)}
 
-# manifest lines of settings that never changed a result; replays skip them
-_RETIRED = {"config.run.threads", "config.exact.max_atoms_full",
-            "config.exact.max_atoms_restricted", "config.partition.cell_cap"}
+# manifest lines of retired settings, each with the one value that the
+# program still computes with, or None if no value changed a result;
+# replays skip such a line and refuse a value they cannot reproduce
+_RETIRED = {"config.run.threads": None, "config.exact.max_atoms_full": None,
+            "config.exact.max_atoms_restricted": None, "config.partition.cell_cap": None,
+            "config.physical.kappa": 1.0}
 
 
 def _parse_int(text: str) -> int:
@@ -117,6 +120,15 @@ def parse_value(setting: Field, text: str):
     return value
 
 
+def _replays(key: str, text: str) -> bool:
+    """Whether a manifest's line of the retired ``key`` can be reproduced."""
+    value = _RETIRED[key]
+    try:
+        return value is None or float(text) == value
+    except ValueError:
+        return False
+
+
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     seen: dict[str, int] = {}
     cfg = RunConfig()
@@ -129,7 +141,14 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key.startswith("manifest.") or key in _RETIRED:
+        if key.startswith("manifest."):
+            continue
+        if key in _RETIRED:
+            if not _replays(key, value):
+                raise ConfigError(
+                    f"{source}, line {lineno}: {key[len('config.'):]} = {value} cannot be"
+                    f" reproduced; the setting is retired and replays only at {_RETIRED[key]!r}"
+                )
             continue
         if key.startswith("config."):
             key = key[len("config.") :]
@@ -188,7 +207,7 @@ def resolve_params(cfg: RunConfig) -> PhysicalParams:
     if (cfg.c6_au is None) == (cfg.c6_jm6 is None):
         raise ConfigError("give exactly one of physical.c6_au or physical.c6_jm6")
     c6 = convert_c6_atomic_units(cfg.c6_au) if cfg.c6_au is not None else cfg.c6_jm6
-    return PhysicalParams.from_hz(omega0_hz, c6, cfg.gamma_per_s, cfg.kappa)
+    return PhysicalParams.from_hz(omega0_hz, c6, cfg.gamma_per_s)
 
 
 def resolve_sigma(cfg: RunConfig, command: str) -> tuple[float, float, float]:

@@ -114,15 +114,11 @@ class PhysicalParams:
         Van der Waals coefficient magnitude, J m^6.
     gamma_dephase
         Phenomenological damping rate of superatom oscillations, 1/s.
-    kappa
-        Dimensionless prefactor on the blockade radii (packing fudge
-        factor; scales both radius formulas linearly). Default 1.
     """
 
     omega0: float
     c6: float
     gamma_dephase: float = 0.0
-    kappa: float = 1.0
 
     def __post_init__(self) -> None:
         # chained comparisons with inf also reject NaN
@@ -132,7 +128,6 @@ class PhysicalParams:
             0.0 <= self.gamma_dephase < math.inf,
             "gamma_dephase must be non-negative and finite",
         )
-        _require(0.0 < self.kappa < math.inf, "kappa must be positive and finite")
         # the blockade radii divide by hbar * omega0 and take roots of the ratio
         hbar_omega = HBAR * self.omega0
         _require(
@@ -143,29 +138,20 @@ class PhysicalParams:
 
     @classmethod
     def from_hz(
-        cls,
-        omega0_hz: float,
-        c6: float,
-        gamma_dephase: float = 0.0,
-        kappa: float = 1.0,
+        cls, omega0_hz: float, c6: float, gamma_dephase: float = 0.0
     ) -> "PhysicalParams":
         """Build from an ordinary frequency in Hz; c6 already in J m^6."""
-        return cls(
-            omega0=angular_from_hz(omega0_hz),
-            c6=c6,
-            gamma_dephase=gamma_dephase,
-            kappa=kappa,
-        )
+        return cls(omega0=angular_from_hz(omega0_hz), c6=c6, gamma_dephase=gamma_dephase)
 
 
 def blockade_radius_simple(params: PhysicalParams) -> float:
     """Distance at which the pair interaction equals the single-atom drive.
 
-    r_b = kappa * (C6 / (hbar * omega0))**(1/6). Inside r_b a second
+    r_b = (C6 / (hbar * omega0))**(1/6). Inside r_b a second
     excitation is shifted out of resonance by more than the linewidth of
     the drive, so a sphere of this radius hosts at most one excitation.
     """
-    return params.kappa * (params.c6 / (HBAR * params.omega0)) ** (1.0 / 6.0)
+    return (params.c6 / (HBAR * params.omega0)) ** (1.0 / 6.0)
 
 
 def blockade_radius_collective(params: PhysicalParams, local_density):
@@ -179,20 +165,24 @@ def blockade_radius_collective(params: PhysicalParams, local_density):
 
     has the closed form
 
-        r = kappa * (C6 / (hbar*omega0))**(2/15) * (4pi*n/3)**(-1/15)
+        r = (C6 / (hbar*omega0))**(2/15) * (4pi*n/3)**(-1/15)
 
     Returns ``(radius, n_per)`` where ``n_per`` is the atom count of the
     resulting sphere at the given density: floats for a scalar density,
-    arrays for an array of densities (every one must be positive). At
-    kappa=1 the pair satisfies the fixed-point relation to machine
-    precision; kappa scales the radius linearly on top of it.
+    arrays for an array of densities (every one must be positive).
     """
     local_density = np.asarray(local_density, dtype=float)
     _require(bool(np.all(local_density > 0.0)), "local density must be positive")
     x = params.c6 / (HBAR * params.omega0)
-    shell = 4.0 * math.pi / 3.0 * local_density
-    radius = params.kappa * x ** (2.0 / 15.0) * shell ** (-1.0 / 15.0)
-    n_per = local_density * (4.0 * math.pi / 3.0) * radius**3
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused below
+        shell = 4.0 * math.pi / 3.0 * local_density
+        radius = x ** (2.0 / 15.0) * shell ** (-1.0 / 15.0)
+        n_per = local_density * (4.0 * math.pi / 3.0) * radius**3
+    _require(
+        bool(np.all(n_per < math.inf)),
+        f"local density {np.max(local_density):.3g} m^-3 overflows float64 in 4 pi n / 3 or"
+        f" in the atom count of its sphere at c6 / (hbar omega0) = {x:.3g} m^6",
+    )
     if radius.ndim == 0:
         return float(radius), float(n_per)
     return radius, n_per

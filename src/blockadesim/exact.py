@@ -40,7 +40,6 @@ from .errors import InputFileError, InvalidParameterError, SizeCapError, read_te
 __all__ = [
     "AtomPositions",
     "Basis",
-    "HamiltonianSpec",
     "Hamiltonian",
     "QuantumState",
     "full_basis",
@@ -67,6 +66,9 @@ _DIAGONAL_ROWS = 1024
 # unit roundoff; its vectors are summed into the trajectory _BLOCK at a
 # time, and its coefficients transformed _COEFFICIENT_ROWS times at a time
 _UNIT_ROUNDOFF = 2.0**-53
+# every row of a trajectory is checked to have norm 1 within this, and
+# evolve() refuses phases less accurate than it
+_NORM_TOLERANCE = 1e-6
 _MAX_TERMS = 2**30
 _BLOCK = 8
 _COEFFICIENT_ROWS = 16
@@ -228,29 +230,6 @@ def restricted_basis(positions: AtomPositions, radius: float) -> Basis:
     return Basis(m, states, radius)
 
 
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """Geometry plus drive for an exact-dynamics run. Angular units (rad/s).
-
-    c6 may be zero here (non-interacting reference); the blockade radii in
-    :mod:`blockadesim.core` are the only places a zero C6 is meaningless.
-    """
-
-    positions: AtomPositions
-    omega0: float
-    c6: float
-    detuning: float = 0.0
-
-    def __post_init__(self) -> None:
-        # chained comparisons with inf also reject NaN
-        if not 0.0 < self.omega0 < np.inf:
-            raise InvalidParameterError("omega0 must be positive and finite")
-        if not 0.0 <= self.c6 < np.inf:
-            raise InvalidParameterError("c6 must be non-negative and finite")
-        if not np.isfinite(self.detuning):
-            raise InvalidParameterError("detuning must be finite")
-
-
 class Hamiltonian:
     """Sparse symmetric Hamiltonian over a basis, in rad/s."""
 
@@ -278,46 +257,57 @@ class Hamiltonian:
         return low, high, float(np.min(magnitude.data, initial=np.inf))
 
 
-def _pair_shifts(spec: HamiltonianSpec, states: np.ndarray) -> np.ndarray:
+def _pair_shifts(positions: AtomPositions, c6: float, states: np.ndarray) -> np.ndarray:
     """sum_{i<j} c6 / (hbar r_ij**6) n_i n_j of each state: half of
     occ . shifts . occ, over (_DIAGONAL_ROWS, M) blocks of occupations.
     InvalidParameterError if any state's shift overflows float64."""
-    dist = spec.positions.pairwise_distances()
+    dist = positions.pairwise_distances()
     np.fill_diagonal(dist, np.inf)
-    bits = np.arange(len(spec.positions))
+    bits = np.arange(len(positions))
     total = np.empty(states.shape)
     # an overflowing shift or sum ends as inf or NaN, refused below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        shifts = spec.c6 / (HBAR * dist**6)  # zero on the diagonal
+        shifts = c6 / (HBAR * dist**6)  # zero on the diagonal
         for start in range(0, states.size, _DIAGONAL_ROWS):
             block = slice(start, start + _DIAGONAL_ROWS)
             occ = ((states[block, None] >> bits) & 1).astype(np.float64)
             total[block] = 0.5 * np.einsum("si,si->s", occ @ shifts, occ)
     if not np.all(np.isfinite(total)):
         raise InvalidParameterError(
-            f"pair shifts of c6 = {spec.c6:.3g} J m^6 at {dist.min():.3g} m overflow float64"
+            f"pair shifts of c6 = {c6:.3g} J m^6 at {dist.min():.3g} m overflow float64"
         )
     return total
 
 
-def build_hamiltonian(spec: HamiltonianSpec, basis: Basis) -> Hamiltonian:
+def build_hamiltonian(
+    positions: AtomPositions, basis: Basis, omega0: float, c6: float, detuning: float = 0.0
+) -> Hamiltonian:
     """Assemble the CSR matrix of the blockade Hamiltonian on ``basis``.
 
-    Diagonal: detuning per excitation plus c6/(hbar r**6) per excited pair.
-    Off-diagonal: omega0/2 between states differing by one flip, kept only
-    if both states are in the basis.
+    Angular units (rad/s). Diagonal: detuning per excitation plus
+    c6/(hbar r**6) per excited pair. Off-diagonal: omega0/2 between states
+    differing by one flip, kept only if both states are in the basis.
+    c6 may be zero here (non-interacting reference); the blockade radii in
+    :mod:`blockadesim.core` are the only places a zero C6 is meaningless.
     """
-    if basis.n_atoms != len(spec.positions):
+    # chained comparisons with inf also reject NaN
+    if not 0.0 < omega0 < np.inf:
+        raise InvalidParameterError("omega0 must be positive and finite")
+    if not 0.0 <= c6 < np.inf:
+        raise InvalidParameterError("c6 must be non-negative and finite")
+    if not np.isfinite(detuning):
+        raise InvalidParameterError("detuning must be finite")
+    if basis.n_atoms != len(positions):
         raise InvalidParameterError(
-            f"basis over {basis.n_atoms} atoms, geometry has {len(spec.positions)}"
+            f"basis over {basis.n_atoms} atoms, geometry has {len(positions)}"
         )
     m = basis.n_atoms
     states = basis.states
     dim = basis.n_states
 
-    diag = spec.detuning * basis.popcounts
-    if spec.c6 > 0.0:
-        diag += _pair_shifts(spec, states)
+    diag = detuning * basis.popcounts
+    if c6 > 0.0:
+        diag += _pair_shifts(positions, c6, states)
 
     # one flip per atom: couple each state to the basis state with bit i set
     rows, cols = [], []
@@ -330,7 +320,7 @@ def build_hamiltonian(spec: HamiltonianSpec, basis: Basis) -> Hamiltonian:
         cols.append(found[hit])
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
-    data = np.full(rows.shape, spec.omega0 / 2.0)
+    data = np.full(rows.shape, omega0 / 2.0)
     matrix = scipy.sparse.coo_matrix(
         (
             np.concatenate([data, data, diag]),
@@ -346,7 +336,7 @@ def build_hamiltonian(spec: HamiltonianSpec, basis: Basis) -> Hamiltonian:
 class QuantumState:
     """Complex amplitudes over a basis: one state of shape (D,), or a
     trajectory of shape (T, D) with one state per row. Every row's norm
-    must be 1 within 1e-6."""
+    must be 1 within _NORM_TOLERANCE."""
 
     amplitudes: np.ndarray
     basis: Basis
@@ -359,7 +349,7 @@ class QuantumState:
             )
         self.amplitudes = amps
         norms = np.atleast_1d(self.norm())
-        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-6))  # a NaN norm fails too
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_TOLERANCE))  # NaN fails too
         if bad.size:
             row = f" in row {bad[0]}" if amps.ndim == 2 else ""
             raise InvalidParameterError(f"state norm {norms[bad[0]]}{row} is not 1")
@@ -522,6 +512,17 @@ def evolve(
     it away alike. Two atoms 1 nm apart give w = 1.6e28 rad/s, an eigh
     error of about 1e12 rad/s and a coupling of pi * 1e6 rad/s at 1 MHz,
     and eigh then returned no excitation at any time.
+
+    InvalidParameterError also refuses a grid whose last time t_max gives
+    u a t_max > _NORM_TOLERANCE, with a = w / 2 the Gershgorin half-width.
+    Every eigencomponent's phase then carries an error of at least
+    u a t_max radians: the rounding of the phase argument itself on either
+    route, and on the dense route eigh's backward error of about u a in
+    each eigenvalue. A wrong phase keeps every norm, so the rows' norm
+    check cannot see it; this bound holds the phases to that same
+    tolerance. Two atoms 6 um apart at 210 kHz have a = 1.5e6 rad/s; at
+    t_max = 1e12 s (u a t_max = 165 rad) their propagated excitation
+    reads up to 1.85, which is noise.
     """
     t = validate_time_grid(time_grid)
     if initial.basis != hamiltonian.basis:
@@ -535,6 +536,14 @@ def evolve(
         raise InvalidParameterError(
             f"coupling {coupling:.3g} rad/s is below float64 rounding of the "
             f"spectral width {high - low:.3g} rad/s"
+        )
+    half_width = (high - low) / 2.0
+    phase_error = _UNIT_ROUNDOFF * half_width * t[-1]
+    if not phase_error <= _NORM_TOLERANCE:
+        raise InvalidParameterError(
+            f"the time grid ends at {t[-1]:.3g} s, where float64 phases of the spectral "
+            f"half-width {half_width:.3g} rad/s err by {phase_error:.3g} rad, "
+            f"over {_NORM_TOLERANCE:g}"
         )
 
     plan = plan_propagation(hamiltonian, t)

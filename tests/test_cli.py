@@ -84,7 +84,10 @@ def test_cloud_writes_curve_ensemble_and_manifest(tmp_path, capsys):
     assert "manifest.command = cloud" in manifest
     assert "config.partition.model = simple" in manifest
     assert "manifest.output.curve.sha256 = " in manifest
-    assert "superatom entries" in capsys.readouterr().out
+    # 16,568 of the simple model's 27,000 cells hold fewer than one atom
+    summary = capsys.readouterr().out
+    assert "superatom entries" in summary
+    assert "61.4 % of the superatom weight at n_per < 1" in summary
 
 
 def test_cloud_manifest_rerun_is_byte_identical(tmp_path):
@@ -141,7 +144,9 @@ def test_overflowing_span_exits_4_with_a_short_message(tmp_path, capsys, span):
 
 
 @pytest.mark.parametrize(
-    "command, key", [("exact", "exact.max_atoms_full"), ("cloud", "partition.cell_cap")]
+    "command, key",
+    [("exact", "exact.max_atoms_full"), ("cloud", "partition.cell_cap"),
+     ("cloud", "physical.kappa")],
 )
 def test_retired_size_keys_are_unknown(tmp_path, capsys, command, key):
     config = {"exact": EXACT_CONFIG, "cloud": CLOUD_CONFIG}[command]
@@ -155,7 +160,7 @@ def test_retired_size_keys_are_unknown(tmp_path, capsys, command, key):
     [("cloud", ("ensemble.csv", "curve.csv")), ("exact", ("trajectory.csv",))],
 )
 def test_replays_manifest_recording_retired_size_keys(tmp_path, command, outputs):
-    # manifests of earlier versions carry the three size caps
+    # manifests of earlier versions carry the three size caps and kappa = 1
     cfg = write_config(tmp_path, {"exact": EXACT_CONFIG, "cloud": CLOUD_CONFIG}[command])
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main([command, "--config", cfg, "--out", str(out1)]) == 0
@@ -165,10 +170,27 @@ def test_replays_manifest_recording_retired_size_keys(tmp_path, command, outputs
         + "config.partition.cell_cap = 10000000\n"
         + "config.exact.max_atoms_full = 14\n"
         + "config.exact.max_atoms_restricted = 24\n"
+        + "config.physical.kappa = 1.0\n"
     )
     assert main([command, "--config", str(manifest), "--out", str(out2)]) == 0
     for name in outputs:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["cloud", "exact", "scaling"])
+def test_replay_refuses_a_retired_value_it_cannot_reproduce(tmp_path, capsys, command):
+    # only kappa = 1 replays: the radii no longer take a prefactor
+    config = {"cloud": CLOUD_CONFIG, "exact": EXACT_CONFIG, "scaling": SCALING_CONFIG}[command]
+    cfg = write_config(tmp_path, config)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main([command, "--config", cfg, "--out", str(out1)]) == 0
+    manifest = out1 / "manifest.txt"
+    manifest.write_text(manifest.read_text() + "config.physical.kappa = 1.3\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(manifest), "--out", str(out2)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "physical.kappa = 1.3 cannot be reproduced" in err[0]
+    assert not out2.exists()
 
 
 def test_unknown_key_exit_code(tmp_path, capsys):
@@ -271,6 +293,10 @@ def _refused(command, line, named):
 TWO_PHOTON = "physical.omega0_hz =; physical.omega2_hz = 1e7; physical.delta_hz = 1e9"
 NAN_DETUNING = TWO_PHOTON.replace("1e9", "nan")
 INF_DETUNING = TWO_PHOTON.replace("1e9", "inf")
+MICRON_COLLECTIVE = (
+    "cloud.sigma_x_m = 1e-6; cloud.sigma_y_m = 1e-6; cloud.sigma_z_m = 1e-6; "
+    "partition.model = collective"
+)
 
 
 @pytest.mark.parametrize(
@@ -281,19 +307,16 @@ INF_DETUNING = TWO_PHOTON.replace("1e9", "inf")
         _refused("exact", "physical.detuning_hz = inf", "finite"),
         _refused("exact", "physical.c6_jm6 = inf", "finite"),
         _refused("exact", "physical.gamma_per_s = inf", "finite"),
-        _refused("exact", "physical.kappa = inf", "finite"),
         _refused("exact", "physical.c6_jm6 = 1e300", "c6 / (hbar omega0)"),
         _refused("exact", "physical.c6_jm6 = 1e270", "pair shifts of c6 = 1e+270"),
         _refused("exact", "run.seed = -1", "seed must be non-negative"),
         _refused("cloud", "physical.omega0_hz = 1e-300", "c6 / (hbar omega0)"),
         _refused("cloud", "physical.omega0_hz = 1e300", "c6 / (hbar omega0)"),
         _refused("cloud", "physical.omega0_hz = 5e-324", "c6 / (hbar omega0)"),
-        _refused("cloud", "physical.kappa = 5e-324", "kappa = 5e-324"),
         _refused("cloud", "cloud.n_atoms = 1e300", "n_atoms = 1e+300"),
         _refused("cloud", "cloud.sigma_x_m = 1e-300", "sigma = (1e-300,"),
         _refused("cloud", "cloud.sigma_x_m = 5e-324", "sigma = (5e-324,"),
         _refused("cloud", f"physical.omega1_hz = 1e-300; {TWO_PHOTON}", "c6 / (hbar omega0)"),
-        _refused("scaling", "physical.kappa = 5e-324", "kappa = 5e-324"),
         _refused("scaling", "cloud.sigma_x_m = 5e-324", "sigma = (5e-324,"),
         _refused("scaling", "sweep.omega0_hz = 1e-300", "c6 / (hbar omega0)"),
         _refused("scaling", "sweep.omega0_hz = 1e300", "c6 / (hbar omega0)"),
@@ -302,6 +325,15 @@ INF_DETUNING = TWO_PHOTON.replace("1e9", "inf")
         _refused("scaling", "sweep.densities_m3 = inf", "density grid"),
         _refused("exact", "cloud.sigma_x_m = 1e300", "squared distances overflow float64"),
         _refused("cloud", "time.stop_s = 1e300", "t is too long"),
+        _refused("exact", "time.stop_s = 1e300", "the time grid ends at 1e+300 s"),
+        _refused("exact", "time.stop_s = 1e12", "the time grid ends at 1e+12 s"),
+        _refused("cloud", f"cloud.peak_density_m3 = 1e308; cloud.n_atoms =; {MICRON_COLLECTIVE}",
+                 "local density 1e+308 m^-3 overflows"),
+        _refused("cloud", f"cloud.n_atoms = 1e291; {MICRON_COLLECTIVE}",
+                 "local density 6.35e+307 m^-3 overflows"),
+        _refused("cloud", "physical.omega0_hz = 1; physical.c6_au =; physical.c6_jm6 = 1e200; "
+                 "cloud.peak_density_m3 = 1e300; cloud.n_atoms =; partition.model = collective",
+                 "local density 1e+300 m^-3 overflows"),
         _refused("scaling", "time.stop_s = 1e300", "span too many decades to fit"),
         _refused("cloud", f"physical.omega1_hz = inf; {TWO_PHOTON}", "omega1 must be"),
         _refused("cloud", f"physical.omega1_hz = 1e6; {NAN_DETUNING}", "detuning must be"),
@@ -753,5 +785,5 @@ def test_extreme_config_values_exit_cleanly(tmp_path, capsys):
                 if code not in (0, 2, 3, 4) or (code in (2, 4) and out.exists()):
                     failures.append(f"{command} {key} = {value}: exit {code}")
                 shutil.rmtree(out, ignore_errors=True)
-    assert runs == 540
+    assert runs == 513
     assert not failures, "\n".join(failures)

@@ -40,6 +40,15 @@ def test_peak_density_for_quoted_cloud():
 def test_from_peak_density_round_trip():
     spec = CloudSpec.from_peak_density(8.2e19, (20e-6, 22e-6, 30e-6))
     assert peak_density(spec) == pytest.approx(8.2e19, rel=1e-12)
+    # rounded exactly as the left-to-right product, so replays stay
+    # byte-identical; peak * (volume) rounds differently at this cloud
+    sigma = (22.6e-6,) * 3
+    assert CloudSpec.from_peak_density(8.2e19, sigma).n_atoms == (
+        8.2e19 * (2.0 * math.pi) ** 1.5 * 22.6e-6 * 22.6e-6 * 22.6e-6
+    )
+    # where that product overflows at its first factor, the atom number fits
+    dense = CloudSpec.from_peak_density(1e308, (1e-6, 1e-6, 1e-6))
+    assert dense.n_atoms == pytest.approx(1e308 * ((2.0 * math.pi) ** 1.5 * 1e-18), rel=1e-15)
 
 
 def test_peak_density_linear_in_atom_number():
@@ -78,6 +87,8 @@ def test_cloud_spec_validation():
         CloudSpec(1e6, (1e-6, -1e-6, 1e-6))
     with pytest.raises(InvalidParameterError):
         CloudSpec.from_peak_density(-1.0, (1e-6, 1e-6, 1e-6))
+    with pytest.raises(InvalidParameterError, match="n_atoms = inf"):
+        CloudSpec.from_peak_density(1e308, (1.0, 1.0, 1.0))
 
 
 # --- sampling -------------------------------------------------------------------
@@ -148,6 +159,17 @@ def test_partition_covers_cloud(reference_cloud, strong_params):
         )
         assert ensemble.total_atoms_covered <= reference_cloud.n_atoms * (1 + 1e-9)
         assert ensemble.total_atoms_covered >= 0.999 * reference_cloud.n_atoms
+
+
+@pytest.mark.parametrize("drive", ["weak", "strong"])
+def test_collective_sub_atom_share_of_the_reference_cloud(reference_cloud, request, drive):
+    # cells past rho ~ 4.7 sigma hold under one atom per superatom: 718 and
+    # 1,575 atoms of 1.5e7 at 42 and 210 kHz, yet 15.1 % and 18.6 % of the
+    # superatom weight at span 5 sigma (frozen)
+    params = request.getfixturevalue(f"{drive}_params")
+    ensemble = partition_superatoms(reference_cloud, params, n_min=0.0)
+    share = {"weak": 0.15086794892396874, "strong": 0.1858202673749993}[drive]
+    assert ensemble.sub_atom_share == pytest.approx(share, rel=1e-9)
 
 
 def test_partition_is_deterministic(reference_cloud, strong_params):

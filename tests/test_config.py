@@ -1,6 +1,7 @@
 """Config parsing, resolution helpers, manifest round trips."""
 
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -49,8 +50,8 @@ def test_missing_equals_sign():
 
 
 def test_bad_float_cites_key():
-    with pytest.raises(ConfigError, match="physical.kappa"):
-        parse_config_text("physical.kappa = big")
+    with pytest.raises(ConfigError, match="physical.gamma_per_s"):
+        parse_config_text("physical.gamma_per_s = big")
 
 
 def test_bad_choice_rejected():
@@ -188,7 +189,10 @@ def test_resolve_time_grid_validation():
 
 def test_readme_documents_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    missing = [
-        f.metadata["key"] for f in fields(RunConfig) if f"`{f.metadata['key']}`" not in readme
-    ]
+    keys = {f.metadata["key"] for f in fields(RunConfig)}
+    missing = [key for key in keys if f"`{key}`" not in readme]
     assert missing == []
+    # and the key table names no key that RunConfig lacks, such as a deleted one
+    table = readme.split("### Configuration keys", 1)[1].split("\n#", 1)[0]
+    documented = set(re.findall(r"`([a-z0-9_]+\.[a-z0-9_]+)`", table))
+    assert len(documented) > 20 and documented - keys == set()

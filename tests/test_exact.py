@@ -18,7 +18,6 @@ from blockadesim.errors import InputFileError, InvalidParameterError, SizeCapErr
 from blockadesim.exact import (
     AtomPositions,
     Hamiltonian,
-    HamiltonianSpec,
     QuantumState,
     build_hamiltonian,
     evolve,
@@ -211,9 +210,7 @@ LIMIT_64_MIB = 64 * 2**20
 )
 def test_memory_cap_refuses_before_allocating(rng, monkeypatch, name):
     if name == "full-14-evolve-1e6-times":
-        h = build_hamiltonian(
-            HamiltonianSpec(cluster(rng, 14, 5e-6), OMEGA, C6), full_basis(14)
-        )
+        h = build_hamiltonian(cluster(rng, 14, 5e-6), full_basis(14), OMEGA, C6)
         psi0, t = ground_state(h.basis), np.linspace(0.0, 1e-6, 10**6)
         call = lambda: evolve(h, psi0, t)  # noqa: E731
     elif name == "full-40":
@@ -243,9 +240,8 @@ def test_memory_estimates_bound_the_traced_peaks(rng, monkeypatch, kind):
         m = 11 if kind == "dense-2048" else 8
         positions = polygon(m, distance_for_interaction(1e3) / 2)
         make_basis = lambda: full_basis(m)  # noqa: E731
-    spec = HamiltonianSpec(positions, OMEGA, C6)
-    build_peak = traced_peak(lambda: build_hamiltonian(spec, make_basis()))
-    h = build_hamiltonian(spec, make_basis())
+    build_peak = traced_peak(lambda: build_hamiltonian(positions, make_basis(), OMEGA, C6))
+    h = build_hamiltonian(positions, make_basis(), OMEGA, C6)
     t = np.linspace(0.0, 5e-6, 50)
     assert (plan_propagation(h, t).route == "dense") == kind.startswith("dense")
     evolve_peak = traced_peak(lambda: evolve(h, ground_state(h.basis), t))
@@ -272,7 +268,7 @@ def test_basis_equality(rng):
 def test_pair_hamiltonian_elements():
     d = 2e-6
     positions = AtomPositions(np.array([[0, 0, 0], [d, 0, 0]]))
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(2))
+    h = build_hamiltonian(positions, full_basis(2), OMEGA, C6)
     dense = h.matrix.toarray()
     # states 0b00, 0b01, 0b10, 0b11
     assert dense[3, 3] == pytest.approx(C6 / (HBAR * d**6), rel=1e-12)
@@ -287,9 +283,7 @@ def test_detuning_counts_excitations():
     d = 2e-6
     delta = 2 * math.pi * 5e4
     positions = AtomPositions(np.array([[0, 0, 0], [d, 0, 0]]))
-    h = build_hamiltonian(
-        HamiltonianSpec(positions, OMEGA, C6, detuning=delta), full_basis(2)
-    )
+    h = build_hamiltonian(positions, full_basis(2), OMEGA, C6, detuning=delta)
     dense = h.matrix.toarray()
     assert dense[1, 1] == pytest.approx(delta, rel=1e-12)
     assert dense[2, 2] == pytest.approx(delta, rel=1e-12)
@@ -298,7 +292,7 @@ def test_detuning_counts_excitations():
 
 def test_hamiltonian_is_hermitian(rng):
     positions = cluster(rng, 5, 2e-6)
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
+    h = build_hamiltonian(positions, full_basis(5), OMEGA, C6)
     asym = (h.matrix - h.matrix.T).toarray()
     assert np.abs(asym).max() == 0.0
     phi = rng.standard_normal(32) + 1j * rng.standard_normal(32)
@@ -313,7 +307,7 @@ def test_restricted_couplings_stay_in_basis(rng):
     dist = positions.pairwise_distances()
     radius = float(np.median(dist[dist > 0]))
     basis = restricted_basis(positions, radius)
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), basis)
+    h = build_hamiltonian(positions, basis, OMEGA, C6)
     # row sums of the flip part: each state couples only to basis members
     coo = h.matrix.tocoo()
     offdiag = coo.row != coo.col
@@ -321,17 +315,17 @@ def test_restricted_couplings_stay_in_basis(rng):
     assert np.all(coo.data[offdiag] == OMEGA / 2)
 
 
-def loop_hamiltonian(spec, basis):
+def loop_hamiltonian(positions, basis, omega0, c6, detuning):
     """Oracle: per-state loops, flips looked up in a dict of basis states."""
     m, states, dim = basis.n_atoms, basis.states, basis.n_states
-    dist = spec.positions.pairwise_distances()
+    dist = positions.pairwise_distances()
     diag = []
     for s in states.tolist():
-        value = spec.detuning * bin(s).count("1")
+        value = detuning * bin(s).count("1")
         for i in range(m - 1):
             for j in range(i + 1, m):
                 if (s >> i) & (s >> j) & 1:
-                    value += spec.c6 / (HBAR * dist[i, j] ** 6)
+                    value += c6 / (HBAR * dist[i, j] ** 6)
         diag.append(value)
     index = {s: k for k, s in enumerate(states.tolist())}
     rows, cols = [], []
@@ -341,7 +335,7 @@ def loop_hamiltonian(spec, basis):
             if s ^ (1 << i) > s and kk is not None:
                 rows.append(k)
                 cols.append(kk)
-    data = np.full(len(rows), spec.omega0 / 2.0)
+    data = np.full(len(rows), omega0 / 2.0)
     return scipy.sparse.coo_matrix(
         (
             np.concatenate([data, data, diag]),
@@ -361,8 +355,8 @@ def test_vectorised_hamiltonian_equals_loop_oracle(rng, kind):
         dist = positions.pairwise_distances()
         basis = restricted_basis(positions, float(np.median(dist[dist > 0])))
         assert 10 < basis.n_states < 2**9
-    spec = HamiltonianSpec(positions, OMEGA, C6, detuning=-0.3 * OMEGA)
-    new, old = build_hamiltonian(spec, basis).matrix, loop_hamiltonian(spec, basis)
+    args = (positions, basis, OMEGA, C6, -0.3 * OMEGA)
+    new, old = build_hamiltonian(*args).matrix, loop_hamiltonian(*args)
     assert np.array_equal(new.indptr, old.indptr)
     assert np.array_equal(new.indices, old.indices)
     # the flips exactly; the pair sums, added in another order, to rounding
@@ -376,7 +370,7 @@ def test_vectorised_hamiltonian_equals_loop_oracle(rng, kind):
     dist = positions.pairwise_distances()
     np.fill_diagonal(dist, np.inf)
     vmat = C6 / (HBAR * dist**6)
-    einsum = spec.detuning * occ.sum(axis=1) + 0.5 * np.einsum("si,ij,sj->s", occ, vmat, occ)
+    einsum = -0.3 * OMEGA * occ.sum(axis=1) + 0.5 * np.einsum("si,ij,sj->s", occ, vmat, occ)
     # m*m summed terms, each rounding once
     assert np.abs(new.diagonal() - einsum).max() <= 81 * np.finfo(float).eps * np.abs(einsum).max()
     assert np.array_equal(basis.popcounts, occ.sum(axis=1))
@@ -385,7 +379,7 @@ def test_vectorised_hamiltonian_equals_loop_oracle(rng, kind):
 def test_geometry_basis_mismatch(rng):
     positions = cluster(rng, 4, 1e-6)
     with pytest.raises(InvalidParameterError, match="basis over 5 atoms, geometry has 4"):
-        build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
+        build_hamiltonian(positions, full_basis(5), OMEGA, C6)
 
 
 # --- propagation ---------------------------------------------------------------
@@ -393,7 +387,7 @@ def test_geometry_basis_mismatch(rng):
 
 def test_single_atom_rabi_oscillation():
     positions = AtomPositions(np.zeros((1, 3)))
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, 0.0), full_basis(1))
+    h = build_hamiltonian(positions, full_basis(1), OMEGA, 0.0)
     t = np.linspace(0.0, 5 * 2 * np.pi / OMEGA, 600)
     n_r = rydberg_number(evolve(h, ground_state(h.basis), t))
     assert np.abs(n_r - np.sin(OMEGA * t / 2) ** 2).max() < 1e-12
@@ -401,7 +395,7 @@ def test_single_atom_rabi_oscillation():
 
 def test_noninteracting_atoms_factorize(rng):
     positions = cluster(rng, 3, 1e-6)
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, 0.0), full_basis(3))
+    h = build_hamiltonian(positions, full_basis(3), OMEGA, 0.0)
     t = np.linspace(0.0, 2 * 2 * np.pi / OMEGA, 300)
     n_r = rydberg_number(evolve(h, ground_state(h.basis), t))
     assert np.abs(n_r - 3 * np.sin(OMEGA * t / 2) ** 2).max() < 1e-12
@@ -410,7 +404,7 @@ def test_noninteracting_atoms_factorize(rng):
 def test_two_blockaded_atoms_oscillate_at_sqrt2(rng):
     d = distance_for_interaction(1e4)
     positions = AtomPositions(np.array([[0, 0, 0], [d, 0, 0]]))
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(2))
+    h = build_hamiltonian(positions, full_basis(2), OMEGA, C6)
     t = np.linspace(0.0, 2 * np.pi / (math.sqrt(2) * OMEGA), 400)[1:]
     n_r = rydberg_number(evolve(h, ground_state(h.basis), t))
     ideal = np.sin(math.sqrt(2) * OMEGA * t / 2) ** 2
@@ -445,14 +439,14 @@ def routes_gap(force_chebyshev, h, psi0, t):
 
 def test_sparse_and_dense_routes_agree(rng, force_chebyshev):
     positions = cluster(rng, 6, 1.5e-6)
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(6))
+    h = build_hamiltonian(positions, full_basis(6), OMEGA, C6)
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 40)
     assert routes_gap(force_chebyshev, h, ground_state(h.basis), t) < 1e-8
 
 
 def test_grid_refinement_leaves_values_unchanged(rng, force_chebyshev):
     positions = cluster(rng, 4, 1.5e-6)
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(4))
+    h = build_hamiltonian(positions, full_basis(4), OMEGA, C6)
     coarse = np.linspace(0.0, 2 * np.pi / OMEGA, 33)
     fine = np.linspace(0.0, 2 * np.pi / OMEGA, 65)  # midpoints inserted
     psi0 = ground_state(h.basis)
@@ -464,7 +458,7 @@ def test_grid_refinement_leaves_values_unchanged(rng, force_chebyshev):
 
 def test_norm_conserved_along_trajectory(rng, force_chebyshev):
     positions = cluster(rng, 5, 1.5e-6)
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
+    h = build_hamiltonian(positions, full_basis(5), OMEGA, C6)
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 200)
     for route in ("dense", "chebyshev"):
         trajectory = evolve_by(route, force_chebyshev, h, ground_state(h.basis), t)
@@ -474,7 +468,7 @@ def test_norm_conserved_along_trajectory(rng, force_chebyshev):
 
 def test_chebyshev_matches_dense_over_one_long_interval(rng, force_chebyshev):
     positions = cluster(rng, 5, 1.5e-6)
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
+    h = build_hamiltonian(positions, full_basis(5), OMEGA, C6)
     t = np.array([2 * np.pi / OMEGA])  # a single time, far from t = 0
     assert plan_propagation(h, t).terms > 20
     assert routes_gap(force_chebyshev, h, ground_state(h.basis), t) < 1e-8
@@ -483,7 +477,7 @@ def test_chebyshev_matches_dense_over_one_long_interval(rng, force_chebyshev):
 def test_chebyshev_matches_dense_on_log_grid(rng, force_chebyshev):
     # the grid that time.spacing = log builds: 0, then geometric times
     positions = cluster(rng, 5, 1.5e-6)
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
+    h = build_hamiltonian(positions, full_basis(5), OMEGA, C6)
     t = np.concatenate([[0.0], np.geomspace(1e-10, 2 * np.pi / OMEGA, 59)])
     # the last time alone sets the number of terms
     assert plan_propagation(h, t).terms == plan_propagation(h, t[-1:]).terms
@@ -494,8 +488,7 @@ def test_chebyshev_matches_dense_with_detuning(rng, force_chebyshev):
     # a detuning of 30 omega0 moves the spectrum's centre, which the
     # expansion takes out of H and puts back as the phase exp(-i b t)
     positions = cluster(rng, 5, 3e-6)
-    spec = HamiltonianSpec(positions, OMEGA, C6, detuning=30 * OMEGA)
-    h = build_hamiltonian(spec, full_basis(5))
+    h = build_hamiltonian(positions, full_basis(5), OMEGA, C6, detuning=30 * OMEGA)
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 50)
     plan = plan_propagation(h, t)
     spectrum = np.linalg.eigvalsh(h.matrix.toarray())
@@ -507,7 +500,7 @@ def test_chebyshev_matches_dense_with_detuning(rng, force_chebyshev):
 
 def test_chebyshev_matches_dense_on_a_grid_starting_late(rng, force_chebyshev):
     positions = cluster(rng, 5, 1.5e-6)
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
+    h = build_hamiltonian(positions, full_basis(5), OMEGA, C6)
     t = np.linspace(0.7, 1.5, 30) * 2 * np.pi / OMEGA
     assert routes_gap(force_chebyshev, h, ground_state(h.basis), t) < 1e-8
 
@@ -515,7 +508,7 @@ def test_chebyshev_matches_dense_on_a_grid_starting_late(rng, force_chebyshev):
 def test_chebyshev_matches_dense_from_a_complex_initial_state(rng, force_chebyshev):
     # the recurrence then carries real and imaginary parts as two columns
     positions = cluster(rng, 5, 1.5e-6)
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
+    h = build_hamiltonian(positions, full_basis(5), OMEGA, C6)
     amps = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     psi0 = QuantumState(amps / np.linalg.norm(amps), h.basis)
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 40)
@@ -534,7 +527,7 @@ class CountingMatrix(scipy.sparse.csr_matrix):
 
 def test_chebyshev_evolve_makes_one_sparse_product_per_term(rng, monkeypatch):
     positions = cluster(rng, 8, 5e-6)
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(8))
+    h = build_hamiltonian(positions, full_basis(8), OMEGA, C6)
     counted = Hamiltonian(h.basis, CountingMatrix(h.matrix))
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 50)
     plan = plan_propagation(counted, t)
@@ -550,7 +543,7 @@ def test_chebyshev_terms_grow_as_the_bessel_cut(rng):
     # where C = 12 bounds the measured 10.1-11.6 for a t_max from 5 to 1e6
     omega = 2 * np.pi * 210e3
     positions = cluster(rng, 14, 22.6e-6)
-    h = build_hamiltonian(HamiltonianSpec(positions, omega, C6), full_basis(14))
+    h = build_hamiltonian(positions, full_basis(14), omega, C6)
     t = np.linspace(0.0, 5e-6, 50)
     plan = plan_propagation(h, t)
     x = plan.half_width * t[-1]
@@ -565,9 +558,7 @@ def stiff_polygon(m):
     """Acceptance 02's m-gon at 1e3 hbar omega0 pair shifts (full basis) and
     241 times up to 1.2 collective pi times."""
     diameter = distance_for_interaction(1e3)
-    h = build_hamiltonian(
-        HamiltonianSpec(polygon(m, diameter / 2), OMEGA, C6), full_basis(m)
-    )
+    h = build_hamiltonian(polygon(m, diameter / 2), full_basis(m), OMEGA, C6)
     return h, np.linspace(0.0, 1.2 * np.pi / (math.sqrt(m) * OMEGA), 241)
 
 
@@ -628,7 +619,7 @@ def test_nanometre_pair_is_planned_without_a_bessel_search():
     # a pair shift of 1.6e28 rad/s: a t_max = 8e21, far past any table the
     # memory limit admits and past the orders float64 can tell apart
     positions = AtomPositions(np.array([[0.0, 0.0, 0.0], [1e-9, 0.0, 0.0]]))
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(2))
+    h = build_hamiltonian(positions, full_basis(2), OMEGA, C6)
     t = np.linspace(0.0, 1e-6, 20)
     start = time.perf_counter()
     plan = plan_propagation(h, t)
@@ -640,7 +631,7 @@ def test_nanometre_pair_is_refused_before_propagating():
     # eigh's backward error (about 1e12 rad/s) swamps the pi * 1e6 rad/s
     # coupling, and the dense route returned n_ryd = 0 at every time
     positions = AtomPositions(np.array([[0.0, 0.0, 0.0], [1e-9, 0.0, 0.0]]))
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(2))
+    h = build_hamiltonian(positions, full_basis(2), OMEGA, C6)
     psi0 = ground_state(h.basis)
 
     def refused():
@@ -657,18 +648,33 @@ def test_coupling_is_refused_below_rounding_of_the_spectral_width(shift, resolve
     matrix = scipy.sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, shift]]))
     h = Hamiltonian(full_basis(1), matrix)
     assert h.scales == (-1.0, shift + 1.0, 1.0)
-    grid = np.linspace(0.0, 1.0, 3)
+    # short enough that the phases keep their precision: u a t = 1.25e-7
+    grid = np.linspace(0.0, 1e-6, 3)
     if resolved:
         assert evolve(h, ground_state(h.basis), grid).amplitudes.shape == (3, 2)
     else:
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="below float64 rounding"):
+            evolve(h, ground_state(h.basis), grid)
+
+
+@pytest.mark.parametrize("phase_error, admitted", [(0.9e-6, True), (1.1e-6, False)])
+def test_grid_is_refused_once_its_phases_lose_the_norm_tolerance(phase_error, admitted):
+    # two atoms 6 um apart at 210 kHz; the grid ends where u a t_max is phase_error
+    positions = AtomPositions(np.array([[0.0, 0.0, 0.0], [6e-6, 0.0, 0.0]]))
+    h = build_hamiltonian(positions, full_basis(2), 2 * math.pi * 210e3, C6)
+    low, high, _ = h.scales
+    grid = np.linspace(0.0, phase_error / (2.0**-53 * (high - low) / 2.0), 5)
+    if admitted:
+        assert evolve(h, ground_state(h.basis), grid).amplitudes.shape == (5, 4)
+    else:
+        with pytest.raises(InvalidParameterError, match="the time grid ends at"):
             evolve(h, ground_state(h.basis), grid)
 
 
 def test_second_plan_reuses_the_hamiltonians_scales(rng):
     # the Gershgorin bounds copy |H| once per Hamiltonian, not per plan
     positions = cluster(rng, 14, 22.6e-6)
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(14))
+    h = build_hamiltonian(positions, full_basis(14), OMEGA, C6)
     t = np.linspace(0.0, 5e-6, 50)
     first = traced_peak(lambda: plan_propagation(h, t))
     assert first > 12 * h.matrix.nnz
@@ -683,7 +689,7 @@ def test_benchmark_sizes_pick_the_expected_route(rng):
     omega = 2 * np.pi * 210e3
     for m in (8, 9, 10):
         positions = cluster(rng, m, 5e-6)
-        h = build_hamiltonian(HamiltonianSpec(positions, omega, C6), full_basis(m))
+        h = build_hamiltonian(positions, full_basis(m), omega, C6)
         assert plan_propagation(h, t).route == "chebyshev"
 
 
@@ -691,10 +697,8 @@ def test_restricted_matches_full_when_strongly_blockaded(rng):
     # mixed geometry: some pairs inside the restriction radius, some out
     radius = distance_for_interaction(100.0)
     positions = cluster(rng, 6, radius)
-    h_full = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(6))
-    h_rest = build_hamiltonian(
-        HamiltonianSpec(positions, OMEGA, C6), restricted_basis(positions, radius)
-    )
+    h_full = build_hamiltonian(positions, full_basis(6), OMEGA, C6)
+    h_rest = build_hamiltonian(positions, restricted_basis(positions, radius), OMEGA, C6)
     assert h_rest.dim < h_full.dim
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 120)
     n_full = rydberg_number(evolve(h_full, ground_state(h_full.basis), t))
@@ -708,9 +712,7 @@ def test_blockade_only_suppresses(rng):
     for _ in range(5):
         m = int(rng.integers(2, 9))
         positions = cluster(rng, m, 4.76e-6 * float(rng.uniform(0.3, 2.0)))
-        h = build_hamiltonian(
-            HamiltonianSpec(positions, OMEGA, C6), full_basis(m)
-        )
+        h = build_hamiltonian(positions, full_basis(m), OMEGA, C6)
         t = np.linspace(0.0, np.pi / OMEGA, 150)[1:]
         n_r = rydberg_number(evolve(h, ground_state(h.basis), t))
         assert np.all(n_r <= m * np.sin(OMEGA * t / 2) ** 2 + 1e-9)
@@ -718,7 +720,7 @@ def test_blockade_only_suppresses(rng):
 
 def test_evolve_validates_grid(rng):
     positions = cluster(rng, 2, 1e-6)
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(2))
+    h = build_hamiltonian(positions, full_basis(2), OMEGA, C6)
     psi0 = ground_state(h.basis)
     with pytest.raises(InvalidParameterError):
         evolve(h, psi0, np.array([0.0, 2.0, 1.0]))
@@ -733,7 +735,7 @@ def test_evolve_validates_grid(rng):
 
 def test_evolve_returns_one_trajectory_state(rng):
     positions = cluster(rng, 5, 1.5e-6)
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(5))
+    h = build_hamiltonian(positions, full_basis(5), OMEGA, C6)
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 40)
     trajectory = evolve(h, ground_state(h.basis), t)
     assert isinstance(trajectory, QuantumState)
@@ -754,7 +756,7 @@ def test_evolve_returns_one_trajectory_state(rng):
 
 def test_evolve_rejects_a_trajectory_as_initial_state(rng):
     positions = cluster(rng, 2, 1e-6)
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(2))
+    h = build_hamiltonian(positions, full_basis(2), OMEGA, C6)
     trajectory = evolve(h, ground_state(h.basis), np.array([0.0, 1e-7]))
     with pytest.raises(InvalidParameterError, match="one state"):
         evolve(h, trajectory, np.array([0.0, 1e-7]))
@@ -784,7 +786,7 @@ def test_trajectory_observables_allocate_no_trajectory_sized_array(rng):
 
 def test_evolve_rejects_basis_mismatch(rng):
     positions = cluster(rng, 3, 1e-6)
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(3))
+    h = build_hamiltonian(positions, full_basis(3), OMEGA, C6)
     other = ground_state(restricted_basis(positions, 1.0))
     with pytest.raises(InvalidParameterError, match="use different bases"):
         evolve(h, other, np.array([0.0, 1e-7]))
@@ -825,9 +827,9 @@ def test_quantum_state_trajectory_checks_every_row():
     ],
 )
 def test_hamiltonian_spec_requires_finite_values(rng, kwargs):
-    spec = dict(positions=cluster(rng, 2, 1e-6), omega0=OMEGA, c6=C6) | kwargs
+    spec = dict(positions=cluster(rng, 2, 1e-6), basis=full_basis(2), omega0=OMEGA, c6=C6)
     with pytest.raises(InvalidParameterError, match="finite"):
-        HamiltonianSpec(**spec)
+        build_hamiltonian(**(spec | kwargs))
 
 
 # --- observables ----------------------------------------------------------------
@@ -865,7 +867,7 @@ def test_fully_blockaded_cluster_follows_the_collective_law(rng, m):
     positions = cluster(rng, m, 1e-7)
     basis = restricted_basis(positions, 1.0)
     assert basis.n_states == m + 1
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), basis)
+    h = build_hamiltonian(positions, basis, OMEGA, C6)
     t_half = np.pi / (math.sqrt(m) * OMEGA)  # half the collective period
     t = np.linspace(0.0, 4 * t_half, 201)
     trajectory = evolve(h, ground_state(basis), t)
@@ -878,7 +880,7 @@ def test_blockaded_pi_pulse_lands_on_w_state(rng):
     m = 5
     radius = distance_for_interaction(1e3)
     positions = polygon(m, radius / 2)
-    h = build_hamiltonian(HamiltonianSpec(positions, OMEGA, C6), full_basis(m))
+    h = build_hamiltonian(positions, full_basis(m), OMEGA, C6)
     t_pi = np.pi / (math.sqrt(m) * OMEGA)
     trajectory = evolve(h, ground_state(h.basis), np.array([t_pi]))
     assert w_state_fidelity(trajectory)[0] > 0.99
