@@ -47,7 +47,6 @@ from .exact import (
     build_hamiltonian,
     evolve,
     full_basis,
-    ground_state,
     restricted_basis,
     rydberg_number,
     w_state_fidelity,

@@ -10,9 +10,11 @@ Four workflows:
 Each command only computes and returns a Run. Once it has returned,
 _finish creates the output directory (--out, else $BLOCKADESIM_OUT, else
 the working directory) and writes the CSVs plus a ``manifest.txt`` into
-it, so a run that exits 2 or 4 leaves no directory behind. The manifest records digests of every file and the fully resolved
-configuration; feeding it back through --config reruns the workflow and,
-for the deterministic paths, reproduces the CSVs byte for byte.
+it, so a run that exits 2 or 4 leaves no directory behind. The manifest
+records digests of every file and the fully resolved configuration;
+feeding it back through --config reruns the workflow and, for the
+deterministic paths, reproduces the CSVs byte for byte. A replay whose
+input file no longer has the digest its manifest records exits 2.
 
 Exit codes: 0 success, 2 bad input or configuration, 3 a fit did not
 converge (the curve resolves its rise or its plateau, not both), 4 a
@@ -26,16 +28,13 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields
 from typing import NamedTuple
 
 from . import __version__
 from .cloud import partition_superatoms, sample_positions
 from .config import (
-    RunConfig,
     config_items,
     load_config,
-    parse_value,
     resolve_cloud,
     resolve_params,
     resolve_sigma,
@@ -49,7 +48,6 @@ from .exact import (
     build_hamiltonian,
     evolve,
     full_basis,
-    ground_state,
     plan_propagation,
     restricted_basis,
     rydberg_number,
@@ -72,9 +70,6 @@ from .superatom import simulate_cloud
 
 OUT_ENV_VAR = "BLOCKADESIM_OUT"
 
-# settings that the config subcommands can override from the command line
-_OVERRIDES = [f for f in fields(RunConfig) if f.metadata["flag"]]
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -91,14 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="key = value run configuration")
-        for setting in _OVERRIDES:
-            choices = setting.metadata["choices"]
-            p.add_argument(
-                setting.metadata["flag"],
-                dest=setting.name,
-                metavar="{" + ",".join(choices) + "}" if choices else None,
-                help=f"override {setting.metadata['key']}",
-            )
     fit = sub.add_parser("fit", help="fit the saturation law to a curve CSV")
     fit.add_argument("curve", help="CSV with header t_s,n_rydberg")
     for p in sub.choices.values():
@@ -147,25 +134,34 @@ def _finish(command: str, out: str, run: Run) -> int:
     return 3 if run.stderr else 0
 
 
-def _load_config_with_overrides(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config)
-    for setting in _OVERRIDES:
-        text = getattr(args, setting.name)
-        if text is not None:
-            setattr(cfg, setting.name, parse_value(setting, text))
-    return cfg
+def _refuse_unused(command: str, key: str, value: float) -> None:
+    """ConfigError for a nonzero model setting that ``command`` would drop."""
+    if value != 0.0:  # NaN too
+        raise ConfigError(f"{key} = {value:g} is not used by {command}; set it to 0")
+
+
+def _input(name: str, path: str, recorded: dict[str, str]) -> tuple[str, str, str]:
+    """(name, path, sha256) of an input just read; ConfigError if the
+    --config manifest records another digest for it."""
+    digest = sha256_file(path)
+    if recorded.get(name, digest) != digest:
+        raise ConfigError(
+            f"{path}: sha256 {digest} differs from {recorded[name]} recorded in the manifest"
+        )
+    return name, path, digest
 
 
 def _cmd_exact(args: argparse.Namespace) -> Run:
-    cfg = _load_config_with_overrides(args)
+    cfg, recorded = load_config(args.config)
     params = resolve_params(cfg)
+    _refuse_unused("exact", "physical.gamma_per_s", cfg.gamma_per_s)
     grid = resolve_time_grid(cfg)
     if (cfg.exact_n_atoms is None) == (cfg.positions_path is None):
         raise ConfigError("give exactly one of exact.n_atoms or exact.positions_path")
     inputs = []
     if cfg.positions_path is not None:
         positions = AtomPositions.from_text(cfg.positions_path)
-        inputs.append(("positions", cfg.positions_path, sha256_file(cfg.positions_path)))
+        inputs.append(_input("positions", cfg.positions_path, recorded))
     else:
         cloud = resolve_cloud(cfg)
         _require_basis_memory(1.0, cfg.exact_n_atoms)  # the atom cap, before sampling
@@ -180,7 +176,7 @@ def _cmd_exact(args: argparse.Namespace) -> Run:
     hamiltonian = build_hamiltonian(
         positions, basis, params.omega0, params.c6, angular_from_hz(cfg.detuning_hz)
     )
-    trajectory = evolve(hamiltonian, ground_state(basis), grid)
+    trajectory = evolve(hamiltonian, time_grid=grid)
     n_rydberg, fidelity = rydberg_number(trajectory), w_state_fidelity(trajectory)
     plan = plan_propagation(hamiltonian, grid)
     terms = f" ({plan.terms} terms)" if plan.route == "chebyshev" else ""
@@ -196,8 +192,9 @@ def _cmd_exact(args: argparse.Namespace) -> Run:
 
 
 def _cmd_cloud(args: argparse.Namespace) -> Run:
-    cfg = _load_config_with_overrides(args)
+    cfg, _ = load_config(args.config)
     params = resolve_params(cfg)
+    _refuse_unused("cloud", "physical.detuning_hz", cfg.detuning_hz)
     cloud = resolve_cloud(cfg)
     grid = resolve_time_grid(cfg)
     ensemble = partition_superatoms(
@@ -218,13 +215,14 @@ def _cmd_cloud(args: argparse.Namespace) -> Run:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> Run:
-    cfg = _load_config_with_overrides(args)
+    cfg, _ = load_config(args.config)
     if not cfg.sweep_densities_m3 or not cfg.sweep_omega0_hz:
         raise ConfigError("scaling needs sweep.densities_m3 and sweep.omega0_hz")
     sigma = resolve_sigma(cfg, "scaling")
     if cfg.omega0_hz is None and cfg.omega1_hz is None:
         cfg.omega0_hz = cfg.sweep_omega0_hz[0]
     params = resolve_params(cfg)
+    _refuse_unused("scaling", "physical.detuning_hz", cfg.detuning_hz)
     grid = resolve_time_grid(cfg)
     omega_grid = [angular_from_hz(f) for f in cfg.sweep_omega0_hz]
     result = scaling_experiment(

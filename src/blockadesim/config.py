@@ -3,9 +3,9 @@
 One assignment per line, ``#`` starts a full-line comment, keys are
 dotted lowercase. Unknown keys are rejected by name so typos fail fast.
 Manifests written by the CLI parse as configs too: ``manifest.*`` keys
-are ignored, a ``config.*`` line of a retired setting is skipped if its
-value replays and refused if not, and a leading ``config.`` prefix is
-stripped.
+set nothing (load_config returns the input digests they record), a
+``config.*`` line of a retired setting is skipped if its value replays
+and refused if not, and a leading ``config.`` prefix is stripped.
 No key sets a size limit: each large step estimates its bytes and is
 refused before allocating past ``core.MEMORY_LIMIT_BYTES`` (exit code 4).
 """
@@ -13,6 +13,7 @@ refused before allocating past ``core.MEMORY_LIMIT_BYTES`` (exit code 4).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
@@ -24,18 +25,13 @@ from .core import (
 )
 from .errors import ConfigError, read_text
 
-__all__ = ["RunConfig", "load_config", "parse_config_text", "parse_value", "config_items"]
+__all__ = ["RunConfig", "load_config", "parse_config_text", "config_items"]
 
 
-def _key(
-    key: str, kind: str, default=None, choices: tuple[str, ...] = (), flag: str | None = None
-):
+def _key(key: str, kind: str, default=None, choices: tuple[str, ...] = ()):
     """Declare one setting: its dotted key, value kind ("float", "int",
-    "str" or "floats"), default, allowed values and optional CLI flag."""
-    return field(
-        default=default,
-        metadata={"key": key, "kind": kind, "choices": choices, "flag": flag},
-    )
+    "str" or "floats"), default and allowed values."""
+    return field(default=default, metadata={"key": key, "kind": kind, "choices": choices})
 
 
 @dataclass
@@ -55,7 +51,7 @@ class RunConfig:
     sigma_x_m: float | None = _key("cloud.sigma_x_m", "float")
     sigma_y_m: float | None = _key("cloud.sigma_y_m", "float")
     sigma_z_m: float | None = _key("cloud.sigma_z_m", "float")
-    model: str = _key("partition.model", "str", "collective", choices=MODELS, flag="--model")
+    model: str = _key("partition.model", "str", "collective", choices=MODELS)
     n_min: float = _key("partition.n_min", "float", 1.0)
     span_sigmas: float = _key("partition.span_sigmas", "float", 5.0)
     time_stop_s: float | None = _key("time.stop_s", "float")
@@ -68,10 +64,12 @@ class RunConfig:
     restriction_radius_m: float | None = _key("exact.restriction_radius_m", "float")
     sweep_densities_m3: tuple[float, ...] | None = _key("sweep.densities_m3", "floats")
     sweep_omega0_hz: tuple[float, ...] | None = _key("sweep.omega0_hz", "floats")
-    seed: int = _key("run.seed", "int", 0, flag="--seed")
+    seed: int = _key("run.seed", "int", 0)
 
 
 _KEYS: dict[str, Field] = {f.metadata["key"]: f for f in fields(RunConfig)}
+# the manifest line of an input's digest, as runio.write_manifest writes it
+_INPUT_DIGEST = re.compile(r"manifest\.input\.(\w+)\.sha256")
 
 # manifest lines of retired settings, each with the one value that the
 # program still computes with, or None if no value changed a result;
@@ -107,7 +105,7 @@ _KINDS = {
 }
 
 
-def parse_value(setting: Field, text: str):
+def _parse_value(setting: Field, text: str):
     """Parse one value of a RunConfig field; errors name its dotted key."""
     key, kind = setting.metadata["key"], setting.metadata["kind"]
     try:
@@ -160,12 +158,22 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             )
         seen[key] = lineno
         setting = _KEYS[key]
-        setattr(cfg, setting.name, parse_value(setting, value))
+        setattr(cfg, setting.name, _parse_value(setting, value))
     return cfg
 
 
-def load_config(path: str) -> RunConfig:
-    return parse_config_text(read_text(path, ConfigError), source=path)
+def load_config(path: str) -> tuple[RunConfig, dict[str, str]]:
+    """The configuration in ``path`` and, if ``path`` is a manifest, the
+    sha256 digest it records of each input, by input name."""
+    text = read_text(path, ConfigError)
+    cfg = parse_config_text(text, source=path)
+    digests = {}
+    for line in text.splitlines():
+        key, _, value = line.partition("=")
+        match = _INPUT_DIGEST.fullmatch(key.strip())
+        if match:
+            digests[match[1]] = value.strip()
+    return cfg, digests
 
 
 def config_items(cfg: RunConfig) -> list[tuple[str, str]]:

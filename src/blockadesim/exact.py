@@ -16,10 +16,13 @@ closer than a given radius (the independent sets of the proximity graph).
 The restriction is what makes clusters of ~20 fully blockaded atoms
 tractable: a mutually blockaded cluster needs only M+1 states.
 
-H is real and symmetric. evolve() propagates a state to every time of a
-grid at once, by one Chebyshev expansion of exp(-i H t) in the sparse
-matrix or, for stiff clusters whose expansion would need too many terms,
-by one dense eigendecomposition; plan_propagation() picks the cheaper.
+H is real and symmetric. evolve() propagates the ground state (no atom
+excited, basis index 0), where every run starts, to every time of a grid
+at once, by one Chebyshev expansion of exp(-i H t) in the sparse matrix
+or, for stiff clusters whose expansion would need too many terms, by one
+dense eigendecomposition; plan_propagation() picks the cheaper. It
+returns the trajectory as a QuantumState of one state per time, and the
+observables give one value per time.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ __all__ = [
     "full_basis",
     "restricted_basis",
     "build_hamiltonian",
-    "ground_state",
     "PropagationPlan",
     "plan_propagation",
     "evolve",
@@ -149,7 +151,7 @@ class Basis:
 
     States are int64 bitmasks in ascending numeric order, so index 0 is
     always the vacuum; with no restriction radius the basis is full. Immutable
-    by convention; equality compares atoms, restriction radius and states.
+    by convention.
     """
 
     def __init__(
@@ -174,15 +176,6 @@ class Basis:
     @property
     def n_states(self) -> int:
         return self.states.shape[0]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Basis):
-            return NotImplemented
-        return (
-            self.n_atoms == other.n_atoms
-            and self.restriction_radius == other.restriction_radius
-            and np.array_equal(self.states, other.states)
-        )
 
     def __repr__(self) -> str:
         return f"Basis(kind={self.kind!r}, n_atoms={self.n_atoms}, n_states={self.n_states})"
@@ -334,29 +327,27 @@ def build_hamiltonian(
 
 @dataclass
 class QuantumState:
-    """Complex amplitudes over a basis: one state of shape (D,), or a
-    trajectory of shape (T, D) with one state per row. Every row's norm
-    must be 1 within _NORM_TOLERANCE."""
+    """A trajectory over a basis: complex amplitudes of shape (T, D), one
+    state per row. Every row's norm must be 1 within _NORM_TOLERANCE."""
 
     amplitudes: np.ndarray
     basis: Basis
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.ndim not in (1, 2) or amps.shape[-1] != self.basis.n_states:
+        if amps.ndim != 2 or amps.shape[1] != self.basis.n_states:
             raise InvalidParameterError(
                 f"{amps.shape} amplitudes for a basis of {self.basis.n_states} states"
             )
         self.amplitudes = amps
-        norms = np.atleast_1d(self.norm())
+        norms = self.norm()
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_TOLERANCE))  # NaN fails too
         if bad.size:
-            row = f" in row {bad[0]}" if amps.ndim == 2 else ""
-            raise InvalidParameterError(f"state norm {norms[bad[0]]}{row} is not 1")
+            raise InvalidParameterError(f"state norm {norms[bad[0]]} in row {bad[0]} is not 1")
 
-    def norm(self):
-        """The norm: a float for one state, a (T,) array for a trajectory."""
-        return _per_row(np.sqrt(_sum_abs2(self.amplitudes)))
+    def norm(self) -> np.ndarray:
+        """The (T,) norms of the rows."""
+        return np.sqrt(_sum_abs2(self.amplitudes))
 
 
 def _sum_abs2(amps: np.ndarray, *weights: np.ndarray):
@@ -367,17 +358,6 @@ def _sum_abs2(amps: np.ndarray, *weights: np.ndarray):
     """
     spec = "...i,...i" + ",i" * len(weights) + "->..."
     return sum(np.einsum(spec, part, part, *weights) for part in (amps.real, amps.imag))
-
-
-def _per_row(values):
-    return float(values) if np.ndim(values) == 0 else values
-
-
-def ground_state(basis: Basis) -> QuantumState:
-    """All atoms in the ground state (vacuum bitmask, index 0)."""
-    amps = np.zeros(basis.n_states, dtype=np.complex128)
-    amps[0] = 1.0
-    return QuantumState(amps, basis)
 
 
 @dataclass(frozen=True)
@@ -472,12 +452,9 @@ def _chebyshev_vectors(matrix, plan: PropagationPlan, psi: np.ndarray):
         previous, current = current, following
 
 
-def evolve(
-    hamiltonian: Hamiltonian,
-    initial: QuantumState,
-    time_grid,
-) -> QuantumState:
-    """Propagate ``initial`` under exp(-i H t) to every grid time.
+def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
+    """Propagate the ground state psi (basis index 0) under exp(-i H t) to
+    every grid time.
 
     plan_propagation() picks the route. On the dense route a single
     eigendecomposition evaluates all times at once. On the Chebyshev route
@@ -495,8 +472,7 @@ def evolve(
 
     Returns one QuantumState whose amplitudes have shape
     (len(time_grid), n_states), row k being the state at time_grid[k];
-    every row is checked to have norm 1 within 1e-6. ``initial`` must be a
-    single state normalized to 1e-9.
+    every row is checked to have norm 1 within 1e-6.
 
     SizeCapError refuses, before propagating, a run whose result, Hamiltonian
     and working set (dense: the eigenvectors; Chebyshev: the T x N
@@ -525,12 +501,6 @@ def evolve(
     reads up to 1.85, which is noise.
     """
     t = validate_time_grid(time_grid)
-    if initial.basis != hamiltonian.basis:
-        raise InvalidParameterError("initial state and Hamiltonian use different bases")
-    if initial.amplitudes.ndim != 1:
-        raise InvalidParameterError("initial state must be one state, not a trajectory")
-    if not abs(initial.norm() - 1.0) <= 1e-9:
-        raise InvalidParameterError("initial state must be normalized to 1e-9")
     low, high, coupling = hamiltonian.scales
     if not coupling >= _UNIT_ROUNDOFF * (high - low):  # NaN bounds too
         raise InvalidParameterError(
@@ -556,22 +526,21 @@ def evolve(
     require_memory(16.0 * n_t * dim + 12.0 * nnz + working, f"{n_t} times of {dim:.0f} states")
     if dense:
         w, u = scipy.linalg.eigh(hamiltonian.matrix.toarray())
-        c0 = u.conj().T @ initial.amplitudes
         phases = np.exp(-1j * np.outer(t, w))
-        return QuantumState((phases * c0) @ u.T, hamiltonian.basis)
+        # psi's eigencomponents u^T psi are u's first row
+        return QuantumState((phases * u[0]) @ u.T, hamiltonian.basis)
 
     coef = _chebyshev_coefficients(plan, t)
-    psi = initial.amplitudes
-    # real and, if any, imaginary parts as real columns: real sparse
-    # products cost a third of complex ones and need no complex copy of H
-    columns = [psi.real, psi.imag] if psi.imag.any() else [psi.real]
-    vectors = _chebyshev_vectors(hamiltonian.matrix, plan, np.stack(columns, axis=1))
+    # psi is real, so is every T_n(.) psi: real sparse products cost a
+    # third of complex ones and need no complex copy of H
+    psi = np.zeros(hamiltonian.dim)
+    psi[0] = 1.0
+    vectors = _chebyshev_vectors(hamiltonian.matrix, plan, psi)
     amps = np.zeros((n_t, hamiltonian.dim), dtype=np.complex128)
     gathered = np.zeros((_BLOCK, hamiltonian.dim), dtype=np.complex128)
-    slots = gathered.view(np.float64).reshape(_BLOCK, -1, 2)[:, :, :len(columns)]
     for start in range(0, plan.terms, _BLOCK):
         block = min(_BLOCK, plan.terms - start)
-        for slot in slots[:block]:
+        for slot in gathered.real[:block]:
             slot[...] = next(vectors)
         # amps += coef[:, block] @ gathered[:block], summed in place
         scipy.linalg.blas.zgemm(
@@ -581,22 +550,19 @@ def evolve(
     return QuantumState(amps, hamiltonian.basis)
 
 
-def rydberg_number(state: QuantumState):
-    """Expected number of excited atoms <sum_i n_i>.
-
-    A float for one state, a (T,) array for a trajectory.
-    """
-    return _per_row(_sum_abs2(state.amplitudes, state.basis.popcounts))
+def rydberg_number(state: QuantumState) -> np.ndarray:
+    """Expected number of excited atoms <sum_i n_i>, one value per row."""
+    return _sum_abs2(state.amplitudes, state.basis.popcounts)
 
 
-def w_state_fidelity(state: QuantumState):
-    """Overlap squared with the symmetric one-excitation state.
+def w_state_fidelity(state: QuantumState) -> np.ndarray:
+    """Overlap squared with the symmetric one-excitation state, one value
+    per row.
 
     |<W|psi>|**2 where W is the equal-amplitude superposition of all
     single-excitation bitmasks. This is the collective state a fully
-    blockaded cluster Rabi-oscillates into. A float for one state, a (T,)
-    array for a trajectory.
+    blockaded cluster Rabi-oscillates into.
     """
     m = state.basis.n_atoms
-    amp_sum = state.amplitudes[..., state.basis.singles].sum(axis=-1)
-    return _per_row(np.abs(amp_sum) ** 2 / m)
+    amp_sum = state.amplitudes[:, state.basis.singles].sum(axis=1)
+    return np.abs(amp_sum) ** 2 / m

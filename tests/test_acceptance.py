@@ -23,7 +23,6 @@ from blockadesim.exact import (
     build_hamiltonian,
     evolve,
     full_basis,
-    ground_state,
     restricted_basis,
     rydberg_number,
     w_state_fidelity,
@@ -48,7 +47,7 @@ def _report(capsys, number: int, name: str, ok: bool, detail: str) -> None:
 def _trajectory(positions: AtomPositions, omega: float, c6: float, time_grid):
     basis = full_basis(len(positions))
     h = build_hamiltonian(positions, basis, omega, c6)
-    trajectory = evolve(h, ground_state(basis), time_grid)
+    trajectory = evolve(h, time_grid)
     return rydberg_number(trajectory), trajectory
 
 
@@ -134,7 +133,7 @@ def test_04_restricted_basis_validity(capsys, c6):
     full_values, _ = _trajectory(positions, OMEGA, c6, grid)
     basis = restricted_basis(positions, r100)
     h = build_hamiltonian(positions, basis, OMEGA, c6)
-    restricted_values = rydberg_number(evolve(h, ground_state(basis), grid))
+    restricted_values = rydberg_number(evolve(h, grid))
     rel_dev = float(np.max(np.abs(full_values - restricted_values)) / full_values.max())
     ok = rel_dev <= 0.01
     _report(capsys, 4, "restricted-basis validity", ok,

@@ -101,9 +101,11 @@ def test_cloud_manifest_rerun_is_byte_identical(tmp_path):
 
 def test_cloud_model_override_changes_partition(tmp_path):
     cfg = write_config(tmp_path, CLOUD_CONFIG)
+    collective = write_config(tmp_path, CLOUD_CONFIG.replace(
+        "partition.model = simple", "partition.model = collective"), "collective.cfg")
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["cloud", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["cloud", "--config", cfg, "--out", str(out2), "--model", "collective"]) == 0
+    assert main(["cloud", "--config", collective, "--out", str(out2)]) == 0
     assert (out1 / "ensemble.csv").read_bytes() != (out2 / "ensemble.csv").read_bytes()
     assert "config.partition.model = collective" in (out2 / "manifest.txt").read_text()
 
@@ -230,9 +232,12 @@ def test_exact_two_sampled_atoms(tmp_path):
 
 def test_exact_seed_override_changes_geometry(tmp_path):
     cfg = write_config(tmp_path, EXACT_CONFIG)
+    reseeded = write_config(
+        tmp_path, EXACT_CONFIG.replace("run.seed = 12", "run.seed = 99"), "reseeded.cfg"
+    )
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["exact", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["exact", "--config", cfg, "--out", str(out2), "--seed", "99"]) == 0
+    assert main(["exact", "--config", reseeded, "--out", str(out2)]) == 0
     assert (out1 / "trajectory.csv").read_bytes() != (out2 / "trajectory.csv").read_bytes()
     assert "config.run.seed = 99" in (out2 / "manifest.txt").read_text()
 
@@ -275,6 +280,31 @@ def test_exact_positions_file_and_digest(tmp_path):
     # 0.2 um apart at 1 MHz: deep blockade, so the peak stays near 1
     curve = read_curve_csv(str(out / "trajectory.csv"))
     assert curve.values.max() <= 1.02
+
+
+def test_replay_refuses_an_input_whose_digest_changed(tmp_path, capsys):
+    positions = tmp_path / "atoms.txt"
+    positions.write_text("0 0 0\n2e-7 0 0\n")
+    cfg = write_config(
+        tmp_path,
+        EXACT_CONFIG.replace("exact.n_atoms = 2", f"exact.positions_path = {positions}"),
+    )
+    out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    assert main(["exact", "--config", cfg, "--out", str(out1)]) == 0
+    manifest = out1 / "manifest.txt"
+    # unchanged, the input replays byte for byte
+    assert main(["exact", "--config", str(manifest), "--out", str(out2)]) == 0
+    for name in ("trajectory.csv", "manifest.txt"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    recorded = re.search(r"manifest\.input\.positions\.sha256 = (\w+)", manifest.read_text())[1]
+    positions.write_text("0 0 0\n3e-7 0 0\n")
+    capsys.readouterr()
+    assert main(["exact", "--config", str(manifest), "--out", str(out3)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    digest = blockadesim.cli.sha256_file(str(positions))
+    assert len(err) == 1 and err[0].startswith(f"error: {positions}: ")
+    assert recorded in err[0] and digest in err[0] and recorded != digest
+    assert not out3.exists()
 
 
 def test_exact_rejects_both_atom_sources(tmp_path, capsys):
@@ -338,11 +368,19 @@ MICRON_COLLECTIVE = (
         _refused("cloud", f"physical.omega1_hz = inf; {TWO_PHOTON}", "omega1 must be"),
         _refused("cloud", f"physical.omega1_hz = 1e6; {NAN_DETUNING}", "detuning must be"),
         _refused("cloud", f"physical.omega1_hz = 1e6; {INF_DETUNING}", "detuning must be"),
+        # exact has no dephasing, and the superatom model is resonant
+        _refused("exact", "physical.gamma_per_s = 1e6",
+                 "physical.gamma_per_s = 1e+06 is not used by exact"),
+        _refused("cloud", "physical.detuning_hz = 5e6",
+                 "physical.detuning_hz = 5e+06 is not used by cloud"),
+        _refused("scaling", "physical.detuning_hz = 5e6",
+                 "physical.detuning_hz = 5e+06 is not used by scaling"),
     ],
 )
 def test_exact_rejects_non_finite_physical_input(tmp_path, capsys, command, line, named):
-    """Inputs that are not finite, or that put a model scale out of float64's
-    range, exit 2 with one error line naming them and leave no --out.
+    """Inputs that are not finite, that put a model scale out of float64's
+    range, or that the command would drop, exit 2 with one error line
+    naming them and leave no --out.
 
     ``line`` holds ``key = value`` assignments joined by "; ", each replacing
     its key's row of the command's config; an empty value only drops the row.
@@ -650,12 +688,13 @@ def test_exact_nanometre_pair_exits_2_and_leaves_no_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", [("--seed", "1"), ("--model", "simple")], ids=["seed", "model"])
 @pytest.mark.parametrize("command", ["cloud", "exact", "scaling"])
-def test_config_subcommands_accept_override_flags(command):
-    args = blockadesim.cli._build_parser().parse_args(
-        [command, "--config", "run.cfg", "--seed", "1", "--model", "simple"]
-    )
-    assert (args.seed, args.model) == ("1", "simple")
+def test_config_subcommands_refuse_override_flags(command, flag):
+    # each setting has one source, its config line
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--config", "run.cfg", *flag])
+    assert excinfo.value.code == 2
 
 
 def test_readme_names_exactly_the_parser_options():
@@ -678,12 +717,6 @@ def test_fit_refuses_override_flags(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["fit", str(tmp_path / "curve.csv"), "--seed", "1"])
     assert excinfo.value.code == 2
-
-
-def test_bad_override_value_exits_like_bad_config_value(tmp_path, capsys):
-    cfg = write_config(tmp_path, CLOUD_CONFIG)
-    assert main(["cloud", "--config", cfg, "--out", str(tmp_path / "o"), "--model", "bogus"]) == 2
-    assert "bad value for partition.model" in capsys.readouterr().err
 
 
 def test_missing_config_file_exit_code(tmp_path, capsys):

@@ -31,7 +31,6 @@ from blockadesim.exact import (
     AtomPositions,
     build_hamiltonian,
     evolve,
-    ground_state,
     restricted_basis,
     rydberg_number,
 )
@@ -251,7 +250,7 @@ def test_collective_radius_collapses_the_exact_two_cluster_crossover(strong_para
             basis = restricted_basis(positions, 0.3 * r_c)
             assert basis.n_states == (m + 1) ** 2
             h = build_hamiltonian(positions, basis, strong_params.omega0, strong_params.c6)
-            row.append(rydberg_number(evolve(h, ground_state(basis), t)).mean())
+            row.append(rydberg_number(evolve(h, t)).mean())
         means.append(row)
     means = np.array(means)
     assert np.all(np.abs(means[:, 0] - 0.5) < 1e-3)

@@ -1,6 +1,6 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-and so does every name the benchmark's trace wraps; every error class is
-raised somewhere."""
+and so does every name the benchmark's trace wraps, whose counters read
+the calls the CLI makes; every error class is raised somewhere."""
 
 import importlib
 import inspect
@@ -8,6 +8,7 @@ import pkgutil
 from pathlib import Path
 
 import blockadesim
+from blockadesim.cli import main
 
 from conftest import package_errors
 
@@ -49,6 +50,48 @@ def test_every_traced_name_resolves_to_a_callable(monkeypatch):
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+PHYSICS = """
+physical.omega0_hz = 210e3
+physical.c6_au = 1.7e19
+cloud.sigma_x_m = 2.26465752498e-5
+cloud.sigma_y_m = 2.26465752498e-5
+cloud.sigma_z_m = 2.26465752498e-5
+partition.model = simple
+partition.n_min = 0.0
+partition.span_sigmas = 3.0
+"""
+SMALL_RUNS = {
+    "cloud": "cloud.n_atoms = 1.5e7\ntime.stop_s = 2e-5\ntime.num = 20\n",
+    "exact": "cloud.n_atoms = 1e6\nexact.n_atoms = 3\ntime.stop_s = 2e-6\ntime.num = 20\n",
+    "scaling": "time.stop_s = 2e-5\ntime.start_s = 1e-8\ntime.num = 50\ntime.spacing = log\n"
+               "sweep.densities_m3 = 2e19, 8e19\nsweep.omega0_hz = 1e5, 2e5\n",
+}
+
+
+def test_trace_counts_every_layer_of_the_cli_calls(tmp_path, monkeypatch, capsys):
+    # a counter that cannot read its call's arguments (say, time_grid passed
+    # by position where the counter expects it) drops its layer's figures
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    instrumentation = tracing.Instrumentation(tracer)
+    instrumentation.install()
+    try:
+        for command, lines in SMALL_RUNS.items():
+            config = tmp_path / f"{command}.cfg"
+            config.write_text(PHYSICS + lines)
+            out = tmp_path / command
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        assert main(["fit", str(tmp_path / "cloud" / "curve.csv"),
+                     "--out", str(tmp_path / "fit")]) == 0
+    finally:
+        instrumentation.remove()
+    assert instrumentation.absent == []
+    assert tracer.unavailable == set()
+    assert {span.name for span in tracer.spans} == set(tracing.LAYERS)
+    assert tracer.counters[-1]["exact.amplitude_mb"] > 0
 
 
 def test_every_package_error_is_raised_by_name():
