@@ -13,8 +13,8 @@ the working directory) and writes the CSVs plus a ``manifest.txt`` into
 it, so a run that exits 2 or 4 leaves no directory behind. The manifest
 records digests of every file and the fully resolved configuration;
 feeding it back through --config reruns the workflow and, for the
-deterministic paths, reproduces the CSVs byte for byte. A replay whose
-input file no longer has the digest its manifest records exits 2.
+deterministic paths, reproduces the CSVs byte for byte. A manifest of
+another command, or one whose input file has changed digest, exits 2.
 
 Exit codes: 0 success, 2 bad input or configuration, 3 a fit did not
 converge (the curve resolves its rise or its plateau, not both), 4 a
@@ -140,6 +140,14 @@ def _refuse_unused(command: str, key: str, value: float) -> None:
         raise ConfigError(f"{key} = {value:g} is not used by {command}; set it to 0")
 
 
+def _load_config(args: argparse.Namespace) -> tuple:
+    """The --config settings and input digests; ConfigError for another command's manifest."""
+    cfg, recorded, command = load_config(args.config)
+    if command not in (None, args.command):
+        raise ConfigError(f"{args.config}: a {command} manifest cannot configure {args.command}")
+    return cfg, recorded
+
+
 def _input(name: str, path: str, recorded: dict[str, str]) -> tuple[str, str, str]:
     """(name, path, sha256) of an input just read; ConfigError if the
     --config manifest records another digest for it."""
@@ -152,7 +160,7 @@ def _input(name: str, path: str, recorded: dict[str, str]) -> tuple[str, str, st
 
 
 def _cmd_exact(args: argparse.Namespace) -> Run:
-    cfg, recorded = load_config(args.config)
+    cfg, recorded = _load_config(args)
     params = resolve_params(cfg)
     _refuse_unused("exact", "physical.gamma_per_s", cfg.gamma_per_s)
     grid = resolve_time_grid(cfg)
@@ -192,7 +200,7 @@ def _cmd_exact(args: argparse.Namespace) -> Run:
 
 
 def _cmd_cloud(args: argparse.Namespace) -> Run:
-    cfg, _ = load_config(args.config)
+    cfg, _ = _load_config(args)
     params = resolve_params(cfg)
     _refuse_unused("cloud", "physical.detuning_hz", cfg.detuning_hz)
     cloud = resolve_cloud(cfg)
@@ -215,7 +223,7 @@ def _cmd_cloud(args: argparse.Namespace) -> Run:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> Run:
-    cfg, _ = load_config(args.config)
+    cfg, _ = _load_config(args)
     if not cfg.sweep_densities_m3 or not cfg.sweep_omega0_hz:
         raise ConfigError("scaling needs sweep.densities_m3 and sweep.omega0_hz")
     sigma = resolve_sigma(cfg, "scaling")

@@ -3,9 +3,9 @@
 One assignment per line, ``#`` starts a full-line comment, keys are
 dotted lowercase. Unknown keys are rejected by name so typos fail fast.
 Manifests written by the CLI parse as configs too: ``manifest.*`` keys
-set nothing (load_config returns the input digests they record), a
-``config.*`` line of a retired setting is skipped if its value replays
-and refused if not, and a leading ``config.`` prefix is stripped.
+set nothing (load_config returns the command and input digests they
+record), a ``config.*`` line of a retired setting is skipped if its value
+replays and refused if not, and a leading ``config.`` prefix is stripped.
 No key sets a size limit: each large step estimates its bytes and is
 refused before allocating past ``core.MEMORY_LIMIT_BYTES`` (exit code 4).
 """
@@ -162,18 +162,16 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     return cfg
 
 
-def load_config(path: str) -> tuple[RunConfig, dict[str, str]]:
-    """The configuration in ``path`` and, if ``path`` is a manifest, the
-    sha256 digest it records of each input, by input name."""
+def load_config(path: str) -> tuple[RunConfig, dict[str, str], str | None]:
+    """The configuration in ``path`` and what it records as a manifest: the
+    sha256 digest of each input, by input name, and the command that wrote
+    it ({} and None for a plain config file)."""
     text = read_text(path, ConfigError)
     cfg = parse_config_text(text, source=path)
-    digests = {}
-    for line in text.splitlines():
-        key, _, value = line.partition("=")
-        match = _INPUT_DIGEST.fullmatch(key.strip())
-        if match:
-            digests[match[1]] = value.strip()
-    return cfg, digests
+    entries = (line.partition("=") for line in text.splitlines())
+    recorded = {key.strip(): value.strip() for key, _, value in entries}
+    digests = {m[1]: v for k, v in recorded.items() if (m := _INPUT_DIGEST.fullmatch(k))}
+    return cfg, digests, recorded.get("manifest.command")
 
 
 def config_items(cfg: RunConfig) -> list[tuple[str, str]]:

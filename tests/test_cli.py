@@ -307,6 +307,34 @@ def test_replay_refuses_an_input_whose_digest_changed(tmp_path, capsys):
     assert not out3.exists()
 
 
+def manifest_of(tmp_path, command):
+    """manifest.txt of a run of ``command`` on this file's test configs."""
+    if command == "fit":
+        argv = ["fit", str(manifest_of(tmp_path, "cloud").parent / "curve.csv")]
+    else:
+        config = {"cloud": CLOUD_CONFIG, "exact": EXACT_CONFIG, "scaling": SCALING_CONFIG}
+        argv = [command, "--config", write_config(tmp_path, config[command], f"{command}.cfg")]
+    out = tmp_path / f"{command}-run"
+    assert main([*argv, "--out", str(out)]) in (0, 3)
+    return out / "manifest.txt"
+
+
+@pytest.mark.parametrize(
+    "recorded, command",
+    [("fit", "cloud"), ("scaling", "cloud"), ("cloud", "exact"), ("exact", "scaling")],
+)
+def test_replay_refuses_a_manifest_of_another_command(tmp_path, capsys, recorded, command):
+    # a fit manifest given to cloud used to fail later, for lack of a drive
+    manifest = manifest_of(tmp_path, recorded)
+    out = tmp_path / "replay"
+    capsys.readouterr()
+    assert main([command, "--config", str(manifest), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {manifest}: a {recorded} manifest cannot configure {command}"
+    ]
+    assert not out.exists()
+
+
 def test_exact_rejects_both_atom_sources(tmp_path, capsys):
     positions = tmp_path / "atoms.txt"
     positions.write_text("0 0 0\n2e-7 0 0\n")

@@ -1,12 +1,14 @@
 """Output files: atomic writes, cell formats and streamed CSV writes."""
 
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
-from blockadesim.cloud import SuperatomEnsemble
+from blockadesim.cloud import SuperatomEnsemble, partition_superatoms
 from blockadesim.runio import (
+    _ROW_BLOCK,
     ENSEMBLE_HEADER,
     atomic_write_text,
     format_float,
@@ -16,6 +18,21 @@ from blockadesim.runio import (
 )
 
 from conftest import traced_peak
+
+
+def naive_table(header, columns) -> str:
+    """The reference writer: every cell formatted on its own by its column's
+    dtype, floats as repr(float(v)), with no blocks and no reuse."""
+
+    def cells(column):
+        column = np.asarray(column)
+        if column.dtype.kind == "b":
+            return ["true" if flag else "false" for flag in column.tolist()]
+        if column.dtype.kind == "f":
+            return [repr(float(v)) for v in column]
+        return [str(v) for v in column.tolist()]
+
+    return header + "\n" + "".join(",".join(row) + "\n" for row in zip(*map(cells, columns)))
 
 
 def test_atomic_write_leaves_no_temp_file_and_spares_foreign_tmp(tmp_path):
@@ -74,6 +91,18 @@ def test_ensemble_csv_streams_rows_to_the_file(tmp_path, rng):
     assert path.stat().st_size > 16 * 2**20
 
 
+def test_ensemble_csv_of_grid_like_centres_streams_rows_to_the_file(tmp_path, rng):
+    # as above, but each axis holds 60 coordinates, as the cell grid's do:
+    # the text of repeated values is reused within a block, never cached
+    n = 200_000
+    ensemble = SuperatomEnsemble(
+        rng.uniform(1.0, 5e3, size=n), rng.uniform(1e-3, 2.0, size=n),
+        rng.choice(rng.normal(scale=1e-5, size=60), size=(n, 3)),
+    )
+    path = tmp_path / "ensemble.csv"
+    assert traced_peak(lambda: write_ensemble_csv(str(path), ensemble)) < 8 * 2**20
+    assert path.stat().st_size > 16 * 2**20
+
 
 def test_trajectory_csv_streams_rows_to_the_file(tmp_path, rng):
     n = 200_000
@@ -90,3 +119,65 @@ def test_write_table_formats_each_column_by_its_dtype(tmp_path):
         ["a", "b"], [0.1, float("nan")], [True, False], [7, 2**40],
     ])
     assert path.read_text() == "name,value,flag,count\na,0.1,true,7\nb,nan,false,1099511627776\n"
+
+
+_N = 3 * _ROW_BLOCK + 5
+# -0.0 and 0.0, NaNs of either sign and another payload, infinities,
+# subnormals down to 5e-324, the largest float and values repr prints in
+# exponent form
+_SPECIAL = np.concatenate([
+    [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308],
+    np.array([0x7FF8000000000001, 0xFFF0000000000123], dtype=np.uint64).view(np.float64),
+    [np.finfo(np.float64).max, 1e16, 1e-5, 0.1, 1 / 3, -2.5],
+])
+
+
+def _table_cases():
+    rng = np.random.default_rng(7)
+    runs = np.repeat(rng.uniform(1.0, 5e3, size=7), -(-_N // 7))[:_N]
+    assert runs[_ROW_BLOCK - 1] == runs[_ROW_BLOCK]  # a run straddles a block edge
+    special = rng.choice(_SPECIAL, size=_N)
+    special[:2] = -0.0, 0.0  # both zeros in one block
+    return {
+        "repeats": ("pool,runs,distinct", [
+            rng.choice(rng.normal(scale=1e-5, size=60), size=_N), runs, rng.uniform(size=_N),
+        ]),
+        "special": ("special,same_in_every_row", [special, np.full(_N, -0.0)]),
+        "float32": ("f32", [np.concatenate([
+            np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-45, 0.1], dtype=np.float32),
+            rng.choice(rng.normal(size=40).astype(np.float32), size=_N - 7),
+        ])]),
+        "mixed": ("flag,count,name,value", [
+            rng.uniform(size=_N) < 0.5,
+            rng.choice([0, -3, 7, 2**40], size=_N),
+            rng.choice(["a", "b", "c"], size=_N),
+            rng.choice(_SPECIAL, size=_N),
+        ]),
+    }
+
+
+@pytest.mark.parametrize("case", ["repeats", "special", "float32", "mixed"])
+def test_write_table_matches_a_per_cell_writer(tmp_path, case):
+    header, columns = _table_cases()[case]
+    path = tmp_path / "table.csv"
+    write_table(str(path), header, columns)
+    expected = naive_table(header, columns)
+    assert path.read_text().splitlines() == expected.splitlines()
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("model", ["simple", "collective"])
+def test_reference_cloud_ensemble_csv_has_the_per_cell_writers_digest(
+    tmp_path, reference_cloud, strong_params, model
+):
+    # the cloud of tests/test_cli.py's CLOUD_CONFIG, at 210 kHz
+    ensemble = partition_superatoms(reference_cloud, strong_params, model=model, n_min=0.0)
+    path = tmp_path / "ensemble.csv"
+    write_ensemble_csv(str(path), ensemble)
+    expected = naive_table(
+        ENSEMBLE_HEADER, [*ensemble.centers.T, ensemble.n_per, ensemble.weight]
+    )
+    assert len(ensemble) > 3 * _ROW_BLOCK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        hashlib.sha256(expected.encode()).hexdigest()
+    )
