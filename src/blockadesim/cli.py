@@ -16,10 +16,10 @@ feeding it back through --config reruns the workflow and, for the
 deterministic paths, reproduces the CSVs byte for byte. A manifest of
 another command, or one whose input file has changed digest, exits 2.
 
-Exit codes: 0 success, 2 bad input or configuration, 3 a fit did not
-converge (the curve resolves its rise or its plateau, not both), 4 a
-step would exceed the memory limit (refused before it allocates) or a
-basis has more than 63 atoms.
+Exit codes: 0 success, 2 bad input or configuration or an output that
+cannot be written, 3 a fit did not converge (the curve resolves its rise
+or its plateau, not both), 4 a step would exceed the memory limit
+(refused before it allocates) or a basis has more than 63 atoms.
 """
 
 from __future__ import annotations
@@ -116,28 +116,27 @@ def _output_dir(out: str) -> None:
 
 def _finish(command: str, out: str, run: Run) -> int:
     """Create ``out`` once the command has computed, write and digest each
-    output, write the manifest and print the summary; 3 if it warned."""
+    output, write the manifest and print the summary; 3 if it warned.
+    ConfigError naming the file that an OSError left unwritten."""
     _output_dir(out)
     outputs = []
-    for name, filename, write in run.outputs:
-        path = os.path.join(out, filename)
-        write(path)
-        outputs.append((name, filename, sha256_file(path)))
-    write_manifest(
-        os.path.join(out, "manifest.txt"), command=command, version=__version__,
-        config_items=run.config, inputs=run.inputs, outputs=outputs,
-    )
+    try:
+        for name, filename, write in run.outputs:
+            path = os.path.join(out, filename)
+            write(path)
+            outputs.append((name, filename, sha256_file(path)))
+        path = os.path.join(out, "manifest.txt")
+        write_manifest(
+            path, command=command, version=__version__,
+            config_items=run.config, inputs=run.inputs, outputs=outputs,
+        )
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     for line in run.stdout:
         print(line)
     for line in run.stderr:
         print(line, file=sys.stderr)
     return 3 if run.stderr else 0
-
-
-def _refuse_unused(command: str, key: str, value: float) -> None:
-    """ConfigError for a nonzero model setting that ``command`` would drop."""
-    if value != 0.0:  # NaN too
-        raise ConfigError(f"{key} = {value:g} is not used by {command}; set it to 0")
 
 
 def _load_config(args: argparse.Namespace) -> tuple:
@@ -162,7 +161,6 @@ def _input(name: str, path: str, recorded: dict[str, str]) -> tuple[str, str, st
 def _cmd_exact(args: argparse.Namespace) -> Run:
     cfg, recorded = _load_config(args)
     params = resolve_params(cfg)
-    _refuse_unused("exact", "physical.gamma_per_s", cfg.gamma_per_s)
     grid = resolve_time_grid(cfg)
     if (cfg.exact_n_atoms is None) == (cfg.positions_path is None):
         raise ConfigError("give exactly one of exact.n_atoms or exact.positions_path")
@@ -171,7 +169,7 @@ def _cmd_exact(args: argparse.Namespace) -> Run:
         positions = AtomPositions.from_text(cfg.positions_path)
         inputs.append(_input("positions", cfg.positions_path, recorded))
     else:
-        cloud = resolve_cloud(cfg)
+        cloud = resolve_cloud(cfg, "exact")
         _require_basis_memory(1.0, cfg.exact_n_atoms)  # the atom cap, before sampling
         positions = sample_positions(cloud, cfg.exact_n_atoms, cfg.seed)
     if cfg.basis == "full":
@@ -181,9 +179,7 @@ def _cmd_exact(args: argparse.Namespace) -> Run:
         if radius is None:
             radius = blockade_radius_simple(params)
         basis = restricted_basis(positions, radius)
-    hamiltonian = build_hamiltonian(
-        positions, basis, params.omega0, params.c6, angular_from_hz(cfg.detuning_hz)
-    )
+    hamiltonian = build_hamiltonian(positions, basis, params.omega0, params.c6)
     trajectory = evolve(hamiltonian, time_grid=grid)
     n_rydberg, fidelity = rydberg_number(trajectory), w_state_fidelity(trajectory)
     plan = plan_propagation(hamiltonian, grid)
@@ -202,8 +198,7 @@ def _cmd_exact(args: argparse.Namespace) -> Run:
 def _cmd_cloud(args: argparse.Namespace) -> Run:
     cfg, _ = _load_config(args)
     params = resolve_params(cfg)
-    _refuse_unused("cloud", "physical.detuning_hz", cfg.detuning_hz)
-    cloud = resolve_cloud(cfg)
+    cloud = resolve_cloud(cfg, "cloud")
     grid = resolve_time_grid(cfg)
     ensemble = partition_superatoms(
         cloud, params, model=cfg.model, n_min=cfg.n_min, span_sigmas=cfg.span_sigmas
@@ -230,7 +225,6 @@ def _cmd_scaling(args: argparse.Namespace) -> Run:
     if cfg.omega0_hz is None and cfg.omega1_hz is None:
         cfg.omega0_hz = cfg.sweep_omega0_hz[0]
     params = resolve_params(cfg)
-    _refuse_unused("scaling", "physical.detuning_hz", cfg.detuning_hz)
     grid = resolve_time_grid(cfg)
     omega_grid = [angular_from_hz(f) for f in cfg.sweep_omega0_hz]
     result = scaling_experiment(

@@ -44,8 +44,6 @@ class RunConfig:
     delta_hz: float | None = _key("physical.delta_hz", "float")
     c6_au: float | None = _key("physical.c6_au", "float")
     c6_jm6: float | None = _key("physical.c6_jm6", "float")
-    gamma_per_s: float = _key("physical.gamma_per_s", "float", 0.0)
-    detuning_hz: float = _key("physical.detuning_hz", "float", 0.0)
     cloud_n_atoms: float | None = _key("cloud.n_atoms", "float")
     peak_density_m3: float | None = _key("cloud.peak_density_m3", "float")
     sigma_x_m: float | None = _key("cloud.sigma_x_m", "float")
@@ -76,7 +74,8 @@ _INPUT_DIGEST = re.compile(r"manifest\.input\.(\w+)\.sha256")
 # replays skip such a line and refuse a value they cannot reproduce
 _RETIRED = {"config.run.threads": None, "config.exact.max_atoms_full": None,
             "config.exact.max_atoms_restricted": None, "config.partition.cell_cap": None,
-            "config.physical.kappa": 1.0}
+            "config.physical.kappa": 1.0, "config.physical.gamma_per_s": 0.0,
+            "config.physical.detuning_hz": 0.0}
 
 
 def _parse_int(text: str) -> int:
@@ -213,7 +212,7 @@ def resolve_params(cfg: RunConfig) -> PhysicalParams:
     if (cfg.c6_au is None) == (cfg.c6_jm6 is None):
         raise ConfigError("give exactly one of physical.c6_au or physical.c6_jm6")
     c6 = convert_c6_atomic_units(cfg.c6_au) if cfg.c6_au is not None else cfg.c6_jm6
-    return PhysicalParams.from_hz(omega0_hz, c6, cfg.gamma_per_s)
+    return PhysicalParams.from_hz(omega0_hz, c6)
 
 
 def resolve_sigma(cfg: RunConfig, command: str) -> tuple[float, float, float]:
@@ -224,8 +223,9 @@ def resolve_sigma(cfg: RunConfig, command: str) -> tuple[float, float, float]:
     return sigma
 
 
-def resolve_cloud(cfg: RunConfig) -> CloudSpec:
-    sigma = resolve_sigma(cfg, "cloud")
+def resolve_cloud(cfg: RunConfig, command: str) -> CloudSpec:
+    """The Gaussian cloud that ``command`` samples or partitions."""
+    sigma = resolve_sigma(cfg, command)
     if (cfg.cloud_n_atoms is None) == (cfg.peak_density_m3 is None):
         raise ConfigError("give exactly one of cloud.n_atoms or cloud.peak_density_m3")
     if cfg.cloud_n_atoms is not None:
@@ -244,8 +244,8 @@ def resolve_time_grid(cfg: RunConfig) -> np.ndarray:
     start = cfg.time_start_s
     if start is None or not (0.0 < start < cfg.time_stop_s):
         raise ConfigError("log spacing needs 0 < time.start_s < time.stop_s")
-    if cfg.time_num < 2:
-        raise ConfigError("log spacing needs time.num >= 2")
+    if cfg.time_num < 3:  # geomspace of one point would drop time.stop_s
+        raise ConfigError("log spacing needs time.num >= 3: 0, time.start_s and time.stop_s")
     return np.concatenate(
         [[0.0], np.geomspace(start, cfg.time_stop_s, cfg.time_num - 1)]
     )

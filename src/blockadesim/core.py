@@ -112,22 +112,17 @@ class PhysicalParams:
         Ground-Rydberg Rabi frequency of a single atom, rad/s.
     c6
         Van der Waals coefficient magnitude, J m^6.
-    gamma_dephase
-        Phenomenological damping rate of superatom oscillations, 1/s.
+
+    The drive is resonant and undamped in every model.
     """
 
     omega0: float
     c6: float
-    gamma_dephase: float = 0.0
 
     def __post_init__(self) -> None:
         # chained comparisons with inf also reject NaN
         _require(0.0 < self.omega0 < math.inf, "omega0 must be positive and finite")
         _require(0.0 < self.c6 < math.inf, "c6 must be positive and finite")
-        _require(
-            0.0 <= self.gamma_dephase < math.inf,
-            "gamma_dephase must be non-negative and finite",
-        )
         # the blockade radii divide by hbar * omega0 and take roots of the ratio
         hbar_omega = HBAR * self.omega0
         _require(
@@ -137,11 +132,9 @@ class PhysicalParams:
         )
 
     @classmethod
-    def from_hz(
-        cls, omega0_hz: float, c6: float, gamma_dephase: float = 0.0
-    ) -> "PhysicalParams":
+    def from_hz(cls, omega0_hz: float, c6: float) -> "PhysicalParams":
         """Build from an ordinary frequency in Hz; c6 already in J m^6."""
-        return cls(omega0=angular_from_hz(omega0_hz), c6=c6, gamma_dephase=gamma_dephase)
+        return cls(omega0=angular_from_hz(omega0_hz), c6=c6)
 
 
 def blockade_radius_simple(params: PhysicalParams) -> float:

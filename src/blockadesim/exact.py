@@ -5,10 +5,10 @@ gas: no motion during the pulse). Basis states are bitmasks over atoms,
 bit i set meaning atom i excited. The Hamiltonian, in units of rad/s
 (i.e. H/hbar throughout), is
 
-    H = (omega0/2) * sum_i x_i  +  detuning * sum_i n_i
-        + sum_{i<j} (c6 / (hbar * r_ij**6)) * n_i * n_j
+    H = (omega0/2) * sum_i x_i  +  sum_{i<j} (c6 / (hbar * r_ij**6)) * n_i * n_j
 
-with x_i the bit-flip (Pauli x) on atom i and n_i the excitation number.
+with x_i the bit-flip (Pauli x) on atom i and n_i the excitation number:
+the drive is resonant, as in the superatom model.
 
 Two basis choices are supported: the full 2**M product basis, and a
 restricted basis keeping only configurations with no two excited atoms
@@ -273,13 +273,13 @@ def _pair_shifts(positions: AtomPositions, c6: float, states: np.ndarray) -> np.
 
 
 def build_hamiltonian(
-    positions: AtomPositions, basis: Basis, omega0: float, c6: float, detuning: float = 0.0
+    positions: AtomPositions, basis: Basis, omega0: float, c6: float
 ) -> Hamiltonian:
     """Assemble the CSR matrix of the blockade Hamiltonian on ``basis``.
 
-    Angular units (rad/s). Diagonal: detuning per excitation plus
-    c6/(hbar r**6) per excited pair. Off-diagonal: omega0/2 between states
-    differing by one flip, kept only if both states are in the basis.
+    Angular units (rad/s). Diagonal: c6/(hbar r**6) per excited pair.
+    Off-diagonal: omega0/2 between states differing by one flip, kept
+    only if both states are in the basis.
     c6 may be zero here (non-interacting reference); the blockade radii in
     :mod:`blockadesim.core` are the only places a zero C6 is meaningless.
     """
@@ -288,8 +288,6 @@ def build_hamiltonian(
         raise InvalidParameterError("omega0 must be positive and finite")
     if not 0.0 <= c6 < np.inf:
         raise InvalidParameterError("c6 must be non-negative and finite")
-    if not np.isfinite(detuning):
-        raise InvalidParameterError("detuning must be finite")
     if basis.n_atoms != len(positions):
         raise InvalidParameterError(
             f"basis over {basis.n_atoms} atoms, geometry has {len(positions)}"
@@ -298,9 +296,7 @@ def build_hamiltonian(
     states = basis.states
     dim = basis.n_states
 
-    diag = detuning * basis.popcounts
-    if c6 > 0.0:
-        diag += _pair_shifts(positions, c6, states)
+    diag = _pair_shifts(positions, c6, states) if c6 > 0.0 else np.zeros(dim)
 
     # one flip per atom: couple each state to the basis state with bit i set
     rows, cols = [], []

@@ -1,15 +1,14 @@
 """Mesoscopic excitation dynamics of superatom ensembles.
 
-A superatom of N atoms shares one excitation and Rabi-oscillates at the
-collectively enhanced frequency sqrt(N) * omega0. Its excitation
-probability, with an optional phenomenological damping gamma of the
-coherence, is
+A superatom of N atoms shares one excitation and Rabi-oscillates,
+resonantly and without damping, at the collectively enhanced frequency
+sqrt(N) * omega0. Its excitation probability is
 
-    p(t) = (1 - exp(-gamma t) * cos(sqrt(N) omega0 t)) / 2
+    p(t) = (1 - cos(sqrt(N) omega0 t)) / 2 = sin^2(sqrt(N) omega0 t / 2)
 
-which at gamma = 0 is sin^2(sqrt(N) omega0 t / 2). A cloud's excitation
-curve is the weight-sum of its superatoms' probabilities, and saturates
-near sum(w)/2 once the oscillations dephase across the ensemble.
+A cloud's excitation curve is the weight-sum of its superatoms'
+probabilities, and saturates near sum(w)/2 once the oscillations dephase
+across the ensemble.
 """
 
 from __future__ import annotations
@@ -56,26 +55,22 @@ class ExcitationCurve:
         return self.times.size
 
 
-def superatom_population(n_per, omega0: float, t, gamma: float = 0.0):
+def superatom_population(n_per, omega0: float, t):
     """Excitation probability at time(s) ``t``; ``n_per`` broadcasts against ``t``."""
     n_per = np.asarray(n_per, dtype=float)
     # comparisons with 0 and inf also reject NaN
     valid = (0.0 <= n_per) & (n_per < np.inf)
     _require(bool(np.all(valid)), "n_per must be non-negative and finite")
     _require(0.0 < omega0 < np.inf, "omega0 must be positive and finite")
-    _require(0.0 <= gamma < np.inf, "gamma must be non-negative and finite")
     t = np.asarray(t, dtype=float)
     _require(bool(np.all((0.0 <= t) & (t < np.inf))), "t must be non-negative and finite")
-    # an overflowing phase is refused below; an overflowing gamma t damps fully
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused below
         phase = np.asarray(np.sqrt(n_per) * omega0 * t)
-        envelope = np.exp(-gamma * t)
     _require(
         bool(np.all(phase < np.inf)), "t is too long: the phase sqrt(n_per) omega0 t overflows"
     )
-    # (1 - envelope cos(phase)) / 2 in the phase's buffer
+    # (1 - cos(phase)) / 2 in the phase's buffer
     value = np.cos(phase, out=phase)
-    value *= envelope
     np.subtract(1.0, value, out=value)
     value *= 0.5
     return float(value) if value.ndim == 0 else value
@@ -99,12 +94,9 @@ def simulate_cloud(
     values = np.zeros_like(t)
     for lo in range(0, n_distinct.size, _CHUNK):
         hi = lo + _CHUNK
-        values += grouped[lo:hi] @ superatom_population(
-            n_distinct[lo:hi, None], params.omega0, t, params.gamma_dephase
-        )
+        values += grouped[lo:hi] @ superatom_population(n_distinct[lo:hi, None], params.omega0, t)
     metadata = {
         "omega0_radps": params.omega0,
-        "gamma_per_s": params.gamma_dephase,
         "n_entries": len(ensemble),
         "n_distinct": int(n_distinct.size),
         "total_weight": float(ensemble.weight.sum()),
@@ -119,12 +111,11 @@ def noninteracting_reference(
     """Excitation curve of the same atoms with the blockade switched off.
 
     Every atom Rabi-oscillates independently at omega0, so the expected
-    excitation number is n_atoms * sin^2(omega0 t / 2) (damped by gamma
-    the same way single superatoms are).
+    excitation number is n_atoms * sin^2(omega0 t / 2).
     """
     _require(n_atoms > 0.0, "n_atoms must be positive")
     t = validate_time_grid(time_grid)
-    values = n_atoms * superatom_population(1.0, params.omega0, t, params.gamma_dephase)
+    values = n_atoms * superatom_population(1.0, params.omega0, t)
     return ExcitationCurve(t, values, {"n_atoms": n_atoms})
 
 

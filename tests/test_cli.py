@@ -148,7 +148,8 @@ def test_overflowing_span_exits_4_with_a_short_message(tmp_path, capsys, span):
 @pytest.mark.parametrize(
     "command, key",
     [("exact", "exact.max_atoms_full"), ("cloud", "partition.cell_cap"),
-     ("cloud", "physical.kappa")],
+     ("cloud", "physical.kappa"), ("cloud", "physical.gamma_per_s"),
+     ("exact", "physical.detuning_hz")],
 )
 def test_retired_size_keys_are_unknown(tmp_path, capsys, command, key):
     config = {"exact": EXACT_CONFIG, "cloud": CLOUD_CONFIG}[command]
@@ -162,7 +163,8 @@ def test_retired_size_keys_are_unknown(tmp_path, capsys, command, key):
     [("cloud", ("ensemble.csv", "curve.csv")), ("exact", ("trajectory.csv",))],
 )
 def test_replays_manifest_recording_retired_size_keys(tmp_path, command, outputs):
-    # manifests of earlier versions carry the three size caps and kappa = 1
+    # manifests of earlier versions carry the three size caps, kappa = 1 and
+    # zero dephasing and detuning
     cfg = write_config(tmp_path, {"exact": EXACT_CONFIG, "cloud": CLOUD_CONFIG}[command])
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main([command, "--config", cfg, "--out", str(out1)]) == 0
@@ -173,6 +175,8 @@ def test_replays_manifest_recording_retired_size_keys(tmp_path, command, outputs
         + "config.exact.max_atoms_full = 14\n"
         + "config.exact.max_atoms_restricted = 24\n"
         + "config.physical.kappa = 1.0\n"
+        + "config.physical.gamma_per_s = 0.0\n"
+        + "config.physical.detuning_hz = 0.0\n"
     )
     assert main([command, "--config", str(manifest), "--out", str(out2)]) == 0
     for name in outputs:
@@ -181,18 +185,23 @@ def test_replays_manifest_recording_retired_size_keys(tmp_path, command, outputs
 
 @pytest.mark.parametrize("command", ["cloud", "exact", "scaling"])
 def test_replay_refuses_a_retired_value_it_cannot_reproduce(tmp_path, capsys, command):
-    # only kappa = 1 replays: the radii no longer take a prefactor
+    # only kappa = 1 and zero dephasing and detuning replay: the radii no
+    # longer take a prefactor, and the drive is resonant and undamped
     config = {"cloud": CLOUD_CONFIG, "exact": EXACT_CONFIG, "scaling": SCALING_CONFIG}[command]
     cfg = write_config(tmp_path, config)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main([command, "--config", cfg, "--out", str(out1)]) == 0
     manifest = out1 / "manifest.txt"
-    manifest.write_text(manifest.read_text() + "config.physical.kappa = 1.3\n")
-    capsys.readouterr()
-    assert main([command, "--config", str(manifest), "--out", str(out2)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "physical.kappa = 1.3 cannot be reproduced" in err[0]
-    assert not out2.exists()
+    recorded = manifest.read_text()
+    for line in (
+        "physical.kappa = 1.3", "physical.gamma_per_s = 1e6", "physical.detuning_hz = 5e6"
+    ):
+        manifest.write_text(recorded + f"config.{line}\n")
+        capsys.readouterr()
+        assert main([command, "--config", str(manifest), "--out", str(out2)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{line} cannot be reproduced" in err[0]
+        assert not out2.exists()
 
 
 def test_unknown_key_exit_code(tmp_path, capsys):
@@ -361,10 +370,7 @@ MICRON_COLLECTIVE = (
     "command, line, named",
     [
         _refused("exact", "physical.omega0_hz = inf", "finite"),
-        _refused("exact", "physical.detuning_hz = nan", "finite"),
-        _refused("exact", "physical.detuning_hz = inf", "finite"),
         _refused("exact", "physical.c6_jm6 = inf", "finite"),
-        _refused("exact", "physical.gamma_per_s = inf", "finite"),
         _refused("exact", "physical.c6_jm6 = 1e300", "c6 / (hbar omega0)"),
         _refused("exact", "physical.c6_jm6 = 1e270", "pair shifts of c6 = 1e+270"),
         _refused("exact", "run.seed = -1", "seed must be non-negative"),
@@ -396,19 +402,12 @@ MICRON_COLLECTIVE = (
         _refused("cloud", f"physical.omega1_hz = inf; {TWO_PHOTON}", "omega1 must be"),
         _refused("cloud", f"physical.omega1_hz = 1e6; {NAN_DETUNING}", "detuning must be"),
         _refused("cloud", f"physical.omega1_hz = 1e6; {INF_DETUNING}", "detuning must be"),
-        # exact has no dephasing, and the superatom model is resonant
-        _refused("exact", "physical.gamma_per_s = 1e6",
-                 "physical.gamma_per_s = 1e+06 is not used by exact"),
-        _refused("cloud", "physical.detuning_hz = 5e6",
-                 "physical.detuning_hz = 5e+06 is not used by cloud"),
-        _refused("scaling", "physical.detuning_hz = 5e6",
-                 "physical.detuning_hz = 5e+06 is not used by scaling"),
     ],
 )
 def test_exact_rejects_non_finite_physical_input(tmp_path, capsys, command, line, named):
-    """Inputs that are not finite, that put a model scale out of float64's
-    range, or that the command would drop, exit 2 with one error line
-    naming them and leave no --out.
+    """Inputs that are not finite or that put a model scale out of
+    float64's range exit 2 with one error line naming them and leave no
+    --out.
 
     ``line`` holds ``key = value`` assignments joined by "; ", each replacing
     its key's row of the command's config; an empty value only drops the row.
@@ -426,7 +425,8 @@ def test_exact_rejects_non_finite_physical_input(tmp_path, capsys, command, line
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    # the config's path holds this test's name, which holds "finite"
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0].replace(cfg, "")
     assert not out.exists()
 
 
@@ -693,7 +693,10 @@ def test_scaling_refused_at_its_densest_point_leaves_no_directory(tmp_path, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, config", [("cloud", CLOUD_CONFIG), ("scaling", SCALING_CONFIG)])
+@pytest.mark.parametrize(
+    "command, config",
+    [("cloud", CLOUD_CONFIG), ("scaling", SCALING_CONFIG), ("exact", EXACT_CONFIG)],
+)
 def test_missing_sigma_exits_2_naming_the_command(tmp_path, capsys, command, config):
     text = "\n".join(row for row in config.splitlines() if not row.startswith("cloud.sigma_y_m"))
     out = tmp_path / "o"
@@ -784,6 +787,17 @@ def test_out_naming_an_existing_file_exits_2(tmp_path, capsys):
     assert afile.read_text() == "kept"
 
 
+def test_output_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys):
+    # os.replace cannot rename the written temp file over a directory
+    out = tmp_path / "o"
+    (out / "trajectory.csv").mkdir(parents=True)
+    cfg = write_config(tmp_path, EXACT_CONFIG)
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write {out / 'trajectory.csv'}: Is a directory"]
+    assert os.listdir(out) == ["trajectory.csv"]  # the temp file is removed
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize("command", ["cloud", "exact"])
 def test_non_finite_stop_time_exits_2_naming_the_key(tmp_path, capsys, command, value):
@@ -846,5 +860,5 @@ def test_extreme_config_values_exit_cleanly(tmp_path, capsys):
                 if code not in (0, 2, 3, 4) or (code in (2, 4) and out.exists()):
                     failures.append(f"{command} {key} = {value}: exit {code}")
                 shutil.rmtree(out, ignore_errors=True)
-    assert runs == 513
+    assert runs == 459
     assert not failures, "\n".join(failures)

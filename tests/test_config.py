@@ -50,8 +50,8 @@ def test_missing_equals_sign():
 
 
 def test_bad_float_cites_key():
-    with pytest.raises(ConfigError, match="physical.gamma_per_s"):
-        parse_config_text("physical.gamma_per_s = big")
+    with pytest.raises(ConfigError, match="bad value for physical.c6_au"):
+        parse_config_text("physical.c6_au = big")
 
 
 def test_bad_choice_rejected():
@@ -152,11 +152,11 @@ def test_resolve_params_requires_exactly_one_c6():
 def test_resolve_cloud_requires_one_size_route():
     base = "cloud.sigma_x_m = 2e-5\ncloud.sigma_y_m = 2e-5\ncloud.sigma_z_m = 2e-5\n"
     with pytest.raises(ConfigError, match="exactly one"):
-        resolve_cloud(parse_config_text(base))
-    cloud = resolve_cloud(parse_config_text(base + "cloud.peak_density_m3 = 8.2e19"))
+        resolve_cloud(parse_config_text(base), "cloud")
+    cloud = resolve_cloud(parse_config_text(base + "cloud.peak_density_m3 = 8.2e19"), "cloud")
     assert cloud.n_atoms > 0
     with pytest.raises(ConfigError, match="sigma"):
-        resolve_cloud(parse_config_text("cloud.n_atoms = 1e7"))
+        resolve_cloud(parse_config_text("cloud.n_atoms = 1e7"), "cloud")
 
 
 def test_resolve_time_grid_linear():
@@ -176,6 +176,16 @@ def test_resolve_time_grid_log():
     grid = resolve_time_grid(cfg)
     assert grid[0] == 0.0
     assert np.allclose(grid[1:], np.geomspace(1e-9, 1e-4, 3))
+
+
+def test_log_time_grid_needs_three_points_to_reach_the_stop_time():
+    # 0 and time.start_s take two points; with none left, geomspace of one
+    # point would return time.start_s and drop time.stop_s
+    log = "time.stop_s = 1e-4\ntime.start_s = 1e-9\ntime.spacing = log\n"
+    for num in (1, 2):
+        with pytest.raises(ConfigError, match="log spacing needs time.num >= 3"):
+            resolve_time_grid(parse_config_text(log + f"time.num = {num}"))
+    assert resolve_time_grid(parse_config_text(log + "time.num = 3")).tolist() == [0.0, 1e-9, 1e-4]
 
 
 def test_resolve_time_grid_validation():

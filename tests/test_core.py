@@ -269,13 +269,10 @@ def test_collective_radius_collapses_the_exact_two_cluster_crossover(strong_para
         dict(omega0=0.0, c6=1e-60),
         dict(omega0=-1.0, c6=1e-60),
         dict(omega0=1e6, c6=0.0),
-        dict(omega0=1e6, c6=1e-60, gamma_dephase=-1.0),
         dict(omega0=1e6, c6=math.nan),
         dict(omega0=math.inf, c6=1e-60),
         dict(omega0=math.nan, c6=1e-60),
         dict(omega0=1e6, c6=math.inf),
-        dict(omega0=1e6, c6=1e-60, gamma_dephase=math.inf),
-        dict(omega0=1e6, c6=1e-60, gamma_dephase=math.nan),
     ],
 )
 def test_physical_params_validation(kwargs):

@@ -272,17 +272,6 @@ def test_pair_hamiltonian_elements():
     assert dense[0, 3] == 0.0  # no double flips
 
 
-def test_detuning_counts_excitations():
-    d = 2e-6
-    delta = 2 * math.pi * 5e4
-    positions = AtomPositions(np.array([[0, 0, 0], [d, 0, 0]]))
-    h = build_hamiltonian(positions, full_basis(2), OMEGA, C6, detuning=delta)
-    dense = h.matrix.toarray()
-    assert dense[1, 1] == pytest.approx(delta, rel=1e-12)
-    assert dense[2, 2] == pytest.approx(delta, rel=1e-12)
-    assert dense[3, 3] == pytest.approx(2 * delta + C6 / (HBAR * d**6), rel=1e-12)
-
-
 def test_hamiltonian_is_hermitian(rng):
     positions = cluster(rng, 5, 2e-6)
     h = build_hamiltonian(positions, full_basis(5), OMEGA, C6)
@@ -308,13 +297,13 @@ def test_restricted_couplings_stay_in_basis(rng):
     assert np.all(coo.data[offdiag] == OMEGA / 2)
 
 
-def loop_hamiltonian(positions, basis, omega0, c6, detuning):
+def loop_hamiltonian(positions, basis, omega0, c6):
     """Oracle: per-state loops, flips looked up in a dict of basis states."""
     m, states, dim = basis.n_atoms, basis.states, basis.n_states
     dist = positions.pairwise_distances()
     diag = []
     for s in states.tolist():
-        value = detuning * bin(s).count("1")
+        value = 0.0
         for i in range(m - 1):
             for j in range(i + 1, m):
                 if (s >> i) & (s >> j) & 1:
@@ -348,7 +337,7 @@ def test_vectorised_hamiltonian_equals_loop_oracle(rng, kind):
         dist = positions.pairwise_distances()
         basis = restricted_basis(positions, float(np.median(dist[dist > 0])))
         assert 10 < basis.n_states < 2**9
-    args = (positions, basis, OMEGA, C6, -0.3 * OMEGA)
+    args = (positions, basis, OMEGA, C6)
     new, old = build_hamiltonian(*args).matrix, loop_hamiltonian(*args)
     assert np.array_equal(new.indptr, old.indptr)
     assert np.array_equal(new.indices, old.indices)
@@ -363,7 +352,7 @@ def test_vectorised_hamiltonian_equals_loop_oracle(rng, kind):
     dist = positions.pairwise_distances()
     np.fill_diagonal(dist, np.inf)
     vmat = C6 / (HBAR * dist**6)
-    einsum = -0.3 * OMEGA * occ.sum(axis=1) + 0.5 * np.einsum("si,ij,sj->s", occ, vmat, occ)
+    einsum = 0.5 * np.einsum("si,ij,sj->s", occ, vmat, occ)
     # m*m summed terms, each rounding once
     assert np.abs(new.diagonal() - einsum).max() <= 81 * np.finfo(float).eps * np.abs(einsum).max()
     assert np.array_equal(basis.popcounts, occ.sum(axis=1))
@@ -430,6 +419,12 @@ def routes_gap(force_chebyshev, h, t):
     )
 
 
+def detuned(h, detuning):
+    """``h`` plus ``detuning`` per excitation: evolve() propagates any real
+    symmetric H, and a detuning moves the centre of its spectrum."""
+    return Hamiltonian(h.basis, h.matrix + scipy.sparse.diags(detuning * h.basis.popcounts))
+
+
 def expm_first_column(h, t):
     """The oracle: column 0 of scipy's exp(-i H t), one dense expm per time."""
     dense = h.matrix.toarray()
@@ -462,7 +457,7 @@ def test_both_routes_match_scipy_expm(rng, force_chebyshev, route, basis_kind):
             distances = positions.pairwise_distances()[np.triu_indices(m, 1)]
             basis = restricted_basis(positions, float(np.quantile(distances, 0.3)))
         detuning = float(rng.uniform(-3.0, 3.0)) * OMEGA
-        h = build_hamiltonian(positions, basis, OMEGA, C6, detuning=detuning)
+        h = detuned(build_hamiltonian(positions, basis, OMEGA, C6), detuning)
         trajectory = evolve_by(route, force_chebyshev, h, t)
         bound = 16 * 2.0**-53 * max(1.0, plan_propagation(h, t).half_width * t[-1])
         assert np.abs(trajectory.amplitudes - expm_first_column(h, t)).max() < bound
@@ -518,7 +513,7 @@ def test_chebyshev_matches_dense_with_detuning(rng, force_chebyshev):
     # a detuning of 30 omega0 moves the spectrum's centre, which the
     # expansion takes out of H and puts back as the phase exp(-i b t)
     positions = cluster(rng, 5, 3e-6)
-    h = build_hamiltonian(positions, full_basis(5), OMEGA, C6, detuning=30 * OMEGA)
+    h = detuned(build_hamiltonian(positions, full_basis(5), OMEGA, C6), 30 * OMEGA)
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 50)
     plan = plan_propagation(h, t)
     spectrum = np.linalg.eigvalsh(h.matrix.toarray())
@@ -822,8 +817,6 @@ def test_quantum_state_trajectory_checks_every_row():
         dict(omega0=math.inf),
         dict(c6=math.inf),
         dict(c6=math.nan),
-        dict(detuning=math.nan),
-        dict(detuning=-math.inf),
     ],
 )
 def test_hamiltonian_spec_requires_finite_values(rng, kwargs):

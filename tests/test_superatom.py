@@ -59,20 +59,13 @@ def test_population_is_vectorized():
     assert out[0] == 0.0
 
 
-def test_damping_relaxes_to_half():
-    gamma = 1e7
-    assert superatom_population(10.0, OMEGA, 1e-5, gamma=gamma) == pytest.approx(
-        0.5, rel=1e-6
-    )
-
-
 def test_population_broadcasts_sizes_against_times():
     n_per = np.array([1.0, 9.0, 49.0, 400.0])
     t = np.linspace(0.0, 2e-5, 37)
-    grid = superatom_population(n_per[:, None], OMEGA, t, gamma=3e4)
+    grid = superatom_population(n_per[:, None], OMEGA, t)
     assert grid.shape == (4, 37)
     for row, n in zip(grid, n_per):
-        assert np.array_equal(row, superatom_population(n, OMEGA, t, gamma=3e4))
+        assert np.array_equal(row, superatom_population(n, OMEGA, t))
 
 
 def test_population_rejects_any_negative_size():
@@ -85,8 +78,6 @@ def test_population_validates_inputs():
         superatom_population(-1.0, OMEGA, 0.0)
     with pytest.raises(InvalidParameterError):
         superatom_population(1.0, 0.0, 0.0)
-    with pytest.raises(InvalidParameterError):
-        superatom_population(1.0, OMEGA, 0.0, gamma=-1.0)
 
 
 @pytest.mark.parametrize(
@@ -97,12 +88,10 @@ def test_population_validates_inputs():
         ("n_per", np.array([4.0, math.nan])),
         ("omega0", math.nan),
         ("omega0", math.inf),
-        ("gamma", math.nan),
-        ("gamma", math.inf),
     ],
 )
 def test_population_rejects_non_finite_input(name, value):
-    args = dict(n_per=10.0, omega0=OMEGA, t=np.linspace(0.0, 1e-5, 5), gamma=0.0)
+    args = dict(n_per=10.0, omega0=OMEGA, t=np.linspace(0.0, 1e-5, 5))
     with pytest.raises(InvalidParameterError, match=f"{name} must be"):
         superatom_population(**(args | {name: value}))
 
@@ -118,19 +107,11 @@ def test_population_refuses_an_overflowing_phase_naming_t():
         superatom_population(4.0, 1e9, np.array([0.0, 1e300]))  # phase 2e309
 
 
-def test_overflowing_damping_is_full_damping_without_a_warning():
-    # gamma t = 1e310 overflows float64: exp(-inf) = 0, so p = 1/2
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        value = superatom_population(4.0, 1e6, np.array([0.0, 1e10]), gamma=1e300)
-    assert np.array_equal(value, [0.0, 0.5])
-
-
 def test_population_is_bit_identical_to_the_closed_form(rng):
     n_per = rng.uniform(0.0, 1e4, 64)[:, None]
     t = np.linspace(0.0, 3e-5, 50)
-    expected = 0.5 * (1.0 - np.exp(-3e4 * t) * np.cos(np.sqrt(n_per) * OMEGA * t))
-    assert np.array_equal(superatom_population(n_per, OMEGA, t, gamma=3e4), expected)
+    expected = 0.5 * (1.0 - np.cos(np.sqrt(n_per) * OMEGA * t))
+    assert np.array_equal(superatom_population(n_per, OMEGA, t), expected)
     assert superatom_population(9.0, OMEGA, 1e-6) == 0.5 * (1.0 - math.cos(3.0 * OMEGA * 1e-6))
 
 
@@ -155,19 +136,17 @@ def test_curve_starts_at_zero_and_stays_nonnegative():
     assert np.all(curve.values <= ensemble.weight.sum())
 
 
-@pytest.mark.parametrize("gamma", [0.0, 4e4])
-def test_curve_matches_per_entry_population_sum(rng, gamma):
+def test_curve_matches_per_entry_population_sum(rng):
     # heavy exact repeats (as the symmetric cell grid produces) mixed with
     # random sizes; the grouped sum must match the entry-by-entry law
     repeated = rng.choice(rng.uniform(1.0, 5000.0, size=40), size=6000)
     n_per = rng.permutation(np.concatenate([repeated, rng.uniform(1.0, 5000.0, 3000)]))
     weights = rng.uniform(0.01, 3.0, size=n_per.size)
-    params = PhysicalParams(OMEGA, 1e-60, gamma_dephase=gamma)
     t = np.concatenate([[0.0], np.geomspace(1e-9, 1e-4, 120)])
-    curve = simulate_cloud(small_ensemble(n_per, weights), params, t)
+    curve = simulate_cloud(small_ensemble(n_per, weights), PARAMS, t)
     expected = np.zeros_like(t)
     for n, w in zip(n_per, weights):
-        expected += w * superatom_population(n, OMEGA, t, gamma)
+        expected += w * superatom_population(n, OMEGA, t)
     assert np.abs(curve.values - expected).max() <= 1e-12 * weights.sum()
     assert curve.metadata["n_distinct"] == np.unique(n_per).size
 
@@ -190,14 +169,6 @@ def test_long_time_mean_is_half_total_weight(rng):
     t = np.linspace(0.0, 20 * slowest_period, 4000)
     curve = simulate_cloud(ensemble, PARAMS, t)
     assert curve.values.mean() == pytest.approx(weights.sum() / 2, rel=0.02)
-
-
-def test_damped_curve_settles_at_half_weight():
-    ensemble = small_ensemble([100.0, 200.0], [3.0, 1.0])
-    damped = PhysicalParams(OMEGA, 1e-60, gamma_dephase=2e6)
-    t = np.linspace(0.0, 2e-5, 300)
-    curve = simulate_cloud(ensemble, damped, t)
-    assert curve.values[-1] == pytest.approx(ensemble.weight.sum() / 2, rel=1e-4)
 
 
 def test_empty_ensemble_rejected():
