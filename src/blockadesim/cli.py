@@ -107,23 +107,31 @@ class Run(NamedTuple):
     stderr: tuple[str, ...] = ()  # warnings: a fit did not converge, exit 3
 
 
-def _output_dir(out: str) -> None:
+def _output_dir(out: str) -> list[str]:
+    """Make ``out`` and its missing parents; those this call made, deepest first."""
+    made, path = [], os.path.abspath(out)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output directory {out}: {exc.strerror or exc}") from exc
+    return made
 
 
 def _finish(command: str, out: str, run: Run) -> int:
     """Create ``out`` once the command has computed, write and digest each
     output, write the manifest and print the summary; 3 if it warned.
-    ConfigError naming the file that an OSError left unwritten."""
-    _output_dir(out)
-    outputs = []
+    ConfigError naming the file that an OSError left unwritten, after
+    removing the outputs already written and the directories this run made."""
+    made = _output_dir(out)
+    outputs, written = [], []
     try:
         for name, filename, write in run.outputs:
             path = os.path.join(out, filename)
             write(path)
+            written.append(path)
             outputs.append((name, filename, sha256_file(path)))
         path = os.path.join(out, "manifest.txt")
         write_manifest(
@@ -131,6 +139,10 @@ def _finish(command: str, out: str, run: Run) -> int:
             config_items=run.config, inputs=run.inputs, outputs=outputs,
         )
     except OSError as exc:
+        for done in written:
+            os.unlink(done)
+        for directory in made:
+            os.rmdir(directory)
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     for line in run.stdout:
         print(line)
@@ -209,7 +221,8 @@ def _cmd_cloud(args: argparse.Namespace) -> Run:
         [],
         [("ensemble", "ensemble.csv", lambda path: write_ensemble_csv(path, ensemble)),
          ("curve", "curve.csv", lambda path: write_curve_csv(path, curve))],
-        [f"cloud: {len(ensemble)} superatom entries covering "
+        [f"cloud: {len(ensemble)} superatom entries (one octant, mirrored), "
+         f"{curve.metadata['n_distinct']} distinct sizes, covering "
          f"{format_float(ensemble.total_atoms_covered)} of "
          f"{format_float(cloud.n_atoms)} atoms ({cfg.model}), "
          f"{100.0 * ensemble.sub_atom_share:.1f} % of the superatom weight at n_per < 1 "

@@ -12,7 +12,7 @@ one blockade sphere at the cloud center; each cell becomes one or more
 Two local models:
 
 * ``simple``: the blockade radius is density independent, each cell is one
-  superatom holding all n_i atoms of the cell (weight 1).
+  superatom holding all n_i atoms of the cell.
 * ``collective``: the radius grows self-consistently with sqrt(n) driving
   enhancement, so a cell holds n_i / N_local superatoms of N_local atoms
   each, with N_local evaluated from the density at the cell center.
@@ -45,8 +45,8 @@ __all__ = [
     "MODELS",
 ]
 
-# the partition peaked at 89 (simple) and 106 (collective) B per cell on the
-# reference cloud (tracemalloc)
+# the partition peaked at 99-101 (simple) and 114-115 (collective) B per
+# octant cell on the reference cloud at 42 and 210 kHz (tracemalloc)
 _BYTES_PER_CELL = 128.0
 MODELS = ("simple", "collective")
 
@@ -132,8 +132,13 @@ class SuperatomEnsemble:
     """Weighted superatoms tiling a cloud.
 
     ``n_per[k]`` atoms share one excitation in each of ``weight[k]``
-    identical superatoms centered at ``centers[k]``. Weights are generally
-    fractional (cells rarely hold an integer number of blockade spheres).
+    identical superatoms in the cell centered at ``centers[k]`` and in each
+    of its mirror images: the cloud is symmetric on every axis, so entries
+    cover one octant (x, y, z >= 0) and ``weight`` includes the number of
+    cells an entry stands for, 2 per axis or 1 on an axis where its centre
+    is 0, so 1, 2, 4 or 8. A simple-model weight is exactly that number; a
+    collective one is generally fractional (cells rarely hold an integer
+    number of blockade spheres).
     ``total_atoms_covered`` is sum(weight * n_per), at most the cloud's
     atom number; the shortfall is the tail mass outside the grid plus any
     cells dropped by the n_min cut.
@@ -176,11 +181,20 @@ class SuperatomEnsemble:
         return float(self.weight[self.n_per < 1.0].sum()) / self.total_superatoms
 
 
-def _axis_masses(sigma: float, k: int, side: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cell-center coordinates and Gaussian mass fractions along one axis."""
-    edges = side * (np.arange(k + 1) - k / 2.0)
-    cdf = ndtr(edges / sigma)
-    return 0.5 * (edges[:-1] + edges[1:]), np.diff(cdf)
+def _axis_masses(
+    sigma: float, k: int, side: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centres >= 0 of one axis of k cells, the number of mirror images
+    each stands for (1 for a zero-centred cell, else 2), and each cell's
+    Gaussian mass fraction."""
+    edges = side * (np.arange(k // 2, k + 1) - k / 2.0)
+    mult = np.full(k - k // 2, 2.0)
+    if k % 2:  # the first cell is centred on 0, its own mirror image
+        mult[0] = 1.0
+    # the lower tail of the mirrored cell: a diff of ndtr values near 1
+    # would lose the far cells' relative precision
+    mass = ndtr(-edges[:-1] / sigma) - ndtr(-edges[1:] / sigma)
+    return 0.5 * (edges[:-1] + edges[1:]), mult, mass
 
 
 def partition_superatoms(
@@ -198,6 +212,13 @@ def partition_superatoms(
     origin and spans at least ``span_sigmas`` rms radii on every axis;
     per-cell atom numbers are exact Gaussian integrals over the cell, and
     cells whose superatom size falls below ``n_min`` are dropped.
+
+    Only the cells with all centre coordinates >= 0 are built, each
+    standing for its 2 mirror images per axis (1 on an axis of odd cell
+    count, whose middle cell is centered on 0); the product of the three
+    goes into ``weight``. Per-axis masses are lower-tail differences,
+    ndtr(-lo/sigma) - ndtr(-hi/sigma), which keep the far cells' relative
+    precision.
 
     Raises SizeCapError before allocating a grid that exceeds the memory limit.
     """
@@ -224,19 +245,15 @@ def partition_superatoms(
 
     # Python floats: an overflowing span gives an inf count, not an error
     counts = [max(1.0, float(np.ceil(2.0 * span_sigmas * s / side))) for s in spec.sigma]
-    n_cells = math.prod(counts)
-    require_memory(n_cells * _BYTES_PER_CELL, f"{n_cells:.3g} partition cells")
+    n_cells = math.prod(float(np.ceil(k / 2.0)) for k in counts)
+    require_memory(n_cells * _BYTES_PER_CELL, f"{n_cells:.3g} partition cells (one octant)")
 
-    per_axis = [_axis_masses(s, int(k), side) for s, k in zip(spec.sigma, counts)]
-    mass = (
-        per_axis[0][1][:, None, None]
-        * per_axis[1][1][None, :, None]
-        * per_axis[2][1][None, None, :]
-    ).ravel()
-    centers = np.stack(
-        np.meshgrid(per_axis[0][0], per_axis[1][0], per_axis[2][0], indexing="ij"),
-        axis=-1,
-    ).reshape(-1, 3)
+    (x, mx, px), (y, my, py), (z, mz, pz) = (
+        _axis_masses(s, int(k), side) for s, k in zip(spec.sigma, counts)
+    )
+    mass = (px[:, None, None] * py[None, :, None] * pz[None, None, :]).ravel()
+    mult = (mx[:, None, None] * my[None, :, None] * mz[None, None, :]).ravel()
+    centers = np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1).reshape(-1, 3)
     atoms_in_cell = spec.n_atoms * mass
 
     if model == "simple":
@@ -248,6 +265,8 @@ def partition_superatoms(
         _, n_per[occupied] = blockade_radius_collective(params, local[occupied])
 
     keep = (atoms_in_cell > 0.0) & (n_per >= n_min) & (n_per > 0.0)
-    # a simple cell's weight is x / x, exactly 1
+    # a simple cell's weight is mult * (x / x), exactly mult; the power of
+    # two scales the quotient exactly and cannot overflow the atom number
     n_per = n_per[keep]
-    return SuperatomEnsemble(n_per, atoms_in_cell[keep] / n_per, centers[keep])
+    weight = mult[keep] * (atoms_in_cell[keep] / n_per)
+    return SuperatomEnsemble(n_per, weight, centers[keep])

@@ -29,8 +29,10 @@ __all__ = [
 ]
 
 # Distinct superatom sizes per block of the (size x time) population matrix.
-# simulate_cloud's memory estimate pads its traced peaks: 9 B per block
-# element, and 41 B per ensemble entry in np.unique.
+# simulate_cloud's two memory estimates pad its traced peaks: 41 B per
+# ensemble entry in np.unique, then 9 B per block element. The block check
+# leaves out the 8 B per entry that np.unique leaves alive: 8 B per entry
+# plus 9 B per element never exceeds the larger of the two estimates.
 _CHUNK = 4096
 
 
@@ -87,10 +89,13 @@ def simulate_cloud(
     """
     _require(len(ensemble) > 0, "ensemble is empty (n_min above the central superatom size?)")
     t = validate_time_grid(time_grid)
-    nbytes = 48.0 * len(ensemble) + 12.0 * min(len(ensemble), _CHUNK) * t.size
-    require_memory(nbytes, f"a curve of {len(ensemble)} superatom entries at {t.size} times")
+    require_memory(48.0 * len(ensemble), f"pooling {len(ensemble)} superatom entries")
     n_distinct, inverse = np.unique(ensemble.n_per, return_inverse=True)
     grouped = np.bincount(inverse, weights=ensemble.weight)
+    require_memory(
+        12.0 * min(n_distinct.size, _CHUNK) * t.size,
+        f"a curve of {n_distinct.size} distinct superatom sizes at {t.size} times",
+    )
     values = np.zeros_like(t)
     for lo in range(0, n_distinct.size, _CHUNK):
         hi = lo + _CHUNK

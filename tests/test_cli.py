@@ -1,6 +1,7 @@
 """End-to-end CLI runs in temp directories: outputs, manifests, exit codes."""
 
 import argparse
+import errno
 import math
 import os
 import re
@@ -84,9 +85,10 @@ def test_cloud_writes_curve_ensemble_and_manifest(tmp_path, capsys):
     assert "manifest.command = cloud" in manifest
     assert "config.partition.model = simple" in manifest
     assert "manifest.output.curve.sha256 = " in manifest
-    # 16,568 of the simple model's 27,000 cells hold fewer than one atom
+    # 16,568 of the simple model's 27,000 cells hold fewer than one atom;
+    # their mirror images pool, 959 distinct sizes
     summary = capsys.readouterr().out
-    assert "superatom entries" in summary
+    assert "3375 superatom entries (one octant, mirrored), 959 distinct sizes" in summary
     assert "61.4 % of the superatom weight at n_per < 1" in summary
 
 
@@ -682,11 +684,12 @@ def test_scaling_nonconverged_points_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_scaling_refused_at_its_densest_point_leaves_no_directory(tmp_path, capsys):
-    # the collective cell shrinks with density: 27,000 cells at 2e19 m^-3,
-    # more than the memory limit admits at 1e34 m^-3, the last grid point
+    # the collective cell shrinks with density: 3,375 octant cells at
+    # 2e19 m^-3, more than the memory limit admits at 1e38 m^-3, the last
+    # grid point
     cfg = write_config(tmp_path, SCALING_CONFIG.replace(
         "partition.model = simple", "partition.model = collective"
-    ).replace("sweep.densities_m3 = 2e19, 8e19", "sweep.densities_m3 = 2e19, 1e34"))
+    ).replace("sweep.densities_m3 = 2e19, 8e19", "sweep.densities_m3 = 2e19, 1e38"))
     out = tmp_path / "o"
     assert main(["scaling", "--config", cfg, "--out", str(out)]) == 4
     assert "partition cells" in capsys.readouterr().err
@@ -796,6 +799,27 @@ def test_output_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: cannot write {out / 'trajectory.csv'}: Is a directory"]
     assert os.listdir(out) == ["trajectory.csv"]  # the temp file is removed
+
+
+def test_output_that_cannot_be_written_removes_the_outputs_already_written(tmp_path, capsys):
+    # ensemble.csv is written before curve.csv, which a directory blocks
+    out = tmp_path / "o"
+    (out / "curve.csv").mkdir(parents=True)
+    cfg = write_config(tmp_path, CLOUD_CONFIG)
+    assert main(["cloud", "--config", cfg, "--out", str(out)]) == 2
+    assert f"error: cannot write {out / 'curve.csv'}: " in capsys.readouterr().err
+    assert os.listdir(out) == ["curve.csv"]
+
+
+def test_manifest_that_cannot_be_written_removes_the_out_it_made(tmp_path, capsys, monkeypatch):
+    def full_disk(path, **_):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(blockadesim.cli, "write_manifest", full_disk)
+    cfg = write_config(tmp_path, CLOUD_CONFIG)
+    assert main(["cloud", "--config", cfg, "--out", str(tmp_path / "new" / "o")]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

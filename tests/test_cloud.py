@@ -1,9 +1,11 @@
 """Gaussian cloud: density profile, sampling, superatom partition."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import blockadesim.core
 from blockadesim.cloud import (
@@ -21,6 +23,7 @@ from blockadesim.core import (
     blockade_radius_simple,
 )
 from blockadesim.errors import InvalidParameterError, SizeCapError
+from blockadesim.superatom import simulate_cloud
 
 from conftest import N_ATOMS_REF, SIGMA_REF, traced_peak
 
@@ -145,9 +148,10 @@ def test_simple_partition_of_nearly_uniform_region(strong_params):
         spec, strong_params, model="simple", n_min=0.0, span_sigmas=5e-5
     )
     side = (4 * math.pi / 3) ** (1 / 3) * blockade_radius_simple(strong_params)
-    expected_per_axis = math.ceil(2 * 5e-5 / side)
-    assert len(ensemble) == expected_per_axis**3
-    assert np.all(ensemble.weight == 1.0)
+    per_axis = math.ceil(2 * 5e-5 / side)
+    # one octant of entries, weighted by their mirror images
+    assert len(ensemble) == math.ceil(per_axis / 2) ** 3
+    assert ensemble.weight.sum() == per_axis**3
     expected_n = peak_density(spec) * side**3
     assert np.allclose(ensemble.n_per, expected_n, rtol=1e-3)
 
@@ -170,6 +174,82 @@ def test_collective_sub_atom_share_of_the_reference_cloud(reference_cloud, reque
     ensemble = partition_superatoms(reference_cloud, params, n_min=0.0)
     share = {"weak": 0.15086794892396874, "strong": 0.1858202673749993}[drive]
     assert ensemble.sub_atom_share == pytest.approx(share, rel=1e-9)
+
+
+def full_grid_partition(spec, params, model):
+    """Every cell of the grid at n_min = 0 and span 5 sigma, none of them
+    mirrored: the oracle the octant partition must reproduce. A cell's
+    mass is the difference of the Gaussian tail on its own side of the
+    centre; for cells above it, a difference of ndtr values near 1 would
+    lose up to 1e-10 of a far cell's mass and move the collective total
+    weight by 1.5e-12 on the 60-cell grid."""
+    if model == "simple":
+        radius = blockade_radius_simple(params)
+    else:
+        radius, _ = blockade_radius_collective(params, peak_density(spec))
+    side = (4 * math.pi / 3) ** (1 / 3) * radius
+    centers, masses = [], []
+    for sigma in spec.sigma:
+        k = math.ceil(2 * 5.0 * sigma / side)
+        edges = side * (np.arange(k + 1) - k / 2)
+        lo, hi = edges[:-1] / sigma, edges[1:] / sigma
+        upper = lo + hi > 0.0
+        masses.append(np.where(upper, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo)))
+        centers.append(0.5 * (edges[:-1] + edges[1:]))
+    grid = np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1).reshape(-1, 3)
+    atoms = spec.n_atoms * np.einsum("i,j,k->ijk", *masses).ravel()
+    if model == "simple":
+        n_per = atoms
+    else:
+        _, n_per = blockade_radius_collective(params, density_at(spec, grid))
+    return SuperatomEnsemble(n_per, atoms / n_per, grid)
+
+
+def mirrored(ensemble):
+    """Each octant entry at every sign flip of its nonzero centre
+    coordinates, each image carrying an equal share of the weight."""
+    mirrors = 2.0 ** np.count_nonzero(ensemble.centers, axis=1)
+    images = []
+    for signs in itertools.product((1.0, -1.0), repeat=3):
+        # flipping a zero coordinate gives the same cell, not an image
+        new = np.all((np.array(signs) > 0.0) | (ensemble.centers != 0.0), axis=1)
+        images.append((ensemble.centers[new] * signs, ensemble.n_per[new],
+                       ensemble.weight[new] / mirrors[new]))
+    centers, n_per, weight = (np.concatenate(part) for part in zip(*images))
+    return SuperatomEnsemble(n_per, weight, centers)
+
+
+def by_center(ensemble):
+    order = np.lexsort(ensemble.centers.T)
+    return ensemble.centers[order], ensemble.n_per[order], ensemble.weight[order]
+
+
+@pytest.mark.parametrize("model", ["simple", "collective"])
+@pytest.mark.parametrize("cells", [(60, 60, 60), (23, 23, 23), (16, 23, 30)])
+def test_octant_mirrors_into_the_full_grid(strong_params, model, cells):
+    # rms radii that give the cells per axis at span 5 sigma; the peak
+    # density fixes the collective cell side whatever the radii
+    n0 = 8.2e19
+    if model == "simple":
+        side = (4 * math.pi / 3) ** (1 / 3) * blockade_radius_simple(strong_params)
+    else:
+        side = (4 * math.pi / 3) ** (1 / 3) * blockade_radius_collective(strong_params, n0)[0]
+    spec = CloudSpec.from_peak_density(n0, tuple((k - 0.5) * side / 10.0 for k in cells))
+    octant = partition_superatoms(spec, strong_params, model=model, n_min=0.0)
+    full = full_grid_partition(spec, strong_params, model)
+    assert len(octant) == math.prod(k - k // 2 for k in cells)
+    assert len(full) == math.prod(cells)
+
+    centers, n_per, weight = by_center(mirrored(octant))
+    full_centers, full_n_per, full_weight = by_center(full)
+    assert np.array_equal(centers, full_centers)
+    assert weight.sum() == pytest.approx(full_weight.sum(), rel=1e-12)
+    assert (weight * n_per).sum() == pytest.approx((full_weight * full_n_per).sum(), rel=1e-12)
+
+    t = np.linspace(0.0, 2e-5, 200)
+    curve = simulate_cloud(octant, strong_params, t).values
+    full_curve = simulate_cloud(full, strong_params, t).values
+    assert np.max(np.abs(curve - full_curve)) <= 1e-12 * full_weight.sum()
 
 
 def test_partition_is_deterministic(reference_cloud, strong_params):
@@ -223,16 +303,19 @@ def test_collective_weights_count_superatoms_per_cell(reference_cloud, strong_pa
         atoms_per_cell.sum(), rel=1e-12
     )
     # central cells hold one blockade sphere by construction of the cell
-    # size, so their weights sit near 1
+    # size, so their weights per mirror image sit near 1
     k = int(np.argmax(ensemble.n_per))
-    assert ensemble.weight[k] == pytest.approx(1.0, abs=0.2)
+    mirrors = 2.0 ** np.count_nonzero(ensemble.centers[k])
+    assert ensemble.weight[k] / mirrors == pytest.approx(1.0, abs=0.2)
 
 
 def test_simple_model_weights_are_unity(reference_cloud, strong_params):
     ensemble = partition_superatoms(
         reference_cloud, strong_params, model="simple", n_min=0.0
     )
-    assert np.all(ensemble.weight == 1.0)
+    # one superatom per cell and mirror image
+    mirrors = 2.0 ** np.count_nonzero(ensemble.centers, axis=1)
+    assert np.all(ensemble.weight / mirrors == 1.0)
 
 
 def test_collective_tiles_finer_than_simple(reference_cloud, strong_params):

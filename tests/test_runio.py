@@ -170,8 +170,13 @@ def test_write_table_matches_a_per_cell_writer(tmp_path, case):
 def test_reference_cloud_ensemble_csv_has_the_per_cell_writers_digest(
     tmp_path, reference_cloud, strong_params, model
 ):
-    # the cloud of tests/test_cli.py's CLOUD_CONFIG, at 210 kHz
-    ensemble = partition_superatoms(reference_cloud, strong_params, model=model, n_min=0.0)
+    # the cloud of tests/test_cli.py's CLOUD_CONFIG, at 210 kHz; the simple
+    # model's 30 cells per axis at 5 sigma give one octant of 3,375 rows,
+    # so it spans 10 sigma: 60 cells per axis, 27,000 rows
+    span_sigmas = {"simple": 10.0, "collective": 5.0}[model]
+    ensemble = partition_superatoms(
+        reference_cloud, strong_params, model=model, n_min=0.0, span_sigmas=span_sigmas
+    )
     path = tmp_path / "ensemble.csv"
     write_ensemble_csv(str(path), ensemble)
     expected = naive_table(
