@@ -28,7 +28,6 @@ from .cloud import (
     density_at,
     partition_superatoms,
     peak_density,
-    sample_positions,
 )
 from .core import (
     PhysicalParams,
@@ -49,6 +48,7 @@ from .exact import (
     full_basis,
     restricted_basis,
     rydberg_number,
+    sample_positions,
     w_state_fidelity,
 )
 from .superatom import (

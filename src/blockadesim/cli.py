@@ -31,7 +31,7 @@ import sys
 from typing import NamedTuple
 
 from . import __version__
-from .cloud import partition_superatoms, sample_positions
+from .cloud import partition_superatoms
 from .config import (
     config_items,
     load_config,
@@ -51,6 +51,7 @@ from .exact import (
     plan_propagation,
     restricted_basis,
     rydberg_number,
+    sample_positions,
     w_state_fidelity,
 )
 from .analysis import fit_saturation, scaling_experiment
@@ -183,7 +184,7 @@ def _cmd_exact(args: argparse.Namespace) -> Run:
     else:
         cloud = resolve_cloud(cfg, "exact")
         _require_basis_memory(1.0, cfg.exact_n_atoms)  # the atom cap, before sampling
-        positions = sample_positions(cloud, cfg.exact_n_atoms, cfg.seed)
+        positions = sample_positions(cloud.sigma, cfg.exact_n_atoms, cfg.seed)
     if cfg.basis == "full":
         basis = full_basis(len(positions))
     else:
@@ -235,7 +236,7 @@ def _cmd_scaling(args: argparse.Namespace) -> Run:
     if not cfg.sweep_densities_m3 or not cfg.sweep_omega0_hz:
         raise ConfigError("scaling needs sweep.densities_m3 and sweep.omega0_hz")
     sigma = resolve_sigma(cfg, "scaling")
-    if cfg.omega0_hz is None and cfg.omega1_hz is None:
+    if cfg.omega0_hz is None:
         cfg.omega0_hz = cfg.sweep_omega0_hz[0]
     params = resolve_params(cfg)
     grid = resolve_time_grid(cfg)

@@ -33,14 +33,12 @@ from .core import (
     require_memory,
 )
 from .errors import InvalidParameterError
-from .exact import AtomPositions
 
 __all__ = [
     "CloudSpec",
     "SuperatomEnsemble",
     "peak_density",
     "density_at",
-    "sample_positions",
     "partition_superatoms",
     "MODELS",
 ]
@@ -114,17 +112,6 @@ def density_at(spec: CloudSpec, point) -> float | np.ndarray:
     exponent = -0.5 * ((point / sigma) ** 2).sum(axis=-1)
     value = peak_density(spec) * np.exp(exponent)
     return float(value) if value.ndim == 0 else value
-
-
-def sample_positions(spec: CloudSpec, count: int, seed: int) -> AtomPositions:
-    """Draw atom positions from the cloud's Gaussian profile, reproducibly."""
-    if count < 1:
-        raise InvalidParameterError("count must be at least 1")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
-    coords = rng.standard_normal((count, 3)) * np.array(spec.sigma)
-    return AtomPositions(coords)
 
 
 @dataclass(frozen=True)

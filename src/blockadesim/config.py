@@ -19,10 +19,7 @@ from dataclasses import Field, dataclass, field, fields
 import numpy as np
 
 from .cloud import MODELS, CloudSpec
-from .core import (
-    PhysicalParams, angular_from_hz, convert_c6_atomic_units, hz_from_angular, require_memory,
-    two_photon_rabi,
-)
+from .core import PhysicalParams, convert_c6_atomic_units, require_memory
 from .errors import ConfigError, read_text
 
 __all__ = ["RunConfig", "load_config", "parse_config_text", "config_items"]
@@ -39,13 +36,8 @@ class RunConfig:
     """All recognized keys with their defaults; None means unset."""
 
     omega0_hz: float | None = _key("physical.omega0_hz", "float")
-    omega1_hz: float | None = _key("physical.omega1_hz", "float")
-    omega2_hz: float | None = _key("physical.omega2_hz", "float")
-    delta_hz: float | None = _key("physical.delta_hz", "float")
     c6_au: float | None = _key("physical.c6_au", "float")
-    c6_jm6: float | None = _key("physical.c6_jm6", "float")
     cloud_n_atoms: float | None = _key("cloud.n_atoms", "float")
-    peak_density_m3: float | None = _key("cloud.peak_density_m3", "float")
     sigma_x_m: float | None = _key("cloud.sigma_x_m", "float")
     sigma_y_m: float | None = _key("cloud.sigma_y_m", "float")
     sigma_z_m: float | None = _key("cloud.sigma_z_m", "float")
@@ -188,31 +180,12 @@ def config_items(cfg: RunConfig) -> list[tuple[str, str]]:
 
 
 def resolve_params(cfg: RunConfig) -> PhysicalParams:
-    """Build PhysicalParams from a config, enforcing one route per quantity."""
-    direct = cfg.omega0_hz is not None
-    two_photon = any(
-        v is not None for v in (cfg.omega1_hz, cfg.omega2_hz, cfg.delta_hz)
-    )
-    if direct and two_photon:
-        raise ConfigError(
-            "give either physical.omega0_hz or the two-photon trio, not both"
-        )
-    if direct:
-        omega0_hz = cfg.omega0_hz
-    elif two_photon:
-        if None in (cfg.omega1_hz, cfg.omega2_hz, cfg.delta_hz):
-            raise ConfigError(
-                "two-photon drive needs physical.omega1_hz, omega2_hz and delta_hz"
-            )
-        legs = (cfg.omega1_hz, cfg.omega2_hz, cfg.delta_hz)
-        omega0_hz = hz_from_angular(abs(two_photon_rabi(*map(angular_from_hz, legs))))
-    else:
+    """Build PhysicalParams from physical.omega0_hz and physical.c6_au."""
+    if cfg.omega0_hz is None:
         raise ConfigError("no drive strength configured (physical.omega0_hz)")
-
-    if (cfg.c6_au is None) == (cfg.c6_jm6 is None):
-        raise ConfigError("give exactly one of physical.c6_au or physical.c6_jm6")
-    c6 = convert_c6_atomic_units(cfg.c6_au) if cfg.c6_au is not None else cfg.c6_jm6
-    return PhysicalParams.from_hz(omega0_hz, c6)
+    if cfg.c6_au is None:
+        raise ConfigError("no van der Waals coefficient configured (physical.c6_au)")
+    return PhysicalParams.from_hz(cfg.omega0_hz, convert_c6_atomic_units(cfg.c6_au))
 
 
 def resolve_sigma(cfg: RunConfig, command: str) -> tuple[float, float, float]:
@@ -226,11 +199,9 @@ def resolve_sigma(cfg: RunConfig, command: str) -> tuple[float, float, float]:
 def resolve_cloud(cfg: RunConfig, command: str) -> CloudSpec:
     """The Gaussian cloud that ``command`` samples or partitions."""
     sigma = resolve_sigma(cfg, command)
-    if (cfg.cloud_n_atoms is None) == (cfg.peak_density_m3 is None):
-        raise ConfigError("give exactly one of cloud.n_atoms or cloud.peak_density_m3")
-    if cfg.cloud_n_atoms is not None:
-        return CloudSpec(cfg.cloud_n_atoms, sigma)
-    return CloudSpec.from_peak_density(cfg.peak_density_m3, sigma)
+    if cfg.cloud_n_atoms is None:
+        raise ConfigError(f"{command} needs cloud.n_atoms")
+    return CloudSpec(cfg.cloud_n_atoms, sigma)
 
 
 def resolve_time_grid(cfg: RunConfig) -> np.ndarray:

@@ -42,6 +42,7 @@ from .errors import InputFileError, InvalidParameterError, SizeCapError, read_te
 
 __all__ = [
     "AtomPositions",
+    "sample_positions",
     "Basis",
     "Hamiltonian",
     "QuantumState",
@@ -144,6 +145,18 @@ class AtomPositions:
             return cls(np.array(rows))
         except InvalidParameterError as exc:
             raise InputFileError(f"{path}: {exc}") from exc
+
+
+def sample_positions(sigma: tuple[float, float, float], count: int, seed: int) -> AtomPositions:
+    """Draw ``count`` atoms from a Gaussian cloud of per-axis rms radii
+    ``sigma`` in meters, reproducibly."""
+    if count < 1:
+        raise InvalidParameterError("count must be at least 1")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be non-negative, got {seed}")
+    rng = np.random.default_rng(seed)
+    coords = rng.standard_normal((count, 3)) * np.array(sigma)
+    return AtomPositions(coords)
 
 
 class Basis:

@@ -14,7 +14,6 @@ from blockadesim.cloud import (
     density_at,
     partition_superatoms,
     peak_density,
-    sample_positions,
 )
 from blockadesim.constants import HBAR
 from blockadesim.core import (
@@ -23,6 +22,7 @@ from blockadesim.core import (
     blockade_radius_simple,
 )
 from blockadesim.errors import InvalidParameterError, SizeCapError
+from blockadesim.exact import sample_positions
 from blockadesim.superatom import simulate_cloud
 
 from conftest import N_ATOMS_REF, SIGMA_REF, traced_peak
@@ -98,24 +98,23 @@ def test_cloud_spec_validation():
 
 
 def test_sampling_is_reproducible(reference_cloud):
-    a = sample_positions(reference_cloud, 50, seed=3)
-    b = sample_positions(reference_cloud, 50, seed=3)
-    c = sample_positions(reference_cloud, 50, seed=4)
+    a = sample_positions(reference_cloud.sigma, 50, seed=3)
+    b = sample_positions(reference_cloud.sigma, 50, seed=3)
+    c = sample_positions(reference_cloud.sigma, 50, seed=4)
     assert np.array_equal(a.coords, b.coords)
     assert not np.array_equal(a.coords, c.coords)
 
 
 def test_sampling_moments():
-    spec = CloudSpec(1e7, (10e-6, 20e-6, 40e-6))
-    coords = sample_positions(spec, 200_000, seed=11).coords
-    sigma = np.array(spec.sigma)
-    assert np.all(np.abs(coords.mean(axis=0)) < 4 * sigma / math.sqrt(200_000))
+    sigma = (10e-6, 20e-6, 40e-6)
+    coords = sample_positions(sigma, 200_000, seed=11).coords
+    assert np.all(np.abs(coords.mean(axis=0)) < 4 * np.array(sigma) / math.sqrt(200_000))
     assert np.allclose(coords.std(axis=0), sigma, rtol=0.01)
 
 
 def test_sampling_needs_positive_count(reference_cloud):
     with pytest.raises(InvalidParameterError):
-        sample_positions(reference_cloud, 0, seed=1)
+        sample_positions(reference_cloud.sigma, 0, seed=1)
 
 
 # --- partition ------------------------------------------------------------------

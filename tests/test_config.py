@@ -111,50 +111,17 @@ def test_resolve_params_direct_route():
     assert params.c6 == pytest.approx(1.6274841951863897e-60, rel=1e-12)
 
 
-def test_resolve_params_two_photon_route():
-    cfg = parse_config_text(
-        """
-        physical.omega1_hz = 9.7e6
-        physical.omega2_hz = 21e6
-        physical.delta_hz = 478e6
-        physical.c6_jm6 = 1.6274841951863897e-60
-        """
-    )
-    params = resolve_params(cfg)
-    assert params.omega0 == pytest.approx(2 * math.pi * 213075.31380753138, rel=1e-12)
-
-
-def test_resolve_params_rejects_conflicting_drive():
-    cfg = parse_config_text(
-        "physical.omega0_hz = 210e3\nphysical.omega1_hz = 9.7e6\nphysical.c6_au = 1.7e19"
-    )
-    with pytest.raises(ConfigError, match="not both"):
-        resolve_params(cfg)
-
-
-def test_resolve_params_requires_complete_two_photon_trio():
-    cfg = parse_config_text("physical.omega1_hz = 9.7e6\nphysical.c6_au = 1.7e19")
-    with pytest.raises(ConfigError, match="two-photon"):
-        resolve_params(cfg)
-
-
 def test_resolve_params_requires_exactly_one_c6():
-    with pytest.raises(ConfigError, match="c6"):
+    with pytest.raises(ConfigError, match="physical.c6_au"):
         resolve_params(parse_config_text("physical.omega0_hz = 210e3"))
-    with pytest.raises(ConfigError, match="c6"):
-        resolve_params(
-            parse_config_text(
-                "physical.omega0_hz = 210e3\nphysical.c6_au = 1.7e19\nphysical.c6_jm6 = 1e-60"
-            )
-        )
+    with pytest.raises(ConfigError, match="physical.omega0_hz"):
+        resolve_params(parse_config_text("physical.c6_au = 1.7e19"))
 
 
 def test_resolve_cloud_requires_one_size_route():
     base = "cloud.sigma_x_m = 2e-5\ncloud.sigma_y_m = 2e-5\ncloud.sigma_z_m = 2e-5\n"
-    with pytest.raises(ConfigError, match="exactly one"):
+    with pytest.raises(ConfigError, match="cloud needs cloud.n_atoms"):
         resolve_cloud(parse_config_text(base), "cloud")
-    cloud = resolve_cloud(parse_config_text(base + "cloud.peak_density_m3 = 8.2e19"), "cloud")
-    assert cloud.n_atoms > 0
     with pytest.raises(ConfigError, match="sigma"):
         resolve_cloud(parse_config_text("cloud.n_atoms = 1e7"), "cloud")
 
@@ -205,4 +172,4 @@ def test_readme_documents_every_key():
     # and the key table names no key that RunConfig lacks, such as a deleted one
     table = readme.split("### Configuration keys", 1)[1].split("\n#", 1)[0]
     documented = set(re.findall(r"`([a-z0-9_]+\.[a-z0-9_]+)`", table))
-    assert len(documented) > 20 and documented - keys == set()
+    assert documented == keys
