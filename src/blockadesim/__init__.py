@@ -48,7 +48,6 @@ from .exact import (
     full_basis,
     restricted_basis,
     rydberg_number,
-    sample_positions,
     w_state_fidelity,
 )
 from .superatom import (

@@ -2,7 +2,7 @@
 
 Four workflows:
 
-* ``exact``: exact quantum trajectory of a few sampled or listed atoms
+* ``exact``: exact quantum trajectory of the few atoms a positions file lists
 * ``cloud``: superatom partition of a Gaussian cloud plus its curve
 * ``scaling``: (density, drive) sweep with saturation fits and exponents
 * ``fit``: saturation fit of an existing curve CSV
@@ -44,14 +44,12 @@ from .core import angular_from_hz, blockade_radius_simple
 from .errors import BlockadeSimError, ConfigError, SizeCapError
 from .exact import (
     AtomPositions,
-    _require_basis_memory,
     build_hamiltonian,
     evolve,
     full_basis,
     plan_propagation,
     restricted_basis,
     rydberg_number,
-    sample_positions,
     w_state_fidelity,
 )
 from .analysis import fit_saturation, scaling_experiment
@@ -175,16 +173,10 @@ def _cmd_exact(args: argparse.Namespace) -> Run:
     cfg, recorded = _load_config(args)
     params = resolve_params(cfg)
     grid = resolve_time_grid(cfg)
-    if (cfg.exact_n_atoms is None) == (cfg.positions_path is None):
-        raise ConfigError("give exactly one of exact.n_atoms or exact.positions_path")
-    inputs = []
-    if cfg.positions_path is not None:
-        positions = AtomPositions.from_text(cfg.positions_path)
-        inputs.append(_input("positions", cfg.positions_path, recorded))
-    else:
-        cloud = resolve_cloud(cfg, "exact")
-        _require_basis_memory(1.0, cfg.exact_n_atoms)  # the atom cap, before sampling
-        positions = sample_positions(cloud.sigma, cfg.exact_n_atoms, cfg.seed)
+    if cfg.positions_path is None:
+        raise ConfigError("exact needs exact.positions_path")
+    positions = AtomPositions.from_text(cfg.positions_path)
+    inputs = [_input("positions", cfg.positions_path, recorded)]
     if cfg.basis == "full":
         basis = full_basis(len(positions))
     else:

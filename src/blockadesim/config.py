@@ -20,7 +20,7 @@ import numpy as np
 
 from .cloud import MODELS, CloudSpec
 from .core import PhysicalParams, convert_c6_atomic_units, require_memory
-from .errors import ConfigError, read_text
+from .errors import ConfigError, read_lines
 
 __all__ = ["RunConfig", "load_config", "parse_config_text", "config_items"]
 
@@ -48,13 +48,11 @@ class RunConfig:
     time_start_s: float | None = _key("time.start_s", "float")
     time_num: int = _key("time.num", "int", 200)
     time_spacing: str = _key("time.spacing", "str", "linear", choices=("linear", "log"))
-    exact_n_atoms: int | None = _key("exact.n_atoms", "int")
     positions_path: str | None = _key("exact.positions_path", "str")
     basis: str = _key("exact.basis", "str", "full", choices=("full", "restricted"))
     restriction_radius_m: float | None = _key("exact.restriction_radius_m", "float")
     sweep_densities_m3: tuple[float, ...] | None = _key("sweep.densities_m3", "floats")
     sweep_omega0_hz: tuple[float, ...] | None = _key("sweep.omega0_hz", "floats")
-    seed: int = _key("run.seed", "int", 0)
 
 
 _KEYS: dict[str, Field] = {f.metadata["key"]: f for f in fields(RunConfig)}
@@ -62,12 +60,13 @@ _KEYS: dict[str, Field] = {f.metadata["key"]: f for f in fields(RunConfig)}
 _INPUT_DIGEST = re.compile(r"manifest\.input\.(\w+)\.sha256")
 
 # manifest lines of retired settings, each with the one value that the
-# program still computes with, or None if no value changed a result;
+# program still computes with, or None if no value changed a result
+# (run.seed changed one only with exact.n_atoms, an unknown key now);
 # replays skip such a line and refuse a value they cannot reproduce
 _RETIRED = {"config.run.threads": None, "config.exact.max_atoms_full": None,
             "config.exact.max_atoms_restricted": None, "config.partition.cell_cap": None,
             "config.physical.kappa": 1.0, "config.physical.gamma_per_s": 0.0,
-            "config.physical.detuning_hz": 0.0}
+            "config.physical.detuning_hz": 0.0, "config.run.seed": None}
 
 
 def _parse_int(text: str) -> int:
@@ -157,9 +156,9 @@ def load_config(path: str) -> tuple[RunConfig, dict[str, str], str | None]:
     """The configuration in ``path`` and what it records as a manifest: the
     sha256 digest of each input, by input name, and the command that wrote
     it ({} and None for a plain config file)."""
-    text = read_text(path, ConfigError)
-    cfg = parse_config_text(text, source=path)
-    entries = (line.partition("=") for line in text.splitlines())
+    lines = list(read_lines(path, ConfigError))
+    cfg = parse_config_text("\n".join(lines), source=path)
+    entries = (line.partition("=") for line in lines)
     recorded = {key.strip(): value.strip() for key, _, value in entries}
     digests = {m[1]: v for k, v in recorded.items() if (m := _INPUT_DIGEST.fullmatch(k))}
     return cfg, digests, recorded.get("manifest.command")
@@ -197,7 +196,7 @@ def resolve_sigma(cfg: RunConfig, command: str) -> tuple[float, float, float]:
 
 
 def resolve_cloud(cfg: RunConfig, command: str) -> CloudSpec:
-    """The Gaussian cloud that ``command`` samples or partitions."""
+    """The Gaussian cloud that ``command`` partitions."""
     sigma = resolve_sigma(cfg, command)
     if cfg.cloud_n_atoms is None:
         raise ConfigError(f"{command} needs cloud.n_atoms")

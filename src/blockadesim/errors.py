@@ -28,12 +28,14 @@ class ConfigError(BlockadeSimError):
     """A run configuration is malformed or inconsistent."""
 
 
-def read_text(path: str, error: type[BlockadeSimError]) -> str:
-    """Return the UTF-8 text of ``path``; a file that cannot be opened, read
-    or decoded raises ``error`` naming the path."""
+def read_lines(path: str, error: type[BlockadeSimError]):
+    """Yield the lines of the UTF-8 text ``path`` as str.splitlines splits
+    them, reading a line at a time; a file that cannot be opened, read or
+    decoded raises ``error`` naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            for line in fh:
+                yield from line.splitlines()
     except OSError as exc:
         raise error(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

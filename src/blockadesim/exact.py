@@ -38,11 +38,10 @@ import scipy.special
 
 from .constants import HBAR
 from .core import require_memory, validate_time_grid
-from .errors import InputFileError, InvalidParameterError, SizeCapError, read_text
+from .errors import InputFileError, InvalidParameterError, SizeCapError, read_lines
 
 __all__ = [
     "AtomPositions",
-    "sample_positions",
     "Basis",
     "Hamiltonian",
     "QuantumState",
@@ -123,13 +122,19 @@ class AtomPositions:
 
         One atom per line, three coordinates in meters. Blank lines and
         text after ``#`` are ignored. Malformed lines raise InputFileError
-        citing the line number.
+        citing the line number. The file is read a line at a time, and
+        SizeCapError refuses the first atom past MAX_ATOMS unread beyond it.
         """
         rows = []
-        for lineno, raw in enumerate(read_text(path, InputFileError).splitlines(), start=1):
+        for lineno, raw in enumerate(read_lines(path, InputFileError), start=1):
             text = raw.split("#", 1)[0].strip()
             if not text:
                 continue
+            if len(rows) == MAX_ATOMS:
+                raise SizeCapError(
+                    f"{path}, line {lineno}: atom {MAX_ATOMS + 1} exceeds the int64 "
+                    f"bitmask cap of {MAX_ATOMS}"
+                )
             parts = text.split()
             if len(parts) != 3:
                 raise InputFileError(
@@ -145,18 +150,6 @@ class AtomPositions:
             return cls(np.array(rows))
         except InvalidParameterError as exc:
             raise InputFileError(f"{path}: {exc}") from exc
-
-
-def sample_positions(sigma: tuple[float, float, float], count: int, seed: int) -> AtomPositions:
-    """Draw ``count`` atoms from a Gaussian cloud of per-axis rms radii
-    ``sigma`` in meters, reproducibly."""
-    if count < 1:
-        raise InvalidParameterError("count must be at least 1")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
-    coords = rng.standard_normal((count, 3)) * np.array(sigma)
-    return AtomPositions(coords)
 
 
 class Basis:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import ExponentEstimate, SaturationFit, SweepPoint
 from .cloud import SuperatomEnsemble
-from .errors import InputFileError, read_text
+from .errors import InputFileError, read_lines
 from .superatom import ExcitationCurve
 
 CURVE_HEADER = "t_s,n_rydberg"
@@ -102,7 +102,7 @@ def read_curve_csv(path: str) -> ExcitationCurve:
     problems (negative values, unordered times) surface through the
     ExcitationCurve validator.
     """
-    lines = read_text(path, InputFileError).splitlines()
+    lines = list(read_lines(path, InputFileError))
     if not lines:
         raise InputFileError(f"{path}: file is empty")
     header = [c.strip() for c in lines[0].split(",")]

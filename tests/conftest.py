@@ -33,6 +33,13 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def gaussian_atoms(seed, count, sigma):
+    """A positions file's text: ``count`` atoms of a Gaussian cloud of rms
+    radius ``sigma``, drawn by README's recipe and written by repr."""
+    coords = np.random.default_rng(seed).standard_normal((count, 3)) * sigma
+    return "".join(" ".join(map(repr, row)) + "\n" for row in coords.tolist())
+
+
 def package_errors():
     """Every BlockadeSimError subclass that errors.py defines, by name."""
     return sorted(

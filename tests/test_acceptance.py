@@ -11,7 +11,7 @@ import time as walltime
 import numpy as np
 import pytest
 
-from conftest import C6_AU, N_ATOMS_REF, SIGMA_REF, STRONG_DRIVE_HZ, WEAK_DRIVE_HZ
+from conftest import C6_AU, N_ATOMS_REF, SIGMA_REF, STRONG_DRIVE_HZ, WEAK_DRIVE_HZ, gaussian_atoms
 
 from blockadesim.analysis import fit_saturation, saturation_model, scaling_experiment
 from blockadesim.cli import main
@@ -266,6 +266,9 @@ def test_09_mean_superatom_occupancy(capsys, sweeps):
 
 
 def test_10_manifest_determinism(capsys, tmp_path):
+    # three atoms of the reference cloud's shape, as seed 5 draws them
+    atoms = tmp_path / "atoms.txt"
+    atoms.write_text(gaussian_atoms(5, 3, SIGMA_REF))
     base = (
         f"physical.c6_au = {C6_AU}\n"
         f"cloud.sigma_x_m = {SIGMA_REF}\ncloud.sigma_y_m = {SIGMA_REF}\n"
@@ -279,8 +282,8 @@ def test_10_manifest_determinism(capsys, tmp_path):
             "time.stop_s = 2e-5\ntime.num = 60\n"
         ),
         "exact": base + (
-            f"physical.omega0_hz = 1e6\ncloud.n_atoms = 1e6\n"
-            "exact.n_atoms = 3\ntime.stop_s = 2e-6\ntime.num = 40\nrun.seed = 5\n"
+            f"physical.omega0_hz = 1e6\nexact.positions_path = {atoms}\n"
+            "time.stop_s = 2e-6\ntime.num = 40\n"
         ),
         "scaling": base + (
             "sweep.densities_m3 = 2e19, 8e19\nsweep.omega0_hz = 1e5, 2e5\n"

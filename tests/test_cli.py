@@ -24,7 +24,7 @@ from blockadesim.constants import HBAR
 from blockadesim.core import convert_c6_atomic_units
 from blockadesim.runio import read_curve_csv
 
-from conftest import package_errors, traced_peak
+from conftest import gaussian_atoms, package_errors, traced_peak
 
 CLOUD_CONFIG = """
 physical.omega0_hz = 210e3
@@ -39,18 +39,21 @@ time.stop_s = 2e-5
 time.num = 80
 """
 
+# relative to the directory each test runs in, which holds ATOMS
 EXACT_CONFIG = """
 physical.omega0_hz = 1e6
 physical.c6_au = 1.7e19
-cloud.n_atoms = 1e6
-cloud.sigma_x_m = 1e-5
-cloud.sigma_y_m = 1e-5
-cloud.sigma_z_m = 1e-5
-exact.n_atoms = 2
+exact.positions_path = atoms.txt
 time.stop_s = 2e-6
 time.num = 60
-run.seed = 12
 """
+
+# two atoms drawn at seed 12 from a 10 um cloud, and the same draw from a
+# 1 nm cloud
+ATOMS = {
+    "atoms.txt": gaussian_atoms(12, 2, 1e-5),
+    "nanometre_atoms.txt": gaussian_atoms(12, 2, 1e-9),
+}
 
 SCALING_CONFIG = """
 physical.c6_au = 1.7e19
@@ -69,10 +72,25 @@ sweep.omega0_hz = 1e5, 2e5
 """
 
 
+@pytest.fixture(autouse=True)
+def atoms_in_working_directory(tmp_path_factory, monkeypatch):
+    """Run each test in a fresh directory that holds the ATOMS files."""
+    cwd = tmp_path_factory.mktemp("cwd")
+    for name, text in ATOMS.items():
+        (cwd / name).write_text(text)
+    monkeypatch.chdir(cwd)
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def exact_config(positions):
+    """EXACT_CONFIG with its atoms read from ``positions``."""
+    return EXACT_CONFIG.replace("exact.positions_path = atoms.txt",
+                                f"exact.positions_path = {positions}")
 
 
 def test_cloud_writes_curve_ensemble_and_manifest(tmp_path, capsys):
@@ -151,7 +169,7 @@ def test_overflowing_span_exits_4_with_a_short_message(tmp_path, capsys, span):
     "command, key",
     [("exact", "exact.max_atoms_full"), ("cloud", "partition.cell_cap"),
      ("cloud", "physical.kappa"), ("cloud", "physical.gamma_per_s"),
-     ("exact", "physical.detuning_hz")],
+     ("exact", "physical.detuning_hz"), ("exact", "exact.n_atoms"), ("exact", "run.seed")],
 )
 def test_retired_size_keys_are_unknown(tmp_path, capsys, command, key):
     config = {"exact": EXACT_CONFIG, "cloud": CLOUD_CONFIG}[command]
@@ -207,20 +225,21 @@ def test_replay_refuses_a_retired_value_it_cannot_reproduce(tmp_path, capsys, co
 
 
 @pytest.mark.parametrize(
-    "kept, deleted",
-    [("physical.omega0_hz", "physical.omega1_hz = 9.7e6\nconfig.physical.omega2_hz = 2.1e7\n"
-                            "config.physical.delta_hz = 4.78e8"),
-     ("physical.c6_au", "physical.c6_jm6 = 1.6274841951863897e-60"),
-     ("cloud.n_atoms", "cloud.peak_density_m3 = 8.2e19")],
-    ids=["omega1_hz", "c6_jm6", "peak_density_m3"],
+    "command, kept, deleted",
+    [("cloud", "physical.omega0_hz",
+      "physical.omega1_hz = 9.7e6\nconfig.physical.omega2_hz = 2.1e7\n"
+      "config.physical.delta_hz = 4.78e8"),
+     ("cloud", "physical.c6_au", "physical.c6_jm6 = 1.6274841951863897e-60"),
+     ("cloud", "cloud.n_atoms", "cloud.peak_density_m3 = 8.2e19"),
+     ("exact", "exact.positions_path", "exact.n_atoms = 2")],
+    ids=["omega1_hz", "c6_jm6", "peak_density_m3", "exact_n_atoms"],
 )
-def test_replay_refuses_a_manifest_of_a_deleted_key(tmp_path, capsys, kept, deleted):
-    # earlier versions also took the drive as two-photon legs, C6 in J m^6 and
-    # the cloud as a peak density, and recorded these in place of the kept key
-    cfg = write_config(tmp_path, CLOUD_CONFIG)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["cloud", "--config", cfg, "--out", str(out1)]) == 0
-    manifest = out1 / "manifest.txt"
+def test_replay_refuses_a_manifest_of_a_deleted_key(tmp_path, capsys, command, kept, deleted):
+    # earlier versions also took the drive as two-photon legs, C6 in J m^6,
+    # the cloud as a peak density and exact's atoms as a sample of the cloud,
+    # and recorded these in place of the kept key
+    manifest = manifest_of(tmp_path, command)
+    out2 = tmp_path / "b"
     recorded, count = re.subn(
         rf"^config\.{re.escape(kept)} = .*$", f"config.{deleted}", manifest.read_text(),
         flags=re.M,
@@ -228,12 +247,27 @@ def test_replay_refuses_a_manifest_of_a_deleted_key(tmp_path, capsys, kept, dele
     assert count == 1
     manifest.write_text(recorded)
     capsys.readouterr()
-    assert main(["cloud", "--config", str(manifest), "--out", str(out2)]) == 2
+    assert main([command, "--config", str(manifest), "--out", str(out2)]) == 2
     err = capsys.readouterr().err.splitlines()
     key = deleted.partition(" =")[0]
     assert len(err) == 1 and err[0].startswith("error: ")
     assert f"unknown configuration key {key!r}" in err[0]
     assert not out2.exists()
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+@pytest.mark.parametrize("command", ["cloud", "exact", "scaling"])
+def test_replays_manifest_recording_a_seed(tmp_path, command, seed):
+    # every manifest of earlier versions records config.run.seed, which set
+    # the atoms of exact.n_atoms alone
+    manifest = manifest_of(tmp_path, command)
+    recorded = manifest.read_text()
+    manifest.write_text(recorded + f"config.run.seed = {seed}\n")
+    out = tmp_path / "replay"
+    assert main([command, "--config", str(manifest), "--out", str(out)]) == 0
+    assert (out / "manifest.txt").read_text() == recorded
+    for csv in manifest.parent.glob("*.csv"):
+        assert (out / csv.name).read_bytes() == csv.read_bytes()
 
 
 def test_unknown_key_exit_code(tmp_path, capsys):
@@ -265,22 +299,10 @@ def test_exact_two_sampled_atoms(tmp_path):
     text = (out / "trajectory.csv").read_text().splitlines()
     assert text[0] == "t_s,n_rydberg,w_fidelity"
     assert len(text) == 61
-    # sampled 10 um apart on average: essentially non-interacting, so the
+    # drawn 10 um apart on average: essentially non-interacting, so the
     # trajectory peaks near 2
     values = np.array([[float(c) for c in line.split(",")] for line in text[1:]])
     assert 1.5 < values[:, 1].max() <= 2.0 + 1e-9
-
-
-def test_exact_seed_override_changes_geometry(tmp_path):
-    cfg = write_config(tmp_path, EXACT_CONFIG)
-    reseeded = write_config(
-        tmp_path, EXACT_CONFIG.replace("run.seed = 12", "run.seed = 99"), "reseeded.cfg"
-    )
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["exact", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["exact", "--config", reseeded, "--out", str(out2)]) == 0
-    assert (out1 / "trajectory.csv").read_bytes() != (out2 / "trajectory.csv").read_bytes()
-    assert "config.run.seed = 99" in (out2 / "manifest.txt").read_text()
 
 
 def test_exact_rerun_from_manifest_identical(tmp_path):
@@ -310,10 +332,7 @@ def test_exact_summary_names_propagator_only_on_stdout(tmp_path, capsys, force_c
 def test_exact_positions_file_and_digest(tmp_path):
     positions = tmp_path / "atoms.txt"
     positions.write_text("0 0 0\n2e-7 0 0\n")
-    cfg = write_config(
-        tmp_path,
-        EXACT_CONFIG.replace("exact.n_atoms = 2", f"exact.positions_path = {positions}"),
-    )
+    cfg = write_config(tmp_path, exact_config(positions))
     out = tmp_path / "o"
     assert main(["exact", "--config", cfg, "--out", str(out)]) == 0
     manifest = (out / "manifest.txt").read_text()
@@ -326,10 +345,7 @@ def test_exact_positions_file_and_digest(tmp_path):
 def test_replay_refuses_an_input_whose_digest_changed(tmp_path, capsys):
     positions = tmp_path / "atoms.txt"
     positions.write_text("0 0 0\n2e-7 0 0\n")
-    cfg = write_config(
-        tmp_path,
-        EXACT_CONFIG.replace("exact.n_atoms = 2", f"exact.positions_path = {positions}"),
-    )
+    cfg = write_config(tmp_path, exact_config(positions))
     out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     assert main(["exact", "--config", cfg, "--out", str(out1)]) == 0
     manifest = out1 / "manifest.txt"
@@ -376,12 +392,12 @@ def test_replay_refuses_a_manifest_of_another_command(tmp_path, capsys, recorded
     assert not out.exists()
 
 
-def test_exact_rejects_both_atom_sources(tmp_path, capsys):
-    positions = tmp_path / "atoms.txt"
-    positions.write_text("0 0 0\n2e-7 0 0\n")
-    cfg = write_config(tmp_path, EXACT_CONFIG + f"exact.positions_path = {positions}\n")
-    assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "exactly one of exact.n_atoms or exact.positions_path" in capsys.readouterr().err
+def test_exact_without_a_positions_file_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, EXACT_CONFIG.replace("exact.positions_path = atoms.txt", ""))
+    out = tmp_path / "o"
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: exact needs exact.positions_path"]
+    assert not out.exists()
 
 
 def _refused(command, line, named):
@@ -402,9 +418,8 @@ MICRON_COLLECTIVE = (
         _refused("exact", "physical.c6_au = inf", "finite"),
         _refused("exact", "physical.omega0_hz = 1e-300", "c6 / (hbar omega0)"),
         # atoms nanometres apart: c6 = 9.57e228 J m^6 / r**6 overflows
-        _refused("exact", "physical.c6_au = 1e308; cloud.sigma_x_m = 1e-9; cloud.sigma_y_m = 1e-9; "
-                 "cloud.sigma_z_m = 1e-9", "pair shifts of c6 = 9.57e+228"),
-        _refused("exact", "run.seed = -1", "seed must be non-negative"),
+        _refused("exact", "physical.c6_au = 1e308; exact.positions_path = nanometre_atoms.txt",
+                 "pair shifts of c6 = 9.57e+228"),
         _refused("cloud", "physical.omega0_hz = 1e-300", "c6 / (hbar omega0)"),
         _refused("cloud", "physical.omega0_hz = 1e300", "c6 / (hbar omega0)"),
         _refused("cloud", "physical.omega0_hz = 5e-324", "c6 / (hbar omega0)"),
@@ -417,7 +432,6 @@ MICRON_COLLECTIVE = (
         _refused("scaling", "sweep.omega0_hz = 5e-324", "c6 / (hbar omega0)"),
         _refused("scaling", "sweep.densities_m3 = nan", "density grid"),
         _refused("scaling", "sweep.densities_m3 = inf", "density grid"),
-        _refused("exact", "cloud.sigma_x_m = 1e300", "squared distances overflow float64"),
         _refused("cloud", "time.stop_s = 1e300", "t is too long"),
         _refused("exact", "time.stop_s = 1e300", "the time grid ends at 1e+300 s"),
         _refused("exact", "time.stop_s = 1e12", "the time grid ends at 1e+12 s"),
@@ -464,10 +478,7 @@ def test_exact_rejects_nan_restriction_radius(tmp_path, capsys):
 def test_exact_malformed_positions_exit_code(tmp_path, capsys):
     positions = tmp_path / "atoms.txt"
     positions.write_text("0 0 0\n1e-6 what 0\n")
-    cfg = write_config(
-        tmp_path,
-        EXACT_CONFIG.replace("exact.n_atoms = 2", f"exact.positions_path = {positions}"),
-    )
+    cfg = write_config(tmp_path, exact_config(positions))
     assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "line 2" in capsys.readouterr().err
 
@@ -475,10 +486,7 @@ def test_exact_malformed_positions_exit_code(tmp_path, capsys):
 def test_exact_positions_too_far_apart_exit_2_naming_the_file(tmp_path, capsys):
     positions = tmp_path / "atoms.txt"
     positions.write_text("0 0 0\n1e300 0 0\n")
-    cfg = write_config(
-        tmp_path,
-        EXACT_CONFIG.replace("exact.n_atoms = 2", f"exact.positions_path = {positions}"),
-    )
+    cfg = write_config(tmp_path, exact_config(positions))
     out = tmp_path / "o"
     assert main(["exact", "--config", cfg, "--out", str(out)]) == 2
     assert f"error: {positions}: positions spread over 1e+300" in capsys.readouterr().err
@@ -486,28 +494,34 @@ def test_exact_positions_too_far_apart_exit_2_naming_the_file(tmp_path, capsys):
 
 
 def test_exact_atom_cap_exit_code(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path, EXACT_CONFIG.replace("exact.n_atoms = 2", "exact.n_atoms = 20")
-    )
+    positions = tmp_path / "atoms.txt"
+    positions.write_text(gaussian_atoms(12, 20, 1e-5))
+    cfg = write_config(tmp_path, exact_config(positions))
     out = tmp_path / "o"
     assert main(["exact", "--config", cfg, "--out", str(out)]) == 4
     assert "cap" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_exact_atom_cap_is_checked_before_sampling(tmp_path, capsys, monkeypatch):
-    # a million sampled atoms would take about 100 MB before the basis
+def test_exact_atom_cap_is_checked_before_the_positions_file_is_read_whole(
+    tmp_path, capsys, monkeypatch
+):
+    # parsed whole, these million atoms took a traced peak of about 275 MB
+    # before the basis refused them
     limit = 64 * 2**20
     monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", limit)
-    cfg = write_config(
-        tmp_path, EXACT_CONFIG.replace("exact.n_atoms = 2", "exact.n_atoms = 1e6")
-    )
+    positions = tmp_path / "atoms.txt"
+    with open(positions, "w") as fh:
+        fh.writelines(f"{k}e-9 0 0\n" for k in range(10**6))
+    cfg = write_config(tmp_path, exact_config(positions))
     out = tmp_path / "o"
     codes = []
     run = lambda: codes.append(main(["exact", "--config", cfg, "--out", str(out)]))  # noqa: E731
     assert traced_peak(run) < limit
     assert codes == [4]
-    assert "1000000 atoms exceed" in capsys.readouterr().err
+    assert f"{positions}, line 64: atom 64 exceeds the int64 bitmask cap of 63" in (
+        capsys.readouterr().err
+    )
     assert not out.exists()
 
 
@@ -533,7 +547,7 @@ def test_exact_stiff_polygon_too_large_for_dense_exits_4(tmp_path, capsys):
     t_stop = 1.2 * math.pi / (math.sqrt(m) * omega)
     cfg = write_config(
         tmp_path,
-        EXACT_CONFIG.replace("exact.n_atoms = 2", f"exact.positions_path = {positions}")
+        exact_config(positions)
         .replace("time.stop_s = 2e-6", f"time.stop_s = {t_stop!r}")
         .replace("time.num = 60", "time.num = 241"),
     )
@@ -549,7 +563,7 @@ def test_exact_64_atoms_exit_code(tmp_path, capsys):
     positions.write_text("".join(f"{k * 1e-8} 0 0\n" for k in range(64)))
     cfg = write_config(
         tmp_path,
-        EXACT_CONFIG.replace("exact.n_atoms = 2", f"exact.positions_path = {positions}")
+        exact_config(positions)
         + "exact.basis = restricted\nexact.restriction_radius_m = 1.0\n",
     )
     out = tmp_path / "o"
@@ -718,8 +732,7 @@ def test_scaling_refused_at_its_densest_point_leaves_no_directory(tmp_path, caps
 
 
 @pytest.mark.parametrize(
-    "command, config",
-    [("cloud", CLOUD_CONFIG), ("scaling", SCALING_CONFIG), ("exact", EXACT_CONFIG)],
+    "command, config", [("cloud", CLOUD_CONFIG), ("scaling", SCALING_CONFIG)]
 )
 def test_missing_sigma_exits_2_naming_the_command(tmp_path, capsys, command, config):
     text = "\n".join(row for row in config.splitlines() if not row.startswith("cloud.sigma_y_m"))
@@ -733,10 +746,7 @@ def test_exact_nanometre_pair_exits_2_and_leaves_no_directory(tmp_path, capsys):
     # a pair shift of 1.6e28 rad/s: float64 cannot resolve the 1 MHz drive
     positions = tmp_path / "atoms.txt"
     positions.write_text("0 0 0\n1e-9 0 0\n")
-    cfg = write_config(
-        tmp_path,
-        EXACT_CONFIG.replace("exact.n_atoms = 2", f"exact.positions_path = {positions}"),
-    )
+    cfg = write_config(tmp_path, exact_config(positions))
     out = tmp_path / "o"
     assert main(["exact", "--config", cfg, "--out", str(out)]) == 2
     assert "below float64 rounding of the spectral width" in capsys.readouterr().err
@@ -790,10 +800,7 @@ def test_non_utf8_input_file_exits_2_naming_it(tmp_path, capsys, command):
         argv = ["cloud", "--config", str(bad)]
     else:
         bad.write_bytes(b"0 0 0\n2e-7 0 0 # \xff\n")
-        positions = f"exact.positions_path = {bad}"
-        argv = ["exact", "--config", write_config(
-            tmp_path, EXACT_CONFIG.replace("exact.n_atoms = 2", positions)
-        )]
+        argv = ["exact", "--config", write_config(tmp_path, exact_config(bad))]
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -905,5 +912,5 @@ def test_extreme_config_values_exit_cleanly(tmp_path, capsys):
                 if code not in (0, 2, 3, 4) or (code in (2, 4) and out.exists()):
                     failures.append(f"{command} {key} = {value}: exit {code}")
                 shutil.rmtree(out, ignore_errors=True)
-    assert runs == 324
+    assert runs == 306
     assert not failures, "\n".join(failures)

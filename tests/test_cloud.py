@@ -1,4 +1,4 @@
-"""Gaussian cloud: density profile, sampling, superatom partition."""
+"""Gaussian cloud: density profile and superatom partition."""
 
 import itertools
 import math
@@ -22,7 +22,6 @@ from blockadesim.core import (
     blockade_radius_simple,
 )
 from blockadesim.errors import InvalidParameterError, SizeCapError
-from blockadesim.exact import sample_positions
 from blockadesim.superatom import simulate_cloud
 
 from conftest import N_ATOMS_REF, SIGMA_REF, traced_peak
@@ -92,29 +91,6 @@ def test_cloud_spec_validation():
         CloudSpec.from_peak_density(-1.0, (1e-6, 1e-6, 1e-6))
     with pytest.raises(InvalidParameterError, match="n_atoms = inf"):
         CloudSpec.from_peak_density(1e308, (1.0, 1.0, 1.0))
-
-
-# --- sampling -------------------------------------------------------------------
-
-
-def test_sampling_is_reproducible(reference_cloud):
-    a = sample_positions(reference_cloud.sigma, 50, seed=3)
-    b = sample_positions(reference_cloud.sigma, 50, seed=3)
-    c = sample_positions(reference_cloud.sigma, 50, seed=4)
-    assert np.array_equal(a.coords, b.coords)
-    assert not np.array_equal(a.coords, c.coords)
-
-
-def test_sampling_moments():
-    sigma = (10e-6, 20e-6, 40e-6)
-    coords = sample_positions(sigma, 200_000, seed=11).coords
-    assert np.all(np.abs(coords.mean(axis=0)) < 4 * np.array(sigma) / math.sqrt(200_000))
-    assert np.allclose(coords.std(axis=0), sigma, rtol=0.01)
-
-
-def test_sampling_needs_positive_count(reference_cloud):
-    with pytest.raises(InvalidParameterError):
-        sample_positions(reference_cloud.sigma, 0, seed=1)
 
 
 # --- partition ------------------------------------------------------------------

@@ -41,7 +41,7 @@ def test_unknown_key_rejected_by_name():
 
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
-        parse_config_text("run.seed = 1\nrun.seed = 2\n")
+        parse_config_text("time.num = 1\ntime.num = 2\n")
 
 
 def test_missing_equals_sign():
@@ -78,11 +78,11 @@ def test_manifest_lines_are_config_compatible():
         manifest.tool = blockadesim
         manifest.output.curve = curve.csv
         manifest.output.curve.sha256 = 0000
-        config.run.seed = 9
+        config.time.num = 9
         config.partition.n_min = 0.0
         """
     )
-    assert cfg.seed == 9
+    assert cfg.time_num == 9
     assert cfg.n_min == 0.0
 
 
@@ -98,7 +98,7 @@ def test_config_items_round_trip():
         time_stop_s=2e-5,
         time_num=100,
         sweep_densities_m3=(1e19, 2e19),
-        seed=5,
+        positions_path="atoms.txt",
     )
     text = "\n".join(f"{k} = {v}" for k, v in config_items(cfg))
     assert parse_config_text(text) == cfg

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import re
 import time
 import tracemalloc
 from unittest import mock
@@ -16,6 +17,7 @@ import blockadesim.core
 from blockadesim.constants import HBAR
 from blockadesim.errors import InputFileError, InvalidParameterError, SizeCapError
 from blockadesim.exact import (
+    MAX_ATOMS,
     AtomPositions,
     Hamiltonian,
     QuantumState,
@@ -120,8 +122,20 @@ def test_positions_file_empty(tmp_path):
 
 
 def test_positions_file_missing(tmp_path):
-    with pytest.raises(InputFileError):
-        AtomPositions.from_text(str(tmp_path / "nope.txt"))
+    path = tmp_path / "nope.txt"
+    with pytest.raises(InputFileError, match=f"^{re.escape(str(path))}: "):
+        AtomPositions.from_text(str(path))
+
+
+def test_positions_file_refuses_the_atom_past_the_cap_unread_beyond_it(tmp_path):
+    path = tmp_path / "atoms.txt"
+    atoms = [f"{k}e-6 0 0\n# comment\n\n" for k in range(MAX_ATOMS)]
+    path.write_text("".join(atoms))
+    assert len(AtomPositions.from_text(str(path))) == MAX_ATOMS
+    # the malformed line after the first atom past the cap is never parsed
+    path.write_text("".join(atoms) + "1 2 3\nnot an atom\n")
+    with pytest.raises(SizeCapError, match=f"line {3 * MAX_ATOMS + 1}: atom {MAX_ATOMS + 1} "):
+        AtomPositions.from_text(str(path))
 
 
 # --- basis enumeration ---------------------------------------------------------

@@ -2,15 +2,17 @@
 and so does every name the benchmark's trace wraps, whose counters read
 the calls the CLI makes; every error class is raised somewhere."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
 from pathlib import Path
 
 import blockadesim
+import blockadesim.cli
 from blockadesim.cli import main
 
-from conftest import package_errors
+from conftest import SIGMA_REF, gaussian_atoms, package_errors
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -36,6 +38,20 @@ def test_package_exports_only_declared_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported <= declared, sorted(exported - declared)
+
+
+def test_cli_imports_no_private_name_of_another_module():
+    # the CLI reaches each layer through its public names only
+    imports = [
+        node for node in ast.walk(ast.parse(inspect.getsource(blockadesim.cli)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("blockadesim"))
+    ]
+    private = [
+        f"{node.module}.{alias.name}" for node in imports for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert imports and private == []
 
 
 def test_every_traced_name_resolves_to_a_callable(monkeypatch):
@@ -64,7 +80,7 @@ partition.span_sigmas = 3.0
 """
 SMALL_RUNS = {
     "cloud": "cloud.n_atoms = 1.5e7\ntime.stop_s = 2e-5\ntime.num = 20\n",
-    "exact": "cloud.n_atoms = 1e6\nexact.n_atoms = 3\ntime.stop_s = 2e-6\ntime.num = 20\n",
+    "exact": "exact.positions_path = atoms.txt\ntime.stop_s = 2e-6\ntime.num = 20\n",
     "scaling": "time.stop_s = 2e-5\ntime.start_s = 1e-8\ntime.num = 50\ntime.spacing = log\n"
                "sweep.densities_m3 = 2e19, 8e19\nsweep.omega0_hz = 1e5, 2e5\n",
 }
@@ -74,6 +90,8 @@ def test_trace_counts_every_layer_of_the_cli_calls(tmp_path, monkeypatch, capsys
     # a counter that cannot read its call's arguments (say, time_grid passed
     # by position where the counter expects it) drops its layer's figures
     monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.chdir(tmp_path)  # where SMALL_RUNS["exact"] finds its atoms
+    (tmp_path / "atoms.txt").write_text(gaussian_atoms(0, 3, SIGMA_REF))
     tracing = importlib.import_module("tracing")
     tracer = tracing.Tracer()
     instrumentation = tracing.Instrumentation(tracer)
