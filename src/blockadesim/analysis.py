@@ -219,7 +219,6 @@ def scaling_experiment(
     time_grid,
     model: str = "collective",
     n_min: float = 1.0,
-    span_sigmas: float = 5.0,
 ) -> ScalingResult:
     """Sweep (peak density, drive) grids and extract scaling exponents.
 
@@ -247,9 +246,7 @@ def scaling_experiment(
         spec = CloudSpec.from_peak_density(n_peak, sigma)
         for omega0 in omega0_grid:
             params = replace(params_base, omega0=omega0)
-            ensemble = partition_superatoms(
-                spec, params, model=model, n_min=n_min, span_sigmas=span_sigmas
-            )
+            ensemble = partition_superatoms(spec, params, model=model, n_min=n_min)
             curve = simulate_cloud(ensemble, params, time_grid)
             fit = fit_saturation(curve)
             points.append(SweepPoint(

@@ -8,13 +8,13 @@ Four workflows:
 * ``fit``: saturation fit of an existing curve CSV
 
 Each command only computes and returns a Run. Once it has returned,
-_finish creates the output directory (--out, else $BLOCKADESIM_OUT, else
-the working directory) and writes the CSVs plus a ``manifest.txt`` into
-it, so a run that exits 2 or 4 leaves no directory behind. The manifest
-records digests of every file and the fully resolved configuration;
-feeding it back through --config reruns the workflow and, for the
-deterministic paths, reproduces the CSVs byte for byte. A manifest of
-another command, or one whose input file has changed digest, exits 2.
+_finish creates the output directory (--out, else the working directory)
+and writes the CSVs plus a ``manifest.txt`` into it, so a run that exits
+2 or 4 leaves no directory behind. The manifest records digests of every
+file and the fully resolved configuration; feeding it back through
+--config reruns the workflow and, for the deterministic paths, reproduces
+the CSVs byte for byte. A manifest of another command, or one whose input
+file has changed digest, exits 2.
 
 Exit codes: 0 success, 2 bad input or configuration or an output that
 cannot be written, 3 a fit did not converge (the curve resolves its rise
@@ -67,8 +67,6 @@ from .runio import (
 )
 from .superatom import simulate_cloud
 
-OUT_ENV_VAR = "BLOCKADESIM_OUT"
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -88,11 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit the saturation law to a curve CSV")
     fit.add_argument("curve", help="CSV with header t_s,n_rydberg")
     for p in sub.choices.values():
-        p.add_argument(
-            "--out",
-            default=None,
-            help=f"output directory (default ${OUT_ENV_VAR} or the working directory)",
-        )
+        p.add_argument("--out", default=".", help="output directory (default: working directory)")
     return parser
 
 
@@ -175,6 +169,8 @@ def _cmd_exact(args: argparse.Namespace) -> Run:
     grid = resolve_time_grid(cfg)
     if cfg.positions_path is None:
         raise ConfigError("exact needs exact.positions_path")
+    # recorded absolute, so the manifest replays from any directory
+    cfg.positions_path = os.path.abspath(cfg.positions_path)
     positions = AtomPositions.from_text(cfg.positions_path)
     inputs = [_input("positions", cfg.positions_path, recorded)]
     if cfg.basis == "full":
@@ -205,9 +201,7 @@ def _cmd_cloud(args: argparse.Namespace) -> Run:
     params = resolve_params(cfg)
     cloud = resolve_cloud(cfg, "cloud")
     grid = resolve_time_grid(cfg)
-    ensemble = partition_superatoms(
-        cloud, params, model=cfg.model, n_min=cfg.n_min, span_sigmas=cfg.span_sigmas
-    )
+    ensemble = partition_superatoms(cloud, params, model=cfg.model, n_min=cfg.n_min)
     curve = simulate_cloud(ensemble, params, grid)
     return Run(
         config_items(cfg),
@@ -235,7 +229,7 @@ def _cmd_scaling(args: argparse.Namespace) -> Run:
     omega_grid = [angular_from_hz(f) for f in cfg.sweep_omega0_hz]
     result = scaling_experiment(
         sigma, cfg.sweep_densities_m3, omega_grid, params, grid,
-        model=cfg.model, n_min=cfg.n_min, span_sigmas=cfg.span_sigmas,
+        model=cfg.model, n_min=cfg.n_min,
     )
     lines = []
     for name in ("a", "b", "c", "d"):
@@ -288,7 +282,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    args.out = args.out or os.environ.get(OUT_ENV_VAR) or "."
     try:
         return _finish(args.command, args.out, _COMMANDS[args.command](args))
     except BlockadeSimError as exc:  # 4: the memory limit, 2: bad input or configuration

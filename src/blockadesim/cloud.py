@@ -47,6 +47,7 @@ __all__ = [
 # octant cell on the reference cloud at 42 and 210 kHz (tracemalloc)
 _BYTES_PER_CELL = 128.0
 MODELS = ("simple", "collective")
+SPAN_SIGMAS = 5.0  # half-extent of the cell grid on each axis, in rms radii
 
 
 @dataclass(frozen=True)
@@ -189,14 +190,13 @@ def partition_superatoms(
     params: PhysicalParams,
     model: str = "collective",
     n_min: float = 1.0,
-    span_sigmas: float = 5.0,
 ) -> SuperatomEnsemble:
     """Tile the cloud with cells of one central blockade volume each.
 
     The cubic cell side is (4 pi / 3)**(1/3) times the blockade radius at
     the cloud center (the model's own radius formula, so the collective
     model tiles more coarsely at low drive). The grid is centered on the
-    origin and spans at least ``span_sigmas`` rms radii on every axis;
+    origin and spans at least SPAN_SIGMAS rms radii on every axis;
     per-cell atom numbers are exact Gaussian integrals over the cell, and
     cells whose superatom size falls below ``n_min`` are dropped.
 
@@ -214,10 +214,6 @@ def partition_superatoms(
     # negated comparisons also reject NaN
     if not n_min >= 0.0:
         raise InvalidParameterError(f"n_min must be non-negative, got {n_min}")
-    if not 0.0 < span_sigmas < math.inf:
-        raise InvalidParameterError(
-            f"span_sigmas must be positive and finite, got {span_sigmas}"
-        )
 
     n0 = peak_density(spec)
     if model == "simple":
@@ -230,8 +226,8 @@ def partition_superatoms(
             f"cell side {side!r} m of the central blockade radius must be positive and finite"
         )
 
-    # Python floats: an overflowing span gives an inf count, not an error
-    counts = [max(1.0, float(np.ceil(2.0 * span_sigmas * s / side))) for s in spec.sigma]
+    # Python floats: a count that overflows is inf, not an error
+    counts = [max(1.0, float(np.ceil(2.0 * SPAN_SIGMAS * s / side))) for s in spec.sigma]
     n_cells = math.prod(float(np.ceil(k / 2.0)) for k in counts)
     require_memory(n_cells * _BYTES_PER_CELL, f"{n_cells:.3g} partition cells (one octant)")
 

@@ -18,7 +18,7 @@ from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .cloud import MODELS, CloudSpec
+from .cloud import MODELS, SPAN_SIGMAS, CloudSpec
 from .core import PhysicalParams, convert_c6_atomic_units, require_memory
 from .errors import ConfigError, read_lines
 
@@ -43,7 +43,6 @@ class RunConfig:
     sigma_z_m: float | None = _key("cloud.sigma_z_m", "float")
     model: str = _key("partition.model", "str", "collective", choices=MODELS)
     n_min: float = _key("partition.n_min", "float", 1.0)
-    span_sigmas: float = _key("partition.span_sigmas", "float", 5.0)
     time_stop_s: float | None = _key("time.stop_s", "float")
     time_start_s: float | None = _key("time.start_s", "float")
     time_num: int = _key("time.num", "int", 200)
@@ -66,7 +65,8 @@ _INPUT_DIGEST = re.compile(r"manifest\.input\.(\w+)\.sha256")
 _RETIRED = {"config.run.threads": None, "config.exact.max_atoms_full": None,
             "config.exact.max_atoms_restricted": None, "config.partition.cell_cap": None,
             "config.physical.kappa": 1.0, "config.physical.gamma_per_s": 0.0,
-            "config.physical.detuning_hz": 0.0, "config.run.seed": None}
+            "config.physical.detuning_hz": 0.0, "config.run.seed": None,
+            "config.partition.span_sigmas": SPAN_SIGMAS}
 
 
 def _parse_int(text: str) -> int:

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import os
+from array import array
 from dataclasses import fields
 
 import numpy as np
 
 from .analysis import ExponentEstimate, SaturationFit, SweepPoint
 from .cloud import SuperatomEnsemble
+from .core import require_memory
 from .errors import InputFileError, read_lines
 from .superatom import ExcitationCurve
 
@@ -29,6 +31,10 @@ EXPONENTS_HEADER = "name,value,std_error,n_points"
 FIT_HEADER = "n_sat,n_sat_err,R_per_s,R_err,residual_rms,converged,n_iterations"
 
 _ROW_BLOCK = 8192  # rows formatted and held at once by write_table
+# a curve row takes at least 4 bytes of its file ("0,0" and a line end);
+# reading it peaks at about 26 bytes: two float64 columns in arrays that
+# grow by 1/16, then the time grid validator's diff and masks
+_BYTES_PER_CURVE_ROW = 32.0
 
 
 def format_float(x: float) -> str:
@@ -98,21 +104,27 @@ def write_curve_csv(path: str, curve: ExcitationCurve) -> None:
 def read_curve_csv(path: str) -> ExcitationCurve:
     """Read a curve CSV; extra columns beyond t_s,n_rydberg are ignored.
 
-    Malformed content raises InputFileError citing the line; curve-level
-    problems (negative values, unordered times) surface through the
-    ExcitationCurve validator.
+    Refused with SizeCapError before parsing if the file's size allows
+    more rows than the memory limit holds. Malformed content raises
+    InputFileError citing the line; curve-level problems (negative values,
+    unordered times) surface through the ExcitationCurve validator.
     """
-    lines = list(read_lines(path, InputFileError))
-    if not lines:
+    try:
+        size = os.path.getsize(path)
+    except OSError as exc:
+        raise InputFileError(f"{path}: {exc.strerror or exc}") from exc
+    require_memory(size / 4.0 * _BYTES_PER_CURVE_ROW, f"a curve file of {size} bytes")
+    lines = read_lines(path, InputFileError)
+    first = next(lines, None)
+    if first is None:
         raise InputFileError(f"{path}: file is empty")
-    header = [c.strip() for c in lines[0].split(",")]
+    header = [c.strip() for c in first.split(",")]
     if header[:2] != ["t_s", "n_rydberg"]:
         raise InputFileError(
-            f"{path}, line 1: expected header starting 't_s,n_rydberg', got {lines[0]!r}"
+            f"{path}, line 1: expected header starting 't_s,n_rydberg', got {first!r}"
         )
-    times = []
-    values = []
-    for lineno, raw in enumerate(lines[1:], start=2):
+    times, values = array("d"), array("d")
+    for lineno, raw in enumerate(lines, start=2):
         if not raw.strip():
             continue
         cells = raw.split(",")
@@ -125,7 +137,7 @@ def read_curve_csv(path: str) -> ExcitationCurve:
             raise InputFileError(f"{path}, line {lineno}: {exc}") from exc
     if not times:
         raise InputFileError(f"{path}: no data rows")
-    return ExcitationCurve(np.array(times), np.array(values), {"source": path})
+    return ExcitationCurve(np.frombuffer(times), np.frombuffer(values), {"source": path})
 
 
 def write_ensemble_csv(path: str, ensemble: SuperatomEnsemble) -> None:

@@ -274,7 +274,6 @@ def test_10_manifest_determinism(capsys, tmp_path):
         f"cloud.sigma_x_m = {SIGMA_REF}\ncloud.sigma_y_m = {SIGMA_REF}\n"
         f"cloud.sigma_z_m = {SIGMA_REF}\n"
         "partition.model = simple\npartition.n_min = 0.0\n"
-        "partition.span_sigmas = 3.0\n"
     )
     configs = {
         "cloud": base + (

@@ -241,7 +241,6 @@ def test_scaling_experiment_structure(strong_params):
         quick_time_grid(),
         model="simple",
         n_min=0.0,
-        span_sigmas=3.0,
     )
     assert len(result.points) == 4
     assert all(p.converged for p in result.points)
@@ -293,7 +292,6 @@ def test_scaling_degenerate_axis_reports_nan(strong_params):
         quick_time_grid(),
         model="simple",
         n_min=0.0,
-        span_sigmas=3.0,
     )
     assert math.isnan(result.exponents["a"].value)
     assert math.isnan(result.exponents["c"].value)

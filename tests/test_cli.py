@@ -62,7 +62,6 @@ cloud.sigma_y_m = 2.26465752498e-5
 cloud.sigma_z_m = 2.26465752498e-5
 partition.model = simple
 partition.n_min = 0.0
-partition.span_sigmas = 3.0
 time.stop_s = 2e-5
 time.start_s = 1e-8
 time.num = 50
@@ -136,9 +135,7 @@ def test_cloud_empty_ensemble_is_input_error(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "name, value", [("span_sigmas", "nan"), ("span_sigmas", "inf"), ("n_min", "nan")]
-)
+@pytest.mark.parametrize("name, value", [("n_min", "nan")])
 def test_cloud_rejects_non_finite_partition_input(tmp_path, capsys, name, value):
     key = f"partition.{name}"
     rows = [row for row in CLOUD_CONFIG.splitlines() if not row.startswith(key + " ")]
@@ -149,27 +146,43 @@ def test_cloud_rejects_non_finite_partition_input(tmp_path, capsys, name, value)
     assert not (out / "ensemble.csv").exists()
 
 
+def wide_cloud_config(sigma_x_m):
+    """CLOUD_CONFIG with its x radius, and so its grid's x extent, set to ``sigma_x_m``."""
+    return CLOUD_CONFIG.replace("cloud.sigma_x_m = 2.26465752498e-5",
+                                f"cloud.sigma_x_m = {sigma_x_m}")
+
+
 def test_cell_cap_exit_code(tmp_path, capsys):
-    cfg = write_config(tmp_path, CLOUD_CONFIG + "partition.span_sigmas = 1e6\n")
-    assert main(["cloud", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
-    assert "cap" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("span", ["1e306", "1e308"])
-def test_overflowing_span_exits_4_with_a_short_message(tmp_path, capsys, span):
-    cfg = write_config(tmp_path, CLOUD_CONFIG + f"partition.span_sigmas = {span}\n")
+    cfg = write_config(tmp_path, wide_cloud_config("1.0"))
     out = tmp_path / "o"
     assert main(["cloud", "--config", cfg, "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    assert "bytes" in err and len(err) < 200
-    assert not (out / "ensemble.csv").exists()
+    assert "1.46e+08 partition cells (one octant) needs about 1.87e+10 bytes" in err
+    assert "over the memory cap" in err
+    assert not out.exists()
+
+
+# the grid's octant count overflows the bytes at sigma_x = 1e300 m, and
+# its cells per axis overflow at 1e306 m
+@pytest.mark.parametrize(
+    "sigma_x, named", [("1e300", "inf bytes"), ("1e306", "inf partition cells")],
+    ids=["1e300", "1e306"],
+)
+def test_overflowing_span_exits_4_with_a_short_message(tmp_path, capsys, sigma_x, named):
+    cfg = write_config(tmp_path, wide_cloud_config(sigma_x))
+    out = tmp_path / "o"
+    assert main(["cloud", "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert named in err and len(err) < 200
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "command, key",
     [("exact", "exact.max_atoms_full"), ("cloud", "partition.cell_cap"),
      ("cloud", "physical.kappa"), ("cloud", "physical.gamma_per_s"),
-     ("exact", "physical.detuning_hz"), ("exact", "exact.n_atoms"), ("exact", "run.seed")],
+     ("exact", "physical.detuning_hz"), ("exact", "exact.n_atoms"), ("exact", "run.seed"),
+     ("cloud", "partition.span_sigmas")],
 )
 def test_retired_size_keys_are_unknown(tmp_path, capsys, command, key):
     config = {"exact": EXACT_CONFIG, "cloud": CLOUD_CONFIG}[command]
@@ -180,12 +193,14 @@ def test_retired_size_keys_are_unknown(tmp_path, capsys, command, key):
 
 @pytest.mark.parametrize(
     "command, outputs",
-    [("cloud", ("ensemble.csv", "curve.csv")), ("exact", ("trajectory.csv",))],
+    [("cloud", ("ensemble.csv", "curve.csv")), ("exact", ("trajectory.csv",)),
+     ("scaling", ("sweep.csv", "exponents.csv"))],
 )
 def test_replays_manifest_recording_retired_size_keys(tmp_path, command, outputs):
-    # manifests of earlier versions carry the three size caps, kappa = 1 and
-    # zero dephasing and detuning
-    cfg = write_config(tmp_path, {"exact": EXACT_CONFIG, "cloud": CLOUD_CONFIG}[command])
+    # manifests of earlier versions carry the three size caps, kappa = 1,
+    # zero dephasing and detuning, and the grid's half-extent of 5 sigmas
+    config = {"exact": EXACT_CONFIG, "cloud": CLOUD_CONFIG, "scaling": SCALING_CONFIG}[command]
+    cfg = write_config(tmp_path, config)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main([command, "--config", cfg, "--out", str(out1)]) == 0
     manifest = out1 / "manifest.txt"
@@ -197,6 +212,7 @@ def test_replays_manifest_recording_retired_size_keys(tmp_path, command, outputs
         + "config.physical.kappa = 1.0\n"
         + "config.physical.gamma_per_s = 0.0\n"
         + "config.physical.detuning_hz = 0.0\n"
+        + "config.partition.span_sigmas = 5.0\n"
     )
     assert main([command, "--config", str(manifest), "--out", str(out2)]) == 0
     for name in outputs:
@@ -205,8 +221,9 @@ def test_replays_manifest_recording_retired_size_keys(tmp_path, command, outputs
 
 @pytest.mark.parametrize("command", ["cloud", "exact", "scaling"])
 def test_replay_refuses_a_retired_value_it_cannot_reproduce(tmp_path, capsys, command):
-    # only kappa = 1 and zero dephasing and detuning replay: the radii no
-    # longer take a prefactor, and the drive is resonant and undamped
+    # only kappa = 1, zero dephasing and detuning and a 5-sigma grid replay:
+    # the radii no longer take a prefactor, the drive is resonant and
+    # undamped, and the grid always spans cloud.SPAN_SIGMAS
     config = {"cloud": CLOUD_CONFIG, "exact": EXACT_CONFIG, "scaling": SCALING_CONFIG}[command]
     cfg = write_config(tmp_path, config)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -214,7 +231,8 @@ def test_replay_refuses_a_retired_value_it_cannot_reproduce(tmp_path, capsys, co
     manifest = out1 / "manifest.txt"
     recorded = manifest.read_text()
     for line in (
-        "physical.kappa = 1.3", "physical.gamma_per_s = 1e6", "physical.detuning_hz = 5e6"
+        "physical.kappa = 1.3", "physical.gamma_per_s = 1e6", "physical.detuning_hz = 5e6",
+        "partition.span_sigmas = 3.0",
     ):
         manifest.write_text(recorded + f"config.{line}\n")
         capsys.readouterr()
@@ -270,18 +288,43 @@ def test_replays_manifest_recording_a_seed(tmp_path, command, seed):
         assert (out / csv.name).read_bytes() == csv.read_bytes()
 
 
+def test_exact_manifest_replays_from_another_directory(tmp_path, monkeypatch):
+    # a run from a/ reads exact.positions_path = atoms.txt there; its
+    # manifest records the file's absolute path, so a/o1/manifest.txt
+    # replays from the sibling b/
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    (a / "atoms.txt").write_text(ATOMS["atoms.txt"])
+    (a / "run.cfg").write_text(EXACT_CONFIG)
+    monkeypatch.chdir(a)
+    assert main(["exact", "--config", "run.cfg", "--out", "o1"]) == 0
+    atoms = os.path.join(os.getcwd(), "atoms.txt")
+    monkeypatch.chdir(b)
+    assert main(["exact", "--config", "../a/o1/manifest.txt", "--out", "o2"]) == 0
+    assert (b / "o2" / "trajectory.csv").read_bytes() == (
+        (a / "o1" / "trajectory.csv").read_bytes()
+    )
+    manifest = (a / "o1" / "manifest.txt").read_text()
+    assert f"manifest.input.positions = {atoms}\n" in manifest
+    assert f"config.exact.positions_path = {atoms}\n" in manifest
+
+
 def test_unknown_key_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, CLOUD_CONFIG + "partition.shape = cubic\n")
     assert main(["cloud", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "partition.shape" in capsys.readouterr().err
 
 
-def test_out_env_var_used_when_flag_absent(tmp_path, monkeypatch):
+def test_out_env_var_is_ignored_when_flag_absent(tmp_path, monkeypatch):
+    # the output directory has one source besides --out, the working
+    # directory; the environment is not read
     cfg = write_config(tmp_path, CLOUD_CONFIG)
     target = tmp_path / "from_env"
     monkeypatch.setenv("BLOCKADESIM_OUT", str(target))
     assert main(["cloud", "--config", cfg]) == 0
-    assert (target / "curve.csv").exists()
+    assert Path("curve.csv").exists() and Path("manifest.txt").exists()
+    assert not target.exists()
 
 
 def test_single_time_point_gives_single_zero_row(tmp_path):
@@ -584,6 +627,27 @@ def test_fit_round_trips_cloud_output(tmp_path, capsys):
     n_sat = float(fit_line.split(",")[0])
     assert n_sat > 0
     assert "true" in fit_line
+
+
+def test_fit_refuses_an_over_limit_curve_before_reading_it(tmp_path, monkeypatch, capsys):
+    # about 20 MB of repr rows: the file's size allows more rows than this
+    # limit holds, so it is refused unread
+    limit = 64 * 2**20
+    curve = tmp_path / "curve.csv"
+    t = np.linspace(0.0, 1e-5, 450_000)
+    with open(curve, "w") as fh:
+        fh.write("t_s,n_rydberg\n")
+        fh.writelines(f"{x!r},{y!r}\n" for x, y in zip(t.tolist(), np.sqrt(t).tolist()))
+    size = curve.stat().st_size
+    assert 19e6 < size < 21e6
+    monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", limit)
+    out = tmp_path / "o"
+    codes = []
+    assert traced_peak(lambda: codes.append(main(["fit", str(curve), "--out", str(out)]))) < limit
+    assert codes == [4]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: a curve file of {size} bytes needs about ")
+    assert not out.exists()
 
 
 def test_fit_empty_file_exit_code(tmp_path, capsys):
@@ -890,10 +954,8 @@ def test_extreme_config_values_exit_cleanly(tmp_path, capsys):
     exits 2 or 4."""
     failures = []
     runs = 0
-    # a narrower partition than the default 5 sigmas keeps each cloud run short
-    sweep_cloud = CLOUD_CONFIG + "partition.span_sigmas = 2.0\n"
     for command, config in (
-        ("cloud", sweep_cloud), ("exact", EXACT_CONFIG), ("scaling", SCALING_CONFIG)
+        ("cloud", CLOUD_CONFIG), ("exact", EXACT_CONFIG), ("scaling", SCALING_CONFIG)
     ):
         for setting in fields(RunConfig):
             key = setting.metadata["key"]
@@ -912,5 +974,5 @@ def test_extreme_config_values_exit_cleanly(tmp_path, capsys):
                 if code not in (0, 2, 3, 4) or (code in (2, 4) and out.exists()):
                     failures.append(f"{command} {key} = {value}: exit {code}")
                 shutil.rmtree(out, ignore_errors=True)
-    assert runs == 306
+    assert runs == 279
     assert not failures, "\n".join(failures)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import blockadesim.cloud
 import blockadesim.core
 from blockadesim.cloud import (
     CloudSpec,
@@ -115,13 +116,12 @@ def bisect_superatom_size(params, density):
     return density * 4 * math.pi / 3 * r**3
 
 
-def test_simple_partition_of_nearly_uniform_region(strong_params):
+def test_simple_partition_of_nearly_uniform_region(strong_params, monkeypatch):
     # a huge cloud sampled only near its center is flat: every cell then
     # holds density * cell volume atoms with unit weight
     spec = CloudSpec.isotropic(1e20, 1.0)
-    ensemble = partition_superatoms(
-        spec, strong_params, model="simple", n_min=0.0, span_sigmas=5e-5
-    )
+    monkeypatch.setattr(blockadesim.cloud, "SPAN_SIGMAS", 5e-5)
+    ensemble = partition_superatoms(spec, strong_params, model="simple", n_min=0.0)
     side = (4 * math.pi / 3) ** (1 / 3) * blockade_radius_simple(strong_params)
     per_axis = math.ceil(2 * 5e-5 / side)
     # one octant of entries, weighted by their mirror images
@@ -258,12 +258,11 @@ def test_collective_sizes_come_from_the_core_formula(reference_cloud, strong_par
     assert np.allclose(ensemble.n_per, expected, rtol=1e-15, atol=0.0)
 
 
-def test_collective_partition_drops_cells_of_zero_density(strong_params):
+def test_collective_partition_drops_cells_of_zero_density(strong_params, monkeypatch):
     # at 40 rms radii the corner densities underflow to exactly zero
     spec = CloudSpec.isotropic(1e4, 3e-6)
-    ensemble = partition_superatoms(
-        spec, strong_params, model="collective", n_min=0.0, span_sigmas=40.0
-    )
+    monkeypatch.setattr(blockadesim.cloud, "SPAN_SIGMAS", 40.0)
+    ensemble = partition_superatoms(spec, strong_params, model="collective", n_min=0.0)
     assert np.all(density_at(spec, ensemble.centers) > 0.0)
     assert np.all(np.isfinite(ensemble.weight)) and np.all(ensemble.n_per > 0.0)
     assert ensemble.total_atoms_covered == pytest.approx(spec.n_atoms, rel=1e-6)
@@ -318,10 +317,11 @@ def test_partition_cell_cap(reference_cloud, strong_params, monkeypatch):
     # the cap counts bytes: 1e6 sigmas of cells are refused before allocating
     limit = 64 * 2**20
     monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", limit)
+    monkeypatch.setattr(blockadesim.cloud, "SPAN_SIGMAS", 1e6)
 
     def refused():
         with pytest.raises(SizeCapError, match="cells"):
-            partition_superatoms(reference_cloud, strong_params, span_sigmas=1e6)
+            partition_superatoms(reference_cloud, strong_params)
 
     assert traced_peak(refused) < limit
 
@@ -348,11 +348,8 @@ def test_partition_rejects_bad_model(reference_cloud, strong_params):
         partition_superatoms(reference_cloud, strong_params, model="hybrid")
     with pytest.raises(InvalidParameterError):
         partition_superatoms(reference_cloud, strong_params, n_min=-1.0)
-    with pytest.raises(InvalidParameterError):
-        partition_superatoms(reference_cloud, strong_params, span_sigmas=0.0)
-    for bad in (dict(n_min=math.nan), dict(span_sigmas=math.nan), dict(span_sigmas=math.inf)):
-        with pytest.raises(InvalidParameterError, match=next(iter(bad))):
-            partition_superatoms(reference_cloud, strong_params, **bad)
+    with pytest.raises(InvalidParameterError, match="n_min"):
+        partition_superatoms(reference_cloud, strong_params, n_min=math.nan)
 
 
 def test_ensemble_validation():

@@ -1,16 +1,19 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
 and so does every name the benchmark's trace wraps, whose counters read
-the calls the CLI makes; every error class is raised somewhere."""
+the calls the CLI makes; every error class is raised somewhere; every
+setting is one that some benchmark workload sets."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+from dataclasses import fields
 from pathlib import Path
 
 import blockadesim
 import blockadesim.cli
 from blockadesim.cli import main
+from blockadesim.config import RunConfig
 
 from conftest import SIGMA_REF, gaussian_atoms, package_errors
 
@@ -76,7 +79,6 @@ cloud.sigma_y_m = 2.26465752498e-5
 cloud.sigma_z_m = 2.26465752498e-5
 partition.model = simple
 partition.n_min = 0.0
-partition.span_sigmas = 3.0
 """
 SMALL_RUNS = {
     "cloud": "cloud.n_atoms = 1.5e7\ntime.stop_s = 2e-5\ntime.num = 20\n",
@@ -116,3 +118,29 @@ def test_every_package_error_is_raised_by_name():
     source = "".join(path.read_text() for path in Path(blockadesim.__file__).parent.glob("*.py"))
     unraised = [e.__name__ for e in package_errors() if f"raise {e.__name__}(" not in source]
     assert unraised == []
+
+
+def test_every_setting_is_set_by_some_benchmark_workload(tmp_path, monkeypatch):
+    # a config key that no workload sets, or a setting read from the
+    # environment (the benchmark passes every setting by file and flag), is
+    # a second source of input that no measured run exercises
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    configs = [
+        Path(call.argv[call.argv.index("--config") + 1])
+        for workload in workloads.WORKLOADS
+        for call in workloads.generate(workload, workloads.DEFAULT_SEED, str(tmp_path / workload))
+        if "--config" in call.argv
+    ]
+    set_keys = {line.partition("=")[0].strip() for path in configs
+                for line in path.read_text().splitlines()}
+    unset = [f.metadata["key"] for f in fields(RunConfig) if f.metadata["key"] not in set_keys]
+    environment_reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(blockadesim.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+        or isinstance(node, ast.ImportFrom) and node.module == "os"
+        and {alias.name for alias in node.names} & {"environ", "getenv"}
+    ]
+    assert unset + environment_reads == []

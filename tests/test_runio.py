@@ -1,4 +1,4 @@
-"""Output files: atomic writes, cell formats and streamed CSV writes."""
+"""Output files: atomic writes, cell formats and streamed CSV writes; curve reads."""
 
 import hashlib
 import os
@@ -6,12 +6,16 @@ import os
 import numpy as np
 import pytest
 
+import blockadesim.cloud
+import blockadesim.core
 from blockadesim.cloud import SuperatomEnsemble, partition_superatoms
+from blockadesim.errors import InvalidParameterError, SizeCapError
 from blockadesim.runio import (
     _ROW_BLOCK,
     ENSEMBLE_HEADER,
     atomic_write_text,
     format_float,
+    read_curve_csv,
     write_ensemble_csv,
     write_table,
     write_trajectory_csv,
@@ -168,15 +172,14 @@ def test_write_table_matches_a_per_cell_writer(tmp_path, case):
 
 @pytest.mark.parametrize("model", ["simple", "collective"])
 def test_reference_cloud_ensemble_csv_has_the_per_cell_writers_digest(
-    tmp_path, reference_cloud, strong_params, model
+    tmp_path, reference_cloud, strong_params, monkeypatch, model
 ):
     # the cloud of tests/test_cli.py's CLOUD_CONFIG, at 210 kHz; the simple
     # model's 30 cells per axis at 5 sigma give one octant of 3,375 rows,
     # so it spans 10 sigma: 60 cells per axis, 27,000 rows
-    span_sigmas = {"simple": 10.0, "collective": 5.0}[model]
-    ensemble = partition_superatoms(
-        reference_cloud, strong_params, model=model, n_min=0.0, span_sigmas=span_sigmas
-    )
+    if model == "simple":
+        monkeypatch.setattr(blockadesim.cloud, "SPAN_SIGMAS", 10.0)
+    ensemble = partition_superatoms(reference_cloud, strong_params, model=model, n_min=0.0)
     path = tmp_path / "ensemble.csv"
     write_ensemble_csv(str(path), ensemble)
     expected = naive_table(
@@ -186,3 +189,31 @@ def test_reference_cloud_ensemble_csv_has_the_per_cell_writers_digest(
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         hashlib.sha256(expected.encode()).hexdigest()
     )
+
+
+@pytest.mark.parametrize("rows", ["repr", "shortest"])
+def test_curve_read_estimate_bounds_the_traced_peak(tmp_path, monkeypatch, rows):
+    # a limit just below the traced peak of reading 1e5 rows must refuse the
+    # file; "0,0" rows take the fewest bytes (their repeated times are then
+    # refused by the validator, after its diff), and twice their peak admits
+    t = np.linspace(0.0, 1e-5, 100_000)
+    if rows == "repr":
+        body = "".join(f"{x!r},{y!r}\n" for x, y in zip(t.tolist(), np.sqrt(t).tolist()))
+    else:
+        body = "0,0\n" * t.size
+    path = tmp_path / "curve.csv"
+    path.write_text("t_s,n_rydberg\n" + body)
+
+    def read():
+        try:
+            read_curve_csv(str(path))
+        except InvalidParameterError:
+            assert rows == "shortest"
+
+    peak = traced_peak(read)
+    monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", peak - 1)
+    with pytest.raises(SizeCapError, match="a curve file of"):
+        read_curve_csv(str(path))
+    if rows == "shortest":
+        monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", 2 * peak)
+        read()
