@@ -253,8 +253,13 @@ def _cmd_scaling(args: argparse.Namespace) -> Run:
     )
 
 
+# the whole fit command, the curve read and fit_saturation, peaked at 72-75 B
+# per row of 1e5 and 1e6 row curves (tracemalloc)
+_FIT_BYTES_PER_ROW = 80.0
+
+
 def _cmd_fit(args: argparse.Namespace) -> Run:
-    curve = read_curve_csv(args.curve)
+    curve = read_curve_csv(args.curve, _FIT_BYTES_PER_ROW)
     inputs = [("curve", args.curve, sha256_file(args.curve))]
     fit = fit_saturation(curve)
     warnings = () if fit.converged else (

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import (
     PhysicalParams,
@@ -179,9 +178,12 @@ def _axis_masses(
     mult = np.full(k - k // 2, 2.0)
     if k % 2:  # the first cell is centred on 0, its own mirror image
         mult[0] = 1.0
-    # the lower tail of the mirrored cell: a diff of ndtr values near 1
-    # would lose the far cells' relative precision
-    mass = ndtr(-edges[:-1] / sigma) - ndtr(-edges[1:] / sigma)
+    # the lower tail of the mirrored cell, ndtr(-u) = erfc(u / sqrt(2)) / 2 at
+    # u = edge / sigma: a diff of ndtr values near 1 would lose the far
+    # cells' relative precision
+    scaled = (edges / sigma * math.sqrt(0.5)).tolist()
+    tail = 0.5 * np.fromiter(map(math.erfc, scaled), float, len(scaled))
+    mass = tail[:-1] - tail[1:]
     return 0.5 * (edges[:-1] + edges[1:]), mult, mass
 
 
@@ -204,8 +206,8 @@ def partition_superatoms(
     standing for its 2 mirror images per axis (1 on an axis of odd cell
     count, whose middle cell is centered on 0); the product of the three
     goes into ``weight``. Per-axis masses are lower-tail differences,
-    ndtr(-lo/sigma) - ndtr(-hi/sigma), which keep the far cells' relative
-    precision.
+    (erfc(lo/(sigma sqrt 2)) - erfc(hi/(sigma sqrt 2))) / 2, which keep the
+    far cells' relative precision.
 
     Raises SizeCapError before allocating a grid that exceeds the memory limit.
     """

@@ -29,16 +29,18 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.blas
-import scipy.sparse
-import scipy.special
 
 from .constants import HBAR
 from .core import require_memory, validate_time_grid
 from .errors import InputFileError, InvalidParameterError, SizeCapError, read_lines
+
+# scipy is imported inside the three functions that use it, so importing
+# this module, and the cloud, scaling and fit commands with it, loads numpy only
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "AtomPositions",
@@ -298,6 +300,8 @@ def build_hamiltonian(
         raise InvalidParameterError(
             f"basis over {basis.n_atoms} atoms, geometry has {len(positions)}"
         )
+    import scipy.sparse
+
     m = basis.n_atoms
     states = basis.states
     dim = basis.n_states
@@ -388,6 +392,8 @@ def _chebyshev_terms(x: float) -> int:
     """
     if not x < _MAX_TERMS:  # NaN and inf too
         return _MAX_TERMS
+    import scipy.special
+
     width = 16 + int(12.0 * np.cbrt(x))
     low = int(x) + 1
     while True:
@@ -526,6 +532,9 @@ def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
     else:  # the table, its FFT rows, the gather buffer and four vectors
         working = 16.0 * plan.terms * (n_t + 4 * _COEFFICIENT_ROWS) + 16.0 * (_BLOCK + 4) * dim
     require_memory(16.0 * n_t * dim + 12.0 * nnz + working, f"{n_t} times of {dim:.0f} states")
+    import scipy.linalg
+    import scipy.linalg.blas
+
     if dense:
         w, u = scipy.linalg.eigh(hamiltonian.matrix.toarray())
         phases = np.exp(-1j * np.outer(t, w))

@@ -101,11 +101,13 @@ def write_curve_csv(path: str, curve: ExcitationCurve) -> None:
     write_table(path, CURVE_HEADER, [curve.times, curve.values])
 
 
-def read_curve_csv(path: str) -> ExcitationCurve:
+def read_curve_csv(path: str, bytes_per_row: float = _BYTES_PER_CURVE_ROW) -> ExcitationCurve:
     """Read a curve CSV; extra columns beyond t_s,n_rydberg are ignored.
 
     Refused with SizeCapError before parsing if the file's size allows
-    more rows than the memory limit holds. Malformed content raises
+    more rows than the memory limit holds at ``bytes_per_row`` each: by
+    default what the read peaks at, or what a caller's whole use of the
+    curve peaks at. Malformed content raises
     InputFileError citing the line; curve-level problems (negative values,
     unordered times) surface through the ExcitationCurve validator.
     """
@@ -113,7 +115,7 @@ def read_curve_csv(path: str) -> ExcitationCurve:
         size = os.path.getsize(path)
     except OSError as exc:
         raise InputFileError(f"{path}: {exc.strerror or exc}") from exc
-    require_memory(size / 4.0 * _BYTES_PER_CURVE_ROW, f"a curve file of {size} bytes")
+    require_memory(size / 4.0 * bytes_per_row, f"a curve file of {size} bytes")
     lines = read_lines(path, InputFileError)
     first = next(lines, None)
     if first is None:

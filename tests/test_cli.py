@@ -6,6 +6,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -19,7 +21,8 @@ import blockadesim.core
 from blockadesim import errors
 from blockadesim.analysis import SaturationFit
 from blockadesim.cli import main
-from blockadesim.config import RunConfig
+from blockadesim.cloud import partition_superatoms
+from blockadesim.config import RunConfig, load_config, resolve_cloud, resolve_params
 from blockadesim.constants import HBAR
 from blockadesim.core import convert_c6_atomic_units
 from blockadesim.runio import read_curve_csv
@@ -103,10 +106,16 @@ def test_cloud_writes_curve_ensemble_and_manifest(tmp_path, capsys):
     assert "config.partition.model = simple" in manifest
     assert "manifest.output.curve.sha256 = " in manifest
     # 16,568 of the simple model's 27,000 cells hold fewer than one atom;
-    # their mirror images pool, 959 distinct sizes
+    # their mirror images pool, 958 distinct sizes: sizes pool only when
+    # bit-equal, so the count moves with the rounding of the axis masses
     summary = capsys.readouterr().out
-    assert "3375 superatom entries (one octant, mirrored), 959 distinct sizes" in summary
+    assert "3375 superatom entries (one octant, mirrored), 958 distinct sizes" in summary
     assert "61.4 % of the superatom weight at n_per < 1" in summary
+    cloud_cfg = load_config(cfg)[0]
+    ensemble = partition_superatoms(
+        resolve_cloud(cloud_cfg, "cloud"), resolve_params(cloud_cfg), model="simple", n_min=0.0
+    )
+    assert np.unique(ensemble.n_per).size == 958
 
 
 def test_cloud_manifest_rerun_is_byte_identical(tmp_path):
@@ -650,6 +659,27 @@ def test_fit_refuses_an_over_limit_curve_before_reading_it(tmp_path, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows", ["repr", "integer"])
+def test_fit_estimate_bounds_the_traced_peak_of_the_whole_call(tmp_path, monkeypatch, rows):
+    # a limit just below the traced peak of the whole fit command, read plus
+    # fit, must refuse the file; integer times are the shortest rows a fit
+    # accepts, and the curve read's own estimate admitted them
+    n = 10_000
+    if rows == "repr":
+        t = np.linspace(0.0, 1e-5, n)
+        body = "".join(f"{x!r},{y!r}\n" for x, y in zip(t.tolist(), np.sqrt(t).tolist()))
+    else:
+        body = "".join(f"{i},1\n" for i in range(n))
+    curve = tmp_path / "curve.csv"
+    curve.write_text("t_s,n_rydberg\n" + body)
+    codes = []
+    peak = traced_peak(lambda: codes.append(main(["fit", str(curve), "--out", "f1"])))
+    assert codes == [0 if rows == "repr" else 3]
+    monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", peak - 1)
+    assert main(["fit", str(curve), "--out", "f2"]) == 4
+    assert not Path("f2").exists()
+
+
 def test_fit_empty_file_exit_code(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -938,6 +968,43 @@ def test_package_errors_map_to_exit_codes(monkeypatch, capsys, error, code):
     monkeypatch.setitem(blockadesim.cli._COMMANDS, "fit", fail)
     assert main(["fit", "curve.csv"]) == code
     assert "error: boom" in capsys.readouterr().err
+
+
+# run in a fresh interpreter: no step before exact may load scipy, and exact
+# must still run, loading it
+NO_SCIPY_SCRIPT = """
+import sys
+
+def assert_no_scipy(step):
+    loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+    assert not loaded, f"{step} loaded {loaded[:3]}"
+
+import blockadesim
+assert_no_scipy("import blockadesim")
+from blockadesim.cli import main
+assert_no_scipy("import blockadesim.cli")
+cloud, scaling, exact = sys.argv[1:]
+for argv in (["cloud", "--config", cloud, "--out", "c"],
+             ["scaling", "--config", scaling, "--out", "s"],
+             ["fit", "c/curve.csv", "--out", "f"]):
+    assert main(argv) == 0, argv
+    assert_no_scipy(argv[0])
+assert main(["exact", "--config", exact, "--out", "e"]) == 0
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_cloud_scaling_and_fit_never_load_scipy(tmp_path):
+    configs = [write_config(tmp_path, text, f"{name}.cfg") for name, text in (
+        ("cloud", CLOUD_CONFIG), ("scaling", SCALING_CONFIG), ("exact", EXACT_CONFIG)
+    )]
+    src = os.path.dirname(os.path.dirname(blockadesim.cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, *configs],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (Path("e") / "trajectory.csv").exists()
 
 
 # the values at float64's edges that every float and every int key takes
