@@ -55,7 +55,7 @@ def _saturation_jacobian(t: np.ndarray, n_sat: float, rate: float) -> np.ndarray
 
 def _project(t: np.ndarray, y: np.ndarray, k: float) -> tuple[float, np.ndarray]:
     """Least-squares n_sat at decay rate k, and the residual y - n_sat * f."""
-    f = -np.expm1(-k * t)
+    f = saturation_model(t, 1.0, k)
     n_sat = float(f @ y) / float(f @ f)
     return n_sat, y - n_sat * f
 
@@ -74,14 +74,16 @@ class SaturationFit:
     """
 
     n_sat: float
-    rate: float
     n_sat_err: float
+    rate: float
     rate_err: float
     residual_rms: float
     converged: bool
     n_iterations: int
 
 
+# an overflow ends as inf or NaN without a warning; the result is checked below
+@np.errstate(all="ignore")
 def fit_saturation(curve: ExcitationCurve) -> SaturationFit:
     """Least-squares fit of the saturation law by variable projection.
 
@@ -90,7 +92,8 @@ def fit_saturation(curve: ExcitationCurve) -> SaturationFit:
     per decade from 1e-8/t_max (a straight line) to 1e2/t_1, t_1 the first
     positive time (saturated by the first sample). Between the best scanned
     rate's neighbours, k is bisected on the sign of
-    dS/dk = -2 n_sat (t exp(-k t)).r; then R = n_sat * k.
+    dS/dk = -2 n_sat (t exp(-k t)).r; then R = n_sat * k. InvalidParameterError
+    refuses a fit that overflows float64: a NaN, or an inf other than an error bar.
     """
     t = curve.times
     y = curve.values
@@ -109,8 +112,9 @@ def fit_saturation(curve: ExcitationCurve) -> SaturationFit:
         raise InvalidParameterError(f"times {t_1!r} to {t_max!r} s span too many decades to fit")
     n_scan = 1 + math.ceil(FIT_SCAN_PER_DECADE * (math.log10(k_hi) - math.log10(k_lo)))
     rates = np.geomspace(k_lo, k_hi, n_scan).tolist()
-    # one rate at a time: no (scan x T) array
-    scan_ssr = [float(r @ r) for _, r in (_project(t, y, k) for k in rates)]
+    # one rate at a time: no (scan x T) array; min(inf, NaN) is inf, so a
+    # residual sum that overflows is never the best
+    scan_ssr = [min(math.inf, float(r @ r)) for _, r in (_project(t, y, k) for k in rates)]
     best = int(np.argmin(scan_ssr))
     # the first minimum is already strictly below its left neighbour
     converged = 0 < best < n_scan - 1 and scan_ssr[best] < scan_ssr[best + 1]
@@ -128,17 +132,21 @@ def fit_saturation(curve: ExcitationCurve) -> SaturationFit:
 
     k = 0.5 * (lo + hi)
     n_sat, resid = _project(t, y, k)
-    ssr = float(resid @ resid)
-    jac = _saturation_jacobian(t, n_sat, n_sat * k)
+    rate, ssr = n_sat * k, float(resid @ resid)
+    jac = _saturation_jacobian(t, n_sat, rate)
+    jtj = jac.T @ jac
     try:
-        cov = ssr / (t.size - 2) * np.linalg.inv(jac.T @ jac)
-        errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    except np.linalg.LinAlgError:
-        errs = np.array([np.inf, np.inf])
-    rate, rate_err = n_sat * k, float(errs[1])
+        cov = ssr / (t.size - 2) * np.linalg.inv(jtj)
+    except np.linalg.LinAlgError:  # singular: the curve determines neither
+        cov = np.diag([np.inf, np.inf])
+    n_sat_err, rate_err = np.sqrt(np.maximum(np.diag(cov), 0.0)).tolist()
+    # n_sat is finite where rate is; an error may be inf (undetermined), never NaN
+    if not all(map(math.isfinite, (rate, ssr, *jtj.flat))) or math.isnan(n_sat_err + rate_err):
+        raise InvalidParameterError(f"a fit of times to {t_max!r} s and values to "
+                                    f"{float(y.max())!r} overflows float64")
     # a rate within its own error is not determined by the curve
     return SaturationFit(
-        n_sat, rate, float(errs[0]), rate_err, math.sqrt(ssr / t.size),
+        n_sat, n_sat_err, rate, rate_err, math.sqrt(ssr / t.size),
         converged and rate_err < rate, n_iter,
     )
 

@@ -47,7 +47,6 @@ from .exact import (
     build_hamiltonian,
     evolve,
     full_basis,
-    plan_propagation,
     restricted_basis,
     rydberg_number,
     w_state_fidelity,
@@ -183,7 +182,7 @@ def _cmd_exact(args: argparse.Namespace) -> Run:
     hamiltonian = build_hamiltonian(positions, basis, params.omega0, params.c6)
     trajectory = evolve(hamiltonian, time_grid=grid)
     n_rydberg, fidelity = rydberg_number(trajectory), w_state_fidelity(trajectory)
-    plan = plan_propagation(hamiltonian, grid)
+    plan = trajectory.plan
     terms = f" ({plan.terms} terms)" if plan.route == "chebyshev" else ""
     return Run(
         config_items(cfg),
@@ -232,12 +231,12 @@ def _cmd_scaling(args: argparse.Namespace) -> Run:
         model=cfg.model, n_min=cfg.n_min,
     )
     lines = []
-    for name in ("a", "b", "c", "d"):
-        e = result.exponents[name]
+    for e in result.exponents.values():
         if math.isnan(e.value):
-            lines.append(f"warning: exponent {name} not identifiable (single-valued grid axis)")
+            lines.append(f"warning: exponent {e.name} not identifiable: fewer than two "
+                         f"distinct grid values among the {e.n_points} converged fits")
         else:
-            lines.append(f"{name} = {e.value:+.4f} +/- {e.std_error:.4f} (n={e.n_points})")
+            lines.append(f"{e.name} = {e.value:+.4f} +/- {e.std_error:.4f} (n={e.n_points})")
     warnings = (
         f"warning: {result.n_excluded} of {len(result.points)} fits did not "
         "converge and were excluded",
@@ -253,13 +252,8 @@ def _cmd_scaling(args: argparse.Namespace) -> Run:
     )
 
 
-# the whole fit command, the curve read and fit_saturation, peaked at 72-75 B
-# per row of 1e5 and 1e6 row curves (tracemalloc)
-_FIT_BYTES_PER_ROW = 80.0
-
-
 def _cmd_fit(args: argparse.Namespace) -> Run:
-    curve = read_curve_csv(args.curve, _FIT_BYTES_PER_ROW)
+    curve = read_curve_csv(args.curve)
     inputs = [("curve", args.curve, sha256_file(args.curve))]
     fit = fit_saturation(curve)
     warnings = () if fit.converged else (

@@ -334,10 +334,12 @@ def build_hamiltonian(
 @dataclass
 class QuantumState:
     """A trajectory over a basis: complex amplitudes of shape (T, D), one
-    state per row. Every row's norm must be 1 within _NORM_TOLERANCE."""
+    state per row, each of norm 1 within _NORM_TOLERANCE, and the
+    PropagationPlan that evolve() ran (None for a state built directly)."""
 
     amplitudes: np.ndarray
     basis: Basis
+    plan: PropagationPlan | None = None
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -480,7 +482,7 @@ def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
 
     Returns one QuantumState whose amplitudes have shape
     (len(time_grid), n_states), row k being the state at time_grid[k];
-    every row is checked to have norm 1 within 1e-6.
+    every row is checked to have norm 1 within 1e-6, and ``plan`` is the plan that ran.
 
     SizeCapError refuses, before propagating, a run whose result, Hamiltonian
     and working set (dense: the eigenvectors; Chebyshev: the T x N
@@ -515,16 +517,15 @@ def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
             f"coupling {coupling:.3g} rad/s is below float64 rounding of the "
             f"spectral width {high - low:.3g} rad/s"
         )
-    half_width = (high - low) / 2.0
-    phase_error = _UNIT_ROUNDOFF * half_width * t[-1]
+    plan = plan_propagation(hamiltonian, t)
+    phase_error = _UNIT_ROUNDOFF * plan.half_width * t[-1]
     if not phase_error <= _NORM_TOLERANCE:
         raise InvalidParameterError(
             f"the time grid ends at {t[-1]:.3g} s, where float64 phases of the spectral "
-            f"half-width {half_width:.3g} rad/s err by {phase_error:.3g} rad, "
+            f"half-width {plan.half_width:.3g} rad/s err by {phase_error:.3g} rad, "
             f"over {_NORM_TOLERANCE:g}"
         )
 
-    plan = plan_propagation(hamiltonian, t)
     dim, nnz, n_t = float(hamiltonian.dim), float(hamiltonian.matrix.nnz), t.size
     dense = plan.route == "dense"  # eigh's arrays peaked at 24 B per element
     if dense:
@@ -539,7 +540,7 @@ def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
         w, u = scipy.linalg.eigh(hamiltonian.matrix.toarray())
         phases = np.exp(-1j * np.outer(t, w))
         # psi's eigencomponents u^T psi are u's first row
-        return QuantumState((phases * u[0]) @ u.T, hamiltonian.basis)
+        return QuantumState((phases * u[0]) @ u.T, hamiltonian.basis, plan)
 
     coef = _chebyshev_coefficients(plan, t)
     # psi is real, so is every T_n(.) psi: real sparse products cost a
@@ -558,7 +559,7 @@ def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
             1.0, gathered[:block].T, coef[:, start:start + block].T,
             beta=1.0, c=amps.T, overwrite_c=1,
         )
-    return QuantumState(amps, hamiltonian.basis)
+    return QuantumState(amps, hamiltonian.basis, plan)
 
 
 def rydberg_number(state: QuantumState) -> np.ndarray:

@@ -32,9 +32,9 @@ FIT_HEADER = "n_sat,n_sat_err,R_per_s,R_err,residual_rms,converged,n_iterations"
 
 _ROW_BLOCK = 8192  # rows formatted and held at once by write_table
 # a curve row takes at least 4 bytes of its file ("0,0" and a line end);
-# reading it peaks at about 26 bytes: two float64 columns in arrays that
-# grow by 1/16, then the time grid validator's diff and masks
-_BYTES_PER_CURVE_ROW = 32.0
+# the whole fit command, this read plus fit_saturation, peaked at 72-75 B
+# per row of 1e5 and 1e6 row curves (tracemalloc)
+_BYTES_PER_CURVE_ROW = 80.0
 
 
 def format_float(x: float) -> str:
@@ -101,21 +101,21 @@ def write_curve_csv(path: str, curve: ExcitationCurve) -> None:
     write_table(path, CURVE_HEADER, [curve.times, curve.values])
 
 
-def read_curve_csv(path: str, bytes_per_row: float = _BYTES_PER_CURVE_ROW) -> ExcitationCurve:
+def read_curve_csv(path: str) -> ExcitationCurve:
     """Read a curve CSV; extra columns beyond t_s,n_rydberg are ignored.
 
     Refused with SizeCapError before parsing if the file's size allows
-    more rows than the memory limit holds at ``bytes_per_row`` each: by
-    default what the read peaks at, or what a caller's whole use of the
-    curve peaks at. Malformed content raises
-    InputFileError citing the line; curve-level problems (negative values,
-    unordered times) surface through the ExcitationCurve validator.
+    more rows than the memory limit holds at what reading and then fitting
+    a row peaks at, so every curve that is read can also be fitted.
+    Malformed content raises InputFileError citing the line; curve-level
+    problems (negative values, unordered times) surface through the
+    ExcitationCurve validator.
     """
     try:
         size = os.path.getsize(path)
     except OSError as exc:
         raise InputFileError(f"{path}: {exc.strerror or exc}") from exc
-    require_memory(size / 4.0 * bytes_per_row, f"a curve file of {size} bytes")
+    require_memory(size / 4.0 * _BYTES_PER_CURVE_ROW, f"a curve file of {size} bytes")
     lines = read_lines(path, InputFileError)
     first = next(lines, None)
     if first is None:
@@ -153,16 +153,11 @@ def write_sweep_csv(path: str, points: tuple[SweepPoint, ...]) -> None:
 
 
 def write_exponents_csv(path: str, exponents: dict[str, ExponentEstimate]) -> None:
-    write_table(path, EXPONENTS_HEADER, _field_columns(
-        [exponents[name] for name in ("a", "b", "c", "d")], ExponentEstimate
-    ))
+    write_table(path, EXPONENTS_HEADER, _field_columns(exponents.values(), ExponentEstimate))
 
 
 def write_fit_csv(path: str, fit: SaturationFit) -> None:
-    write_table(path, FIT_HEADER, [
-        [fit.n_sat], [fit.n_sat_err], [fit.rate], [fit.rate_err],
-        [fit.residual_rms], [fit.converged], [fit.n_iterations],
-    ])
+    write_table(path, FIT_HEADER, _field_columns([fit], SaturationFit))
 
 
 def write_manifest(

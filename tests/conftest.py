@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import blockadesim.cli
 import blockadesim.exact
 from blockadesim import errors
 from blockadesim.cloud import CloudSpec
@@ -52,8 +51,9 @@ def package_errors():
 
 @pytest.fixture
 def force_chebyshev(monkeypatch):
-    """``with force_chebyshev():`` makes evolve() and the exact CLI summary
-    plan the Chebyshev expansion, whatever route the cost rule picks."""
+    """``with force_chebyshev():`` makes evolve() plan the Chebyshev
+    expansion, whatever route the cost rule picks; the exact CLI summary
+    reports the plan evolve() ran."""
     plan = blockadesim.exact.plan_propagation
 
     def chebyshev(hamiltonian, time_grid):
@@ -63,7 +63,6 @@ def force_chebyshev(monkeypatch):
     def forced():
         with monkeypatch.context() as patch:
             patch.setattr(blockadesim.exact, "plan_propagation", chebyshev)
-            patch.setattr(blockadesim.cli, "plan_propagation", chebyshev)
             yield
 
     return forced

@@ -663,7 +663,8 @@ def test_fit_refuses_an_over_limit_curve_before_reading_it(tmp_path, monkeypatch
 def test_fit_estimate_bounds_the_traced_peak_of_the_whole_call(tmp_path, monkeypatch, rows):
     # a limit just below the traced peak of the whole fit command, read plus
     # fit, must refuse the file; integer times are the shortest rows a fit
-    # accepts, and the curve read's own estimate admitted them
+    # accepts, and twice their peak admits: the estimate of 20 B per file
+    # byte came to 1.83-1.85 times the traced peak of these 10,000 rows
     n = 10_000
     if rows == "repr":
         t = np.linspace(0.0, 1e-5, n)
@@ -678,6 +679,46 @@ def test_fit_estimate_bounds_the_traced_peak_of_the_whole_call(tmp_path, monkeyp
     monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", peak - 1)
     assert main(["fit", str(curve), "--out", "f2"]) == 4
     assert not Path("f2").exists()
+    if rows == "integer":
+        monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", 2 * peak)
+        assert main(["fit", str(curve), "--out", "f3"]) == 3
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_fit_refuses_a_curve_whose_error_bars_overflow(tmp_path, capsys, scale):
+    # t_k = k s, y_k = 2 (1 - exp(-k/3)): J^T J holds t**2 and overflows,
+    # which wrote n_sat_err = nan and R_err = 0.0 with exit 0
+    k = np.arange(9.0)
+    curve = tmp_path / "c.csv"
+    curve.write_text("t_s,n_rydberg\n" + "".join(
+        f"{x!r},{y!r}\n" for x, y in zip((k * scale).tolist(), (2 * -np.expm1(-k / 3)).tolist())
+    ))
+    out = tmp_path / "o"
+    assert main(["fit", str(curve), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: a fit of times to ")
+    assert err[0].endswith(" overflows float64")
+    assert not out.exists()
+
+
+def test_fit_whose_scan_overflows_warns_nothing(tmp_path, capsys):
+    # values near 1e155: far from the best rate the residual sum overflows,
+    # which warned (an error under -W error); the fit itself is in range
+    k = np.arange(9.0)
+    curve = tmp_path / "c.csv"
+    curve.write_text("t_s,n_rydberg\n" + "".join(
+        f"{x!r},{y!r}\n" for x, y in zip(k.tolist(), (2e155 * -np.expm1(-k / 3)).tolist())
+    ))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", str(curve), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    header, row = (out / "fit.csv").read_text().splitlines()
+    fit = dict(zip(header.split(","), map(float, row.split(",")[:5])))
+    assert fit["n_sat"] == pytest.approx(2e155, rel=1e-12)
+    assert fit["R_per_s"] == pytest.approx(2e155 / 3, rel=1e-12)
+    assert all(math.isfinite(value) for value in fit.values())
 
 
 def test_fit_empty_file_exit_code(tmp_path, capsys):
@@ -796,6 +837,31 @@ def test_scaling_degenerate_density_grid_warns(tmp_path, capsys):
     rows = (out / "exponents.csv").read_text().splitlines()
     assert rows[1].startswith("a,nan,")
     assert rows[3].startswith("c,nan,")
+
+
+def test_scaling_with_no_converged_fit_warns_of_that(tmp_path, capsys):
+    # 1e10 and 1e12 m^-3 do not saturate by 1e-4 s: every fit is excluded,
+    # and the exponents are lost for want of converged points, although
+    # both grid axes have two values
+    text = SCALING_CONFIG
+    for old, new in (
+        ("partition.model = simple", "partition.model = collective"),
+        ("sweep.densities_m3 = 2e19, 8e19", "sweep.densities_m3 = 1e10, 1e12"),
+        ("time.stop_s = 2e-5", "time.stop_s = 1e-4"),
+        ("time.start_s = 1e-8", "time.start_s = 1e-9"),
+    ):
+        text = text.replace(old, new)
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["scaling", "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"warning: exponent {name} not identifiable: fewer than two distinct grid "
+        "values among the 0 converged fits"
+        for name in "abcd"
+    ]
+    assert "4 of 4 fits did not converge" in captured.err
+    assert "single-valued" not in captured.out
 
 
 def test_scaling_nonconverged_points_exit_code(tmp_path, monkeypatch, capsys):

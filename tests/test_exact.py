@@ -617,6 +617,20 @@ def test_stiff_polygon_beyond_1024_states_takes_dense_route(force_chebyshev):
     assert np.abs(rydberg_number(trajectory) - ideal).max() < 1e-5
 
 
+@pytest.mark.parametrize("route", ["dense", "chebyshev"])
+def test_evolve_returns_the_plan_it_ran(rng, route):
+    # the exact CLI summary reports this plan instead of planning again
+    if route == "dense":
+        h, t = stiff_polygon(8)
+    else:
+        h = build_hamiltonian(cluster(rng, 8, 5e-6), full_basis(8), OMEGA, C6)
+        t = np.linspace(0.0, 5e-6, 200)
+    trajectory = evolve(h, t)
+    assert trajectory.plan == plan_propagation(h, t)
+    assert trajectory.plan.route == route
+    assert QuantumState(trajectory.amplitudes, h.basis).plan is None
+
+
 def test_stiff_polygon_too_large_for_dense_is_refused_before_allocating():
     # 8192 states: dense is cheaper but does not fit, and there is no
     # Chebyshev fallback

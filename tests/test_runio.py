@@ -1,4 +1,4 @@
-"""Output files: atomic writes, cell formats and streamed CSV writes; curve reads."""
+"""Output files: atomic writes, cell formats and streamed CSV writes."""
 
 import hashlib
 import os
@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 
 import blockadesim.cloud
-import blockadesim.core
 from blockadesim.cloud import SuperatomEnsemble, partition_superatoms
-from blockadesim.errors import InvalidParameterError, SizeCapError
 from blockadesim.runio import (
     _ROW_BLOCK,
     ENSEMBLE_HEADER,
     atomic_write_text,
     format_float,
-    read_curve_csv,
     write_ensemble_csv,
     write_table,
     write_trajectory_csv,
@@ -189,31 +186,3 @@ def test_reference_cloud_ensemble_csv_has_the_per_cell_writers_digest(
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         hashlib.sha256(expected.encode()).hexdigest()
     )
-
-
-@pytest.mark.parametrize("rows", ["repr", "shortest"])
-def test_curve_read_estimate_bounds_the_traced_peak(tmp_path, monkeypatch, rows):
-    # a limit just below the traced peak of reading 1e5 rows must refuse the
-    # file; "0,0" rows take the fewest bytes (their repeated times are then
-    # refused by the validator, after its diff), and twice their peak admits
-    t = np.linspace(0.0, 1e-5, 100_000)
-    if rows == "repr":
-        body = "".join(f"{x!r},{y!r}\n" for x, y in zip(t.tolist(), np.sqrt(t).tolist()))
-    else:
-        body = "0,0\n" * t.size
-    path = tmp_path / "curve.csv"
-    path.write_text("t_s,n_rydberg\n" + body)
-
-    def read():
-        try:
-            read_curve_csv(str(path))
-        except InvalidParameterError:
-            assert rows == "shortest"
-
-    peak = traced_peak(read)
-    monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", peak - 1)
-    with pytest.raises(SizeCapError, match="a curve file of"):
-        read_curve_csv(str(path))
-    if rows == "shortest":
-        monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", 2 * peak)
-        read()
