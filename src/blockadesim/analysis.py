@@ -38,7 +38,13 @@ __all__ = [
 ]
 
 FIT_SCAN_PER_DECADE = 4
-FIT_REL_TOL = 1e-13  # final bisection bracket width over its upper end
+FIT_REL_TOL = 1e-13  # final root bracket width over its upper end
+# scanned rates x times whose decay factors are held at once (64 KiB); a
+# block holds at least one rate
+_SCAN_BLOCK = 8192
+# root steps in a row that may each fail to halve the bracket before a
+# midpoint step: at most 4 times the steps of a bisection
+_SLOW_STEPS = 3
 
 
 def saturation_model(t, n_sat: float, rate: float):
@@ -47,17 +53,74 @@ def saturation_model(t, n_sat: float, rate: float):
     return n_sat * (-np.expm1(-rate * t / n_sat))
 
 
-def _saturation_jacobian(t: np.ndarray, n_sat: float, rate: float) -> np.ndarray:
-    x = rate * t / n_sat
-    decay = np.exp(-x)
-    return np.column_stack([-np.expm1(-x) - x * decay, t * decay])
+def _scan(t: np.ndarray, y: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Residual sum of squares at each decay rate k, with n_sat solved
+    exactly at each; f = 1 - exp(-k t) is built for a block of rates at once."""
+    ssr = np.empty(rates.size)
+    rows = max(1, _SCAN_BLOCK // t.size)
+    for lo in range(0, rates.size, rows):
+        f = np.multiply.outer(-rates[lo:lo + rows], t)
+        np.expm1(f, out=f)
+        np.negative(f, out=f)
+        n_sat = (f @ y) / np.einsum("ij,ij->i", f, f)
+        f *= n_sat[:, None]
+        np.subtract(y, f, out=f)  # the residuals
+        ssr[lo:lo + rows] = np.einsum("ij,ij->i", f, f)
+    return ssr
 
 
-def _project(t: np.ndarray, y: np.ndarray, k: float) -> tuple[float, np.ndarray]:
-    """Least-squares n_sat at decay rate k, and the residual y - n_sat * f."""
-    f = saturation_model(t, 1.0, k)
+def _project(t: np.ndarray, y: np.ndarray, k: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Least-squares n_sat at decay rate k, the residual y - n_sat * f with
+    f = 1 - exp(-k t), and exp(-k t)."""
+    decay = np.multiply(t, -k)
+    f = np.expm1(decay)
+    np.negative(f, out=f)
+    np.exp(decay, out=decay)
     n_sat = float(f @ y) / float(f @ f)
-    return n_sat, y - n_sat * f
+    f *= n_sat
+    return n_sat, np.subtract(y, f, out=f), decay
+
+
+def _slope(t: np.ndarray, y: np.ndarray, k: float) -> float:
+    """(t exp(-k t)).r at decay rate k, r the residual: dS/dk = -2 n_sat
+    times it, S the residual sum of squares, so it is > 0 below the best k."""
+    _, resid, decay = _project(t, y, k)
+    decay *= t
+    return float(decay @ resid)
+
+
+def _root(t: np.ndarray, y: np.ndarray, lo: float, hi: float) -> tuple[float, int]:
+    """The decay rate in [lo, hi] where dS/dk changes sign, to FIT_REL_TOL,
+    and the root steps taken. Illinois regula falsi: the secant's root
+    between the bracket's ends, whose slope value is halved where the other
+    end moved twice in a row; the midpoint where the ends do not differ in
+    sign, or after _SLOW_STEPS steps in a row that each failed to halve
+    the bracket."""
+    g_lo, g_hi = _slope(t, y, lo), _slope(t, y, hi)
+    steps, kept, slow = 2, 0, 0  # kept: the end the last step kept, -1 lo or +1 hi
+    while hi - lo > FIT_REL_TOL * hi:
+        width = hi - lo
+        if g_lo > 0.0 >= g_hi and slow < _SLOW_STEPS:
+            # kept a quarter tolerance inside: where the root lies within
+            # rounding of one end, the next step closes the bracket
+            margin = 0.25 * FIT_REL_TOL * hi
+            k = min(max(lo + width * (g_lo / (g_lo - g_hi)), lo + margin), hi - margin)
+        else:
+            k = 0.5 * (lo + hi)
+        g = _slope(t, y, k)
+        steps += 1
+        if g > 0.0:  # dS/dk < 0 as n_sat > 0
+            lo, g_lo = k, g
+            if kept == 1:
+                g_hi *= 0.5
+            kept = 1
+        else:
+            hi, g_hi = k, g
+            if kept == -1:
+                g_lo *= 0.5
+            kept = -1
+        slow = slow + 1 if hi - lo > 0.5 * width else 0
+    return 0.5 * (lo + hi), steps
 
 
 @dataclass(frozen=True)
@@ -70,7 +133,8 @@ class SaturationFit:
     lies at an end of the scan or ties its right neighbour, or when
     ``rate_err`` is not below ``rate``: the curve then resolves its rise or
     its plateau but not both, or neither (flat noise), and the best rate
-    found is still reported. ``n_iterations`` counts bisection steps.
+    found is still reported. ``n_iterations`` counts root steps, each one
+    evaluation of the sign of dS/dk.
     """
 
     n_sat: float
@@ -82,18 +146,22 @@ class SaturationFit:
     n_iterations: int
 
 
-# an overflow ends as inf or NaN without a warning; the result is checked below
+# inv of a near-singular J^T J may overflow; the result is checked below
 @np.errstate(all="ignore")
 def fit_saturation(curve: ExcitationCurve) -> SaturationFit:
     """Least-squares fit of the saturation law by variable projection.
 
-    With f = 1 - exp(-k t), n_sat(k) = (f.y)/(f.f) exactly. The residual
-    sum of squares S(k) is scanned at FIT_SCAN_PER_DECADE log-spaced rates
-    per decade from 1e-8/t_max (a straight line) to 1e2/t_1, t_1 the first
-    positive time (saturated by the first sample). Between the best scanned
-    rate's neighbours, k is bisected on the sign of
-    dS/dk = -2 n_sat (t exp(-k t)).r; then R = n_sat * k. InvalidParameterError
-    refuses a fit that overflows float64: a NaN, or an inf other than an error bar.
+    The fit runs on t / t_max and y / max(y), so no sum in it under- or
+    overflows whatever the curve's units; n_sat, R, their errors and the
+    rms are scaled back. With f = 1 - exp(-k t), n_sat(k) = (f.y)/(f.f)
+    exactly. The residual sum of squares S(k) is scanned at
+    FIT_SCAN_PER_DECADE log-spaced rates per decade from 1e-8/t_max (a
+    straight line) to 1e2/t_1, t_1 the first positive time (saturated by
+    the first sample). Between the best scanned rate's neighbours the root
+    of dS/dk = -2 n_sat (t exp(-k t)).r is found by a safeguarded regula
+    falsi (see _root); then R = n_sat * k. InvalidParameterError refuses a
+    fit whose results overflow float64: a NaN, an inf n_sat, R or rms, or
+    an error bar that is finite only before it is scaled back.
     """
     t = curve.times
     y = curve.values
@@ -104,50 +172,53 @@ def fit_saturation(curve: ExcitationCurve) -> SaturationFit:
     if not np.any(y[first:] > 0.0):
         raise InvalidParameterError("curve has no positive value after t = 0 to fit")
 
-    t_1, t_max = float(t[first]), float(t[-1])
-    k_lo, k_hi = 1e-8 / t_max, 1e2 / t_1
-    if not k_hi < math.inf:
+    t_1, t_max, y_max = float(t[first]), float(t[-1]), float(y.max())
+    if not 1e2 / t_1 < math.inf:  # so every scanned rate stays finite in 1/s
         raise InvalidParameterError(f"first positive time {t_1!r} is too small to fit")
-    if not k_hi * t_max < math.inf:  # so no scanned k * t overflows
+    t = t / t_max
+    y = y / y_max
+    k_lo, k_hi = 1e-8, 1e2 / float(t[first])
+    if not k_hi < math.inf:  # so no scanned k * t overflows
         raise InvalidParameterError(f"times {t_1!r} to {t_max!r} s span too many decades to fit")
     n_scan = 1 + math.ceil(FIT_SCAN_PER_DECADE * (math.log10(k_hi) - math.log10(k_lo)))
-    rates = np.geomspace(k_lo, k_hi, n_scan).tolist()
-    # one rate at a time: no (scan x T) array; min(inf, NaN) is inf, so a
-    # residual sum that overflows is never the best
-    scan_ssr = [min(math.inf, float(r @ r)) for _, r in (_project(t, y, k) for k in rates)]
+    rates = np.geomspace(k_lo, k_hi, n_scan)
+    scan_ssr = _scan(t, y, rates).tolist()
     best = int(np.argmin(scan_ssr))
     # the first minimum is already strictly below its left neighbour
     converged = 0 < best < n_scan - 1 and scan_ssr[best] < scan_ssr[best + 1]
 
-    lo, hi = rates[max(best - 1, 0)], rates[min(best + 1, n_scan - 1)]
-    n_iter = 0
-    while hi - lo > FIT_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        resid = _project(t, y, mid)[1]
-        if (t * np.exp(-mid * t)) @ resid > 0.0:  # dS/dk < 0 as n_sat > 0
-            lo = mid
-        else:
-            hi = mid
-        n_iter += 1
-
-    k = 0.5 * (lo + hi)
-    n_sat, resid = _project(t, y, k)
-    rate, ssr = n_sat * k, float(resid @ resid)
-    jac = _saturation_jacobian(t, n_sat, rate)
-    jtj = jac.T @ jac
+    k, n_iter = _root(
+        t, y, float(rates[max(best - 1, 0)]), float(rates[min(best + 1, n_scan - 1)])
+    )
+    n_sat, resid, decay = _project(t, y, k)
+    ssr = float(resid @ resid)
+    # the Jacobian's columns d/dn_sat = 1 - exp(-x) - x exp(-x) and
+    # d/dR = t exp(-x) at x = k t, built in the residual's and decay's buffers
+    x = np.multiply(t, k)
+    jac_n = np.expm1(np.negative(x, out=resid), out=resid)
+    jac_n += np.multiply(x, decay, out=x)
+    np.negative(jac_n, out=jac_n)
+    jac_r = np.multiply(t, decay, out=decay)
+    jtj = np.array([[jac_n @ jac_n, jac_n @ jac_r], [jac_n @ jac_r, jac_r @ jac_r]])
     try:
         cov = ssr / (t.size - 2) * np.linalg.inv(jtj)
     except np.linalg.LinAlgError:  # singular: the curve determines neither
         cov = np.diag([np.inf, np.inf])
-    n_sat_err, rate_err = np.sqrt(np.maximum(np.diag(cov), 0.0)).tolist()
-    # n_sat is finite where rate is; an error may be inf (undetermined), never NaN
-    if not all(map(math.isfinite, (rate, ssr, *jtj.flat))) or math.isnan(n_sat_err + rate_err):
+    scaled_errors = np.sqrt(np.maximum(np.diag(cov), 0.0)).tolist()
+    n_sat_err, rate_err = scaled_errors[0] * y_max, scaled_errors[1] * y_max / t_max
+    n_sat *= y_max
+    rate = n_sat * (k / t_max)
+    residual_rms = math.sqrt(ssr / t.size) * y_max
+    # an error may be inf (undetermined) if it was before scaling back, never NaN
+    if not all(map(math.isfinite, (n_sat, rate, residual_rms))) or any(
+        math.isnan(err) or (math.isinf(err) and math.isfinite(scaled))
+        for err, scaled in zip((n_sat_err, rate_err), scaled_errors)
+    ):
         raise InvalidParameterError(f"a fit of times to {t_max!r} s and values to "
-                                    f"{float(y.max())!r} overflows float64")
+                                    f"{y_max!r} overflows float64")
     # a rate within its own error is not determined by the curve
     return SaturationFit(
-        n_sat, n_sat_err, rate, rate_err, math.sqrt(ssr / t.size),
-        converged and rate_err < rate, n_iter,
+        n_sat, n_sat_err, rate, rate_err, residual_rms, converged and rate_err < rate, n_iter,
     )
 
 
@@ -174,8 +245,12 @@ class ExponentEstimate:
 
 @dataclass(frozen=True)
 class ScalingResult:
+    """The sweep's points and exponents; ``unidentified`` names why each
+    NaN exponent could not be identified."""
+
     points: tuple[SweepPoint, ...]
     exponents: dict[str, ExponentEstimate]
+    unidentified: dict[str, str]
 
     @property
     def n_excluded(self) -> int:
@@ -185,12 +260,13 @@ class ScalingResult:
 
 def _joint_exponents(
     points: list[SweepPoint], value_of, names: tuple[str, str]
-) -> list[ExponentEstimate]:
+) -> tuple[list[ExponentEstimate], dict[str, str]]:
     """Regress log(value) on [1, log n, log omega0], tolerating flat axes.
 
-    A grid axis with fewer than two distinct values cannot identify its
-    exponent; that estimate comes back NaN and the other axis is still
-    fitted. Exact fits (as many points as columns) report zero errors.
+    An exponent that cannot be identified comes back NaN, with its reason
+    in the returned dict: its grid axis has fewer than two distinct values
+    (the other axis is still fitted), or there are fewer points than
+    unknowns. Exact fits (as many points as columns) report zero errors.
     """
     m = len(points)
     ln_n = np.log([p.n_peak for p in points])
@@ -200,8 +276,16 @@ def _joint_exponents(
     used = [np.unique(col).size >= 2 for col in axes]
     columns = [np.ones(m)] + [col for col, u in zip(axes, used) if u]
     design = np.column_stack(columns)
+    reasons = {
+        name: f"fewer than two distinct grid values among the {m} converged fits"
+        for name, u in zip(names, used) if not u
+    }
     if m < design.shape[1]:
-        return [ExponentEstimate(name, math.nan, math.nan, m) for name in names]
+        for name in names:
+            reasons.setdefault(
+                name, f"fewer converged fits ({m}) than unknowns ({design.shape[1]})"
+            )
+        return [ExponentEstimate(name, math.nan, math.nan, m) for name in names], reasons
     coef, _, _, _ = np.linalg.lstsq(design, ln_y, rcond=None)
     resid = ln_y - design @ coef
     dof = m - design.shape[1]
@@ -216,7 +300,7 @@ def _joint_exponents(
             position += 1
         else:
             estimates.append(ExponentEstimate(name, math.nan, math.nan, m))
-    return estimates
+    return estimates, reasons
 
 
 def scaling_experiment(
@@ -263,7 +347,7 @@ def scaling_experiment(
             ))
 
     good = [p for p in points if p.converged]
-    rate_est = _joint_exponents(good, lambda p: p.rate, ("a", "b"))
-    nsat_est = _joint_exponents(good, lambda p: p.n_sat, ("c", "d"))
+    rate_est, rate_why = _joint_exponents(good, lambda p: p.rate, ("a", "b"))
+    nsat_est, nsat_why = _joint_exponents(good, lambda p: p.n_sat, ("c", "d"))
     exponents = {e.name: e for e in rate_est + nsat_est}
-    return ScalingResult(tuple(points), exponents)
+    return ScalingResult(tuple(points), exponents, rate_why | nsat_why)

@@ -25,7 +25,6 @@ or its plateau, not both), 4 a step would exceed the memory limit
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import NamedTuple
@@ -232,9 +231,9 @@ def _cmd_scaling(args: argparse.Namespace) -> Run:
     )
     lines = []
     for e in result.exponents.values():
-        if math.isnan(e.value):
-            lines.append(f"warning: exponent {e.name} not identifiable: fewer than two "
-                         f"distinct grid values among the {e.n_points} converged fits")
+        if e.name in result.unidentified:
+            lines.append(f"warning: exponent {e.name} not identifiable: "
+                         f"{result.unidentified[e.name]}")
         else:
             lines.append(f"{e.name} = {e.value:+.4f} +/- {e.std_error:.4f} (n={e.n_points})")
     warnings = (
@@ -266,7 +265,7 @@ def _cmd_fit(args: argparse.Namespace) -> Run:
         [f"n_sat = {format_float(fit.n_sat)} +/- {format_float(fit.n_sat_err)}",
          f"R     = {format_float(fit.rate)} +/- {format_float(fit.rate_err)} 1/s",
          f"residual_rms = {format_float(fit.residual_rms)}, "
-         f"converged = {fit.converged} after {fit.n_iterations} bisection steps"],
+         f"converged = {fit.converged} after {fit.n_iterations} root steps"],
         warnings,
     )
 

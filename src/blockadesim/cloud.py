@@ -20,6 +20,7 @@ Two local models:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,9 +43,10 @@ __all__ = [
     "MODELS",
 ]
 
-# the partition peaked at 99-101 (simple) and 114-115 (collective) B per
-# octant cell on the reference cloud at 42 and 210 kHz (tracemalloc)
-_BYTES_PER_CELL = 128.0
+# the partition peaked at 75-78 (simple) and 73-74 (collective) B per
+# octant cell on the reference cloud at 42 and 210 kHz, and at 73-79 on
+# clouds of two or three distinct radii (tracemalloc)
+_BYTES_PER_CELL = 88.0
 MODELS = ("simple", "collective")
 SPAN_SIGMAS = 5.0  # half-extent of the cell grid on each axis, in rms radii
 
@@ -187,6 +189,49 @@ def _axis_masses(
     return 0.5 * (edges[:-1] + edges[1:]), mult, mass
 
 
+def _group_product(p: np.ndarray, n: int) -> np.ndarray:
+    """The n-fold outer product of ``p`` (n = 1, 2 or 3), each cell's factors
+    multiplied in an order that its index multiset fixes, so cells whose
+    indices permute each other get bit-equal products: a pair's product is
+    symmetric, and a triple multiplies its largest index's factor last."""
+    if n == 1:
+        return p
+    pair = p[:, None] * p
+    if n == 2:
+        return pair
+    base = pair[:, :, None] * p  # (p_i p_j) p_k, right where k is largest
+    i, j, k = np.ogrid[:p.size, :p.size, :p.size]
+    out = base.transpose(0, 2, 1).copy()  # (p_i p_k) p_j
+    np.copyto(out, base.transpose(2, 0, 1), where=i >= j)  # (p_j p_k) p_i
+    np.copyto(out, base, where=k >= np.maximum(i, j))
+    return out
+
+
+def _group_keys(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct sums of idx**2 over the cells of an n-axis group,
+    ascending, and each cell's rank among them. ``idx`` = 2 c / side, the
+    cell centres in half sides, are integers of one parity."""
+    square = idx * idx
+    if n == 1:  # idx ascends from 0 or 1, so its squares are distinct
+        return square, np.arange(idx.size)
+    # square // 4 is m**2 or m (m + 1) at idx = 2m or 2m + 1, so the dense
+    # table of sums it indexes holds at most n idx.size**2 entries
+    quarter = square // 4
+    total = quarter[:, None] + quarter
+    if n == 3:
+        total = total[:, :, None] + quarter
+    present = np.zeros(n * int(quarter[-1]) + 1, dtype=bool)
+    present[total] = True
+    rank = np.cumsum(present) - 1
+    return 4 * np.flatnonzero(present) + n * int(idx[0] % 2), rank[total]
+
+
+def _on_axes(array: np.ndarray, axes: list[int]) -> np.ndarray:
+    """``array``, whose dimensions are the grid ``axes``, broadcastable
+    against the (x, y, z) octant."""
+    return np.expand_dims(array, tuple(a for a in range(3) if a not in axes))
+
+
 def partition_superatoms(
     spec: CloudSpec,
     params: PhysicalParams,
@@ -207,7 +252,10 @@ def partition_superatoms(
     count, whose middle cell is centered on 0); the product of the three
     goes into ``weight``. Per-axis masses are lower-tail differences,
     (erfc(lo/(sigma sqrt 2)) - erfc(hi/(sigma sqrt 2))) / 2, which keep the
-    far cells' relative precision.
+    far cells' relative precision. Cells whose centres the cloud's symmetry
+    makes equivalent get bit-equal sizes: collective cells of equal
+    sum((c / sigma)**2) on each group of axes of equal sigma, and simple
+    cells whose indices permute each other within such groups.
 
     Raises SizeCapError before allocating a grid that exceeds the memory limit.
     """
@@ -233,25 +281,54 @@ def partition_superatoms(
     n_cells = math.prod(float(np.ceil(k / 2.0)) for k in counts)
     require_memory(n_cells * _BYTES_PER_CELL, f"{n_cells:.3g} partition cells (one octant)")
 
-    (x, mx, px), (y, my, py), (z, mz, pz) = (
-        _axis_masses(s, int(k), side) for s, k in zip(spec.sigma, counts)
-    )
-    mass = (px[:, None, None] * py[None, :, None] * pz[None, None, :]).ravel()
-    mult = (mx[:, None, None] * my[None, :, None] * mz[None, None, :]).ravel()
-    centers = np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1).reshape(-1, 3)
-    atoms_in_cell = spec.n_atoms * mass
-
+    cells = [_axis_masses(s, int(k), side) for s, k in zip(spec.sigma, counts)]
+    (x, mx, _), (y, my, _), (z, mz, _) = cells
+    # axes of bit-equal sigma have equal cell counts, so the cells of such a
+    # group permute each other; its masses and keys are built so that
+    # permuted cells get bit-equal sizes, which simulate_cloud then pools
+    groups: dict[float, list[int]] = {}
+    for axis, s in enumerate(spec.sigma):
+        groups.setdefault(s, []).append(axis)
+    if model == "collective":
+        n_per = _collective_sizes(params, n0, side, groups, [int(k) for k in counts])
+    atoms_in_cell = functools.reduce(np.multiply, (
+        _on_axes(_group_product(cells[axes[0]][2], len(axes)), axes) for axes in groups.values()
+    )).ravel()
+    atoms_in_cell *= spec.n_atoms
     if model == "simple":
         n_per = atoms_in_cell
-    else:
-        local = density_at(spec, centers)
-        n_per = np.zeros_like(local)
-        occupied = local > 0.0
-        _, n_per[occupied] = blockade_radius_collective(params, local[occupied])
+    mult = (mx[:, None, None] * my[None, :, None] * mz[None, None, :]).ravel()
 
     keep = (atoms_in_cell > 0.0) & (n_per >= n_min) & (n_per > 0.0)
     # a simple cell's weight is mult * (x / x), exactly mult; the power of
     # two scales the quotient exactly and cannot overflow the atom number
     n_per = n_per[keep]
     weight = mult[keep] * (atoms_in_cell[keep] / n_per)
-    return SuperatomEnsemble(n_per, weight, centers[keep])
+    del atoms_in_cell, mult  # before the centres, the largest array
+    centers = np.empty((len(x), len(y), len(z), 3))
+    centers[..., 0] = x[:, None, None]
+    centers[..., 1] = y[None, :, None]
+    centers[..., 2] = z
+    return SuperatomEnsemble(n_per, weight, centers.reshape(-1, 3)[keep])
+
+
+def _collective_sizes(
+    params: PhysicalParams, n0: float, side: float, groups: dict, counts: list[int]
+) -> np.ndarray:
+    """The collective n_per of every octant cell, 0 where the density
+    underflows. The density exponent sum((c / sigma)**2) / 2 is a sum over
+    the axis groups of (side / 2 sigma)**2 times the group's integer sum of
+    idx**2, so the core formula runs once per distinct key, not per cell."""
+    exponent, ranks = 0.0, []
+    for g, (s, axes) in enumerate(groups.items()):
+        k = counts[axes[0]]
+        keys, rank = _group_keys(2 * np.arange(k // 2, k) - (k - 1), len(axes))
+        shape = [1] * len(groups)
+        shape[g] = keys.size
+        exponent = exponent + (side / (2.0 * s)) ** 2 * keys.reshape(shape)
+        ranks.append(_on_axes(rank, axes))
+    local = n0 * np.exp(-0.5 * exponent)
+    table = np.zeros_like(local)
+    occupied = local > 0.0
+    _, table[occupied] = blockade_radius_collective(params, local[occupied])
+    return table[tuple(ranks)].ravel()

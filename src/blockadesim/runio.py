@@ -32,9 +32,9 @@ FIT_HEADER = "n_sat,n_sat_err,R_per_s,R_err,residual_rms,converged,n_iterations"
 
 _ROW_BLOCK = 8192  # rows formatted and held at once by write_table
 # a curve row takes at least 4 bytes of its file ("0,0" and a line end);
-# the whole fit command, this read plus fit_saturation, peaked at 72-75 B
+# the whole fit command, this read plus fit_saturation, peaked at 56-57 B
 # per row of 1e5 and 1e6 row curves (tracemalloc)
-_BYTES_PER_CURVE_ROW = 80.0
+_BYTES_PER_CURVE_ROW = 64.0
 
 
 def format_float(x: float) -> str:

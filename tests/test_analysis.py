@@ -218,6 +218,35 @@ def test_fit_refuses_times_whose_scanned_decay_overflows():
         fit_saturation(ExcitationCurve(t, values))
 
 
+def test_fit_of_a_curve_near_1e_minus_200_finds_its_plateau():
+    # unscaled, every scanned residual sum underflowed to 0, so the scan
+    # kept its first rate and gave n_sat = 1.29e-192
+    k = np.arange(9.0)
+    fit = fit_saturation(ExcitationCurve(k, 2e-200 * -np.expm1(-k / 3)))
+    assert fit.converged
+    assert fit.n_sat == pytest.approx(2e-200, rel=1e-9)
+    assert fit.rate == pytest.approx(2e-200 / 3, rel=1e-9)
+
+
+@pytest.mark.parametrize("time_scale, value_scale", [(1e100, 1e-100), (1e-100, 1e100)])
+def test_fit_results_scale_with_the_curve_s_units(time_scale, value_scale):
+    # at times k 1e100 s and values near 2e-100, R_err**2 underflowed and
+    # R_err = 0.0 came with converged = true
+    k = np.arange(30.0)
+    values = 2 * -np.expm1(-k / 3) * (1 + 0.01 * np.random.default_rng(3).standard_normal(30))
+    unit = fit_saturation(ExcitationCurve(k, values))
+    fit = fit_saturation(ExcitationCurve(k * time_scale, values * value_scale))
+    assert unit.converged and fit.converged
+    rate_scale = value_scale / time_scale
+    for got, want in [
+        (fit.n_sat, unit.n_sat * value_scale), (fit.n_sat_err, unit.n_sat_err * value_scale),
+        (fit.rate, unit.rate * rate_scale), (fit.rate_err, unit.rate_err * rate_scale),
+        (fit.residual_rms, unit.residual_rms * value_scale),
+    ]:
+        assert got == pytest.approx(want, rel=1e-9)
+    assert 0.0 < fit.rate_err < fit.rate
+
+
 def test_million_point_fit_holds_at_most_eight_curve_sized_arrays():
     n = 10**6
     curve = clean_curve(num=n)

@@ -106,16 +106,16 @@ def test_cloud_writes_curve_ensemble_and_manifest(tmp_path, capsys):
     assert "config.partition.model = simple" in manifest
     assert "manifest.output.curve.sha256 = " in manifest
     # 16,568 of the simple model's 27,000 cells hold fewer than one atom;
-    # their mirror images pool, 958 distinct sizes: sizes pool only when
-    # bit-equal, so the count moves with the rounding of the axis masses
+    # their mirror images pool, and so do cells whose octant indices permute
+    # each other: C(17, 3) = 680 index multisets of the 15-cell octant axes
     summary = capsys.readouterr().out
-    assert "3375 superatom entries (one octant, mirrored), 958 distinct sizes" in summary
+    assert "3375 superatom entries (one octant, mirrored), 680 distinct sizes" in summary
     assert "61.4 % of the superatom weight at n_per < 1" in summary
     cloud_cfg = load_config(cfg)[0]
     ensemble = partition_superatoms(
         resolve_cloud(cloud_cfg, "cloud"), resolve_params(cloud_cfg), model="simple", n_min=0.0
     )
-    assert np.unique(ensemble.n_per).size == 958
+    assert np.unique(ensemble.n_per).size == 680
 
 
 def test_cloud_manifest_rerun_is_byte_identical(tmp_path):
@@ -166,7 +166,7 @@ def test_cell_cap_exit_code(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["cloud", "--config", cfg, "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    assert "1.46e+08 partition cells (one octant) needs about 1.87e+10 bytes" in err
+    assert "1.46e+08 partition cells (one octant) needs about 1.29e+10 bytes" in err
     assert "over the memory cap" in err
     assert not out.exists()
 
@@ -663,8 +663,8 @@ def test_fit_refuses_an_over_limit_curve_before_reading_it(tmp_path, monkeypatch
 def test_fit_estimate_bounds_the_traced_peak_of_the_whole_call(tmp_path, monkeypatch, rows):
     # a limit just below the traced peak of the whole fit command, read plus
     # fit, must refuse the file; integer times are the shortest rows a fit
-    # accepts, and twice their peak admits: the estimate of 20 B per file
-    # byte came to 1.83-1.85 times the traced peak of these 10,000 rows
+    # accepts, and twice their peak admits: the estimate of 16 B per file
+    # byte came to about 1.5 times the traced peak of these 10,000 rows
     n = 10_000
     if rows == "repr":
         t = np.linspace(0.0, 1e-5, n)
@@ -686,12 +686,14 @@ def test_fit_estimate_bounds_the_traced_peak_of_the_whole_call(tmp_path, monkeyp
 
 @pytest.mark.parametrize("scale", [1e200, 1e300])
 def test_fit_refuses_a_curve_whose_error_bars_overflow(tmp_path, capsys, scale):
-    # t_k = k s, y_k = 2 (1 - exp(-k/3)): J^T J holds t**2 and overflows,
-    # which wrote n_sat_err = nan and R_err = 0.0 with exit 0
+    # t_k = k / scale s, y_k = 2 scale (1 - exp(-k/3)): the fit on t / t_max
+    # and y / max(y) is in range, but R = 2 scale**2 / 3 per s overflows,
+    # and so does its error bar
     k = np.arange(9.0)
     curve = tmp_path / "c.csv"
     curve.write_text("t_s,n_rydberg\n" + "".join(
-        f"{x!r},{y!r}\n" for x, y in zip((k * scale).tolist(), (2 * -np.expm1(-k / 3)).tolist())
+        f"{x!r},{y!r}\n"
+        for x, y in zip((k / scale).tolist(), (2 * scale * -np.expm1(-k / 3)).tolist())
     ))
     out = tmp_path / "o"
     assert main(["fit", str(curve), "--out", str(out)]) == 2
@@ -862,6 +864,29 @@ def test_scaling_with_no_converged_fit_warns_of_that(tmp_path, capsys):
     ]
     assert "4 of 4 fits did not converge" in captured.err
     assert "single-valued" not in captured.out
+
+
+def test_scaling_with_two_converged_fits_for_three_unknowns_warns_of_that(
+    tmp_path, monkeypatch, capsys
+):
+    # only the 2 x 2 grid's anti-diagonal converged: both axes keep two
+    # values, but two points cannot fix an intercept and two exponents
+    cfg = write_config(tmp_path, SCALING_CONFIG)
+    calls = []
+
+    def anti_diagonal(curve, **kwargs):
+        calls.append(len(calls))  # densities outer, drives inner
+        return SaturationFit(1.0 + len(calls), 0.1, 2.0 + len(calls), 0.1, 0.0,
+                             len(calls) in (2, 3), 10)
+
+    monkeypatch.setattr(blockadesim.analysis, "fit_saturation", anti_diagonal)
+    assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"warning: exponent {name} not identifiable: fewer converged fits (2) than unknowns (3)"
+        for name in "abcd"
+    ]
+    assert "2 of 4 fits did not converge" in captured.err
 
 
 def test_scaling_nonconverged_points_exit_code(tmp_path, monkeypatch, capsys):

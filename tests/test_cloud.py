@@ -1,5 +1,6 @@
 """Gaussian cloud: density profile and superatom partition."""
 
+import decimal
 import itertools
 import math
 
@@ -268,14 +269,74 @@ def test_collective_center_matches_bisection_oracle(reference_cloud, strong_para
     assert 3000 < ensemble.n_per[k] < 6000
 
 
-def test_collective_sizes_come_from_the_core_formula(reference_cloud, strong_params):
-    ensemble = partition_superatoms(
-        reference_cloud, strong_params, model="collective", n_min=0.0
-    )
-    _, expected = blockade_radius_collective(
-        strong_params, density_at(reference_cloud, ensemble.centers)
-    )
-    assert np.allclose(ensemble.n_per, expected, rtol=1e-15, atol=0.0)
+# Relative error bound of a partition's n_per against the core formula
+# evaluated exactly at the float inputs: the density exponent
+# E = sum((c / sigma)**2) / 2 takes at most 5 roundings per term, an
+# absolute error of 5 eps E, which reaches the size as 0.8 of the density's
+# error; the size formula adds about 14 roundings of its own. So
+# 16 eps (1 + E) bounds every cell, fixed before any was measured.
+SIZE_ROUNDINGS = 16
+
+
+def exact_collective_size(params, n0, sigma, center):
+    """blockade_radius_collective's n_per at the density n0 exp(-E) of
+    ``center``, every operation to 40 digits on the float constants and
+    inputs the core formula uses; also E."""
+    with decimal.localcontext(decimal.Context(prec=40)):
+        d = decimal.Decimal
+        exponent = sum((d(c) / d(s)) ** 2 for c, s in zip(center, sigma)) / 2
+        local = d(n0) * (-exponent).exp()
+        volume = d(4.0 * math.pi / 3.0)
+        x = d(params.c6 / (HBAR * params.omega0))
+        radius = x ** d(2.0 / 15.0) * (volume * local) ** d(-1.0 / 15.0)
+        return float(local * volume * radius**3), float(exponent)
+
+
+def test_collective_sizes_come_from_the_core_formula(strong_params):
+    # clouds of one, two and three distinct radii: one, two and three axis
+    # groups, whose keys the partition evaluates the formula at
+    for radii in [(1.0, 1.0, 1.0), (1.0, 1.0, 1.3), (0.8, 1.0, 1.3)]:
+        spec = CloudSpec(N_ATOMS_REF, tuple(SIGMA_REF * r for r in radii))
+        ensemble = partition_superatoms(spec, strong_params, model="collective", n_min=0.0)
+        n0 = peak_density(spec)
+        # every 7th cell: about 3,900 of the 27,000 of the isotropic octant
+        cells = zip(ensemble.centers[::7].tolist(), ensemble.n_per[::7].tolist())
+        for center, n_per in cells:
+            exact, exponent = exact_collective_size(strong_params, n0, spec.sigma, center)
+            bound = SIZE_ROUNDINGS * np.finfo(float).eps * (1.0 + exponent)
+            assert abs(n_per - exact) <= bound * exact, (radii, center)
+
+
+def half_side_indices(ensemble):
+    """Each entry's cell centre on each axis in half cell sides, 2 m or
+    2 m + 1 for the m-th octant cell of an axis of odd or even cell count,
+    and m itself."""
+    m = np.empty(ensemble.centers.shape, dtype=int)
+    idx = np.empty_like(m)
+    for axis in range(3):
+        coords = ensemble.centers[:, axis]
+        positions = np.unique(coords)
+        m[:, axis] = np.searchsorted(positions, coords)
+        idx[:, axis] = 2 * m[:, axis] + int(positions[0] > 0.0)
+    return idx, m
+
+
+@pytest.mark.parametrize("model", ["simple", "collective"])
+@pytest.mark.parametrize("radii", [(1.0, 1.0, 1.0), (1.0, 1.3, 1.0)])
+def test_cells_sharing_a_key_carry_bit_equal_sizes(strong_params, model, radii):
+    # axes of equal radius form a group; a collective cell's key is each
+    # group's sum of idx**2, a simple one's each group's sorted indices
+    spec = CloudSpec(N_ATOMS_REF, tuple(SIGMA_REF * r for r in radii))
+    ensemble = partition_superatoms(spec, strong_params, model=model, n_min=0.0)
+    idx, m = half_side_indices(ensemble)
+    groups = [[0, 2], [1]] if radii[0] != radii[1] else [[0, 1, 2]]
+    if model == "collective":
+        keys = np.column_stack([(idx[:, axes] ** 2).sum(axis=1) for axes in groups])
+    else:
+        keys = np.column_stack([np.sort(m[:, axes], axis=1) for axes in groups])
+    sizes = {}
+    for key, n_per in zip(map(tuple, keys.tolist()), ensemble.n_per.tolist()):
+        assert sizes.setdefault(key, n_per) == n_per, key
 
 
 def test_collective_partition_drops_cells_of_zero_density(strong_params, monkeypatch):
