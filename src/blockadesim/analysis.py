@@ -47,10 +47,17 @@ _SCAN_BLOCK = 8192
 _SLOW_STEPS = 3
 
 
+def _rise(minus_kt: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The saturation law's shape 1 - exp(-k t), from -k t, into ``out``;
+    expm1 for stability. Every evaluation of the law goes through here."""
+    out = np.expm1(minus_kt, out=out)
+    return np.negative(out, out=out)
+
+
 def saturation_model(t, n_sat: float, rate: float):
-    """Saturation law n_sat * (1 - exp(-rate*t/n_sat)), expm1 for stability."""
-    t = np.asarray(t, dtype=float)
-    return n_sat * (-np.expm1(-rate * t / n_sat))
+    """Saturation law n_sat * (1 - exp(-rate*t/n_sat))."""
+    minus_kt = np.asarray(-rate * np.asarray(t, dtype=float) / n_sat)
+    return n_sat * _rise(minus_kt, out=minus_kt)
 
 
 def _scan(t: np.ndarray, y: np.ndarray, rates: np.ndarray) -> np.ndarray:
@@ -60,8 +67,7 @@ def _scan(t: np.ndarray, y: np.ndarray, rates: np.ndarray) -> np.ndarray:
     rows = max(1, _SCAN_BLOCK // t.size)
     for lo in range(0, rates.size, rows):
         f = np.multiply.outer(-rates[lo:lo + rows], t)
-        np.expm1(f, out=f)
-        np.negative(f, out=f)
+        _rise(f, out=f)
         n_sat = (f @ y) / np.einsum("ij,ij->i", f, f)
         f *= n_sat[:, None]
         np.subtract(y, f, out=f)  # the residuals
@@ -73,8 +79,7 @@ def _project(t: np.ndarray, y: np.ndarray, k: float) -> tuple[float, np.ndarray,
     """Least-squares n_sat at decay rate k, the residual y - n_sat * f with
     f = 1 - exp(-k t), and exp(-k t)."""
     decay = np.multiply(t, -k)
-    f = np.expm1(decay)
-    np.negative(f, out=f)
+    f = _rise(decay)
     np.exp(decay, out=decay)
     n_sat = float(f @ y) / float(f @ f)
     f *= n_sat
@@ -177,7 +182,8 @@ def fit_saturation(curve: ExcitationCurve) -> SaturationFit:
         raise InvalidParameterError(f"first positive time {t_1!r} is too small to fit")
     t = t / t_max
     y = y / y_max
-    k_lo, k_hi = 1e-8, 1e2 / float(t[first])
+    # t_1 / t_max underflows to 0 where the times span over 308 decades
+    k_lo, k_hi = 1e-8, 1e2 / float(t[first]) if t[first] > 0.0 else math.inf
     if not k_hi < math.inf:  # so no scanned k * t overflows
         raise InvalidParameterError(f"times {t_1!r} to {t_max!r} s span too many decades to fit")
     n_scan = 1 + math.ceil(FIT_SCAN_PER_DECADE * (math.log10(k_hi) - math.log10(k_lo)))
@@ -195,9 +201,8 @@ def fit_saturation(curve: ExcitationCurve) -> SaturationFit:
     # the Jacobian's columns d/dn_sat = 1 - exp(-x) - x exp(-x) and
     # d/dR = t exp(-x) at x = k t, built in the residual's and decay's buffers
     x = np.multiply(t, k)
-    jac_n = np.expm1(np.negative(x, out=resid), out=resid)
-    jac_n += np.multiply(x, decay, out=x)
-    np.negative(jac_n, out=jac_n)
+    jac_n = _rise(np.negative(x, out=resid), out=resid)
+    jac_n -= np.multiply(x, decay, out=x)
     jac_r = np.multiply(t, decay, out=decay)
     jtj = np.array([[jac_n @ jac_n, jac_n @ jac_r], [jac_n @ jac_r, jac_r @ jac_r]])
     try:

@@ -216,6 +216,11 @@ def test_fit_refuses_times_whose_scanned_decay_overflows():
     values = np.array([0.0, 1.0, 2.0, 2.0, 2.0])
     with pytest.raises(InvalidParameterError, match="1e-08 to 1e\\+300 s span too many decades"):
         fit_saturation(ExcitationCurve(t, values))
+    # t_1 / t_max = 1e-330 underflows to 0 on the scaled times: refused, not
+    # divided by
+    t = np.array([0.0, 1e-30, 1e299, 1e300])
+    with pytest.raises(InvalidParameterError, match="1e-30 to 1e\\+300 s span too many decades"):
+        fit_saturation(ExcitationCurve(t, values[:4]))
 
 
 def test_fit_of_a_curve_near_1e_minus_200_finds_its_plateau():

@@ -703,6 +703,22 @@ def test_fit_refuses_a_curve_whose_error_bars_overflow(tmp_path, capsys, scale):
     assert not out.exists()
 
 
+def test_fit_refuses_a_curve_whose_error_bar_alone_overflows(tmp_path, capsys):
+    # t_k = k s, y_k = k (1 +- 0.3) scaled to a maximum of 1e308: n_sat =
+    # 1.62 and R stay in range once scaled back, n_sat_err = 2.38 does not
+    k = np.arange(9.0)
+    y = k * (1 + 0.3 * np.array([0, 1, -1, 1, -1, 1, -1, 1, -1]))
+    curve = tmp_path / "c.csv"
+    curve.write_text("t_s,n_rydberg\n" + "".join(
+        f"{x!r},{v!r}\n" for x, v in zip(k.tolist(), (y / y.max() * 1e308).tolist())
+    ))
+    out = tmp_path / "o"
+    assert main(["fit", str(curve), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: a fit of times to 8.0 s and values to 1e+308 overflows float64"]
+    assert not out.exists()
+
+
 def test_fit_whose_scan_overflows_warns_nothing(tmp_path, capsys):
     # values near 1e155: far from the best rate the residual sum overflows,
     # which warned (an error under -W error); the fit itself is in range

@@ -278,18 +278,32 @@ def test_collective_center_matches_bisection_oracle(reference_cloud, strong_para
 SIZE_ROUNDINGS = 16
 
 
-def exact_collective_size(params, n0, sigma, center):
-    """blockade_radius_collective's n_per at the density n0 exp(-E) of
-    ``center``, every operation to 40 digits on the float constants and
-    inputs the core formula uses; also E."""
-    with decimal.localcontext(decimal.Context(prec=40)):
-        d = decimal.Decimal
-        exponent = sum((d(c) / d(s)) ** 2 for c, s in zip(center, sigma)) / 2
-        local = d(n0) * (-exponent).exp()
+def collective_size_oracle(params, n0, sigma):
+    """blockade_radius_collective's n_per at the density n0 exp(-E) of a cell
+    centre c, E = sum((c / sigma)**2) / 2, to 40 digits on the float
+    constants and inputs the core formula uses: with V = 4 pi / 3, x = c6 /
+    (hbar omega0) and its exponents a = 2.0 / 15.0 and b = -1.0 / 15.0, the
+    size n V r**3 at r = x**a (V n)**b is exactly x**(3 a) (V n0)**(1 + 3 b)
+    exp(-(1 + 3 b) E), one exp per centre. Returns a function of c giving
+    the size and E."""
+    context = decimal.Context(prec=40)
+    d = decimal.Decimal
+    with decimal.localcontext(context):
         volume = d(4.0 * math.pi / 3.0)
+        power = 1 + 3 * d(-1.0 / 15.0)
         x = d(params.c6 / (HBAR * params.omega0))
-        radius = x ** d(2.0 / 15.0) * (volume * local) ** d(-1.0 / 15.0)
-        return float(local * volume * radius**3), float(exponent)
+        scale = x ** (3 * d(2.0 / 15.0)) * (volume * d(n0)) ** power
+    half_squares = [{} for _ in sigma]  # (c / sigma)**2 / 2 by coordinate
+
+    def size(center):
+        with decimal.localcontext(context):
+            exponent = sum(
+                cache[c] if c in cache else cache.setdefault(c, (d(c) / d(s)) ** 2 / 2)
+                for c, s, cache in zip(center, sigma, half_squares)
+            )
+            return float(scale * (-power * exponent).exp()), float(exponent)
+
+    return size
 
 
 def test_collective_sizes_come_from_the_core_formula(strong_params):
@@ -298,11 +312,9 @@ def test_collective_sizes_come_from_the_core_formula(strong_params):
     for radii in [(1.0, 1.0, 1.0), (1.0, 1.0, 1.3), (0.8, 1.0, 1.3)]:
         spec = CloudSpec(N_ATOMS_REF, tuple(SIGMA_REF * r for r in radii))
         ensemble = partition_superatoms(spec, strong_params, model="collective", n_min=0.0)
-        n0 = peak_density(spec)
-        # every 7th cell: about 3,900 of the 27,000 of the isotropic octant
-        cells = zip(ensemble.centers[::7].tolist(), ensemble.n_per[::7].tolist())
-        for center, n_per in cells:
-            exact, exponent = exact_collective_size(strong_params, n0, spec.sigma, center)
+        exact_size = collective_size_oracle(strong_params, peak_density(spec), spec.sigma)
+        for center, n_per in zip(ensemble.centers.tolist(), ensemble.n_per.tolist()):
+            exact, exponent = exact_size(center)
             bound = SIZE_ROUNDINGS * np.finfo(float).eps * (1.0 + exponent)
             assert abs(n_per - exact) <= bound * exact, (radii, center)
 
