@@ -166,7 +166,8 @@ def fit_saturation(curve: ExcitationCurve) -> SaturationFit:
     of dS/dk = -2 n_sat (t exp(-k t)).r is found by a safeguarded regula
     falsi (see _root); then R = n_sat * k. InvalidParameterError refuses a
     fit whose results overflow float64: a NaN, an inf n_sat, R or rms, or
-    an error bar that is finite only before it is scaled back.
+    an error bar that is finite only before it is scaled back; and one whose
+    nonzero result scales back to 0 or a subnormal float.
     """
     t = curve.times
     y = curve.values
@@ -210,6 +211,7 @@ def fit_saturation(curve: ExcitationCurve) -> SaturationFit:
     except np.linalg.LinAlgError:  # singular: the curve determines neither
         cov = np.diag([np.inf, np.inf])
     scaled_errors = np.sqrt(np.maximum(np.diag(cov), 0.0)).tolist()
+    in_units = (n_sat, n_sat * k, math.sqrt(ssr / t.size), *scaled_errors)
     n_sat_err, rate_err = scaled_errors[0] * y_max, scaled_errors[1] * y_max / t_max
     n_sat *= y_max
     rate = n_sat * (k / t_max)
@@ -221,6 +223,12 @@ def fit_saturation(curve: ExcitationCurve) -> SaturationFit:
     ):
         raise InvalidParameterError(f"a fit of times to {t_max!r} s and values to "
                                     f"{y_max!r} overflows float64")
+    # the mirror: a nonzero result that scales back to 0 or a subnormal
+    if any(abs(value) < np.finfo(float).smallest_normal and unit != 0.0 for value, unit in zip(
+        (n_sat, rate, residual_rms, n_sat_err, rate_err), in_units
+    )):
+        raise InvalidParameterError(f"a fit of times to {t_max!r} s and values to "
+                                    f"{y_max!r} underflows float64")
     # a rate within its own error is not determined by the curve
     return SaturationFit(
         n_sat, n_sat_err, rate, rate_err, residual_rms, converged and rate_err < rate, n_iter,

@@ -20,9 +20,11 @@ H is real and symmetric. evolve() propagates the ground state (no atom
 excited, basis index 0), where every run starts, to every time of a grid
 at once, by one Chebyshev expansion of exp(-i H t) in the sparse matrix
 or, for stiff clusters whose expansion would need too many terms, by one
-dense eigendecomposition; plan_propagation() picks the cheaper. It
-returns the trajectory as a QuantumState of one state per time, and the
-observables give one value per time.
+dense eigendecomposition; plan_propagation() picks the cheaper. Both
+routes sum in real arithmetic, the real and imaginary parts of each time
+in a pair of rows, interleaved in place at the end into the complex
+trajectory: a QuantumState of one state per time. The observables give
+one value per time.
 """
 
 from __future__ import annotations
@@ -67,14 +69,15 @@ _BUILD_BYTES_PER_NONZERO = 56.0
 _DIAGONAL_ROWS = 1024
 
 # the Chebyshev series is cut where its Bessel coefficients fall below
-# unit roundoff; its vectors are summed into the trajectory _BLOCK at a
-# time, and its coefficients transformed _COEFFICIENT_ROWS times at a time
+# unit roundoff; its real vectors are summed into the trajectory's
+# (Re, Im) rows _BLOCK at a time, and its coefficients transformed
+# _COEFFICIENT_ROWS times at a time
 _UNIT_ROUNDOFF = 2.0**-53
 # every row of a trajectory is checked to have norm 1 within this, and
 # evolve() refuses phases less accurate than it
 _NORM_TOLERANCE = 1e-6
 _MAX_TERMS = 2**30
-_BLOCK = 8
+_BLOCK = 16
 _COEFFICIENT_ROWS = 16
 
 
@@ -406,14 +409,21 @@ def _chebyshev_terms(x: float) -> int:
         low += width
 
 
+def _order_bound(x):
+    """x + 12 x**(1/3) + 16, at or past _chebyshev_terms(x): the orders the
+    expansion needs at a t = x. The tests pin the bound for x up to 2e5."""
+    return x + 12.0 * np.cbrt(x) + 16.0
+
+
 def plan_propagation(hamiltonian: Hamiltonian, time_grid) -> PropagationPlan:
     """Choose dense diagonalisation or one Chebyshev expansion by their cost.
 
     The expansion's coefficients are J_n(half_width * t); its N terms stop
     at the first n > half_width * t_max with |J_n(half_width * t_max)| <
     2**-53, which bounds every grid time. It costs N sparse products of nnz
-    each plus T x N x D sums into the trajectory; dense ``eigh`` about
-    dim**3, and it is taken whenever it is the cheaper. Only evolve()'s
+    each plus at most T x N x D sums into the trajectory (each time takes
+    only the orders below its own cut); dense ``eigh`` about dim**3, and it
+    is taken whenever it is the cheaper. Only evolve()'s
     memory check bounds either route: a stiff basis too large for dense is
     refused, not expanded to millions of terms (the restricted basis drops
     the stiff states).
@@ -429,21 +439,31 @@ def plan_propagation(hamiltonian: Hamiltonian, time_grid) -> PropagationPlan:
 
 
 def _chebyshev_coefficients(plan: PropagationPlan, t: np.ndarray) -> np.ndarray:
-    """(T, N) table of exp(-i b t) (2 - delta_n0) (-i)**n J_n(a t).
+    """(2T, N) real table: rows 2k and 2k + 1 hold the real and imaginary
+    parts of exp(-i b t_k) (2 - delta_n0) (-i)**n J_n(a t_k).
 
     These are the cosine coefficients of exp(-i a t cos(theta)), read off
     the FFT of its 2N samples; the aliased orders 2N - n are past N and so
-    below the cut. Rows are transformed a block at a time.
+    below the cut. Times are sampled and transformed in place in one
+    (_COEFFICIENT_ROWS, 2N) complex buffer, whose rows are then split
+    into the table's row pairs.
     """
     n = plan.terms
     cosines = np.cos(np.pi * np.arange(2 * n) / n)
-    coef = np.empty((t.size, n), dtype=np.complex128)
+    coef = np.empty((2 * t.size, n))
+    samples = np.empty((min(_COEFFICIENT_ROWS, t.size), 2 * n), dtype=np.complex128)
     for k in range(0, t.size, _COEFFICIENT_ROWS):
-        rows = slice(k, k + _COEFFICIENT_ROWS)
-        samples = np.exp(np.outer(-1j * plan.half_width * t[rows], cosines))
-        coef[rows] = np.fft.fft(samples, axis=1)[:, :n]
-    coef[:, 0] /= 2.0
-    coef *= (np.exp(-1j * plan.center * t) / n)[:, None]
+        times = t[k:k + _COEFFICIENT_ROWS]
+        block = samples[:times.size]
+        np.multiply.outer(-1j * plan.half_width * times, cosines, out=block)
+        np.exp(block, out=block)
+        np.fft.fft(block, axis=1, out=block)
+        block = block[:, :n]
+        block[:, 0] /= 2.0
+        block *= (np.exp(-1j * plan.center * times) / n)[:, None]
+        pairs = coef[2 * k:2 * (k + times.size)].reshape(times.size, 2, n)
+        pairs[:, 0] = block.real
+        pairs[:, 1] = block.imag
     return coef
 
 
@@ -474,8 +494,15 @@ def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
                           J_n(a t) T_n((H - b) / a) psi,
 
     with [b - a, b + a] the Gershgorin bounds of the spectrum. The vectors
-    T_n(.) psi do not depend on t, so one three-term recurrence serves every
-    grid time; blocks of them are summed into the trajectory in place. Both
+    T_n(.) psi are real and do not depend on t, so one three-term recurrence
+    serves every grid time. Blocks of _BLOCK of them are summed by one real
+    matrix product into a (2T, D) array whose rows 2k and 2k + 1 hold the
+    real and imaginary parts of the state at t_k, and only into the rows of
+    the times that need the block: t_k takes the orders below
+    _order_bound(a t_k), past which every |J_n(a t_k)| < 2**-53. The dense
+    route fills the same rows with cos and sin of -w t_k times psi's
+    eigencomponents, in one real product with the eigenvectors. Either
+    array is then interleaved in place into the complex trajectory. Both
     routes are exact to rounding: refining the grid does not change the
     values at common times (beyond 1e-8), and the norm drifts by less than
     1e-9 over a collective period.
@@ -485,9 +512,9 @@ def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
     every row is checked to have norm 1 within 1e-6, and ``plan`` is the plan that ran.
 
     SizeCapError refuses, before propagating, a run whose result, Hamiltonian
-    and working set (dense: the eigenvectors; Chebyshev: the T x N
-    coefficient table) exceed the memory limit (dense: ~5,600 states at
-    200 times).
+    and working set (dense: eigh's arrays, about 25 D**2 bytes; Chebyshev:
+    the (2T, N) coefficient table) exceed the memory limit (dense: ~6,400
+    states at 200 times).
 
     InvalidParameterError refuses, also before propagating, a Hamiltonian
     whose smallest coupling |H_ij| (i != j) is below u = 2**-53 times its
@@ -527,39 +554,66 @@ def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
         )
 
     dim, nnz, n_t = float(hamiltonian.dim), float(hamiltonian.matrix.nnz), t.size
-    dense = plan.route == "dense"  # eigh's arrays peaked at 24 B per element
-    if dense:
-        working = 32.0 * dim * (dim + n_t)
-    else:  # the table, its FFT rows, the gather buffer and four vectors
-        working = 16.0 * plan.terms * (n_t + 4 * _COEFFICIENT_ROWS) + 16.0 * (_BLOCK + 4) * dim
+    dense = plan.route == "dense"
+    if dense:  # eigh's arrays (H, its copy and u) peaked at 24-25.3 B per
+        # element, plus 256 B per state of workspace; then u and the (Re, Im) rows
+        working = dim * (25.0 * dim + 16.0 * n_t + 256.0)
+    else:  # the table and its complex FFT rows; the gathered vectors and a
+        # copy of their coefficients; four recurrence and two interleave vectors
+        working = (16.0 * plan.terms * (n_t + 2 * _COEFFICIENT_ROWS)
+                   + 8.0 * _BLOCK * (dim + 2 * n_t) + 48.0 * dim)
     require_memory(16.0 * n_t * dim + 12.0 * nnz + working, f"{n_t} times of {dim:.0f} states")
     import scipy.linalg
     import scipy.linalg.blas
 
     if dense:
         w, u = scipy.linalg.eigh(hamiltonian.matrix.toarray())
-        phases = np.exp(-1j * np.outer(t, w))
-        # psi's eigencomponents u^T psi are u's first row
-        return QuantumState((phases * u[0]) @ u.T, hamiltonian.basis, plan)
+        # psi's eigencomponents u^T psi are u's first row; rows 2k and 2k + 1
+        # hold cos and sin of -w t_k, the parts of exp(-i w t_k), times them
+        parts = np.empty((2 * n_t, hamiltonian.dim))
+        angles = np.multiply.outer(-t, w, out=parts[0::2])
+        np.sin(angles, out=parts[1::2])
+        np.cos(angles, out=angles)
+        parts *= u[0]
+        return QuantumState(_interleave(parts @ u.T), hamiltonian.basis, plan)
 
     coef = _chebyshev_coefficients(plan, t)
+    # time t_k needs the orders below _order_bound(a t_k); times ascend, so
+    # the rows a block of orders reaches are a suffix of the trajectory
+    needs = _order_bound(plan.half_width * t)
     # psi is real, so is every T_n(.) psi: real sparse products cost a
     # third of complex ones and need no complex copy of H
     psi = np.zeros(hamiltonian.dim)
     psi[0] = 1.0
     vectors = _chebyshev_vectors(hamiltonian.matrix, plan, psi)
-    amps = np.zeros((n_t, hamiltonian.dim), dtype=np.complex128)
-    gathered = np.zeros((_BLOCK, hamiltonian.dim), dtype=np.complex128)
+    parts = np.zeros((2 * n_t, hamiltonian.dim))
+    gathered = np.empty((_BLOCK, hamiltonian.dim))
     for start in range(0, plan.terms, _BLOCK):
         block = min(_BLOCK, plan.terms - start)
-        for slot in gathered.real[:block]:
+        for slot in gathered[:block]:
             slot[...] = next(vectors)
-        # amps += coef[:, block] @ gathered[:block], summed in place
-        scipy.linalg.blas.zgemm(
-            1.0, gathered[:block].T, coef[:, start:start + block].T,
-            beta=1.0, c=amps.T, overwrite_c=1,
+        first = 2 * int(np.searchsorted(needs, start, side="right"))
+        # parts[first:] += coef[first:, block] @ gathered[:block], summed in
+        # place: c must be contiguous, or f2py sums into a silent copy
+        scipy.linalg.blas.dgemm(
+            1.0, gathered[:block].T, coef[first:, start:start + block].T,
+            beta=1.0, c=parts[first:].T, overwrite_c=1,
         )
-    return QuantumState(amps, hamiltonian.basis, plan)
+    return QuantumState(_interleave(parts), hamiltonian.basis, plan)
+
+
+def _interleave(parts: np.ndarray) -> np.ndarray:
+    """The (T, D) complex trajectory whose row k has real part parts[2k]
+    and imaginary part parts[2k + 1], interleaved in place, one row pair at
+    a time through a buffer of 2D floats: a C-contiguous view of parts."""
+    dim = parts.shape[1]
+    buffer = np.empty((2, dim))
+    for pair in parts.reshape(-1, 2, dim):
+        buffer[...] = pair
+        row = pair.reshape(-1).view(np.complex128)
+        row.real = buffer[0]
+        row.imag = buffer[1]
+    return parts.reshape(-1, 2 * dim).view(np.complex128)
 
 
 def rydberg_number(state: QuantumState) -> np.ndarray:

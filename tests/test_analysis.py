@@ -233,6 +233,15 @@ def test_fit_of_a_curve_near_1e_minus_200_finds_its_plateau():
     assert fit.rate == pytest.approx(2e-200 / 3, rel=1e-9)
 
 
+def test_fit_refuses_a_rate_that_underflows_once_scaled_back():
+    # t_k = k 1e200 s, y_k = 2e-200 (1 - exp(-k/3)): R = 6.7e-401 per s
+    # came back as R = 0.0 and R_err = 0.0
+    k = np.arange(9.0)
+    curve = ExcitationCurve(k * 1e200, 2e-200 * -np.expm1(-k / 3))
+    with pytest.raises(InvalidParameterError, match="e-200 underflows float64"):
+        fit_saturation(curve)
+
+
 @pytest.mark.parametrize("time_scale, value_scale", [(1e100, 1e-100), (1e-100, 1e100)])
 def test_fit_results_scale_with_the_curve_s_units(time_scale, value_scale):
     # at times k 1e100 s and values near 2e-100, R_err**2 underflowed and

@@ -719,6 +719,24 @@ def test_fit_refuses_a_curve_whose_error_bar_alone_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fit_refuses_a_curve_whose_error_bar_underflows(tmp_path, capsys):
+    # t_k = k 1e150 s, y_k = 2e-150 (1 - exp(-k/3)): R = 6.7e-301 per s is
+    # normal, but its error bar scales back to a subnormal 1.7e-315, which
+    # came with converged = true and exit 0
+    k = np.arange(9.0)
+    curve = tmp_path / "c.csv"
+    curve.write_text("t_s,n_rydberg\n" + "".join(
+        f"{x!r},{y!r}\n"
+        for x, y in zip((k * 1e150).tolist(), (2e-150 * -np.expm1(-k / 3)).tolist())
+    ))
+    out = tmp_path / "o"
+    assert main(["fit", str(curve), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: a fit of times to 8e+150 s and values to "
+                   "1.861033097554397e-150 underflows float64"]
+    assert not out.exists()
+
+
 def test_fit_whose_scan_overflows_warns_nothing(tmp_path, capsys):
     # values near 1e155: far from the best rate the residual sum overflows,
     # which warned (an error under -W error); the fit itself is in range

@@ -14,6 +14,7 @@ import scipy.sparse
 import scipy.special
 
 import blockadesim.core
+import blockadesim.exact
 from blockadesim.constants import HBAR
 from blockadesim.errors import InputFileError, InvalidParameterError, SizeCapError
 from blockadesim.exact import (
@@ -568,8 +569,10 @@ def test_chebyshev_evolve_makes_one_sparse_product_per_term(rng, monkeypatch):
 
 def test_chebyshev_terms_grow_as_the_bessel_cut(rng):
     # 14 atoms from the reference cloud at 210 kHz for 5 us, as perfbench's
-    # exact-full-14: terms n with a t_max < n <= a t_max + C (a t_max)**(1/3),
-    # where C = 12 bounds the measured 10.1-11.6 for a t_max from 5 to 1e6
+    # exact-full-14: terms n with x < n <= x + C x**(1/3), x = a t_max. The
+    # measured (n - x) / x**(1/3) exceeds C = 12 only below x = 11.7 (12.28
+    # at x = 5, 12.07 at 10); it is at most 11.74 from x = 20 on and falls
+    # to 10.15 at 1e6. Here x is about 57.
     omega = 2 * np.pi * 210e3
     positions = cluster(rng, 14, 22.6e-6)
     h = build_hamiltonian(positions, full_basis(14), omega, C6)
@@ -581,6 +584,16 @@ def test_chebyshev_terms_grow_as_the_bessel_cut(rng):
     # the series stops at the first order past a t_max below unit roundoff
     j = np.abs(scipy.special.jv([plan.terms - 1, plan.terms], x))
     assert j[1] < 2.0**-53 <= j[0]
+
+
+def test_order_bound_covers_the_chebyshev_terms():
+    # evolve() sums into time t only the orders below x + 12 x**(1/3) + 16,
+    # x = a t; every order it drops must be past the Bessel cut there
+    x = np.concatenate([np.linspace(0.0, 50.0, 501), np.geomspace(50.0, 2e5, 301)])
+    bound = x + 12.0 * np.cbrt(x) + 16.0
+    terms = np.array([blockadesim.exact._chebyshev_terms(v) for v in x])
+    assert np.array_equal(blockadesim.exact._order_bound(x), bound)
+    assert (bound - terms).min() >= 12.5  # 12.67, at x = 0.1
 
 
 def stiff_polygon(m):
@@ -628,7 +641,19 @@ def test_evolve_returns_the_plan_it_ran(rng, route):
     trajectory = evolve(h, t)
     assert trajectory.plan == plan_propagation(h, t)
     assert trajectory.plan.route == route
+    amps = trajectory.amplitudes
+    assert amps.dtype == np.complex128 and amps.flags.c_contiguous
+    assert amps.shape == (t.size, h.dim)
     assert QuantumState(trajectory.amplitudes, h.basis).plan is None
+
+
+def test_interleave_turns_row_pairs_into_complex_rows_in_place(rng):
+    parts = rng.standard_normal((6, 5))
+    expected = parts[0::2] + 1j * parts[1::2]
+    amps = blockadesim.exact._interleave(parts)
+    assert amps.dtype == np.complex128 and amps.flags.c_contiguous
+    assert np.shares_memory(amps, parts)
+    assert np.array_equal(amps, expected)
 
 
 def test_stiff_polygon_too_large_for_dense_is_refused_before_allocating():
