@@ -138,8 +138,10 @@ class SaturationFit:
     lies at an end of the scan or ties its right neighbour, or when
     ``rate_err`` is not below ``rate``: the curve then resolves its rise or
     its plateau but not both, or neither (flat noise), and the best rate
-    found is still reported. ``n_iterations`` counts root steps, each one
-    evaluation of the sign of dS/dk.
+    found is still reported. Both errors are inf where J^T J is singular,
+    or so near it that its computed inverse has a negative variance.
+    ``n_iterations`` counts root steps, each one evaluation of the sign of
+    dS/dk.
     """
 
     n_sat: float
@@ -207,10 +209,12 @@ def fit_saturation(curve: ExcitationCurve) -> SaturationFit:
     jac_r = np.multiply(t, decay, out=decay)
     jtj = np.array([[jac_n @ jac_n, jac_n @ jac_r], [jac_n @ jac_r, jac_r @ jac_r]])
     try:
-        cov = ssr / (t.size - 2) * np.linalg.inv(jtj)
+        variances = ssr / (t.size - 2) * np.diag(np.linalg.inv(jtj))
     except np.linalg.LinAlgError:  # singular: the curve determines neither
-        cov = np.diag([np.inf, np.inf])
-    scaled_errors = np.sqrt(np.maximum(np.diag(cov), 0.0)).tolist()
+        variances = np.array([np.inf, np.inf])
+    if np.any(variances < 0.0):  # so near singular that rounding made it indefinite
+        variances = np.array([np.inf, np.inf])
+    scaled_errors = np.sqrt(variances).tolist()
     in_units = (n_sat, n_sat * k, math.sqrt(ssr / t.size), *scaled_errors)
     n_sat_err, rate_err = scaled_errors[0] * y_max, scaled_errors[1] * y_max / t_max
     n_sat *= y_max

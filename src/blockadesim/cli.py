@@ -189,7 +189,8 @@ def _cmd_exact(args: argparse.Namespace) -> Run:
         [("trajectory", "trajectory.csv",
           lambda path: write_trajectory_csv(path, grid, n_rydberg, fidelity))],
         [f"exact: {len(positions)} atoms, {basis.n_states} basis states "
-         f"({basis.kind}), {grid.size} times, {plan.route} propagator{terms} "
+         f"({basis.kind}), {hamiltonian.matrix.nnz} nonzeros, {grid.size} times, "
+         f"{plan.route} propagator{terms} "
          f"-> {args.out}/trajectory.csv"],
     )
 

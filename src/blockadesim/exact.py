@@ -62,8 +62,9 @@ __all__ = [
 
 MAX_ATOMS = 63  # bit i of an int64 bitmask is atom i
 
-# basis plus build_hamiltonian() peaked at 46-50 B per nonzero on the
-# benchmark's 14-atom full and 20-atom restricted bases (tracemalloc)
+# basis plus build_hamiltonian() peaked at 24 and 29 B per nonzero on the
+# benchmark's 14-atom full and 20-atom restricted bases (tracemalloc); 56
+# still refuses a 20-atom full basis unenumerated, as core's limit states
 _BUILD_BYTES_PER_NONZERO = 56.0
 # states per block of the pair-shift sum in build_hamiltonian()
 _DIAGONAL_ROWS = 1024
@@ -161,23 +162,24 @@ class Basis:
     """An ordered set of bitmask states over ``n_atoms`` atoms.
 
     States are int64 bitmasks in ascending numeric order, so index 0 is
-    always the vacuum; with no restriction radius the basis is full. Immutable
-    by convention.
+    always the vacuum; with no restriction radius the basis is full.
+    ``parents[k]`` is the index of state k with its highest excited atom
+    de-excited (-1 for the vacuum): the flip that made k. Immutable by
+    convention.
     """
 
     def __init__(
         self,
         n_atoms: int,
         states: np.ndarray,
+        parents: np.ndarray,
         restriction_radius: float | None = None,
     ):
         self.n_atoms = n_atoms
         self.states = np.asarray(states, dtype=np.int64)
+        self.parents = np.asarray(parents, dtype=np.int32)
         self.restriction_radius = restriction_radius
-        popcounts = np.zeros(self.states.shape, dtype=np.int64)
-        for i in range(n_atoms):
-            popcounts += (self.states >> i) & 1
-        self.popcounts = popcounts.astype(np.float64)
+        self.popcounts = np.bitwise_count(self.states).astype(np.float64)
         self.singles = np.flatnonzero(self.popcounts == 1)
 
     @property
@@ -207,7 +209,8 @@ def full_basis(n_atoms: int) -> Basis:
         raise InvalidParameterError("need at least one atom")
     _require_basis_memory(1.0, n_atoms)  # the atom cap, before 2.0**M overflows
     _require_basis_memory(2.0**n_atoms, n_atoms)
-    return Basis(n_atoms, np.arange(2**n_atoms, dtype=np.int64))
+    parents = np.concatenate([[-1], *(np.arange(2**i) for i in range(n_atoms))])
+    return Basis(n_atoms, np.arange(2**n_atoms, dtype=np.int64), parents)
 
 
 def restricted_basis(positions: AtomPositions, radius: float) -> Basis:
@@ -216,7 +219,8 @@ def restricted_basis(positions: AtomPositions, radius: float) -> Basis:
     Pairs at separation strictly below the radius are treated as
     blockaded; a radius below the minimum pairwise distance therefore
     reproduces the full basis. One ascending sweep adds atom i to each state
-    that excites none of its partners below i, checking each step first.
+    that excites none of its partners below i, checking each step first,
+    and records each new state's parent.
     """
     if not radius >= 0.0:  # a NaN radius would blockade no pair
         raise InvalidParameterError(
@@ -226,12 +230,14 @@ def restricted_basis(positions: AtomPositions, radius: float) -> Basis:
     _require_basis_memory(1.0, m)  # the atom cap, before the M x M distances
     close = positions.pairwise_distances() < radius
     states = np.zeros(1, dtype=np.int64)
+    parents = np.full(1, -1, dtype=np.int32)
     for i in range(m):
         partners = sum(1 << int(j) for j in np.flatnonzero(close[i, :i]))
-        free = (states & partners) == 0
-        _require_basis_memory(float(states.size + np.count_nonzero(free)), m)
+        free = np.flatnonzero((states & partners) == 0)
+        _require_basis_memory(float(states.size + free.size), m)
         states = np.concatenate([states, states[free] | (1 << i)])
-    return Basis(m, states, radius)
+        parents = np.concatenate([parents, free.astype(np.int32)])
+    return Basis(m, states, parents, radius)
 
 
 class Hamiltonian:
@@ -283,6 +289,37 @@ def _pair_shifts(positions: AtomPositions, c6: float, states: np.ndarray) -> np.
     return total
 
 
+def _flip_pattern(basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+    """int32 (indices, indptr) of the canonical CSR pattern that joins each
+    state to itself and to the states one flip away, found with no search.
+
+    Row k of a (D, 2M + 1) table holds, ascending, k with atom j de-excited
+    (column M - 1 - j), k itself (column M) and k with atom j excited
+    (column M + 1 + j), or -1 where that state is not in the basis. Atom
+    i's states, from its single excitation to atom i + 1's, are their
+    parents plus atom i, so each takes its parent's row mapped to those
+    states plus atom i: -1 where atom i's partners blockade one (never a
+    lower partner: a subset of an independent set is independent).
+    """
+    m, dim = basis.n_atoms, basis.n_states
+    table = np.full((dim, 2 * m + 1), -1, dtype=np.int32)
+    table[0, m] = 0
+    ends = np.append(basis.singles[1:], dim).tolist()
+    for i, (start, stop) in enumerate(zip(basis.singles.tolist(), ends)):
+        parents = basis.parents[start:stop]
+        children = np.arange(start, stop, dtype=np.int32)
+        # state -> state plus atom i; the last slot maps a missing -1 to -1
+        extend = np.full(start + 1, -1, dtype=np.int32)
+        extend[parents] = children
+        table[start:stop, m - 1 - i] = parents
+        table[start:stop, m - i:m + 1 + i] = extend[table[parents, m - i:m + 1 + i]]
+        table[parents, m + 1 + i] = children
+    keep = table >= 0
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return np.compress(keep.ravel(), table), indptr
+
+
 def build_hamiltonian(
     positions: AtomPositions, basis: Basis, omega0: float, c6: float
 ) -> Hamiltonian:
@@ -305,32 +342,12 @@ def build_hamiltonian(
         )
     import scipy.sparse
 
-    m = basis.n_atoms
-    states = basis.states
-    dim = basis.n_states
-
-    diag = _pair_shifts(positions, c6, states) if c6 > 0.0 else np.zeros(dim)
-
-    # one flip per atom: couple each state to the basis state with bit i set
-    rows, cols = [], []
-    for i in range(m):
-        lower = np.flatnonzero(((states >> i) & 1) == 0)
-        upper = states[lower] | (1 << i)
-        found = np.minimum(np.searchsorted(states, upper), dim - 1)
-        hit = states[found] == upper
-        rows.append(lower[hit])
-        cols.append(found[hit])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.full(rows.shape, omega0 / 2.0)
-    matrix = scipy.sparse.coo_matrix(
-        (
-            np.concatenate([data, data, diag]),
-            (np.concatenate([rows, cols, np.arange(dim)]),
-             np.concatenate([cols, rows, np.arange(dim)])),
-        ),
-        shape=(dim, dim),
-    ).tocsr()
+    indices, indptr = _flip_pattern(basis)
+    diag = _pair_shifts(positions, c6, basis.states) if c6 > 0.0 else np.zeros(basis.n_states)
+    data = np.full(indices.size, omega0 / 2.0)
+    # row k's diagonal follows its popcount(k) lower partners
+    data[indptr[:-1] + basis.popcounts.astype(np.intp)] = diag
+    matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(basis.n_states,) * 2)
     return Hamiltonian(basis, matrix)
 
 

@@ -242,6 +242,15 @@ def test_fit_refuses_a_rate_that_underflows_once_scaled_back():
         fit_saturation(curve)
 
 
+def test_fit_reports_a_negative_variance_as_undetermined():
+    # times 1e-13 apart: J^T J is singular but for rounding, its computed
+    # inverse has a negative variance, and the clamp to 0 reported
+    # n_sat = 6.5e7 and R = 2.5 with zero error bars, converged
+    fit = fit_saturation(ExcitationCurve(1.0 + 1e-13 * np.arange(4), np.arange(1.0, 5.0)))
+    assert fit.n_sat_err == math.inf and fit.rate_err == math.inf
+    assert not fit.converged
+
+
 @pytest.mark.parametrize("time_scale, value_scale", [(1e100, 1e-100), (1e-100, 1e100)])
 def test_fit_results_scale_with_the_curve_s_units(time_scale, value_scale):
     # at times k 1e100 s and values near 2e-100, R_err**2 underflowed and

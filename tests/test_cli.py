@@ -369,15 +369,17 @@ def test_exact_summary_names_propagator_only_on_stdout(tmp_path, capsys, force_c
     cfg = write_config(tmp_path, EXACT_CONFIG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["exact", "--config", cfg, "--out", str(out1)]) == 0
-    assert ", dense propagator -> " in capsys.readouterr().out
+    # two atoms: 4 states, each coupled to 2 others, plus the diagonal
+    sizes = ", 4 basis states (full), 12 nonzeros, 60 times, "
+    assert sizes + "dense propagator -> " in capsys.readouterr().out
     with force_chebyshev():
         assert main(["exact", "--config", cfg, "--out", str(out2)]) == 0
     summary = capsys.readouterr().out
-    assert re.search(r", chebyshev propagator \([1-9][0-9]* terms\) -> ", summary)
+    assert re.search(re.escape(sizes) + r"chebyshev propagator \([1-9][0-9]* terms\) -> ", summary)
     for out in (out1, out2):
         for name in ("trajectory.csv", "manifest.txt"):
             text = (out / name).read_text().lower()
-            for word in ("propagator", "chebyshev", "dense", "terms"):
+            for word in ("propagator", "chebyshev", "dense", "terms", "nonzeros"):
                 assert word not in text
 
 

@@ -343,6 +343,68 @@ def loop_hamiltonian(positions, basis, omega0, c6):
     ).tocsr()
 
 
+def search_hamiltonian(positions, basis, omega0, c6):
+    """Oracle: the earlier assembly, each state's partner with atom i
+    excited found by a search over all states, then COO -> CSR."""
+    m, states, dim = basis.n_atoms, basis.states, basis.n_states
+    diag = blockadesim.exact._pair_shifts(positions, c6, states) if c6 > 0.0 else np.zeros(dim)
+    rows, cols = [], []
+    for i in range(m):
+        lower = np.flatnonzero(((states >> i) & 1) == 0)
+        upper = states[lower] | (1 << i)
+        found = np.minimum(np.searchsorted(states, upper), dim - 1)
+        hit = states[found] == upper
+        rows.append(lower[hit])
+        cols.append(found[hit])
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    data = np.full(rows.shape, omega0 / 2.0)
+    return scipy.sparse.coo_matrix(
+        (
+            np.concatenate([data, data, diag]),
+            (np.concatenate([rows, cols, np.arange(dim)]),
+             np.concatenate([cols, rows, np.arange(dim)])),
+        ),
+        shape=(dim, dim),
+    ).tocsr()
+
+
+def assert_flips_match_the_search(positions, basis, c6=C6):
+    """build_hamiltonian's CSR arrays equal the search oracle's bit for
+    bit, and every flip, recorded or assembled, changes exactly one atom."""
+    new = build_hamiltonian(positions, basis, OMEGA, c6).matrix
+    old = search_hamiltonian(positions, basis, OMEGA, c6)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(new, name).dtype == getattr(old, name).dtype, name
+        assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), name
+    states = basis.states
+    assert basis.parents[0] == -1
+    made = states[1:] ^ states[basis.parents[1:]]  # the highest excited atom
+    assert np.all(np.bitwise_count(made) == 1) and np.all(made > states[1:] ^ made)
+    rows = np.repeat(np.arange(basis.n_states), np.diff(new.indptr))
+    flips = new.indices != rows
+    assert np.all(np.bitwise_count(states[rows[flips]] ^ states[new.indices[flips]]) == 1)
+    assert np.count_nonzero(flips) == old.nnz - basis.n_states
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_full_hamiltonian_equals_the_search_oracle_bit_for_bit(m):
+    positions = cluster(np.random.default_rng(m), m, 2e-6)
+    assert_flips_match_the_search(positions, full_basis(m))
+    if m == 6:  # zero C6: every diagonal entry an explicit zero
+        assert_flips_match_the_search(positions, full_basis(m), c6=0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_restricted_hamiltonian_equals_the_search_oracle_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    positions = cluster(rng, 9 + 2 * seed, 1e-6)
+    dist = positions.pairwise_distances()
+    quantiles = np.quantile(dist[dist > 0], np.linspace(0.1, 0.9, 9)).tolist()
+    for radius in [0.0, *quantiles, 1.01 * dist.max()]:
+        assert_flips_match_the_search(positions, restricted_basis(positions, radius))
+
+
 @pytest.mark.parametrize("kind", ["full", "restricted"])
 def test_vectorised_hamiltonian_equals_loop_oracle(rng, kind):
     positions = cluster(rng, 9, 2e-6)
