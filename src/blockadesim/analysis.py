@@ -100,9 +100,14 @@ def _root(t: np.ndarray, y: np.ndarray, lo: float, hi: float) -> tuple[float, in
     between the bracket's ends, whose slope value is halved where the other
     end moved twice in a row; the midpoint where the ends do not differ in
     sign, or after _SLOW_STEPS steps in a row that each failed to halve
-    the bracket."""
+    the bracket. A rate where dS/dk is exactly 0 is returned as the root:
+    where every exp(-k t) rounds 1 - exp(-k t) to 1, the slope is 0 over a
+    whole interval, and the secant would creep along it a quarter
+    tolerance a step."""
     g_lo, g_hi = _slope(t, y, lo), _slope(t, y, hi)
     steps, kept, slow = 2, 0, 0  # kept: the end the last step kept, -1 lo or +1 hi
+    if g_lo == 0.0 or g_hi == 0.0:
+        return (lo if g_lo == 0.0 else hi), steps
     while hi - lo > FIT_REL_TOL * hi:
         width = hi - lo
         if g_lo > 0.0 >= g_hi and slow < _SLOW_STEPS:
@@ -114,6 +119,8 @@ def _root(t: np.ndarray, y: np.ndarray, lo: float, hi: float) -> tuple[float, in
             k = 0.5 * (lo + hi)
         g = _slope(t, y, k)
         steps += 1
+        if g == 0.0:
+            return k, steps
         if g > 0.0:  # dS/dk < 0 as n_sat > 0
             lo, g_lo = k, g
             if kept == 1:

@@ -190,8 +190,8 @@ def _cmd_exact(args: argparse.Namespace) -> Run:
           lambda path: write_trajectory_csv(path, grid, n_rydberg, fidelity))],
         [f"exact: {len(positions)} atoms, {basis.n_states} basis states "
          f"({basis.kind}), {hamiltonian.matrix.nnz} nonzeros, {grid.size} times, "
-         f"{plan.route} propagator{terms} "
-         f"-> {args.out}/trajectory.csv"],
+         f"{plan.route} propagator{terms}, largest |norm - 1| "
+         f"{trajectory.norm_drift:.2g} -> {args.out}/trajectory.csv"],
     )
 
 

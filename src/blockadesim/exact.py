@@ -30,7 +30,7 @@ one value per time.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -355,11 +355,13 @@ def build_hamiltonian(
 class QuantumState:
     """A trajectory over a basis: complex amplitudes of shape (T, D), one
     state per row, each of norm 1 within _NORM_TOLERANCE, and the
-    PropagationPlan that evolve() ran (None for a state built directly)."""
+    PropagationPlan that evolve() ran (None for a state built directly).
+    ``norm_drift`` is the largest |norm - 1| over the rows, from that check."""
 
     amplitudes: np.ndarray
     basis: Basis
     plan: PropagationPlan | None = None
+    norm_drift: float = field(init=False)
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -369,9 +371,11 @@ class QuantumState:
             )
         self.amplitudes = amps
         norms = self.norm()
-        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_TOLERANCE))  # NaN fails too
+        drift = np.abs(norms - 1.0)
+        bad = np.flatnonzero(~(drift <= _NORM_TOLERANCE))  # NaN fails too
         if bad.size:
             raise InvalidParameterError(f"state norm {norms[bad[0]]} in row {bad[0]} is not 1")
+        self.norm_drift = float(drift.max(initial=0.0))
 
     def norm(self) -> np.ndarray:
         """The (T,) norms of the rows."""
@@ -455,48 +459,67 @@ def plan_propagation(hamiltonian: Hamiltonian, time_grid) -> PropagationPlan:
     return PropagationPlan(route, center, half_width, terms)
 
 
+def _samples_half(plan: PropagationPlan, time: float) -> int:
+    """L, the least even integer with no prime factor above 5 at or past
+    min(N, _order_bound(a * time)): the times up to ``time`` need no order
+    from L on, and no FFT of 2L samples takes a pass of large prime length,
+    as one of 2N = 8044 = 4 * 2011 samples would."""
+    need = min(plan.terms, int(np.ceil(_order_bound(plan.half_width * time))))
+    best = 2
+    while best < need:
+        best *= 2
+    threes = 1
+    while threes < best:  # each 3**i 5**j times the least power of two >= 2 reaching need
+        odd = threes
+        while odd < best:
+            length = 2 * odd
+            while length < need:
+                length *= 2
+            best = min(best, length)
+            odd *= 5
+        threes *= 3
+    return best
+
+
 def _chebyshev_coefficients(plan: PropagationPlan, t: np.ndarray) -> np.ndarray:
     """(2T, N) real table: rows 2k and 2k + 1 hold the real and imaginary
-    parts of exp(-i b t_k) (2 - delta_n0) (-i)**n J_n(a t_k).
+    parts of exp(-i b t_k) (2 - delta_n0) (-i)**n J_n(a t_k) for the
+    orders n below the L of t_k's block, and 0 from L on.
 
     These are the cosine coefficients of exp(-i a t cos(theta)), read off
-    the FFT of its 2N samples; the aliased orders 2N - n are past N and so
-    below the cut. Times are sampled and transformed in place in one
-    (_COEFFICIENT_ROWS, 2N) complex buffer, whose rows are then split
-    into the table's row pairs.
+    the FFT of its 2L samples theta_m = pi m / L. Each block of
+    _COEFFICIENT_ROWS times takes the L of its last time (_samples_half),
+    so the aliased orders 2L - n lie past every cut in the block. Only the
+    samples m <= L/2 are evaluated, with cos(pi/2) exactly 0; the rest
+    follow from f_{L-m} = conj(f_m) and f_{2L-m} = f_m. Each block is
+    sampled and transformed in place in one complex buffer, sized for the
+    last block, whose rows are then split into the table's row pairs.
     """
     n = plan.terms
-    cosines = np.cos(np.pi * np.arange(2 * n) / n)
-    coef = np.empty((2 * t.size, n))
-    samples = np.empty((min(_COEFFICIENT_ROWS, t.size), 2 * n), dtype=np.complex128)
-    for k in range(0, t.size, _COEFFICIENT_ROWS):
+    coef = np.zeros((2 * t.size, n))
+    starts = range(0, t.size, _COEFFICIENT_ROWS)
+    halves = [_samples_half(plan, t[min(k + _COEFFICIENT_ROWS, t.size) - 1]) for k in starts]
+    buffer = np.empty(min(_COEFFICIENT_ROWS, t.size) * 2 * halves[-1], dtype=np.complex128)
+    for k, half in zip(starts, halves):
         times = t[k:k + _COEFFICIENT_ROWS]
-        block = samples[:times.size]
-        np.multiply.outer(-1j * plan.half_width * times, cosines, out=block)
-        np.exp(block, out=block)
+        block = buffer[:times.size * 2 * half].reshape(times.size, 2 * half)
+        quarter = half // 2
+        cosines = np.cos(np.pi * np.arange(quarter + 1) / half)
+        cosines[quarter] = 0.0
+        samples = block[:, :quarter + 1]
+        np.multiply.outer(-1j * plan.half_width * times, cosines, out=samples)
+        np.exp(samples, out=samples)
+        np.conjugate(block[:, :quarter], out=block[:, half:quarter:-1])
+        block[:, :half:-1] = block[:, 1:half]
         np.fft.fft(block, axis=1, out=block)
-        block = block[:, :n]
+        orders = min(half, n)
+        block = block[:, :orders]
         block[:, 0] /= 2.0
-        block *= (np.exp(-1j * plan.center * times) / n)[:, None]
+        block *= (np.exp(-1j * plan.center * times) / half)[:, None]
         pairs = coef[2 * k:2 * (k + times.size)].reshape(times.size, 2, n)
-        pairs[:, 0] = block.real
-        pairs[:, 1] = block.imag
+        pairs[:, 0, :orders] = block.real
+        pairs[:, 1, :orders] = block.imag
     return coef
-
-
-def _chebyshev_vectors(matrix, plan: PropagationPlan, psi: np.ndarray):
-    """Yield T_n((H - center) / half_width) psi for n = 0, 1, ...; the
-    vector of order n costs the n-th sparse product."""
-    b, a = plan.center, plan.half_width
-    yield psi
-    previous, current = psi, (matrix @ psi - b * psi) / a
-    while True:
-        yield current
-        following = matrix @ current
-        following -= b * current
-        following *= 2.0 / a
-        following -= previous
-        previous, current = current, following
 
 
 def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
@@ -512,11 +535,15 @@ def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
 
     with [b - a, b + a] the Gershgorin bounds of the spectrum. The vectors
     T_n(.) psi are real and do not depend on t, so one three-term recurrence
-    serves every grid time. Blocks of _BLOCK of them are summed by one real
-    matrix product into a (2T, D) array whose rows 2k and 2k + 1 hold the
-    real and imaginary parts of the state at t_k, and only into the rows of
-    the times that need the block: t_k takes the orders below
-    _order_bound(a t_k), past which every |J_n(a t_k)| < 2**-53. The dense
+    serves every grid time. Each vector is written in place, by scipy's CSR
+    kernel and three in-place updates, into its row of a ring of _BLOCK + 2
+    rows, the block's vectors after the two before them. Each block of
+    _BLOCK vectors is summed by one real matrix product into a (2T, D)
+    array whose rows 2k and 2k + 1 hold the real and imaginary parts of the
+    state at t_k, and only into the rows of the times that need the block:
+    t_k takes the orders below _order_bound(a t_k), past which every
+    |J_n(a t_k)| < 2**-53, and its coefficient table holds no order past
+    the transform its times were sampled for (_chebyshev_coefficients). The dense
     route fills the same rows with cos and sin of -w t_k times psi's
     eigencomponents, in one real product with the eigenvectors. Either
     array is then interleaved in place into the complex trajectory. Both
@@ -530,8 +557,9 @@ def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
 
     SizeCapError refuses, before propagating, a run whose result, Hamiltonian
     and working set (dense: eigh's arrays, about 25 D**2 bytes; Chebyshev:
-    the (2T, N) coefficient table) exceed the memory limit (dense: ~6,400
-    states at 200 times).
+    the (2T, N) coefficient table, the FFT rows of its last block and the
+    ring of vectors) exceed the memory limit (dense: ~6,400 states at 200
+    times).
 
     InvalidParameterError refuses, also before propagating, a Hamiltonian
     whose smallest coupling |H_ij| (i != j) is below u = 2**-53 times its
@@ -575,13 +603,17 @@ def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
     if dense:  # eigh's arrays (H, its copy and u) peaked at 24-25.3 B per
         # element, plus 256 B per state of workspace; then u and the (Re, Im) rows
         working = dim * (25.0 * dim + 16.0 * n_t + 256.0)
-    else:  # the table and its complex FFT rows; the gathered vectors and a
-        # copy of their coefficients; four recurrence and two interleave vectors
-        working = (16.0 * plan.terms * (n_t + 2 * _COEFFICIENT_ROWS)
-                   + 8.0 * _BLOCK * (dim + 2 * n_t) + 48.0 * dim)
+    else:  # the table and the complex FFT rows of its last block; the ring
+        # of vectors, two interleave vectors and a copy of a block's coefficients
+        working = (16.0 * plan.terms * n_t
+                   + 32.0 * min(_COEFFICIENT_ROWS, n_t) * _samples_half(plan, t[-1])
+                   + 8.0 * ((_BLOCK + 4) * dim + 2 * _BLOCK * n_t))
     require_memory(16.0 * n_t * dim + 12.0 * nnz + working, f"{n_t} times of {dim:.0f} states")
     import scipy.linalg
     import scipy.linalg.blas
+    # scipy's own CSR kernel, y += A x, is private; the public A @ x spent
+    # more on dispatch and on three temporaries than on the product at D <= 1024
+    from scipy.sparse._sparsetools import csr_matvec
 
     if dense:
         w, u = scipy.linalg.eigh(hamiltonian.matrix.toarray())
@@ -599,23 +631,37 @@ def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
     # the rows a block of orders reaches are a suffix of the trajectory
     needs = _order_bound(plan.half_width * t)
     # psi is real, so is every T_n(.) psi: real sparse products cost a
-    # third of complex ones and need no complex copy of H
-    psi = np.zeros(hamiltonian.dim)
-    psi[0] = 1.0
-    vectors = _chebyshev_vectors(hamiltonian.matrix, plan, psi)
+    # third of complex ones and need no complex copy of H. Rows 2.. of the
+    # ring take a block's vectors, each written in place, rows 0 and 1 the
+    # two before it: T_{n+1} = (2 / a) (H - b) T_n - T_{n-1}, T_1 = (H - b) T_0 / a
+    matrix = hamiltonian.matrix
+    product = functools.partial(
+        csr_matvec, hamiltonian.dim, hamiltonian.dim, matrix.indptr, matrix.indices, matrix.data
+    )
+    scale, shift = 2.0 / plan.half_width, -plan.center
     parts = np.zeros((2 * n_t, hamiltonian.dim))
-    gathered = np.empty((_BLOCK, hamiltonian.dim))
+    ring = np.zeros((_BLOCK + 2, hamiltonian.dim))
+    ring[2, 0] = 1.0  # T_0 psi = psi
+    rows = list(ring)
     for start in range(0, plan.terms, _BLOCK):
         block = min(_BLOCK, plan.terms - start)
-        for slot in gathered[:block]:
-            slot[...] = next(vectors)
+        for n in range(max(start, 1), start + block):
+            previous, current, following = rows[n - start:n - start + 3]
+            np.multiply(current, shift, out=following)
+            product(current, following)  # following += H current
+            if n == 1:
+                following *= 0.5 * scale
+            else:
+                following *= scale
+                following -= previous
         first = 2 * int(np.searchsorted(needs, start, side="right"))
-        # parts[first:] += coef[first:, block] @ gathered[:block], summed in
+        # parts[first:] += coef[first:, block] @ ring[2:block + 2], summed in
         # place: c must be contiguous, or f2py sums into a silent copy
         scipy.linalg.blas.dgemm(
-            1.0, gathered[:block].T, coef[first:, start:start + block].T,
+            1.0, ring[2:block + 2].T, coef[first:, start:start + block].T,
             beta=1.0, c=parts[first:].T, overwrite_c=1,
         )
+        ring[:2] = ring[_BLOCK:]
     return QuantumState(_interleave(parts), hamiltonian.basis, plan)
 
 

@@ -182,6 +182,18 @@ def test_flat_noise_never_converges():
     assert [seed for seed, fit in enumerate(fits) if fit.converged is not False] == []
 
 
+@pytest.mark.parametrize("rows", [10**4, 10**5])
+def test_flat_curve_ends_the_root_search_where_the_slope_vanishes(rows):
+    # past k t_1 = 37.4 every 1 - exp(-k t) rounds to 1 and dS/dk is exactly
+    # 0; the secant crept along that interval in 130-143 steps to its start
+    t = np.arange(1.0, rows + 1.0)
+    fit = fit_saturation(ExcitationCurve(t, np.ones(rows)))
+    assert fit.n_iterations <= 5
+    assert fit.converged is False
+    assert fit.n_sat == 1.0 and fit.residual_rms == 0.0
+    assert fit.rate * t[0] >= 37.4
+
+
 def test_fit_rejects_curve_positive_only_at_time_zero():
     t = np.linspace(0.0, 1.0, 10)
     values = np.zeros_like(t)

@@ -371,15 +371,20 @@ def test_exact_summary_names_propagator_only_on_stdout(tmp_path, capsys, force_c
     assert main(["exact", "--config", cfg, "--out", str(out1)]) == 0
     # two atoms: 4 states, each coupled to 2 others, plus the diagonal
     sizes = ", 4 basis states (full), 12 nonzeros, 60 times, "
-    assert sizes + "dense propagator -> " in capsys.readouterr().out
+    # and the trajectory's largest |norm - 1|, within the norm check's 1e-6
+    drift = r", largest \|norm - 1\| (\S+) -> "
+    found = re.search(re.escape(sizes) + "dense propagator" + drift, capsys.readouterr().out)
+    assert found and 0.0 <= float(found[1]) <= 1e-6
     with force_chebyshev():
         assert main(["exact", "--config", cfg, "--out", str(out2)]) == 0
     summary = capsys.readouterr().out
-    assert re.search(re.escape(sizes) + r"chebyshev propagator \([1-9][0-9]* terms\) -> ", summary)
+    found = re.search(re.escape(sizes) + r"chebyshev propagator \([1-9][0-9]* terms\)" + drift,
+                      summary)
+    assert found and 0.0 <= float(found[1]) <= 1e-6
     for out in (out1, out2):
         for name in ("trajectory.csv", "manifest.txt"):
             text = (out / name).read_text().lower()
-            for word in ("propagator", "chebyshev", "dense", "terms", "nonzeros"):
+            for word in ("propagator", "chebyshev", "dense", "terms", "nonzeros", "norm"):
                 assert word not in text
 
 
@@ -1098,7 +1103,7 @@ def test_package_errors_map_to_exit_codes(monkeypatch, capsys, error, code):
 
 
 # run in a fresh interpreter: no step before exact may load scipy, and exact
-# must still run, loading it
+# must still run, loading it but not scipy.fft, whose import alone raises ru_maxrss
 NO_SCIPY_SCRIPT = """
 import sys
 
@@ -1118,6 +1123,7 @@ for argv in (["cloud", "--config", cloud, "--out", "c"],
     assert_no_scipy(argv[0])
 assert main(["exact", "--config", exact, "--out", "e"]) == 0
 assert "scipy.linalg" in sys.modules
+assert not any(name.startswith("scipy.fft") for name in sys.modules)
 """
 
 

@@ -24,6 +24,7 @@ from blockadesim.exact import (
     QuantumState,
     build_hamiltonian,
     evolve,
+    PropagationPlan,
     full_basis,
     plan_propagation,
     restricted_basis,
@@ -607,26 +608,24 @@ def test_chebyshev_matches_dense_on_a_grid_starting_late(rng, force_chebyshev):
     assert routes_gap(force_chebyshev, h, t) < 1e-8
 
 
-class CountingMatrix(scipy.sparse.csr_matrix):
-    """A CSR matrix that counts its products with vectors."""
-
-    products = 0
-
-    def __matmul__(self, other):
-        CountingMatrix.products += 1
-        return super().__matmul__(other)
-
-
 def test_chebyshev_evolve_makes_one_sparse_product_per_term(rng, monkeypatch):
+    # evolve() calls scipy's CSR kernel directly; A @ x goes through it too
+    import scipy.sparse._sparsetools as sparsetools
+
     positions = cluster(rng, 8, 5e-6)
     h = build_hamiltonian(positions, full_basis(8), OMEGA, C6)
-    counted = Hamiltonian(h.basis, CountingMatrix(h.matrix))
     t = np.linspace(0.0, 2 * np.pi / OMEGA, 50)
-    plan = plan_propagation(counted, t)
+    plan = plan_propagation(h, t)
     assert plan.route == "chebyshev" and plan.terms > 20
-    monkeypatch.setattr(CountingMatrix, "products", 0)
-    evolve(counted, t)
-    assert CountingMatrix.products == plan.terms - 1
+    kernel, products = sparsetools.csr_matvec, []
+
+    def counted(*args):
+        products.append(args[5].size)
+        return kernel(*args)
+
+    monkeypatch.setattr(sparsetools, "csr_matvec", counted)
+    evolve(h, t)
+    assert products == [h.dim] * (plan.terms - 1)
 
 
 def test_chebyshev_terms_grow_as_the_bessel_cut(rng):
@@ -656,6 +655,48 @@ def test_order_bound_covers_the_chebyshev_terms():
     terms = np.array([blockadesim.exact._chebyshev_terms(v) for v in x])
     assert np.array_equal(blockadesim.exact._order_bound(x), bound)
     assert (bound - terms).min() >= 12.5  # 12.67, at x = 0.1
+
+
+# (grid, half-width a): a uniform, a log-spaced and a one-time grid, one
+# whose last coefficient block holds one time, and one of about 4000 terms
+COEFFICIENT_GRIDS = {
+    "uniform-200": (np.linspace(0.0, 5e-6, 200), 2e7),
+    "log-spaced": (np.geomspace(1e-9, 5e-6, 60), 2e7),
+    "single-time": (np.array([5e-6]), 2e7),
+    "last-block-one-time": (np.linspace(0.0, 5e-6, 33), 2e7),
+    "4000-terms": (np.linspace(0.0, 5e-6, 200), 7.6e8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COEFFICIENT_GRIDS))
+def test_chebyshev_coefficients_match_the_bessel_oracle(name):
+    t, a = COEFFICIENT_GRIDS[name]
+    exact_module = blockadesim.exact
+    plan = PropagationPlan("chebyshev", 3e6, a, exact_module._chebyshev_terms(a * t[-1]))
+    coef = exact_module._chebyshev_coefficients(plan, t)
+    assert coef.shape == (2 * t.size, plan.terms)
+    orders = np.arange(plan.terms)
+    powers = np.array([1.0, -1j, -1.0, 1j])[orders % 4]  # (-i)**n
+    oracle = (np.exp(-1j * plan.center * t)[:, None] * np.where(orders == 0, 1.0, 2.0)
+              * powers * scipy.special.jv(orders, a * t[:, None]))
+    rows = exact_module._COEFFICIENT_ROWS
+    cut_short = False
+    for k in range(t.size):
+        below = orders < exact_module._order_bound(a * t[k])
+        assert np.abs(coef[2 * k, below] - oracle[k, below].real).max() <= 2e-13
+        assert np.abs(coef[2 * k + 1, below] - oracle[k, below].imag).max() <= 2e-13
+        # the block's transform of 2L samples: L even, 5-smooth, past every cut
+        last = t[min((k // rows + 1) * rows, t.size) - 1]
+        half = exact_module._samples_half(plan, last)
+        odd = half // 2
+        for p in (2, 3, 5):
+            while odd % p == 0:
+                odd //= p
+        assert half % 2 == 0 and odd == 1
+        assert half >= min(plan.terms, math.ceil(exact_module._order_bound(a * last)))
+        assert not np.any(coef[2 * k:2 * k + 2, half:])
+        cut_short |= half < plan.terms
+    assert cut_short == (name != "single-time")
 
 
 def stiff_polygon(m):
