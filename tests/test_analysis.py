@@ -184,8 +184,8 @@ def test_flat_noise_never_converges():
 
 @pytest.mark.parametrize("rows", [10**4, 10**5])
 def test_flat_curve_ends_the_root_search_where_the_slope_vanishes(rows):
-    # past k t_1 = 37.4 every 1 - exp(-k t) rounds to 1 and dS/dk is exactly
-    # 0; the secant crept along that interval in 130-143 steps to its start
+    # past k t_1 = 37.4 every 1 - exp(-k t) rounds to 1, so dS/dk is exactly
+    # 0 up to the scan's end: the search stops there instead of creeping along
     t = np.arange(1.0, rows + 1.0)
     fit = fit_saturation(ExcitationCurve(t, np.ones(rows)))
     assert fit.n_iterations <= 5

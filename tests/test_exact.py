@@ -21,10 +21,10 @@ from blockadesim.exact import (
     MAX_ATOMS,
     AtomPositions,
     Hamiltonian,
+    PropagationPlan,
     QuantumState,
     build_hamiltonian,
     evolve,
-    PropagationPlan,
     full_basis,
     plan_propagation,
     restricted_basis,
