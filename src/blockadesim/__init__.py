@@ -35,8 +35,6 @@ from .core import (
     blockade_radius_collective,
     blockade_radius_simple,
     convert_c6_atomic_units,
-    hz_from_angular,
-    two_photon_rabi,
 )
 from .exact import (
     AtomPositions,

@@ -18,7 +18,7 @@ law is linear in n_sat, which is solved exactly, so only k is searched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -331,7 +331,7 @@ def scaling_experiment(
     sigma: tuple[float, float, float],
     density_grid,
     omega0_grid,
-    params_base: PhysicalParams,
+    c6: float,
     time_grid,
     model: str = "collective",
     n_min: float = 1.0,
@@ -339,8 +339,9 @@ def scaling_experiment(
     """Sweep (peak density, drive) grids and extract scaling exponents.
 
     Every grid point partitions a cloud of rms radii ``sigma`` at that
-    peak density, simulates its excitation curve on ``time_grid`` and fits
-    the saturation law. Exponents a, b (rate) and c, d (n_sat) come from a
+    peak density under PhysicalParams(omega0, c6) of that drive (rad/s;
+    ``c6`` in J m^6), simulates its excitation curve on ``time_grid`` and
+    fits the saturation law. Exponents a, b (rate) and c, d (n_sat) come from a
     joint two-variable log-log regression over the converged fits;
     non-converged points are excluded and counted in ``n_excluded``.
 
@@ -361,7 +362,7 @@ def scaling_experiment(
     for n_peak in density_grid:
         spec = CloudSpec.from_peak_density(n_peak, sigma)
         for omega0 in omega0_grid:
-            params = replace(params_base, omega0=omega0)
+            params = PhysicalParams(omega0, c6)
             ensemble = partition_superatoms(spec, params, model=model, n_min=n_min)
             curve = simulate_cloud(ensemble, params, time_grid)
             fit = fit_saturation(curve)

@@ -11,10 +11,11 @@ Each command only computes and returns a Run. Once it has returned,
 _finish creates the output directory (--out, else the working directory)
 and writes the CSVs plus a ``manifest.txt`` into it, so a run that exits
 2 or 4 leaves no directory behind. The manifest records digests of every
-file and the fully resolved configuration; feeding it back through
---config reruns the workflow and, for the deterministic paths, reproduces
-the CSVs byte for byte. A manifest of another command, or one whose input
-file has changed digest, exits 2.
+file and each configuration key the command reads; feeding it back
+through --config reruns the workflow and, for the deterministic paths,
+reproduces the CSVs byte for byte. A manifest of another command, one
+whose input file has changed digest, or a config that leaves a key the
+command needs unset, exits 2.
 
 Exit codes: 0 success, 2 bad input or configuration or an output that
 cannot be written, 3 a fit did not converge (the curve resolves its rise
@@ -31,15 +32,8 @@ from typing import NamedTuple
 
 from . import __version__
 from .cloud import partition_superatoms
-from .config import (
-    config_items,
-    load_config,
-    resolve_cloud,
-    resolve_params,
-    resolve_sigma,
-    resolve_time_grid,
-)
-from .core import angular_from_hz, blockade_radius_simple
+from .config import config_items, load_config, resolve_cloud, resolve_params, resolve_time_grid
+from .core import angular_from_hz, blockade_radius_simple, convert_c6_atomic_units
 from .errors import BlockadeSimError, ConfigError, SizeCapError
 from .exact import (
     AtomPositions,
@@ -142,14 +136,6 @@ def _finish(command: str, out: str, run: Run) -> int:
     return 3 if run.stderr else 0
 
 
-def _load_config(args: argparse.Namespace) -> tuple:
-    """The --config settings and input digests; ConfigError for another command's manifest."""
-    cfg, recorded, command = load_config(args.config)
-    if command not in (None, args.command):
-        raise ConfigError(f"{args.config}: a {command} manifest cannot configure {args.command}")
-    return cfg, recorded
-
-
 def _input(name: str, path: str, recorded: dict[str, str]) -> tuple[str, str, str]:
     """(name, path, sha256) of an input just read; ConfigError if the
     --config manifest records another digest for it."""
@@ -162,11 +148,9 @@ def _input(name: str, path: str, recorded: dict[str, str]) -> tuple[str, str, st
 
 
 def _cmd_exact(args: argparse.Namespace) -> Run:
-    cfg, recorded = _load_config(args)
+    cfg, recorded = load_config(args.config, "exact")
     params = resolve_params(cfg)
     grid = resolve_time_grid(cfg)
-    if cfg.positions_path is None:
-        raise ConfigError("exact needs exact.positions_path")
     # recorded absolute, so the manifest replays from any directory
     cfg.positions_path = os.path.abspath(cfg.positions_path)
     positions = AtomPositions.from_text(cfg.positions_path)
@@ -184,7 +168,7 @@ def _cmd_exact(args: argparse.Namespace) -> Run:
     plan = trajectory.plan
     terms = f" ({plan.terms} terms)" if plan.route == "chebyshev" else ""
     return Run(
-        config_items(cfg),
+        config_items(cfg, "exact"),
         inputs,
         [("trajectory", "trajectory.csv",
           lambda path: write_trajectory_csv(path, grid, n_rydberg, fidelity))],
@@ -196,14 +180,14 @@ def _cmd_exact(args: argparse.Namespace) -> Run:
 
 
 def _cmd_cloud(args: argparse.Namespace) -> Run:
-    cfg, _ = _load_config(args)
+    cfg, _ = load_config(args.config, "cloud")
     params = resolve_params(cfg)
-    cloud = resolve_cloud(cfg, "cloud")
+    cloud = resolve_cloud(cfg)
     grid = resolve_time_grid(cfg)
     ensemble = partition_superatoms(cloud, params, model=cfg.model, n_min=cfg.n_min)
     curve = simulate_cloud(ensemble, params, grid)
     return Run(
-        config_items(cfg),
+        config_items(cfg, "cloud"),
         [],
         [("ensemble", "ensemble.csv", lambda path: write_ensemble_csv(path, ensemble)),
          ("curve", "curve.csv", lambda path: write_curve_csv(path, curve))],
@@ -217,18 +201,13 @@ def _cmd_cloud(args: argparse.Namespace) -> Run:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> Run:
-    cfg, _ = _load_config(args)
-    if not cfg.sweep_densities_m3 or not cfg.sweep_omega0_hz:
-        raise ConfigError("scaling needs sweep.densities_m3 and sweep.omega0_hz")
-    sigma = resolve_sigma(cfg, "scaling")
-    if cfg.omega0_hz is None:
-        cfg.omega0_hz = cfg.sweep_omega0_hz[0]
-    params = resolve_params(cfg)
+    cfg, _ = load_config(args.config, "scaling")
+    c6 = convert_c6_atomic_units(cfg.c6_au)
     grid = resolve_time_grid(cfg)
     omega_grid = [angular_from_hz(f) for f in cfg.sweep_omega0_hz]
     result = scaling_experiment(
-        sigma, cfg.sweep_densities_m3, omega_grid, params, grid,
-        model=cfg.model, n_min=cfg.n_min,
+        (cfg.sigma_x_m, cfg.sigma_y_m, cfg.sigma_z_m), cfg.sweep_densities_m3, omega_grid,
+        c6, grid, model=cfg.model, n_min=cfg.n_min,
     )
     lines = []
     for e in result.exponents.values():
@@ -242,7 +221,7 @@ def _cmd_scaling(args: argparse.Namespace) -> Run:
         "converge and were excluded",
     ) if result.n_excluded else ()
     return Run(
-        config_items(cfg),
+        config_items(cfg, "scaling"),
         [],
         [("sweep", "sweep.csv", lambda path: write_sweep_csv(path, result.points)),
          ("exponents", "exponents.csv",

@@ -2,10 +2,13 @@
 
 One assignment per line, ``#`` starts a full-line comment, keys are
 dotted lowercase. Unknown keys are rejected by name so typos fail fast.
+Each key declares the commands that read it: load_config refuses a
+config that leaves a key its command needs unset, and config_items
+records only the keys the command reads (the others are parsed, not read).
 Manifests written by the CLI parse as configs too: ``manifest.*`` keys
-set nothing (load_config returns the command and input digests they
-record), a ``config.*`` line of a retired setting is skipped if its value
-replays and refused if not, and a leading ``config.`` prefix is stripped.
+set nothing (load_config checks the command and returns the input digests
+they record), a ``config.*`` line of a retired setting is skipped if its
+value replays and refused if not, and a leading ``config.`` prefix is stripped.
 No key sets a size limit: each large step estimates its bytes and is
 refused before allocating past ``core.MEMORY_LIMIT_BYTES`` (exit code 4).
 """
@@ -25,33 +28,47 @@ from .errors import ConfigError, read_lines
 __all__ = ["RunConfig", "load_config", "parse_config_text", "config_items"]
 
 
-def _key(key: str, kind: str, default=None, choices: tuple[str, ...] = ()):
+_ALL = ("cloud", "exact", "scaling")  # the commands that read a config file
+_CLOUDS = ("cloud", "scaling")  # those that partition a Gaussian cloud
+
+
+def _key(key: str, kind: str, read_by: tuple[str, ...], default=None, choices=(), optional=False):
     """Declare one setting: its dotted key, value kind ("float", "int",
-    "str" or "floats"), default and allowed values."""
-    return field(default=default, metadata={"key": key, "kind": kind, "choices": choices})
+    "str" or "floats"), the commands that read it, default and allowed
+    values. A command needs each key it reads that has no default, unless
+    the key is ``optional``."""
+    needed = default is None and not optional
+    return field(default=default, metadata={
+        "key": key, "kind": kind, "read_by": read_by, "choices": choices, "needed": needed})
 
 
 @dataclass
 class RunConfig:
     """All recognized keys with their defaults; None means unset."""
 
-    omega0_hz: float | None = _key("physical.omega0_hz", "float")
-    c6_au: float | None = _key("physical.c6_au", "float")
-    cloud_n_atoms: float | None = _key("cloud.n_atoms", "float")
-    sigma_x_m: float | None = _key("cloud.sigma_x_m", "float")
-    sigma_y_m: float | None = _key("cloud.sigma_y_m", "float")
-    sigma_z_m: float | None = _key("cloud.sigma_z_m", "float")
-    model: str = _key("partition.model", "str", "collective", choices=MODELS)
-    n_min: float = _key("partition.n_min", "float", 1.0)
-    time_stop_s: float | None = _key("time.stop_s", "float")
-    time_start_s: float | None = _key("time.start_s", "float")
-    time_num: int = _key("time.num", "int", 200)
-    time_spacing: str = _key("time.spacing", "str", "linear", choices=("linear", "log"))
-    positions_path: str | None = _key("exact.positions_path", "str")
-    basis: str = _key("exact.basis", "str", "full", choices=("full", "restricted"))
-    restriction_radius_m: float | None = _key("exact.restriction_radius_m", "float")
-    sweep_densities_m3: tuple[float, ...] | None = _key("sweep.densities_m3", "floats")
-    sweep_omega0_hz: tuple[float, ...] | None = _key("sweep.omega0_hz", "floats")
+    omega0_hz: float | None = _key("physical.omega0_hz", "float", ("cloud", "exact"))
+    c6_au: float | None = _key("physical.c6_au", "float", _ALL)
+    cloud_n_atoms: float | None = _key("cloud.n_atoms", "float", ("cloud",))
+    sigma_x_m: float | None = _key("cloud.sigma_x_m", "float", _CLOUDS)
+    sigma_y_m: float | None = _key("cloud.sigma_y_m", "float", _CLOUDS)
+    sigma_z_m: float | None = _key("cloud.sigma_z_m", "float", _CLOUDS)
+    model: str = _key("partition.model", "str", _CLOUDS, "collective", choices=MODELS)
+    n_min: float = _key("partition.n_min", "float", _CLOUDS, 1.0)
+    time_stop_s: float | None = _key("time.stop_s", "float", _ALL)
+    # optional: only log spacing reads it, and resolve_time_grid checks it there
+    time_start_s: float | None = _key("time.start_s", "float", _ALL, optional=True)
+    time_num: int = _key("time.num", "int", _ALL, 200)
+    time_spacing: str = _key("time.spacing", "str", _ALL, "linear", choices=("linear", "log"))
+    positions_path: str | None = _key("exact.positions_path", "str", ("exact",))
+    basis: str = _key("exact.basis", "str", ("exact",), "full", choices=("full", "restricted"))
+    # optional: unset, exact excludes pairs within the simple blockade radius
+    restriction_radius_m: float | None = _key(
+        "exact.restriction_radius_m", "float", ("exact",), optional=True
+    )
+    sweep_densities_m3: tuple[float, ...] | None = _key(
+        "sweep.densities_m3", "floats", ("scaling",)
+    )
+    sweep_omega0_hz: tuple[float, ...] | None = _key("sweep.omega0_hz", "floats", ("scaling",))
 
 
 _KEYS: dict[str, Field] = {f.metadata["key"]: f for f in fields(RunConfig)}
@@ -152,60 +169,53 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     return cfg
 
 
-def load_config(path: str) -> tuple[RunConfig, dict[str, str], str | None]:
-    """The configuration in ``path`` and what it records as a manifest: the
-    sha256 digest of each input, by input name, and the command that wrote
-    it ({} and None for a plain config file)."""
+def _read_settings(cfg: RunConfig, command: str) -> list[tuple[str, Field, object]]:
+    """(dotted key, field, value) of each setting that ``command`` reads."""
+    return [(key, setting, getattr(cfg, setting.name)) for key, setting in _KEYS.items()
+            if command in setting.metadata["read_by"]]
+
+
+def load_config(path: str, command: str) -> tuple[RunConfig, dict[str, str]]:
+    """The configuration in ``path`` for ``command`` and, if it is a
+    manifest, the sha256 digest of each input it records, by input name
+    ({} for a plain config file). ConfigError for a manifest of another
+    command, or naming every key that ``command`` needs and is not set."""
     lines = list(read_lines(path, ConfigError))
     cfg = parse_config_text("\n".join(lines), source=path)
     entries = (line.partition("=") for line in lines)
     recorded = {key.strip(): value.strip() for key, _, value in entries}
+    wrote = recorded.get("manifest.command", command)
+    if wrote != command:
+        raise ConfigError(f"{path}: a {wrote} manifest cannot configure {command}")
+    missing = [key for key, setting, value in _read_settings(cfg, command)
+               if value is None and setting.metadata["needed"]]
+    if missing:
+        raise ConfigError(f"{command} needs {', '.join(missing)}")
     digests = {m[1]: v for k, v in recorded.items() if (m := _INPUT_DIGEST.fullmatch(k))}
-    return cfg, digests, recorded.get("manifest.command")
+    return cfg, digests
 
 
-def config_items(cfg: RunConfig) -> list[tuple[str, str]]:
-    """Dump the resolved configuration as (dotted key, string) pairs.
-
-    Unset optional keys are omitted; everything else round-trips through
-    parse_config_text bit-exactly (floats via repr).
-    """
-    items = []
-    for key, setting in _KEYS.items():
-        value = getattr(cfg, setting.name)
-        if value is not None:
-            items.append((key, _KINDS[setting.metadata["kind"]][1](value)))
-    return items
+def config_items(cfg: RunConfig, command: str) -> list[tuple[str, str]]:
+    """The keys that ``command`` reads and that are set, as (dotted key,
+    string) pairs that round-trip through parse_config_text bit-exactly
+    (floats via repr)."""
+    return [(key, _KINDS[setting.metadata["kind"]][1](value))
+            for key, setting, value in _read_settings(cfg, command) if value is not None]
 
 
 def resolve_params(cfg: RunConfig) -> PhysicalParams:
     """Build PhysicalParams from physical.omega0_hz and physical.c6_au."""
-    if cfg.omega0_hz is None:
-        raise ConfigError("no drive strength configured (physical.omega0_hz)")
-    if cfg.c6_au is None:
-        raise ConfigError("no van der Waals coefficient configured (physical.c6_au)")
     return PhysicalParams.from_hz(cfg.omega0_hz, convert_c6_atomic_units(cfg.c6_au))
 
 
-def resolve_sigma(cfg: RunConfig, command: str) -> tuple[float, float, float]:
-    """The cloud's three rms radii, which ``command`` needs all set."""
-    sigma = (cfg.sigma_x_m, cfg.sigma_y_m, cfg.sigma_z_m)
-    if any(s is None for s in sigma):
-        raise ConfigError(f"{command} needs cloud.sigma_x_m, sigma_y_m and sigma_z_m")
-    return sigma
-
-
-def resolve_cloud(cfg: RunConfig, command: str) -> CloudSpec:
-    """The Gaussian cloud that ``command`` partitions."""
-    sigma = resolve_sigma(cfg, command)
-    if cfg.cloud_n_atoms is None:
-        raise ConfigError(f"{command} needs cloud.n_atoms")
-    return CloudSpec(cfg.cloud_n_atoms, sigma)
+def resolve_cloud(cfg: RunConfig) -> CloudSpec:
+    """The Gaussian cloud that ``cloud`` partitions."""
+    return CloudSpec(cfg.cloud_n_atoms, (cfg.sigma_x_m, cfg.sigma_y_m, cfg.sigma_z_m))
 
 
 def resolve_time_grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.time_stop_s is None or not 0.0 < cfg.time_stop_s < math.inf:
-        raise ConfigError("time.stop_s must be set, positive and finite")
+    if not 0.0 < cfg.time_stop_s < math.inf:
+        raise ConfigError("time.stop_s must be positive and finite")
     if cfg.time_num < 1:
         raise ConfigError("time.num must be at least 1")
     require_memory(8.0 * cfg.time_num, f"a time grid of {cfg.time_num:.3g} points")

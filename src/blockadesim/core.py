@@ -23,8 +23,6 @@ from .errors import InvalidParameterError, SizeCapError
 __all__ = [
     "PhysicalParams",
     "angular_from_hz",
-    "hz_from_angular",
-    "two_photon_rabi",
     "convert_c6_atomic_units",
     "blockade_radius_simple",
     "blockade_radius_collective",
@@ -41,11 +39,6 @@ MEMORY_LIMIT_BYTES = 2**30
 def angular_from_hz(f: float) -> float:
     """Convert an ordinary frequency in Hz to rad/s."""
     return TWO_PI * f
-
-
-def hz_from_angular(omega: float) -> float:
-    """Convert an angular frequency in rad/s to Hz."""
-    return omega / TWO_PI
 
 
 def _require(condition: bool, message: str) -> None:
@@ -71,24 +64,6 @@ def validate_time_grid(time_grid) -> np.ndarray:
     _require(t[0] >= 0.0, "time grid must start at or after 0")
     _require(bool(np.all(np.diff(t) > 0.0)), "time grid must be strictly increasing")
     return t
-
-
-def two_photon_rabi(omega1: float, omega2: float, delta: float) -> float:
-    """Effective two-photon Rabi frequency omega1*omega2/(2*delta), in rad/s.
-
-    ``omega1`` and ``omega2`` are the single-photon Rabi frequencies of the
-    two legs and ``delta`` the detuning from the intermediate level, all
-    angular (rad/s). Valid in the adiabatic-elimination regime delta >>
-    omega1, omega2. The sign follows delta; magnitude is what matters
-    downstream.
-    """
-    # chained comparisons with inf also reject NaN
-    _require(0.0 <= omega1 < math.inf, "omega1 must be non-negative and finite")
-    _require(0.0 <= omega2 < math.inf, "omega2 must be non-negative and finite")
-    _require(
-        0.0 < abs(delta) < math.inf, "intermediate-state detuning must be nonzero and finite"
-    )
-    return omega1 * omega2 / (2.0 * delta)
 
 
 def convert_c6_atomic_units(c6_au: float) -> float:

@@ -169,7 +169,7 @@ def write_manifest(
     outputs: list[tuple[str, str, str]] = (),
 ) -> None:
     """Write the run manifest: tool metadata, inputs/outputs with sha256
-    digests, and the fully resolved configuration.
+    digests, and the configuration keys that the command read.
 
     The manifest doubles as a config file: loaders skip ``manifest.*``
     keys and strip the ``config.`` prefix, so passing a manifest to

@@ -64,7 +64,7 @@ def _polygon(m: int, circumradius: float) -> AtomPositions:
 
 
 @pytest.fixture(scope="session")
-def sweeps(c6, strong_params):
+def sweeps(c6):
     """Both scaling sweeps over the reference density/drive grids, timed."""
     densities = np.geomspace(2.8e18, 8.2e19, 4)
     omegas = TWO_PI * np.geomspace(WEAK_DRIVE_HZ, STRONG_DRIVE_HZ, 4)
@@ -73,7 +73,7 @@ def sweeps(c6, strong_params):
     start = walltime.perf_counter()
     results = {
         model: scaling_experiment(
-            sigma, densities, omegas, strong_params, time_grid,
+            sigma, densities, omegas, c6, time_grid,
             model=model, n_min=0.0,
         )
         for model in ("collective", "simple")

@@ -296,12 +296,12 @@ def quick_time_grid():
     return np.concatenate([[0.0], np.geomspace(1e-8, 2e-5, 60)])
 
 
-def test_scaling_experiment_structure(strong_params):
+def test_scaling_experiment_structure(c6):
     result = scaling_experiment(
         (SIGMA_REF,) * 3,
         [2e19, 8e19],
         [2 * math.pi * 1e5, 2 * math.pi * 2e5],
-        strong_params,
+        c6,
         quick_time_grid(),
         model="simple",
         n_min=0.0,
@@ -313,7 +313,7 @@ def test_scaling_experiment_structure(strong_params):
     assert all(e.n_points == 4 for e in result.exponents.values())
 
 
-def test_scaling_recovers_exact_power_law(strong_params, monkeypatch):
+def test_scaling_recovers_exact_power_law(c6, monkeypatch):
     # bypass the simulation: feed curves whose saturation parameters follow
     # R = n^0.6 w^1.2 and n_sat = n^0.2 w^0.4 exactly, and expect exact
     # exponents back
@@ -338,7 +338,7 @@ def test_scaling_recovers_exact_power_law(strong_params, monkeypatch):
         (SIGMA_REF,) * 3,
         [1e19, 3e19, 9e19],
         [1e5, 3e5, 9e5],
-        strong_params,
+        c6,
         np.concatenate([[0.0], np.geomspace(1e-3, 10.0, 40)]),
     )
     assert result.exponents["a"].value == pytest.approx(0.6, abs=1e-6)
@@ -347,12 +347,12 @@ def test_scaling_recovers_exact_power_law(strong_params, monkeypatch):
     assert result.exponents["d"].value == pytest.approx(0.4, abs=1e-6)
 
 
-def test_scaling_degenerate_axis_reports_nan(strong_params):
+def test_scaling_degenerate_axis_reports_nan(c6):
     result = scaling_experiment(
         (SIGMA_REF,) * 3,
         [8.2e19],
         [2 * math.pi * 1e5, 2 * math.pi * 2e5, 2 * math.pi * 4e5],
-        strong_params,
+        c6,
         quick_time_grid(),
         model="simple",
         n_min=0.0,
@@ -363,12 +363,12 @@ def test_scaling_degenerate_axis_reports_nan(strong_params):
     assert math.isfinite(result.exponents["d"].value)
 
 
-def test_scaling_validates_grids(strong_params):
+def test_scaling_validates_grids(c6):
     with pytest.raises(InvalidParameterError):
         scaling_experiment(
-            (SIGMA_REF,) * 3, [], [1e5], strong_params, quick_time_grid()
+            (SIGMA_REF,) * 3, [], [1e5], c6, quick_time_grid()
         )
     with pytest.raises(InvalidParameterError):
         scaling_experiment(
-            (SIGMA_REF,) * 3, [1e19], [-1e5], strong_params, quick_time_grid()
+            (SIGMA_REF,) * 3, [1e19], [-1e5], c6, quick_time_grid()
         )

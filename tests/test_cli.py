@@ -111,9 +111,9 @@ def test_cloud_writes_curve_ensemble_and_manifest(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "3375 superatom entries (one octant, mirrored), 680 distinct sizes" in summary
     assert "61.4 % of the superatom weight at n_per < 1" in summary
-    cloud_cfg = load_config(cfg)[0]
+    cloud_cfg = load_config(cfg, "cloud")[0]
     ensemble = partition_superatoms(
-        resolve_cloud(cloud_cfg, "cloud"), resolve_params(cloud_cfg), model="simple", n_min=0.0
+        resolve_cloud(cloud_cfg), resolve_params(cloud_cfg), model="simple", n_min=0.0
     )
     assert np.unique(ensemble.n_per).size == 680
 
@@ -964,8 +964,88 @@ def test_missing_sigma_exits_2_naming_the_command(tmp_path, capsys, command, con
     text = "\n".join(row for row in config.splitlines() if not row.startswith("cloud.sigma_y_m"))
     out = tmp_path / "o"
     assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
-    assert f"{command} needs cloud.sigma_x_m, sigma_y_m and sigma_z_m" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [f"error: {command} needs cloud.sigma_y_m"]
     assert not out.exists()
+
+
+CONFIGS = {"cloud": CLOUD_CONFIG, "exact": EXACT_CONFIG, "scaling": SCALING_CONFIG}
+
+
+def unread_value(setting):
+    """A value of ``setting`` that would break or change a run that read it."""
+    key, kind = setting.metadata["key"], setting.metadata["kind"]
+    by_key = {"exact.positions_path": "missing.xyz", "exact.basis": "restricted",
+              "partition.model": "simple"}
+    return by_key.get(key) or {"float": "nan", "floats": "nan", "int": "-1"}[kind]
+
+
+@pytest.mark.parametrize("command", ["cloud", "exact", "scaling"])
+def test_keys_a_command_does_not_read_change_nothing(tmp_path, command):
+    # every key the command does not declare, set to a value that would
+    # break it if it were read: same exit, same CSVs, same manifest
+    unread = [f for f in fields(RunConfig) if command not in f.metadata["read_by"]]
+    assert unread
+    rows = [row for row in CONFIGS[command].splitlines()
+            if row.partition(" =")[0] not in {f.metadata["key"] for f in unread}]
+    broken = rows + [f"{f.metadata['key']} = {unread_value(f)}" for f in unread]
+    outs = []
+    for name, lines in (("as-is", rows), ("broken", broken)):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, "\n".join(lines) + "\n", f"{name}.cfg")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "manifest.txt" in names and names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    recorded = re.findall(r"^config\.(\S+) =", (outs[0] / "manifest.txt").read_text(), re.M)
+    read = [f.metadata["key"] for f in fields(RunConfig) if command in f.metadata["read_by"]]
+    assert recorded and set(recorded) <= set(read)
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, f.metadata["key"]) for f in fields(RunConfig) if f.metadata["needed"]
+    for command in f.metadata["read_by"]
+])
+def test_a_needed_key_left_unset_exits_2_naming_it(tmp_path, capsys, command, key):
+    text = "\n".join(row for row in CONFIGS[command].splitlines()
+                     if row.partition(" =")[0] != key)
+    assert text != CONFIGS[command].strip("\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {command} needs {key}"]
+    assert not out.exists()
+
+
+# lines that manifests of earlier versions record although their command
+# does not read them: the defaults of other commands' keys, keys set for
+# other commands, and the drive that scaling filled in from its sweep
+NOT_READ_BUT_RECORDED = {
+    "scaling": ("physical.omega0_hz = 100000.0", "cloud.n_atoms = 15000000.0",
+                "exact.basis = full"),
+    "exact": ("cloud.sigma_x_m = 2.26465752498e-05", "cloud.sigma_y_m = 2.26465752498e-05",
+              "cloud.sigma_z_m = 2.26465752498e-05", "partition.model = collective",
+              "partition.n_min = 1.0"),
+}
+
+
+@pytest.mark.parametrize("command", ["scaling", "exact"])
+def test_replays_manifest_recording_keys_its_command_does_not_read(tmp_path, command):
+    manifest = manifest_of(tmp_path, command)
+    recorded = manifest.read_text()
+    lines = recorded.splitlines()
+    config = [line for line in lines if line.startswith("config.")]
+    config += [f"config.{line}" for line in NOT_READ_BUT_RECORDED[command]]
+    # in the order of RunConfig, as those versions wrote them
+    order = [f.metadata["key"] for f in fields(RunConfig)]
+    config.sort(key=lambda line: order.index(line[len("config."):].partition(" =")[0]))
+    manifest.write_text("\n".join(
+        [line for line in lines if not line.startswith("config.")] + config) + "\n")
+    out = tmp_path / "replay"
+    assert main([command, "--config", str(manifest), "--out", str(out)]) == 0
+    assert (out / "manifest.txt").read_text() == recorded
+    for csv in manifest.parent.glob("*.csv"):
+        assert (out / csv.name).read_bytes() == csv.read_bytes()
 
 
 def test_exact_nanometre_pair_exits_2_and_leaves_no_directory(tmp_path, capsys):
@@ -1085,7 +1165,7 @@ def test_non_finite_stop_time_exits_2_naming_the_key(tmp_path, capsys, command, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
-    assert "time.stop_s must be set, positive and finite" in capsys.readouterr().err
+    assert "time.stop_s must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
 
 

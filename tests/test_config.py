@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +11,8 @@ import pytest
 from blockadesim.config import (
     RunConfig,
     config_items,
+    load_config,
     parse_config_text,
-    resolve_cloud,
     resolve_params,
     resolve_time_grid,
 )
@@ -62,7 +62,7 @@ def test_bad_choice_rejected():
 def test_integer_keys_accept_integral_literals():
     cfg = parse_config_text("time.num = 2e2")
     assert cfg.time_num == 200
-    assert ("time.num", "200") in config_items(cfg)
+    assert ("time.num", "200") in config_items(cfg, "cloud")
     with pytest.raises(ConfigError, match="time.num"):
         parse_config_text("time.num = 1.5")
 
@@ -100,8 +100,12 @@ def test_config_items_round_trip():
         sweep_densities_m3=(1e19, 2e19),
         positions_path="atoms.txt",
     )
-    text = "\n".join(f"{k} = {v}" for k, v in config_items(cfg))
-    assert parse_config_text(text) == cfg
+    # each command records the keys it reads, and only those
+    for command in ("cloud", "exact", "scaling"):
+        text = "\n".join(f"{k} = {v}" for k, v in config_items(cfg, command))
+        read = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)
+                if command in f.metadata["read_by"]}
+        assert parse_config_text(text) == replace(RunConfig(), **read)
 
 
 def test_resolve_params_direct_route():
@@ -111,19 +115,37 @@ def test_resolve_params_direct_route():
     assert params.c6 == pytest.approx(1.6274841951863897e-60, rel=1e-12)
 
 
-def test_resolve_params_requires_exactly_one_c6():
-    with pytest.raises(ConfigError, match="physical.c6_au"):
-        resolve_params(parse_config_text("physical.omega0_hz = 210e3"))
-    with pytest.raises(ConfigError, match="physical.omega0_hz"):
-        resolve_params(parse_config_text("physical.c6_au = 1.7e19"))
+CLOUD = """\
+physical.omega0_hz = 210e3
+physical.c6_au = 1.7e19
+cloud.n_atoms = 1e7
+cloud.sigma_x_m = 2e-5
+cloud.sigma_y_m = 2e-5
+cloud.sigma_z_m = 2e-5
+time.stop_s = 1e-5
+"""
 
 
-def test_resolve_cloud_requires_one_size_route():
-    base = "cloud.sigma_x_m = 2e-5\ncloud.sigma_y_m = 2e-5\ncloud.sigma_z_m = 2e-5\n"
-    with pytest.raises(ConfigError, match="cloud needs cloud.n_atoms"):
-        resolve_cloud(parse_config_text(base), "cloud")
-    with pytest.raises(ConfigError, match="sigma"):
-        resolve_cloud(parse_config_text("cloud.n_atoms = 1e7"), "cloud")
+def load_without(tmp_path, keys, command="cloud"):
+    """load_config of CLOUD with the rows of ``keys`` left out."""
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(row for row in CLOUD.splitlines(keepends=True)
+                            if row.partition(" =")[0] not in keys))
+    return load_config(str(path), command)
+
+
+def test_resolve_params_requires_exactly_one_c6(tmp_path):
+    with pytest.raises(ConfigError, match="^cloud needs physical.c6_au$"):
+        load_without(tmp_path, {"physical.c6_au"})
+    with pytest.raises(ConfigError, match="^cloud needs physical.omega0_hz$"):
+        load_without(tmp_path, {"physical.omega0_hz"})
+
+
+def test_resolve_cloud_requires_one_size_route(tmp_path):
+    with pytest.raises(ConfigError, match="^cloud needs cloud.n_atoms$"):
+        load_without(tmp_path, {"cloud.n_atoms"})
+    with pytest.raises(ConfigError, match="^cloud needs cloud.sigma_x_m, cloud.sigma_z_m$"):
+        load_without(tmp_path, {"cloud.sigma_x_m", "cloud.sigma_z_m"})
 
 
 def test_resolve_time_grid_linear():
@@ -155,9 +177,11 @@ def test_log_time_grid_needs_three_points_to_reach_the_stop_time():
     assert resolve_time_grid(parse_config_text(log + "time.num = 3")).tolist() == [0.0, 1e-9, 1e-4]
 
 
-def test_resolve_time_grid_validation():
-    with pytest.raises(ConfigError, match="stop_s"):
-        resolve_time_grid(parse_config_text("time.num = 5"))
+def test_resolve_time_grid_validation(tmp_path):
+    with pytest.raises(ConfigError, match="^exact needs time.stop_s, exact.positions_path$"):
+        load_without(tmp_path, {"time.stop_s"}, "exact")
+    with pytest.raises(ConfigError, match="time.stop_s must be positive"):
+        resolve_time_grid(parse_config_text("time.stop_s = 0"))
     with pytest.raises(ConfigError, match="start_s"):
         resolve_time_grid(parse_config_text("time.stop_s = 1e-5\ntime.spacing = log"))
     with pytest.raises(ConfigError, match="num"):

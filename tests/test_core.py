@@ -1,4 +1,4 @@
-"""Unit algebra, two-photon reduction and the two blockade radii.
+"""Unit algebra, the C6 conversion and the two blockade radii.
 
 Numeric targets marked "frozen" were computed with a 50-digit mpmath
 implementation of the same formulas and are pinned here to guard against
@@ -22,9 +22,7 @@ from blockadesim.core import (
     blockade_radius_collective,
     blockade_radius_simple,
     convert_c6_atomic_units,
-    hz_from_angular,
     require_memory,
-    two_photon_rabi,
 )
 from blockadesim.errors import InvalidParameterError, SizeCapError
 from blockadesim.exact import (
@@ -43,75 +41,9 @@ positive_floats = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
 # --- frequency conversions ---------------------------------------------------
 
 
-def test_hz_round_trip():
-    assert hz_from_angular(angular_from_hz(210e3)) == pytest.approx(210e3, rel=1e-15)
-
-
 @given(positive_floats)
 def test_angular_is_two_pi_times_hz(f):
     assert angular_from_hz(f) == pytest.approx(TWO_PI * f, rel=1e-15)
-
-
-# --- two-photon Rabi frequency ----------------------------------------------
-
-
-def test_strong_drive_reduction():
-    # 9.7 MHz and 21 MHz legs, 478 MHz detuned: frozen 213075.3138... Hz,
-    # which is the quoted 210 kHz within rounding.
-    f0 = hz_from_angular(two_photon_rabi(*map(angular_from_hz, (9.7e6, 21e6, 478e6))))
-    assert f0 == pytest.approx(213075.31380753138, rel=1e-12)
-    assert f0 == pytest.approx(210e3, rel=0.02)
-
-
-def test_weak_drive_reduction():
-    f0 = hz_from_angular(two_photon_rabi(*map(angular_from_hz, (2.0e6, 21e6, 478e6))))
-    assert f0 == pytest.approx(43933.05439330544, rel=1e-12)
-    assert f0 == pytest.approx(42e3, rel=0.05)
-
-
-def test_zero_leg_gives_zero_drive():
-    assert two_photon_rabi(*map(angular_from_hz, (0.0, 21e6, 478e6))) == 0.0
-
-
-def test_zero_detuning_rejected():
-    with pytest.raises(InvalidParameterError, match="detuning must be nonzero"):
-        two_photon_rabi(*map(angular_from_hz, (9.7e6, 21e6, 0.0)))
-
-
-def test_negative_leg_rejected():
-    with pytest.raises(InvalidParameterError, match="omega1 must be non-negative"):
-        two_photon_rabi(*map(angular_from_hz, (-9.7e6, 21e6, 478e6)))
-
-
-@pytest.mark.parametrize(
-    "legs, named",
-    [
-        ((math.inf, 1.0, 1.0), "omega1"),
-        ((math.nan, 1.0, 1.0), "omega1"),
-        ((1.0, math.inf, 1.0), "omega2"),
-        ((1.0, math.nan, 1.0), "omega2"),
-        ((1.0, 1.0, math.inf), "detuning"),
-        ((1.0, 1.0, -math.inf), "detuning"),
-        ((1.0, 1.0, math.nan), "detuning"),
-    ],
-)
-def test_non_finite_two_photon_input_rejected_by_name(legs, named):
-    with pytest.raises(InvalidParameterError, match=f"{named} must be .* and finite"):
-        two_photon_rabi(*legs)
-
-
-@given(positive_floats)
-def test_two_photon_bilinear_in_first_leg(k):
-    base = two_photon_rabi(*map(angular_from_hz, (3e6, 21e6, 478e6)))
-    scaled = two_photon_rabi(*map(angular_from_hz, (3e6 * k, 21e6, 478e6)))
-    assert scaled == pytest.approx(k * base, rel=1e-12)
-
-
-@given(positive_floats)
-def test_two_photon_inverse_in_detuning(k):
-    base = two_photon_rabi(*map(angular_from_hz, (3e6, 21e6, 478e6)))
-    scaled = two_photon_rabi(*map(angular_from_hz, (3e6, 21e6, 478e6 * k)))
-    assert scaled == pytest.approx(base / k, rel=1e-12)
 
 
 # --- C6 conversion ------------------------------------------------------------
