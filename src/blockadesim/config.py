@@ -2,9 +2,10 @@
 
 One assignment per line, ``#`` starts a full-line comment, keys are
 dotted lowercase. Unknown keys are rejected by name so typos fail fast.
-Each key declares the commands that read it: load_config refuses a
-config that leaves a key its command needs unset, and config_items
-records only the keys the command reads (the others are parsed, not read).
+Each key declares the commands that read it, and a key read only under
+another key's value declares that value: load_config refuses a config
+that leaves a key its command needs unset, and config_items records only
+the keys the command reads (the others are parsed, not read).
 Manifests written by the CLI parse as configs too: ``manifest.*`` keys
 set nothing (load_config checks the command and returns the input digests
 they record), a ``config.*`` line of a retired setting is skipped if its
@@ -32,14 +33,14 @@ _ALL = ("cloud", "exact", "scaling")  # the commands that read a config file
 _CLOUDS = ("cloud", "scaling")  # those that partition a Gaussian cloud
 
 
-def _key(key: str, kind: str, read_by: tuple[str, ...], default=None, choices=(), optional=False):
+def _key(key: str, kind: str, read_by: tuple[str, ...], default=None, choices=(), read_if=None):
     """Declare one setting: its dotted key, value kind ("float", "int",
     "str" or "floats"), the commands that read it, default and allowed
-    values. A command needs each key it reads that has no default, unless
-    the key is ``optional``."""
-    needed = default is None and not optional
+    values. With ``read_if``, they read it only where read_if(cfg) holds
+    and need it nowhere; they need each other key they read that has no default."""
     return field(default=default, metadata={
-        "key": key, "kind": kind, "read_by": read_by, "choices": choices, "needed": needed})
+        "key": key, "kind": kind, "read_by": read_by, "choices": choices,
+        "read_if": read_if or (lambda cfg: True), "needed": default is None and read_if is None})
 
 
 @dataclass
@@ -55,15 +56,18 @@ class RunConfig:
     model: str = _key("partition.model", "str", _CLOUDS, "collective", choices=MODELS)
     n_min: float = _key("partition.n_min", "float", _CLOUDS, 1.0)
     time_stop_s: float | None = _key("time.stop_s", "float", _ALL)
-    # optional: only log spacing reads it, and resolve_time_grid checks it there
-    time_start_s: float | None = _key("time.start_s", "float", _ALL, optional=True)
+    # resolve_time_grid checks it for log spacing
+    time_start_s: float | None = _key(
+        "time.start_s", "float", _ALL, read_if=lambda cfg: cfg.time_spacing == "log"
+    )
     time_num: int = _key("time.num", "int", _ALL, 200)
     time_spacing: str = _key("time.spacing", "str", _ALL, "linear", choices=("linear", "log"))
     positions_path: str | None = _key("exact.positions_path", "str", ("exact",))
     basis: str = _key("exact.basis", "str", ("exact",), "full", choices=("full", "restricted"))
-    # optional: unset, exact excludes pairs within the simple blockade radius
+    # unset, exact excludes pairs within the simple blockade radius
     restriction_radius_m: float | None = _key(
-        "exact.restriction_radius_m", "float", ("exact",), optional=True
+        "exact.restriction_radius_m", "float", ("exact",),
+        read_if=lambda cfg: cfg.basis == "restricted",
     )
     sweep_densities_m3: tuple[float, ...] | None = _key(
         "sweep.densities_m3", "floats", ("scaling",)
@@ -170,9 +174,10 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
 
 def _read_settings(cfg: RunConfig, command: str) -> list[tuple[str, Field, object]]:
-    """(dotted key, field, value) of each setting that ``command`` reads."""
+    """(dotted key, field, value) of each setting that ``command`` reads
+    under the values of ``cfg``."""
     return [(key, setting, getattr(cfg, setting.name)) for key, setting in _KEYS.items()
-            if command in setting.metadata["read_by"]]
+            if command in setting.metadata["read_by"] and setting.metadata["read_if"](cfg)]
 
 
 def load_config(path: str, command: str) -> tuple[RunConfig, dict[str, str]]:

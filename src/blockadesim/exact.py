@@ -22,9 +22,8 @@ at once, by one Chebyshev expansion of exp(-i H t) in the sparse matrix
 or, for stiff clusters whose expansion would need too many terms, by one
 dense eigendecomposition; plan_propagation() picks the cheaper. Both
 routes sum in real arithmetic, the real and imaginary parts of each time
-in a pair of rows, interleaved in place at the end into the complex
-trajectory: a QuantumState of one state per time. The observables give
-one value per time.
+in a pair of rows: a QuantumState holds these row pairs, and its norm
+check and the observables, one value per time, read them as they are.
 """
 
 from __future__ import annotations
@@ -74,12 +73,14 @@ _DIAGONAL_ROWS = 1024
 # (Re, Im) rows _BLOCK at a time, and its coefficients transformed
 # _COEFFICIENT_ROWS times at a time
 _UNIT_ROUNDOFF = 2.0**-53
-# every row of a trajectory is checked to have norm 1 within this, and
+# every state of a trajectory is checked to have norm 1 within this, and
 # evolve() refuses phases less accurate than it
 _NORM_TOLERANCE = 1e-6
 _MAX_TERMS = 2**30
 _BLOCK = 16
 _COEFFICIENT_ROWS = 16
+# rydberg_number() squares this many bytes of row pairs at a time
+_SQUARED_BYTES = 2**17
 
 
 @dataclass(frozen=True)
@@ -353,23 +354,26 @@ def build_hamiltonian(
 
 @dataclass
 class QuantumState:
-    """A trajectory over a basis: complex amplitudes of shape (T, D), one
-    state per row, each of norm 1 within _NORM_TOLERANCE, and the
-    PropagationPlan that evolve() ran (None for a state built directly).
-    ``norm_drift`` is the largest |norm - 1| over the rows, from that check."""
+    """A trajectory of T states over a basis of D, as evolve() sums it:
+    real (2T, D) row pairs, rows 2k and 2k + 1 the real and imaginary
+    parts of the state at time k, each state of norm 1 within
+    _NORM_TOLERANCE, and the PropagationPlan that evolve() ran (None for a
+    state built directly). ``norm_drift`` is the largest |norm - 1| over
+    the times, from that check. No complex copy of the trajectory is made."""
 
-    amplitudes: np.ndarray
+    parts: np.ndarray
     basis: Basis
     plan: PropagationPlan | None = None
     norm_drift: float = field(init=False)
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 2 or amps.shape[1] != self.basis.n_states:
+        parts, dim = np.asarray(self.parts), self.basis.n_states
+        if np.iscomplexobj(parts) or parts.ndim != 2 or parts.shape[1] != dim or len(parts) % 2:
             raise InvalidParameterError(
-                f"{amps.shape} amplitudes for a basis of {self.basis.n_states} states"
+                f"{parts.dtype} {parts.shape} amplitudes for a basis of {dim} states, "
+                f"not (2T, {dim}) real row pairs"
             )
-        self.amplitudes = amps
+        self.parts = np.ascontiguousarray(parts, dtype=np.float64)
         norms = self.norm()
         drift = np.abs(norms - 1.0)
         bad = np.flatnonzero(~(drift <= _NORM_TOLERANCE))  # NaN fails too
@@ -378,18 +382,9 @@ class QuantumState:
         self.norm_drift = float(drift.max(initial=0.0))
 
     def norm(self) -> np.ndarray:
-        """The (T,) norms of the rows."""
-        return np.sqrt(_sum_abs2(self.amplitudes))
-
-
-def _sum_abs2(amps: np.ndarray, *weights: np.ndarray):
-    """sum_i |amps_i|**2 * weights_i over the last axis.
-
-    einsum over the real and imaginary views allocates nothing the size of
-    ``amps``; abs(amps)**2 would allocate a float copy of a whole trajectory.
-    """
-    spec = "...i,...i" + ",i" * len(weights) + "->..."
-    return sum(np.einsum(spec, part, part, *weights) for part in (amps.real, amps.imag))
+        """The (T,) norms of the states: each row pair read as one row of 2D."""
+        rows = self.parts.reshape(-1, 2 * self.basis.n_states)
+        return np.sqrt(np.einsum("ti,ti->t", rows, rows))
 
 
 @dataclass(frozen=True)
@@ -545,15 +540,14 @@ def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
     |J_n(a t_k)| < 2**-53, and its coefficient table holds no order past
     the transform its times were sampled for (_chebyshev_coefficients). The dense
     route fills the same rows with cos and sin of -w t_k times psi's
-    eigencomponents, in one real product with the eigenvectors. Either
-    array is then interleaved in place into the complex trajectory. Both
+    eigencomponents, in one real product with the eigenvectors. Both
     routes are exact to rounding: refining the grid does not change the
     values at common times (beyond 1e-8), and the norm drifts by less than
     1e-9 over a collective period.
 
-    Returns one QuantumState whose amplitudes have shape
-    (len(time_grid), n_states), row k being the state at time_grid[k];
-    every row is checked to have norm 1 within 1e-6, and ``plan`` is the plan that ran.
+    Returns one QuantumState holding that (2 len(time_grid), n_states)
+    array as it is, rows 2k and 2k + 1 the state at time_grid[k]; every
+    state is checked to have norm 1 within 1e-6, and ``plan`` is the plan that ran.
 
     SizeCapError refuses, before propagating, a run whose result, Hamiltonian
     and working set (dense: eigh's arrays, about 25 D**2 bytes; Chebyshev:
@@ -604,10 +598,10 @@ def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
         # element, plus 256 B per state of workspace; then u and the (Re, Im) rows
         working = dim * (25.0 * dim + 16.0 * n_t + 256.0)
     else:  # the table and the complex FFT rows of its last block; the ring
-        # of vectors, two interleave vectors and a copy of a block's coefficients
+        # of vectors and a copy of a block's coefficients
         working = (16.0 * plan.terms * n_t
                    + 32.0 * min(_COEFFICIENT_ROWS, n_t) * _samples_half(plan, t[-1])
-                   + 8.0 * ((_BLOCK + 4) * dim + 2 * _BLOCK * n_t))
+                   + 8.0 * ((_BLOCK + 2) * dim + 2 * _BLOCK * n_t))
     require_memory(16.0 * n_t * dim + 12.0 * nnz + working, f"{n_t} times of {dim:.0f} states")
     import scipy.linalg
     import scipy.linalg.blas
@@ -624,7 +618,7 @@ def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
         np.sin(angles, out=parts[1::2])
         np.cos(angles, out=angles)
         parts *= u[0]
-        return QuantumState(_interleave(parts @ u.T), hamiltonian.basis, plan)
+        return QuantumState(parts @ u.T, hamiltonian.basis, plan)
 
     coef = _chebyshev_coefficients(plan, t)
     # time t_k needs the orders below _order_bound(a t_k); times ascend, so
@@ -662,36 +656,31 @@ def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
             beta=1.0, c=parts[first:].T, overwrite_c=1,
         )
         ring[:2] = ring[_BLOCK:]
-    return QuantumState(_interleave(parts), hamiltonian.basis, plan)
-
-
-def _interleave(parts: np.ndarray) -> np.ndarray:
-    """The (T, D) complex trajectory whose row k has real part parts[2k]
-    and imaginary part parts[2k + 1], interleaved in place, one row pair at
-    a time through a buffer of 2D floats: a C-contiguous view of parts."""
-    dim = parts.shape[1]
-    buffer = np.empty((2, dim))
-    for pair in parts.reshape(-1, 2, dim):
-        buffer[...] = pair
-        row = pair.reshape(-1).view(np.complex128)
-        row.real = buffer[0]
-        row.imag = buffer[1]
-    return parts.reshape(-1, 2 * dim).view(np.complex128)
+    return QuantumState(parts, hamiltonian.basis, plan)
 
 
 def rydberg_number(state: QuantumState) -> np.ndarray:
-    """Expected number of excited atoms <sum_i n_i>, one value per row."""
-    return _sum_abs2(state.amplitudes, state.basis.popcounts)
+    """Expected number of excited atoms <sum_i n_i>, one value per time:
+    sum (Re**2 + Im**2) popcount over each row pair. The rows are squared
+    _SQUARED_BYTES at a time into one buffer and weighted by a matrix-vector
+    product, which beat a three-operand einsum at every benchmark size."""
+    parts = state.parts
+    rows = max(1, _SQUARED_BYTES // (8 * parts.shape[1]))
+    squares = np.empty((min(rows, len(parts)), parts.shape[1]))
+    weighted = np.empty(len(parts))
+    for start in range(0, len(parts), rows):
+        block = np.square(parts[start:start + rows], out=squares[:len(parts) - start])
+        np.matmul(block, state.basis.popcounts, out=weighted[start:start + len(block)])
+    return weighted[0::2] + weighted[1::2]
 
 
 def w_state_fidelity(state: QuantumState) -> np.ndarray:
     """Overlap squared with the symmetric one-excitation state, one value
-    per row.
+    per time: (sum_singles Re)**2 + (sum_singles Im)**2, over m.
 
     |<W|psi>|**2 where W is the equal-amplitude superposition of all
     single-excitation bitmasks. This is the collective state a fully
     blockaded cluster Rabi-oscillates into.
     """
-    m = state.basis.n_atoms
-    amp_sum = state.amplitudes[:, state.basis.singles].sum(axis=1)
-    return np.abs(amp_sum) ** 2 / m
+    sums = state.parts[:, state.basis.singles].sum(axis=1)
+    return (sums[0::2] ** 2 + sums[1::2] ** 2) / state.basis.n_atoms

@@ -22,7 +22,9 @@ from blockadesim import errors
 from blockadesim.analysis import SaturationFit
 from blockadesim.cli import main
 from blockadesim.cloud import partition_superatoms
-from blockadesim.config import RunConfig, load_config, resolve_cloud, resolve_params
+from blockadesim.config import (
+    RunConfig, load_config, parse_config_text, resolve_cloud, resolve_params,
+)
 from blockadesim.constants import HBAR
 from blockadesim.core import convert_c6_atomic_units
 from blockadesim.runio import read_curve_csv
@@ -979,12 +981,23 @@ def unread_value(setting):
     return by_key.get(key) or {"float": "nan", "floats": "nan"}[kind]
 
 
+def reads(config, command, setting):
+    """Whether ``command`` reads ``setting`` under the values ``config`` sets."""
+    return (command in setting.metadata["read_by"]
+            and setting.metadata["read_if"](parse_config_text(config)))
+
+
 @pytest.mark.parametrize("command", ["cloud", "exact", "scaling"])
 def test_keys_a_command_does_not_read_change_nothing(tmp_path, command):
-    # every key the command does not declare, set to a value that would
-    # break it if it were read: same exit, same CSVs, same manifest
-    unread = [f for f in fields(RunConfig) if command not in f.metadata["read_by"]]
+    # every key the command does not read, by its declaration or under the
+    # value of another key (time.start_s on linear spacing,
+    # exact.restriction_radius_m on the full basis), set to a value that
+    # would break it if it were read: same exit, same CSVs, same manifest
+    unread = [f for f in fields(RunConfig) if not reads(CONFIGS[command], command, f)]
     assert unread
+    conditional = {f.metadata["key"] for f in unread if command in f.metadata["read_by"]}
+    assert conditional == {"cloud": {"time.start_s"}, "scaling": set(),
+                           "exact": {"time.start_s", "exact.restriction_radius_m"}}[command]
     rows = CONFIGS[command].splitlines()
     broken = rows + [f"{f.metadata['key']} = {unread_value(f)}" for f in unread]
     outs = []
@@ -998,7 +1011,7 @@ def test_keys_a_command_does_not_read_change_nothing(tmp_path, command):
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
     recorded = re.findall(r"^config\.(\S+) =", (outs[0] / "manifest.txt").read_text(), re.M)
-    read = [f.metadata["key"] for f in fields(RunConfig) if command in f.metadata["read_by"]]
+    read = [f.metadata["key"] for f in fields(RunConfig) if f not in unread]
     assert recorded and set(recorded) <= set(read)
 
 

@@ -486,8 +486,22 @@ def evolve_by(route, force_chebyshev, h, t):
     return trajectory
 
 
+def row_pairs(rows):
+    """The (2T, D) real row pairs of a (T, D) complex trajectory, as a
+    QuantumState holds them: rows 2k and 2k + 1 the parts of row k."""
+    rows = np.asarray(rows, dtype=complex)
+    parts = np.empty((2 * rows.shape[0], rows.shape[1]))
+    parts[0::2], parts[1::2] = rows.real, rows.imag
+    return parts
+
+
+def amplitudes(state):
+    """The (T, D) complex trajectory of a QuantumState's row pairs, for oracles."""
+    return state.parts[0::2] + 1j * state.parts[1::2]
+
+
 def max_amplitude_gap(a, b):
-    return np.abs(a.amplitudes - b.amplitudes).max()
+    return np.abs(amplitudes(a) - amplitudes(b)).max()
 
 
 def routes_gap(force_chebyshev, h, t):
@@ -538,7 +552,7 @@ def test_both_routes_match_scipy_expm(rng, force_chebyshev, route, basis_kind):
         h = detuned(build_hamiltonian(positions, basis, OMEGA, C6), detuning)
         trajectory = evolve_by(route, force_chebyshev, h, t)
         bound = 16 * 2.0**-53 * max(1.0, plan_propagation(h, t).half_width * t[-1])
-        assert np.abs(trajectory.amplitudes - expm_first_column(h, t)).max() < bound
+        assert np.abs(amplitudes(trajectory) - expm_first_column(h, t)).max() < bound
 
 
 def test_sparse_and_dense_routes_agree(rng, force_chebyshev):
@@ -744,19 +758,10 @@ def test_evolve_returns_the_plan_it_ran(rng, route):
     trajectory = evolve(h, t)
     assert trajectory.plan == plan_propagation(h, t)
     assert trajectory.plan.route == route
-    amps = trajectory.amplitudes
-    assert amps.dtype == np.complex128 and amps.flags.c_contiguous
-    assert amps.shape == (t.size, h.dim)
-    assert QuantumState(trajectory.amplitudes, h.basis).plan is None
-
-
-def test_interleave_turns_row_pairs_into_complex_rows_in_place(rng):
-    parts = rng.standard_normal((6, 5))
-    expected = parts[0::2] + 1j * parts[1::2]
-    amps = blockadesim.exact._interleave(parts)
-    assert amps.dtype == np.complex128 and amps.flags.c_contiguous
-    assert np.shares_memory(amps, parts)
-    assert np.array_equal(amps, expected)
+    parts = trajectory.parts
+    assert parts.dtype == np.float64 and parts.flags.c_contiguous
+    assert parts.shape == (2 * t.size, h.dim)
+    assert QuantumState(parts, h.basis).plan is None
 
 
 def test_stiff_polygon_too_large_for_dense_is_refused_before_allocating():
@@ -819,7 +824,7 @@ def test_coupling_is_refused_below_rounding_of_the_spectral_width(shift, resolve
     # short enough that the phases keep their precision: u a t = 1.25e-7
     grid = np.linspace(0.0, 1e-6, 3)
     if resolved:
-        assert evolve(h, grid).amplitudes.shape == (3, 2)
+        assert evolve(h, grid).parts.shape == (6, 2)
     else:
         with pytest.raises(InvalidParameterError, match="below float64 rounding"):
             evolve(h, grid)
@@ -833,7 +838,7 @@ def test_grid_is_refused_once_its_phases_lose_the_norm_tolerance(phase_error, ad
     low, high, _ = h.scales
     grid = np.linspace(0.0, phase_error / (2.0**-53 * (high - low) / 2.0), 5)
     if admitted:
-        assert evolve(h, grid).amplitudes.shape == (5, 4)
+        assert evolve(h, grid).parts.shape == (10, 4)
     else:
         with pytest.raises(InvalidParameterError, match="the time grid ends at"):
             evolve(h, grid)
@@ -901,24 +906,32 @@ def test_evolve_validates_grid(rng):
 
 
 def test_evolve_returns_one_trajectory_state(rng):
-    positions = cluster(rng, 5, 1.5e-6)
-    h = build_hamiltonian(positions, full_basis(5), OMEGA, C6)
-    t = np.linspace(0.0, 2 * np.pi / OMEGA, 40)
-    trajectory = evolve(h, t)
-    assert isinstance(trajectory, QuantumState)
-    assert trajectory.amplitudes.shape == (t.size, 32)
-    assert trajectory.basis is h.basis
-    # per-row oracles: the single-state formulas, one row at a time
-    rows = trajectory.amplitudes
-    n_rows = [float(np.abs(r) ** 2 @ h.basis.popcounts) for r in rows]
-    w_rows = [float(abs(r[h.basis.singles].sum()) ** 2 / 5) for r in rows]
-    for observable, oracle in (
-        (trajectory.norm(), [float(np.linalg.norm(r)) for r in rows]),
-        (rydberg_number(trajectory), n_rows),
-        (w_state_fidelity(trajectory), w_rows),
+    # the observables read the row pairs, the oracles the complex rows: on
+    # a 5-atom cluster, then on each route at 8 atoms
+    five = build_hamiltonian(cluster(rng, 5, 1.5e-6), full_basis(5), OMEGA, C6)
+    eight = build_hamiltonian(cluster(rng, 8, 5e-6), full_basis(8), OMEGA, C6)
+    for route, (h, t) in (
+        (None, (five, np.linspace(0.0, 2 * np.pi / OMEGA, 40))),
+        ("dense", stiff_polygon(8)),
+        ("chebyshev", (eight, np.linspace(0.0, 5e-6, 200))),
     ):
-        assert observable.shape == (t.size,)
-        assert np.abs(observable - oracle).max() <= 64 * np.finfo(float).eps * max(oracle)
+        trajectory = evolve(h, t)
+        assert route in (None, trajectory.plan.route)
+        assert isinstance(trajectory, QuantumState)
+        assert trajectory.parts.shape == (2 * t.size, h.dim)
+        assert trajectory.basis is h.basis
+        # per-row oracles: the single-state formulas, one complex row at a time
+        rows = amplitudes(trajectory)
+        m = h.basis.n_atoms
+        n_rows = [float(np.abs(r) ** 2 @ h.basis.popcounts) for r in rows]
+        w_rows = [float(abs(r[h.basis.singles].sum()) ** 2 / m) for r in rows]
+        for observable, oracle in (
+            (trajectory.norm(), [float(np.linalg.norm(r)) for r in rows]),
+            (rydberg_number(trajectory), n_rows),
+            (w_state_fidelity(trajectory), w_rows),
+        ):
+            assert observable.shape == (t.size,)
+            assert np.abs(observable - oracle).max() <= 64 * np.finfo(float).eps * max(oracle)
 
 
 def test_trajectory_observables_allocate_no_trajectory_sized_array(rng):
@@ -926,13 +939,15 @@ def test_trajectory_observables_allocate_no_trajectory_sized_array(rng):
     shape = (50, basis.n_states)
     amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    # abs(amps)**2 alone would allocate amps.nbytes / 2
+    parts = row_pairs(amps)
+    # abs(amps)**2 alone would allocate amps.nbytes / 2, and a complex copy
+    # of the row pairs amps.nbytes
     limit = amps.nbytes / 16
     for observe in (
-        lambda: QuantumState(amps, basis),
-        lambda: QuantumState(amps, basis).norm(),
-        lambda: rydberg_number(QuantumState(amps, basis)),
-        lambda: w_state_fidelity(QuantumState(amps, basis)),
+        lambda: QuantumState(parts, basis),
+        lambda: QuantumState(parts, basis).norm(),
+        lambda: rydberg_number(QuantumState(parts, basis)),
+        lambda: w_state_fidelity(QuantumState(parts, basis)),
     ):
         tracemalloc.start()
         try:
@@ -946,25 +961,29 @@ def test_trajectory_observables_allocate_no_trajectory_sized_array(rng):
 def test_quantum_state_requires_normalization():
     basis = full_basis(2)
     with pytest.raises(InvalidParameterError):
-        QuantumState(np.array([[0.5, 0.0, 0.0, 0.0]]), basis)
+        QuantumState(row_pairs([[0.5, 0.0, 0.0, 0.0]]), basis)
     with pytest.raises(InvalidParameterError, match="nan"):
-        QuantumState(np.array([[np.nan, 0.0, 0.0, 0.0]]), basis)
+        QuantumState(row_pairs([[np.nan, 0.0, 0.0, 0.0]]), basis)
+    # the norm takes both rows of a pair: (1 + 1j) / sqrt(2) is normalised
+    assert QuantumState(row_pairs([[(1 + 1j) / math.sqrt(2), 0, 0, 0]]), basis).norm_drift < 1e-15
 
 
 def test_quantum_state_trajectory_checks_every_row():
     basis = full_basis(2)
     rows = np.eye(4, dtype=complex)[:3]
-    trajectory = QuantumState(rows, basis)
+    trajectory = QuantumState(row_pairs(rows), basis)
     assert np.array_equal(trajectory.norm(), np.ones(3))
     for k, bad in ((1, 0.5), (2, np.nan)):
         broken = rows.copy()
         broken[k, k] = bad
         with pytest.raises(InvalidParameterError, match=f"{bad} in row {k}"):
-            QuantumState(broken, basis)
-    # a single state of shape (D,) is not a trajectory
-    for shape in ((3, 8), (2, 3, 4), (4,)):
+            QuantumState(row_pairs(broken), basis)
+    # a single state of shape (D,) is not a trajectory, an odd number of
+    # rows holds no whole row pair, and complex rows are not row pairs
+    for parts in (np.ones((6, 8)), np.ones((3, 4)), np.ones((2, 3, 4)), np.ones(4),
+                  np.eye(2, 4, dtype=complex)):
         with pytest.raises(InvalidParameterError, match="amplitudes for a basis of 4 states"):
-            QuantumState(np.ones(shape, dtype=complex) / 2, basis)
+            QuantumState(parts / 2, basis)
 
 
 @pytest.mark.parametrize(
@@ -986,7 +1005,7 @@ def test_hamiltonian_spec_requires_finite_values(rng, kwargs):
 
 def ground_row(basis):
     """A one-row trajectory holding the ground state (index 0)."""
-    return QuantumState(np.eye(1, basis.n_states), basis)
+    return QuantumState(row_pairs(np.eye(1, basis.n_states)), basis)
 
 
 def test_rydberg_number_of_ground_state():
@@ -998,14 +1017,14 @@ def test_rydberg_number_counts_excitations():
     basis = full_basis(2)
     amps = np.zeros((1, 4), dtype=complex)
     amps[0, 3] = 1.0  # both atoms excited
-    assert rydberg_number(QuantumState(amps, basis)) == pytest.approx([2.0])
+    assert rydberg_number(QuantumState(row_pairs(amps), basis)) == pytest.approx([2.0])
 
 
 def test_w_state_has_unit_fidelity_and_single_excitation():
     basis = full_basis(4)
     amps = np.zeros((1, 16), dtype=complex)
     amps[0, basis.singles] = 0.5  # 1/sqrt(4)
-    w = QuantumState(amps, basis)
+    w = QuantumState(row_pairs(amps), basis)
     assert w_state_fidelity(w) == pytest.approx([1.0], rel=1e-12)
     assert rydberg_number(w) == pytest.approx([1.0], rel=1e-12)
 
