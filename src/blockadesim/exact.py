@@ -79,8 +79,6 @@ _NORM_TOLERANCE = 1e-6
 _MAX_TERMS = 2**30
 _BLOCK = 16
 _COEFFICIENT_ROWS = 16
-# rydberg_number() squares this many bytes of row pairs at a time
-_SQUARED_BYTES = 2**17
 
 
 @dataclass(frozen=True)
@@ -661,16 +659,9 @@ def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
 
 def rydberg_number(state: QuantumState) -> np.ndarray:
     """Expected number of excited atoms <sum_i n_i>, one value per time:
-    sum (Re**2 + Im**2) popcount over each row pair. The rows are squared
-    _SQUARED_BYTES at a time into one buffer and weighted by a matrix-vector
-    product, which beat a three-operand einsum at every benchmark size."""
-    parts = state.parts
-    rows = max(1, _SQUARED_BYTES // (8 * parts.shape[1]))
-    squares = np.empty((min(rows, len(parts)), parts.shape[1]))
-    weighted = np.empty(len(parts))
-    for start in range(0, len(parts), rows):
-        block = np.square(parts[start:start + rows], out=squares[:len(parts) - start])
-        np.matmul(block, state.basis.popcounts, out=weighted[start:start + len(block)])
+    sum (Re**2 + Im**2) popcount over each row pair, by one einsum that
+    allocates nothing the size of the trajectory."""
+    weighted = np.einsum("ri,ri,i->r", state.parts, state.parts, state.basis.popcounts)
     return weighted[0::2] + weighted[1::2]
 
 
