@@ -25,7 +25,6 @@ from .analysis import (
 from .cloud import (
     CloudSpec,
     SuperatomEnsemble,
-    density_at,
     partition_superatoms,
     peak_density,
 )

@@ -40,6 +40,7 @@ from .exact import (
     build_hamiltonian,
     evolve,
     full_basis,
+    require_trajectory_memory,
     restricted_basis,
     rydberg_number,
     w_state_fidelity,
@@ -156,6 +157,7 @@ def _cmd_exact(args: argparse.Namespace) -> Run:
     positions = AtomPositions.from_text(cfg.positions_path)
     inputs = [_input("positions", cfg.positions_path, recorded)]
     if cfg.basis == "full":
+        require_trajectory_memory(2.0 ** len(positions), len(positions), grid.size)
         basis = full_basis(len(positions))
     else:
         radius = cfg.restriction_radius_m

@@ -38,7 +38,6 @@ __all__ = [
     "CloudSpec",
     "SuperatomEnsemble",
     "peak_density",
-    "density_at",
     "partition_superatoms",
     "MODELS",
 ]
@@ -103,17 +102,6 @@ def _gaussian_volume(sigma: tuple[float, float, float], scale: float = 1.0) -> f
 def peak_density(spec: CloudSpec) -> float:
     """Central density n0 in m^-3."""
     return spec.n_atoms / _gaussian_volume(spec.sigma)
-
-
-def density_at(spec: CloudSpec, point) -> float | np.ndarray:
-    """Density at one point (shape (3,)) or many (shape (..., 3)), in m^-3."""
-    point = np.asarray(point, dtype=float)
-    if point.shape[-1] != 3:
-        raise InvalidParameterError("points must have a trailing axis of length 3")
-    sigma = np.array(spec.sigma)
-    exponent = -0.5 * ((point / sigma) ** 2).sum(axis=-1)
-    value = peak_density(spec) * np.exp(exponent)
-    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)

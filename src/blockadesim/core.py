@@ -32,7 +32,8 @@ __all__ = [
 ]
 
 # the one size limit: every benchmark input estimates under 50 MB, while a
-# 20-atom full basis (about 1.2 GB of Hamiltonian) is refused unenumerated
+# 20-atom full basis evolved over 60 times (about 1.27 GB of trajectory and
+# Hamiltonian) is refused unenumerated
 MEMORY_LIMIT_BYTES = 2**30
 
 

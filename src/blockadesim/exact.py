@@ -49,6 +49,7 @@ __all__ = [
     "Hamiltonian",
     "QuantumState",
     "full_basis",
+    "require_trajectory_memory",
     "restricted_basis",
     "build_hamiltonian",
     "PropagationPlan",
@@ -61,10 +62,11 @@ __all__ = [
 
 MAX_ATOMS = 63  # bit i of an int64 bitmask is atom i
 
-# basis plus build_hamiltonian() peaked at 24 and 29 B per nonzero on the
-# benchmark's 14-atom full and 20-atom restricted bases (tracemalloc); 56
-# still refuses a 20-atom full basis unenumerated, as core's limit states
-_BUILD_BYTES_PER_NONZERO = 56.0
+# basis plus build_hamiltonian() peaked at 24 and 19 B per estimated
+# nonzero (n_atoms + 1 per state) on the benchmark's 14-atom full and
+# 20-atom restricted bases, and at up to 31 on 8- to 12-atom bases, whose
+# fixed costs weigh more (tracemalloc); 40 is 29 % over the largest
+_BUILD_BYTES_PER_NONZERO = 40.0
 # states per block of the pair-shift sum in build_hamiltonian()
 _DIAGONAL_ROWS = 1024
 
@@ -200,6 +202,22 @@ def _require_basis_memory(n_states: float, n_atoms: int) -> None:
         raise SizeCapError(f"{n_atoms} atoms exceed the int64 bitmask cap of {MAX_ATOMS}")
     nbytes = n_states * (n_atoms + 1) * _BUILD_BYTES_PER_NONZERO
     require_memory(nbytes, f"a basis of {n_states:.3g} states over {n_atoms} atoms")
+
+
+def _held_bytes(n_states: float, n_nonzeros: float, n_times: int) -> float:
+    """What evolve() holds whatever its route: the (Re, Im) rows of every
+    time, 16 B per state, and the Hamiltonian's CSR arrays, 12 B per nonzero."""
+    return 16.0 * n_times * n_states + 12.0 * n_nonzeros
+
+
+def require_trajectory_memory(n_states: float, n_atoms: int, n_times: int) -> None:
+    """SizeCapError if evolving n_states states of n_atoms atoms over n_times
+    times could not fit, at n_atoms + 1 nonzeros per state: checked before a
+    full basis is enumerated, so a run too large to evolve builds nothing."""
+    require_memory(
+        _held_bytes(n_states, n_states * (n_atoms + 1), n_times),
+        f"{n_times} times of {n_states:.3g} states over {n_atoms} atoms",
+    )
 
 
 def full_basis(n_atoms: int) -> Basis:
@@ -600,7 +618,7 @@ def evolve(hamiltonian: Hamiltonian, time_grid) -> QuantumState:
         working = (16.0 * plan.terms * n_t
                    + 32.0 * min(_COEFFICIENT_ROWS, n_t) * _samples_half(plan, t[-1])
                    + 8.0 * ((_BLOCK + 2) * dim + 2 * _BLOCK * n_t))
-    require_memory(16.0 * n_t * dim + 12.0 * nnz + working, f"{n_t} times of {dim:.0f} states")
+    require_memory(_held_bytes(dim, nnz, n_t) + working, f"{n_t} times of {dim:.0f} states")
     import scipy.linalg
     import scipy.linalg.blas
     # scipy's own CSR kernel, y += A x, is private; the public A @ x spent

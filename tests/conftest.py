@@ -7,7 +7,7 @@ import pytest
 
 import blockadesim.exact
 from blockadesim import errors
-from blockadesim.cloud import CloudSpec
+from blockadesim.cloud import CloudSpec, peak_density
 from blockadesim.core import PhysicalParams, convert_c6_atomic_units
 
 # Magnitude of a repulsive Rydberg-pair van der Waals coefficient, in
@@ -30,6 +30,17 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def density_at(spec, point):
+    """The cloud's density n0 exp(-sum_i (x_i / sigma_i)**2 / 2), in m^-3, at
+    one point (shape (3,)) or many (shape (..., 3)): the oracle that the
+    partition's cell sizes are checked against."""
+    point = np.asarray(point, dtype=float)
+    assert point.shape[-1] == 3
+    exponent = -0.5 * ((point / np.array(spec.sigma)) ** 2).sum(axis=-1)
+    value = peak_density(spec) * np.exp(exponent)
+    return float(value) if value.ndim == 0 else value
 
 
 def gaussian_atoms(seed, count, sigma):

@@ -564,6 +564,22 @@ def test_exact_atom_cap_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_exact_full_basis_too_large_to_evolve_is_refused_unenumerated(
+    tmp_path, capsys, monkeypatch
+):
+    def enumerate_basis(n_atoms):
+        raise AssertionError(f"the full basis of {n_atoms} atoms was enumerated")
+
+    monkeypatch.setattr(blockadesim.cli, "full_basis", enumerate_basis)
+    positions = tmp_path / "atoms.txt"
+    positions.write_text(gaussian_atoms(12, 20, 1e-5))
+    cfg = write_config(tmp_path, exact_config(positions))
+    out = tmp_path / "o"
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == 4
+    assert "60 times of 1.05e+06 states over 20 atoms" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exact_atom_cap_is_checked_before_the_positions_file_is_read_whole(
     tmp_path, capsys, monkeypatch
 ):

@@ -14,7 +14,6 @@ from blockadesim.cloud import (
     CloudSpec,
     SuperatomEnsemble,
     _axis_masses,
-    density_at,
     partition_superatoms,
     peak_density,
 )
@@ -27,7 +26,7 @@ from blockadesim.core import (
 from blockadesim.errors import InvalidParameterError, SizeCapError
 from blockadesim.superatom import simulate_cloud
 
-from conftest import N_ATOMS_REF, SIGMA_REF, traced_peak
+from conftest import N_ATOMS_REF, SIGMA_REF, density_at, traced_peak
 
 
 # --- density profile -----------------------------------------------------------

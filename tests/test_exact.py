@@ -27,6 +27,7 @@ from blockadesim.exact import (
     evolve,
     full_basis,
     plan_propagation,
+    require_trajectory_memory,
     restricted_basis,
     rydberg_number,
     w_state_fidelity,
@@ -157,6 +158,14 @@ def test_full_basis_cap():
     for n_atoms in (64, 5000):  # 2.0**5000 would overflow a float
         with pytest.raises(SizeCapError, match="63"):
             full_basis(n_atoms)
+
+
+def test_trajectory_memory_refuses_a_full_basis_by_its_times():
+    # 20 atoms: 2**20 states at 21 nonzeros each; the Hamiltonian alone
+    # (0.88 GB at 40 B per nonzero) fits, its trajectory at 60 times does not
+    require_trajectory_memory(2.0**20, 20, 10)
+    with pytest.raises(SizeCapError, match="60 times of 1.05e[+]06 states over 20 atoms"):
+        require_trajectory_memory(2.0**20, 20, 60)
 
 
 def test_restricted_fully_blockaded_cluster():

@@ -1,13 +1,16 @@
 """Output files: atomic writes, cell formats and streamed CSV writes."""
 
 import hashlib
+import math
 import os
 
 import numpy as np
 import pytest
 
 import blockadesim.cloud
+import blockadesim.runio
 from blockadesim.cloud import SuperatomEnsemble, partition_superatoms
+from blockadesim.errors import BlockadeSimError
 from blockadesim.runio import (
     _ROW_BLOCK,
     ENSEMBLE_HEADER,
@@ -120,6 +123,33 @@ def test_write_table_formats_each_column_by_its_dtype(tmp_path):
         ["a", "b"], [0.1, float("nan")], [True, False], [7, 2**40],
     ])
     assert path.read_text() == "name,value,flag,count\na,0.1,true,7\nb,nan,false,1099511627776\n"
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 5])
+def test_write_table_writes_the_header_then_one_chunk_per_block(tmp_path, monkeypatch, n_rows):
+    chunks = []
+    write = blockadesim.runio.atomic_write_text
+
+    def recording_write(path, text):
+        chunks.extend(text)
+        write(path, chunks)
+
+    monkeypatch.setattr(blockadesim.runio, "atomic_write_text", recording_write)
+    columns = [np.arange(n_rows), np.linspace(0.0, 1.0, n_rows)]
+    path = tmp_path / "table.csv"
+    write_table(str(path), "count,value", columns)
+    assert len(chunks) == 1 + math.ceil(n_rows / _ROW_BLOCK)
+    # zero rows leave the header line alone
+    assert path.read_bytes() == naive_table("count,value", columns).encode()
+
+
+def test_write_table_refuses_unequal_columns_before_making_a_file(tmp_path):
+    # zip would cut every row to the shortest column; a caller passing
+    # unequal columns is a bug in the program, not bad input (exit 1)
+    with pytest.raises(ValueError, match=r"unequal lengths \[2, 3\]") as refused:
+        write_table(str(tmp_path / "table.csv"), "a,b", [[1, 2, 3], [0.5, 0.25]])
+    assert not isinstance(refused.value, BlockadeSimError)
+    assert os.listdir(tmp_path) == []
 
 
 _N = 3 * _ROW_BLOCK + 5
