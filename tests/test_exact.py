@@ -161,8 +161,8 @@ def test_full_basis_cap():
 
 
 def test_trajectory_memory_refuses_a_full_basis_by_its_times():
-    # 20 atoms: 2**20 states at 21 nonzeros each; the Hamiltonian alone
-    # (0.88 GB at 40 B per nonzero) fits, its trajectory at 60 times does not
+    # 20 atoms: 2**20 states at 21 nonzeros each; their rows and CSR arrays
+    # take 0.43 GB at 10 times and 1.27 GB, past the 1 GiB limit, at 60
     require_trajectory_memory(2.0**20, 20, 10)
     with pytest.raises(SizeCapError, match="60 times of 1.05e[+]06 states over 20 atoms"):
         require_trajectory_memory(2.0**20, 20, 60)
