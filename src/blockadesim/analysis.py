@@ -334,7 +334,6 @@ def scaling_experiment(
     c6: float,
     time_grid,
     model: str = "collective",
-    n_min: float = 1.0,
 ) -> ScalingResult:
     """Sweep (peak density, drive) grids and extract scaling exponents.
 
@@ -363,7 +362,7 @@ def scaling_experiment(
         spec = CloudSpec.from_peak_density(n_peak, sigma)
         for omega0 in omega0_grid:
             params = PhysicalParams(omega0, c6)
-            ensemble = partition_superatoms(spec, params, model=model, n_min=n_min)
+            ensemble = partition_superatoms(spec, params, model=model)
             curve = simulate_cloud(ensemble, params, time_grid)
             fit = fit_saturation(curve)
             points.append(SweepPoint(

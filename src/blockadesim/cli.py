@@ -108,9 +108,9 @@ def _output_dir(out: str) -> list[str]:
 
 def _finish(command: str, out: str, run: Run) -> int:
     """Create ``out`` once the command has computed, write and digest each
-    output, write the manifest and print the summary; 3 if it warned.
-    ConfigError naming the file that an OSError left unwritten, after
-    removing the outputs already written and the directories this run made."""
+    output, write the manifest and print the summary; 3 if it warned. Any
+    exception first removes the outputs written and the directories this run
+    made; an OSError becomes a ConfigError naming the file it left unwritten."""
     made = _output_dir(out)
     outputs, written = [], []
     try:
@@ -124,12 +124,14 @@ def _finish(command: str, out: str, run: Run) -> int:
             path, command=command, version=__version__,
             config_items=run.config, inputs=run.inputs, outputs=outputs,
         )
-    except OSError as exc:
+    except BaseException as exc:
         for done in written:
             os.unlink(done)
         for directory in made:
             os.rmdir(directory)
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
     for line in run.stdout:
         print(line)
     for line in run.stderr:
@@ -186,7 +188,7 @@ def _cmd_cloud(args: argparse.Namespace) -> Run:
     params = resolve_params(cfg)
     cloud = resolve_cloud(cfg)
     grid = resolve_time_grid(cfg)
-    ensemble = partition_superatoms(cloud, params, model=cfg.model, n_min=cfg.n_min)
+    ensemble = partition_superatoms(cloud, params, model=cfg.model)
     curve = simulate_cloud(ensemble, params, grid)
     return Run(
         config_items(cfg, "cloud"),
@@ -207,10 +209,8 @@ def _cmd_scaling(args: argparse.Namespace) -> Run:
     c6 = convert_c6_atomic_units(cfg.c6_au)
     grid = resolve_time_grid(cfg)
     omega_grid = [angular_from_hz(f) for f in cfg.sweep_omega0_hz]
-    result = scaling_experiment(
-        (cfg.sigma_x_m, cfg.sigma_y_m, cfg.sigma_z_m), cfg.sweep_densities_m3, omega_grid,
-        c6, grid, model=cfg.model, n_min=cfg.n_min,
-    )
+    result = scaling_experiment((cfg.sigma_x_m, cfg.sigma_y_m, cfg.sigma_z_m),
+                                cfg.sweep_densities_m3, omega_grid, c6, grid, cfg.model)
     lines = []
     for e in result.exponents.values():
         if e.name in result.unidentified:

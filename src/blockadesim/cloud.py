@@ -117,8 +117,7 @@ class SuperatomEnsemble:
     collective one is generally fractional (cells rarely hold an integer
     number of blockade spheres).
     ``total_atoms_covered`` is sum(weight * n_per), at most the cloud's
-    atom number; the shortfall is the tail mass outside the grid plus any
-    cells dropped by the n_min cut.
+    atom number; the shortfall is the tail mass outside the grid.
     """
 
     n_per: np.ndarray
@@ -221,10 +220,7 @@ def _on_axes(array: np.ndarray, axes: list[int]) -> np.ndarray:
 
 
 def partition_superatoms(
-    spec: CloudSpec,
-    params: PhysicalParams,
-    model: str = "collective",
-    n_min: float = 1.0,
+    spec: CloudSpec, params: PhysicalParams, model: str = "collective"
 ) -> SuperatomEnsemble:
     """Tile the cloud with cells of one central blockade volume each.
 
@@ -233,7 +229,7 @@ def partition_superatoms(
     model tiles more coarsely at low drive). The grid is centered on the
     origin and spans at least SPAN_SIGMAS rms radii on every axis;
     per-cell atom numbers are exact Gaussian integrals over the cell, and
-    cells whose superatom size falls below ``n_min`` are dropped.
+    cells whose atom number or superatom size underflows to 0 are dropped.
 
     Only the cells with all centre coordinates >= 0 are built, each
     standing for its 2 mirror images per axis (1 on an axis of odd cell
@@ -249,9 +245,6 @@ def partition_superatoms(
     """
     if model not in MODELS:
         raise InvalidParameterError(f"unknown model {model!r}")
-    # negated comparisons also reject NaN
-    if not n_min >= 0.0:
-        raise InvalidParameterError(f"n_min must be non-negative, got {n_min}")
 
     n0 = peak_density(spec)
     if model == "simple":
@@ -287,7 +280,7 @@ def partition_superatoms(
         n_per = atoms_in_cell
     mult = (mx[:, None, None] * my[None, :, None] * mz[None, None, :]).ravel()
 
-    keep = (atoms_in_cell > 0.0) & (n_per >= n_min) & (n_per > 0.0)
+    keep = (atoms_in_cell > 0.0) & (n_per > 0.0)
     # a simple cell's weight is mult * (x / x), exactly mult; the power of
     # two scales the quotient exactly and cannot overflow the atom number
     n_per = n_per[keep]

@@ -8,8 +8,8 @@ that leaves a key its command needs unset, and config_items records only
 the keys the command reads (the others are parsed, not read).
 Manifests written by the CLI parse as configs too: ``manifest.*`` keys
 set nothing (load_config checks the command and returns the input digests
-they record), a ``config.*`` line of a retired setting is skipped if its
-value replays and refused if not, and a leading ``config.`` prefix is stripped.
+they record), a ``config.*`` line of a retired setting is refused unless
+it replays or the command never read it, and a ``config.`` prefix is stripped.
 No key sets a size limit: each large step estimates its bytes and is
 refused before allocating past ``core.MEMORY_LIMIT_BYTES`` (exit code 4).
 """
@@ -54,7 +54,6 @@ class RunConfig:
     sigma_y_m: float | None = _key("cloud.sigma_y_m", "float", _CLOUDS)
     sigma_z_m: float | None = _key("cloud.sigma_z_m", "float", _CLOUDS)
     model: str = _key("partition.model", "str", _CLOUDS, "collective", choices=MODELS)
-    n_min: float = _key("partition.n_min", "float", _CLOUDS, 1.0)
     time_stop_s: float | None = _key("time.stop_s", "float", _ALL)
     # resolve_time_grid checks it for log spacing
     time_start_s: float | None = _key(
@@ -87,7 +86,11 @@ _RETIRED = {"config.run.threads": None, "config.exact.max_atoms_full": None,
             "config.exact.max_atoms_restricted": None, "config.partition.cell_cap": None,
             "config.physical.kappa": 1.0, "config.physical.gamma_per_s": 0.0,
             "config.physical.detuning_hz": 0.0, "config.run.seed": None,
-            "config.partition.span_sigmas": SPAN_SIGMAS}
+            "config.partition.span_sigmas": SPAN_SIGMAS, "config.partition.n_min": 0.0,
+            "partition.n_min": 0.0}
+# partition.n_min, which dropped smaller superatoms, may be a plain line too;
+# exact manifests record its old default 1.0, refused only by cloud commands
+_READ_BY = {"config.partition.n_min": _CLOUDS, "partition.n_min": _CLOUDS}
 
 
 def _parse_int(text: str) -> int:
@@ -129,16 +132,21 @@ def _parse_value(setting: Field, text: str):
     return value
 
 
-def _replays(key: str, text: str) -> bool:
-    """Whether a manifest's line of the retired ``key`` can be reproduced."""
+def _replays(key: str, text: str, command: str | None) -> bool:
+    """Whether ``command`` (every command if None) reproduces a line of the
+    retired ``key``: it never read the key, or the value is the one kept."""
     value = _RETIRED[key]
+    if command is not None and command not in _READ_BY.get(key, _ALL):
+        return True
     try:
         return value is None or float(text) == value
     except ValueError:
         return False
 
 
-def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
+def parse_config_text(text: str, source: str = "<config>",
+                      command: str | None = None) -> RunConfig:
+    """The RunConfig that ``text`` sets for ``command`` (None: for any)."""
     seen: dict[str, int] = {}
     cfg = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -153,14 +161,13 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         if key.startswith("manifest."):
             continue
         if key in _RETIRED:
-            if not _replays(key, value):
+            if not _replays(key, value, command):
                 raise ConfigError(
-                    f"{source}, line {lineno}: {key[len('config.'):]} = {value} cannot be"
+                    f"{source}, line {lineno}: {key.removeprefix('config.')} = {value} cannot be"
                     f" reproduced; the setting is retired and replays only at {_RETIRED[key]!r}"
                 )
             continue
-        if key.startswith("config."):
-            key = key[len("config.") :]
+        key = key.removeprefix("config.")
         if key not in _KEYS:
             raise ConfigError(f"{source}, line {lineno}: unknown configuration key {key!r}")
         if key in seen:
@@ -186,7 +193,7 @@ def load_config(path: str, command: str) -> tuple[RunConfig, dict[str, str]]:
     ({} for a plain config file). ConfigError for a manifest of another
     command, or naming every key that ``command`` needs and is not set."""
     lines = list(read_lines(path, ConfigError))
-    cfg = parse_config_text("\n".join(lines), source=path)
+    cfg = parse_config_text("\n".join(lines), source=path, command=command)
     entries = (line.partition("=") for line in lines)
     recorded = {key.strip(): value.strip() for key, _, value in entries}
     wrote = recorded.get("manifest.command", command)

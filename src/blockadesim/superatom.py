@@ -87,7 +87,7 @@ def simulate_cloud(
     once per distinct size, in ascending order and fixed-size blocks, so
     identical inputs give bit-identical curves.
     """
-    _require(len(ensemble) > 0, "ensemble is empty (n_min above the central superatom size?)")
+    _require(len(ensemble) > 0, "ensemble is empty (every cell's atom number underflows to 0?)")
     t = validate_time_grid(time_grid)
     require_memory(48.0 * len(ensemble), f"pooling {len(ensemble)} superatom entries")
     n_distinct, inverse = np.unique(ensemble.n_per, return_inverse=True)

@@ -74,7 +74,7 @@ def sweeps(c6):
     results = {
         model: scaling_experiment(
             sigma, densities, omegas, c6, time_grid,
-            model=model, n_min=0.0,
+            model=model,
         )
         for model in ("collective", "simple")
     }
@@ -158,7 +158,7 @@ def test_05_superatom_vs_exact(capsys, c6):
 
 def test_06_crossover_and_quadratic_rise(capsys, strong_params, reference_cloud):
     ensemble = partition_superatoms(
-        reference_cloud, strong_params, model="collective", n_min=0.0
+        reference_cloud, strong_params, model="collective"
     )
     n_ground = ensemble.total_atoms_covered
     grid = np.concatenate([[0.0], np.geomspace(1e-10, 5e-7, 300)])

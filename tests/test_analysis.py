@@ -304,7 +304,6 @@ def test_scaling_experiment_structure(c6):
         c6,
         quick_time_grid(),
         model="simple",
-        n_min=0.0,
     )
     assert len(result.points) == 4
     assert all(p.converged for p in result.points)
@@ -355,7 +354,6 @@ def test_scaling_degenerate_axis_reports_nan(c6):
         c6,
         quick_time_grid(),
         model="simple",
-        n_min=0.0,
     )
     assert math.isnan(result.exponents["a"].value)
     assert math.isnan(result.exponents["c"].value)

@@ -39,7 +39,6 @@ cloud.sigma_x_m = 2.26465752498e-5
 cloud.sigma_y_m = 2.26465752498e-5
 cloud.sigma_z_m = 2.26465752498e-5
 partition.model = simple
-partition.n_min = 0.0
 time.stop_s = 2e-5
 time.num = 80
 """
@@ -66,7 +65,6 @@ cloud.sigma_x_m = 2.26465752498e-5
 cloud.sigma_y_m = 2.26465752498e-5
 cloud.sigma_z_m = 2.26465752498e-5
 partition.model = simple
-partition.n_min = 0.0
 time.stop_s = 2e-5
 time.start_s = 1e-8
 time.num = 50
@@ -115,7 +113,7 @@ def test_cloud_writes_curve_ensemble_and_manifest(tmp_path, capsys):
     assert "61.4 % of the superatom weight at n_per < 1" in summary
     cloud_cfg = load_config(cfg, "cloud")[0]
     ensemble = partition_superatoms(
-        resolve_cloud(cloud_cfg), resolve_params(cloud_cfg), model="simple", n_min=0.0
+        resolve_cloud(cloud_cfg), resolve_params(cloud_cfg), model="simple"
     )
     assert np.unique(ensemble.n_per).size == 680
 
@@ -141,20 +139,14 @@ def test_cloud_model_override_changes_partition(tmp_path):
 
 
 def test_cloud_empty_ensemble_is_input_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, CLOUD_CONFIG.replace("partition.n_min = 0.0", "partition.n_min = 1e9"))
-    assert main(["cloud", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "empty" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("name, value", [("n_min", "nan")])
-def test_cloud_rejects_non_finite_partition_input(tmp_path, capsys, name, value):
-    key = f"partition.{name}"
-    rows = [row for row in CLOUD_CONFIG.splitlines() if not row.startswith(key + " ")]
-    cfg = write_config(tmp_path, "\n".join(rows + [f"{key} = {value}"]) + "\n")
+    # the smallest subnormal atom number underflows to 0 in every cell
+    cfg = write_config(tmp_path, CLOUD_CONFIG.replace("cloud.n_atoms = 1.5e7",
+                                                      "cloud.n_atoms = 5e-324"))
     out = tmp_path / "o"
     assert main(["cloud", "--config", cfg, "--out", str(out)]) == 2
-    assert name in capsys.readouterr().err
-    assert not (out / "ensemble.csv").exists()
+    err = capsys.readouterr().err
+    assert "ensemble is empty (every cell's atom number underflows to 0?)" in err
+    assert not out.exists()
 
 
 def wide_cloud_config(sigma_x_m):
@@ -1064,8 +1056,10 @@ def test_replays_manifest_recording_keys_its_command_does_not_read(tmp_path, com
     lines = recorded.splitlines()
     config = [line for line in lines if line.startswith("config.")]
     config += [f"config.{line}" for line in NOT_READ_BUT_RECORDED[command]]
-    # in the order of RunConfig, as those versions wrote them
+    # in the order of RunConfig, as those versions wrote them, with the
+    # retired partition.n_min after partition.model
     order = [f.metadata["key"] for f in fields(RunConfig)]
+    order.insert(order.index("partition.model") + 1, "partition.n_min")
     config.sort(key=lambda line: order.index(line[len("config."):].partition(" =")[0]))
     manifest.write_text("\n".join(
         [line for line in lines if not line.startswith("config.")] + config) + "\n")
@@ -1074,6 +1068,58 @@ def test_replays_manifest_recording_keys_its_command_does_not_read(tmp_path, com
     assert (out / "manifest.txt").read_text() == recorded
     for csv in manifest.parent.glob("*.csv"):
         assert (out / csv.name).read_bytes() == csv.read_bytes()
+
+
+# partition.n_min, retired, dropped cells of smaller superatoms; at 0.0,
+# the value that every benchmark config still sets, it dropped none
+@pytest.mark.parametrize("command, value", [("cloud", "0.0"), ("scaling", "0.0"),
+                                            ("exact", "1.0")])
+def test_retired_n_min_line_that_replays_changes_nothing(tmp_path, command, value):
+    # exact never read the key, so any value of it replays there
+    outs = []
+    for name, text in (("without", CONFIGS[command]),
+                       ("with", CONFIGS[command] + f"partition.n_min = {value}\n")):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, text, f"{name}.cfg")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "manifest.txt" in names and names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("value", ["1.0", "nan"])
+@pytest.mark.parametrize("command", ["cloud", "scaling"])
+def test_retired_n_min_line_that_cannot_replay_exits_2(tmp_path, capsys, command, value):
+    cfg = write_config(tmp_path, CONFIGS[command] + f"partition.n_min = {value}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"partition.n_min = {value} cannot be reproduced" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cloud", "scaling"])
+def test_replays_a_manifest_recording_n_min_only_at_0(tmp_path, capsys, command):
+    # earlier manifests record the partition's n_min: 0.0 replays, and the
+    # old default 1.0, which dropped the cells of superatoms under one atom,
+    # cannot be reproduced
+    manifest = manifest_of(tmp_path, command)
+    recorded = manifest.read_text()
+    manifest.write_text(recorded + "config.partition.n_min = 0.0\n")
+    out = tmp_path / "replay"
+    assert main([command, "--config", str(manifest), "--out", str(out)]) == 0
+    assert (out / "manifest.txt").read_text() == recorded
+    for csv in manifest.parent.glob("*.csv"):
+        assert (out / csv.name).read_bytes() == csv.read_bytes()
+    manifest.write_text(recorded + "config.partition.n_min = 1.0\n")
+    refused = tmp_path / "refused"
+    capsys.readouterr()
+    assert main([command, "--config", str(manifest), "--out", str(refused)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "partition.n_min = 1.0 cannot be reproduced" in err[0]
+    assert not refused.exists()
 
 
 def test_exact_nanometre_pair_exits_2_and_leaves_no_directory(tmp_path, capsys):
@@ -1184,6 +1230,19 @@ def test_manifest_that_cannot_be_written_removes_the_out_it_made(tmp_path, capsy
     assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
 
 
+def test_writer_bug_removes_the_outputs_and_out_it_made_and_propagates(tmp_path, monkeypatch):
+    # ensemble.csv is written before curve.csv, whose writer fails with an
+    # exception that is not the program's (so not an exit code but a crash)
+    def buggy_writer(path, curve):
+        raise ValueError("writer bug")
+
+    monkeypatch.setattr(blockadesim.cli, "write_curve_csv", buggy_writer)
+    cfg = write_config(tmp_path, CLOUD_CONFIG)
+    with pytest.raises(ValueError, match="writer bug"):
+        main(["cloud", "--config", cfg, "--out", str(tmp_path / "o" / "deep")])
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize("command", ["cloud", "exact"])
 def test_non_finite_stop_time_exits_2_naming_the_key(tmp_path, capsys, command, value):
@@ -1282,5 +1341,5 @@ def test_extreme_config_values_exit_cleanly(tmp_path, capsys):
                 if code not in (0, 2, 3, 4) or (code in (2, 4) and out.exists()):
                     failures.append(f"{command} {key} = {value}: exit {code}")
                 shutil.rmtree(out, ignore_errors=True)
-    assert runs == 279
+    assert runs == 252
     assert not failures, "\n".join(failures)

@@ -122,7 +122,7 @@ def test_simple_partition_of_nearly_uniform_region(strong_params, monkeypatch):
     # holds density * cell volume atoms with unit weight
     spec = CloudSpec.isotropic(1e20, 1.0)
     monkeypatch.setattr(blockadesim.cloud, "SPAN_SIGMAS", 5e-5)
-    ensemble = partition_superatoms(spec, strong_params, model="simple", n_min=0.0)
+    ensemble = partition_superatoms(spec, strong_params, model="simple")
     side = (4 * math.pi / 3) ** (1 / 3) * blockade_radius_simple(strong_params)
     per_axis = math.ceil(2 * 5e-5 / side)
     # one octant of entries, weighted by their mirror images
@@ -135,7 +135,7 @@ def test_simple_partition_of_nearly_uniform_region(strong_params, monkeypatch):
 def test_partition_covers_cloud(reference_cloud, strong_params):
     for model in ("simple", "collective"):
         ensemble = partition_superatoms(
-            reference_cloud, strong_params, model=model, n_min=0.0
+            reference_cloud, strong_params, model=model
         )
         assert ensemble.total_atoms_covered <= reference_cloud.n_atoms * (1 + 1e-9)
         assert ensemble.total_atoms_covered >= 0.999 * reference_cloud.n_atoms
@@ -147,7 +147,7 @@ def test_collective_sub_atom_share_of_the_reference_cloud(reference_cloud, reque
     # 1,575 atoms of 1.5e7 at 42 and 210 kHz, yet 15.1 % and 18.6 % of the
     # superatom weight at span 5 sigma (frozen)
     params = request.getfixturevalue(f"{drive}_params")
-    ensemble = partition_superatoms(reference_cloud, params, n_min=0.0)
+    ensemble = partition_superatoms(reference_cloud, params)
     share = {"weak": 0.15086794892396874, "strong": 0.1858202673749993}[drive]
     assert ensemble.sub_atom_share == pytest.approx(share, rel=1e-9)
 
@@ -172,7 +172,7 @@ def test_axis_masses_match_scipy_ndtr(fill):
 
 
 def full_grid_partition(spec, params, model):
-    """Every cell of the grid at n_min = 0 and span 5 sigma, none of them
+    """Every cell of the grid at span 5 sigma, none of them
     mirrored: the oracle the octant partition must reproduce. A cell's
     mass is the difference of the Gaussian tail on its own side of the
     centre; for cells above it, a difference of ndtr values near 1 would
@@ -230,7 +230,7 @@ def test_octant_mirrors_into_the_full_grid(strong_params, model, cells):
     else:
         side = (4 * math.pi / 3) ** (1 / 3) * blockade_radius_collective(strong_params, n0)[0]
     spec = CloudSpec.from_peak_density(n0, tuple((k - 0.5) * side / 10.0 for k in cells))
-    octant = partition_superatoms(spec, strong_params, model=model, n_min=0.0)
+    octant = partition_superatoms(spec, strong_params, model=model)
     full = full_grid_partition(spec, strong_params, model)
     assert len(octant) == math.prod(k - k // 2 for k in cells)
     assert len(full) == math.prod(cells)
@@ -248,8 +248,8 @@ def test_octant_mirrors_into_the_full_grid(strong_params, model, cells):
 
 
 def test_partition_is_deterministic(reference_cloud, strong_params):
-    a = partition_superatoms(reference_cloud, strong_params, n_min=0.0)
-    b = partition_superatoms(reference_cloud, strong_params, n_min=0.0)
+    a = partition_superatoms(reference_cloud, strong_params)
+    b = partition_superatoms(reference_cloud, strong_params)
     assert np.array_equal(a.n_per, b.n_per)
     assert np.array_equal(a.weight, b.weight)
     assert np.array_equal(a.centers, b.centers)
@@ -257,7 +257,7 @@ def test_partition_is_deterministic(reference_cloud, strong_params):
 
 def test_collective_center_matches_bisection_oracle(reference_cloud, strong_params):
     ensemble = partition_superatoms(
-        reference_cloud, strong_params, model="collective", n_min=0.0
+        reference_cloud, strong_params, model="collective"
     )
     k = int(np.argmax(ensemble.n_per))
     local = density_at(reference_cloud, ensemble.centers[k])
@@ -310,7 +310,7 @@ def test_collective_sizes_come_from_the_core_formula(strong_params):
     # groups, whose keys the partition evaluates the formula at
     for radii in [(1.0, 1.0, 1.0), (1.0, 1.0, 1.3), (0.8, 1.0, 1.3)]:
         spec = CloudSpec(N_ATOMS_REF, tuple(SIGMA_REF * r for r in radii))
-        ensemble = partition_superatoms(spec, strong_params, model="collective", n_min=0.0)
+        ensemble = partition_superatoms(spec, strong_params, model="collective")
         exact_size = collective_size_oracle(strong_params, peak_density(spec), spec.sigma)
         for center, n_per in zip(ensemble.centers.tolist(), ensemble.n_per.tolist()):
             exact, exponent = exact_size(center)
@@ -338,7 +338,7 @@ def test_cells_sharing_a_key_carry_bit_equal_sizes(strong_params, model, radii):
     # axes of equal radius form a group; a collective cell's key is each
     # group's sum of idx**2, a simple one's each group's sorted indices
     spec = CloudSpec(N_ATOMS_REF, tuple(SIGMA_REF * r for r in radii))
-    ensemble = partition_superatoms(spec, strong_params, model=model, n_min=0.0)
+    ensemble = partition_superatoms(spec, strong_params, model=model)
     idx, m = half_side_indices(ensemble)
     groups = [[0, 2], [1]] if radii[0] != radii[1] else [[0, 1, 2]]
     if model == "collective":
@@ -354,7 +354,7 @@ def test_collective_partition_drops_cells_of_zero_density(strong_params, monkeyp
     # at 40 rms radii the corner densities underflow to exactly zero
     spec = CloudSpec.isotropic(1e4, 3e-6)
     monkeypatch.setattr(blockadesim.cloud, "SPAN_SIGMAS", 40.0)
-    ensemble = partition_superatoms(spec, strong_params, model="collective", n_min=0.0)
+    ensemble = partition_superatoms(spec, strong_params, model="collective")
     assert np.all(density_at(spec, ensemble.centers) > 0.0)
     assert np.all(np.isfinite(ensemble.weight)) and np.all(ensemble.n_per > 0.0)
     assert ensemble.total_atoms_covered == pytest.approx(spec.n_atoms, rel=1e-6)
@@ -362,7 +362,7 @@ def test_collective_partition_drops_cells_of_zero_density(strong_params, monkeyp
 
 def test_collective_weights_count_superatoms_per_cell(reference_cloud, strong_params):
     ensemble = partition_superatoms(
-        reference_cloud, strong_params, model="collective", n_min=0.0
+        reference_cloud, strong_params, model="collective"
     )
     atoms_per_cell = ensemble.weight * ensemble.n_per
     assert ensemble.total_atoms_covered == pytest.approx(
@@ -377,7 +377,7 @@ def test_collective_weights_count_superatoms_per_cell(reference_cloud, strong_pa
 
 def test_simple_model_weights_are_unity(reference_cloud, strong_params):
     ensemble = partition_superatoms(
-        reference_cloud, strong_params, model="simple", n_min=0.0
+        reference_cloud, strong_params, model="simple"
     )
     # one superatom per cell and mirror image
     mirrors = 2.0 ** np.count_nonzero(ensemble.centers, axis=1)
@@ -386,23 +386,15 @@ def test_simple_model_weights_are_unity(reference_cloud, strong_params):
 
 def test_collective_tiles_finer_than_simple(reference_cloud, strong_params):
     # in a dense cloud the collective radius is smaller, so more cells
-    simple = partition_superatoms(reference_cloud, strong_params, model="simple", n_min=0.0)
-    coll = partition_superatoms(reference_cloud, strong_params, model="collective", n_min=0.0)
+    simple = partition_superatoms(reference_cloud, strong_params, model="simple")
+    coll = partition_superatoms(reference_cloud, strong_params, model="collective")
     assert len(coll) > len(simple)
 
 
 def test_stronger_drive_means_more_cells(reference_cloud, strong_params, weak_params):
-    weak = partition_superatoms(reference_cloud, weak_params, model="simple", n_min=0.0)
-    strong = partition_superatoms(reference_cloud, strong_params, model="simple", n_min=0.0)
+    weak = partition_superatoms(reference_cloud, weak_params, model="simple")
+    strong = partition_superatoms(reference_cloud, strong_params, model="simple")
     assert len(strong) > len(weak)
-
-
-def test_n_min_drops_small_superatoms(reference_cloud, strong_params):
-    full = partition_superatoms(reference_cloud, strong_params, n_min=0.0)
-    cut = partition_superatoms(reference_cloud, strong_params, n_min=100.0)
-    assert len(cut) < len(full)
-    assert cut.n_per.min() >= 100.0
-    assert cut.total_atoms_covered < full.total_atoms_covered
 
 
 def test_partition_cell_cap(reference_cloud, strong_params, monkeypatch):
@@ -425,7 +417,7 @@ def test_memory_estimate_bounds_the_traced_peak(reference_cloud, c6, monkeypatch
     params = PhysicalParams.from_hz(drive_hz, c6)
 
     def partition():
-        return partition_superatoms(reference_cloud, params, model=model, n_min=0.0)
+        return partition_superatoms(reference_cloud, params, model=model)
 
     peak = traced_peak(partition)
     monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", peak - 1)
@@ -438,10 +430,6 @@ def test_memory_estimate_bounds_the_traced_peak(reference_cloud, c6, monkeypatch
 def test_partition_rejects_bad_model(reference_cloud, strong_params):
     with pytest.raises(InvalidParameterError):
         partition_superatoms(reference_cloud, strong_params, model="hybrid")
-    with pytest.raises(InvalidParameterError):
-        partition_superatoms(reference_cloud, strong_params, n_min=-1.0)
-    with pytest.raises(InvalidParameterError, match="n_min"):
-        partition_superatoms(reference_cloud, strong_params, n_min=math.nan)
 
 
 def test_ensemble_validation():
@@ -461,7 +449,6 @@ def test_total_weight_scales_with_density_to_the_fifth_root(strong_params):
             CloudSpec.from_peak_density(n, (SIGMA_REF,) * 3),
             strong_params,
             model="collective",
-            n_min=0.0,
         ).total_superatoms
         for n in densities
     ]
@@ -476,7 +463,6 @@ def test_total_weight_scales_with_drive(reference_cloud, c6):
             reference_cloud,
             PhysicalParams.from_hz(f, c6),
             model="collective",
-            n_min=0.0,
         ).total_superatoms
         for f in drives
     ]

@@ -31,7 +31,6 @@ def test_parse_minimal_config():
     assert cfg.omega0_hz == 210e3
     assert cfg.c6_au == 1.7e19
     assert cfg.model == "simple"
-    assert cfg.n_min == 1.0  # untouched default
 
 
 def test_unknown_key_rejected_by_name():
@@ -82,8 +81,8 @@ def test_manifest_lines_are_config_compatible():
         config.partition.n_min = 0.0
         """
     )
-    assert cfg.time_num == 9
-    assert cfg.n_min == 0.0
+    # the retired partition.n_min replays at 0.0 and sets nothing
+    assert cfg == replace(RunConfig(), time_num=9)
 
 
 def test_config_items_round_trip():
@@ -94,7 +93,6 @@ def test_config_items_round_trip():
         sigma_x_m=2e-5,
         sigma_y_m=2e-5,
         sigma_z_m=2e-5,
-        n_min=0.0,
         time_stop_s=2e-5,
         time_num=100,
         sweep_densities_m3=(1e19, 2e19),

@@ -1,7 +1,8 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
 and so does every name the benchmark's trace wraps, whose counters read
 the calls the CLI makes; every error class is raised somewhere; every
-setting is one that some benchmark workload sets."""
+setting is one that some benchmark workload sets, and every default one
+that some benchmark workload runs at."""
 
 import ast
 import importlib
@@ -13,7 +14,7 @@ from pathlib import Path
 import blockadesim
 import blockadesim.cli
 from blockadesim.cli import main
-from blockadesim.config import RunConfig
+from blockadesim.config import RunConfig, parse_config_text
 
 from conftest import SIGMA_REF, gaussian_atoms, package_errors
 
@@ -78,7 +79,6 @@ cloud.sigma_x_m = 2.26465752498e-5
 cloud.sigma_y_m = 2.26465752498e-5
 cloud.sigma_z_m = 2.26465752498e-5
 partition.model = simple
-partition.n_min = 0.0
 """
 SMALL_RUNS = {
     "cloud": "cloud.n_atoms = 1.5e7\ntime.stop_s = 2e-5\ntime.num = 20\n",
@@ -120,19 +120,24 @@ def test_every_package_error_is_raised_by_name():
     assert unraised == []
 
 
-def test_every_setting_is_set_by_some_benchmark_workload(tmp_path, monkeypatch):
-    # a config key that no workload sets, or a setting read from the
-    # environment (the benchmark passes every setting by file and flag), is
-    # a second source of input that no measured run exercises
+def benchmark_configs(tmp_path, monkeypatch):
+    """(command, config file) of every benchmark call that reads a config."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
-    configs = [
-        Path(call.argv[call.argv.index("--config") + 1])
+    return [
+        (call.command, Path(call.argv[call.argv.index("--config") + 1]))
         for workload in workloads.WORKLOADS
         for call in workloads.generate(workload, workloads.DEFAULT_SEED, str(tmp_path / workload))
         if "--config" in call.argv
     ]
-    set_keys = {line.partition("=")[0].strip() for path in configs
+
+
+def test_every_setting_is_set_by_some_benchmark_workload(tmp_path, monkeypatch):
+    # a config key that no workload sets, or a setting read from the
+    # environment (the benchmark passes every setting by file and flag), is
+    # a second source of input that no measured run exercises
+    set_keys = {line.partition("=")[0].strip()
+                for _, path in benchmark_configs(tmp_path, monkeypatch)
                 for line in path.read_text().splitlines()}
     unset = [f.metadata["key"] for f in fields(RunConfig) if f.metadata["key"] not in set_keys]
     environment_reads = [
@@ -144,3 +149,20 @@ def test_every_setting_is_set_by_some_benchmark_workload(tmp_path, monkeypatch):
         and {alias.name for alias in node.names} & {"environ", "getenv"}
     ]
     assert unset + environment_reads == []
+
+
+def test_every_default_is_run_by_some_benchmark_workload(tmp_path, monkeypatch):
+    # a default that no measured run uses, while every run that reads the
+    # key sets it to one other value, is a constant kept as an option (as
+    # partition.n_min was: 0.0 in every benchmark config, 1.0 by default)
+    configs = [(command, parse_config_text(path.read_text(), str(path), command))
+               for command, path in benchmark_configs(tmp_path, monkeypatch)]
+    unrun = []
+    for setting in fields(RunConfig):
+        if setting.default is None:
+            continue
+        values = {getattr(cfg, setting.name) for command, cfg in configs
+                  if command in setting.metadata["read_by"]}
+        if setting.default not in values and len(values) < 2:
+            unrun.append(f"{setting.metadata['key']}: {sorted(values)}")
+    assert unrun == []

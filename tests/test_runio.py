@@ -206,7 +206,7 @@ def test_reference_cloud_ensemble_csv_has_the_per_cell_writers_digest(
     # so it spans 10 sigma: 60 cells per axis, 27,000 rows
     if model == "simple":
         monkeypatch.setattr(blockadesim.cloud, "SPAN_SIGMAS", 10.0)
-    ensemble = partition_superatoms(reference_cloud, strong_params, model=model, n_min=0.0)
+    ensemble = partition_superatoms(reference_cloud, strong_params, model=model)
     path = tmp_path / "ensemble.csv"
     write_ensemble_csv(str(path), ensemble)
     expected = naive_table(

@@ -214,7 +214,7 @@ def test_curve_memory_estimate_bounds_the_traced_peak(
 ):
     # a limit just below the traced peak must refuse, four times it admit
     params = PhysicalParams.from_hz(drive_hz, c6)
-    ensemble = partition_superatoms(reference_cloud, params, model=model, n_min=0.0)
+    ensemble = partition_superatoms(reference_cloud, params, model=model)
     t = np.linspace(0.0, 2e-5, 200)
     peak = traced_peak(lambda: simulate_cloud(ensemble, params, t))
     monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", peak - 1)
@@ -303,7 +303,7 @@ def test_crossover_threshold_domain():
 
 def test_cloud_curve_quadratic_at_short_times(reference_cloud, strong_params):
     ensemble = partition_superatoms(
-        reference_cloud, strong_params, model="collective", n_min=0.0
+        reference_cloud, strong_params, model="collective"
     )
     omega = strong_params.omega0
     t_star = 0.1 / (math.sqrt(ensemble.n_per.max()) * omega)
@@ -317,7 +317,7 @@ def test_cloud_curve_quadratic_at_short_times(reference_cloud, strong_params):
 def test_cloud_curve_suppressed_after_crossover(reference_cloud, strong_params):
     omega = strong_params.omega0
     ensemble = partition_superatoms(
-        reference_cloud, strong_params, model="collective", n_min=0.0
+        reference_cloud, strong_params, model="collective"
     )
     # up to the reference maximum at pi/omega
     t = np.concatenate([[0.0], np.geomspace(1e-9, math.pi / omega, 200)])
