@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,10 @@ __all__ = [
     "MODELS",
 ]
 
-# the partition peaked at 75-78 (simple) and 73-74 (collective) B per
-# octant cell on the reference cloud at 42 and 210 kHz, and at 73-79 on
-# clouds of two or three distinct radii (tracemalloc)
+# the partition peaked at 68-70 (simple) and 65-66 (collective) B per
+# octant cell on the reference cloud at 42 and 210 kHz, and at 55-79 on
+# clouds of two or three distinct radii; building the centres for
+# ensemble.csv while the ensemble is held peaked at 72-82 (tracemalloc)
 _BYTES_PER_CELL = 88.0
 MODELS = ("simple", "collective")
 SPAN_SIGMAS = 5.0  # half-extent of the cell grid on each axis, in rms radii
@@ -106,41 +108,56 @@ def peak_density(spec: CloudSpec) -> float:
 
 @dataclass(frozen=True)
 class SuperatomEnsemble:
-    """Weighted superatoms tiling a cloud.
+    """Weighted superatoms tiling a cloud, pooled by symmetry class.
 
-    ``n_per[k]`` atoms share one excitation in each of ``weight[k]``
-    identical superatoms in the cell centered at ``centers[k]`` and in each
-    of its mirror images: the cloud is symmetric on every axis, so entries
-    cover one octant (x, y, z >= 0) and ``weight`` includes the number of
-    cells an entry stands for, 2 per axis or 1 on an axis where its centre
-    is 0, so 1, 2, 4 or 8. A simple-model weight is exactly that number; a
-    collective one is generally fractional (cells rarely hold an integer
-    number of blockade spheres).
+    Entry k stands for ``weight[k]`` identical superatoms of
+    ``sizes[index[k]]`` atoms each, in one octant cell (x, y, z >= 0) and
+    in each of its mirror images: the cloud is symmetric on every axis, so
+    ``weight`` includes the number of cells an entry stands for, 2 per
+    axis or 1 on an axis where its centre is 0, so 1, 2, 4 or 8. A
+    simple-model weight is exactly that number; a collective one is
+    generally fractional (cells rarely hold an integer number of blockade
+    spheres).
+    ``sizes`` is the table of class sizes, each class some entry's: the
+    partition gives cells that the cloud's symmetry makes equivalent one
+    class, and an ensemble built from per-entry sizes gives each entry its
+    own (``index = arange(len(sizes))``). ``n_per`` is each entry's size.
+    ``centers()`` builds the (len, 3) cell centres, for ensemble.csv only.
     ``total_atoms_covered`` is sum(weight * n_per), at most the cloud's
     atom number; the shortfall is the tail mass outside the grid.
     """
 
-    n_per: np.ndarray
+    sizes: np.ndarray
+    index: np.ndarray
     weight: np.ndarray
-    centers: np.ndarray
+    centers: Callable[[], np.ndarray]
 
     def __post_init__(self) -> None:
-        n_per = np.asarray(self.n_per, dtype=float)
+        sizes = np.asarray(self.sizes, dtype=float)
+        index = np.asarray(self.index)
         weight = np.asarray(self.weight, dtype=float)
-        centers = np.asarray(self.centers, dtype=float)
-        k = n_per.shape[0]
-        if n_per.ndim != 1 or weight.shape != (k,) or centers.shape != (k, 3):
+        if sizes.ndim != 1 or index.ndim != 1 or weight.shape != index.shape:
             raise InvalidParameterError("ensemble arrays have inconsistent shapes")
-        if not (np.all(np.isfinite(n_per)) and np.all(np.isfinite(weight))):
+        if index.dtype.kind != "i" or (index.size and index.min() < 0):
+            raise InvalidParameterError("class indices must be non-negative integers")
+        counts = np.bincount(index, minlength=sizes.size)
+        if counts.size != sizes.size or not counts.all():
+            raise InvalidParameterError("every class must be some entry's, every index a class")
+        if not (np.all(np.isfinite(sizes)) and np.all(np.isfinite(weight))):
             raise InvalidParameterError("ensemble entries must be finite")
-        if np.any(n_per <= 0.0) or np.any(weight <= 0.0):
+        if np.any(sizes <= 0.0) or np.any(weight <= 0.0):
             raise InvalidParameterError("n_per and weight must be positive")
-        object.__setattr__(self, "n_per", n_per)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "index", index)
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "centers", centers)
 
     def __len__(self) -> int:
-        return self.n_per.shape[0]
+        return self.index.shape[0]
+
+    @property
+    def n_per(self) -> np.ndarray:
+        """Each entry's superatom size, ``sizes[index]``."""
+        return self.sizes[self.index]
 
     @property
     def total_superatoms(self) -> float:
@@ -148,13 +165,26 @@ class SuperatomEnsemble:
 
     @property
     def total_atoms_covered(self) -> float:
-        return float((self.weight * self.n_per).sum())
+        covered = self.n_per
+        covered *= self.weight
+        return float(covered.sum())
+
+    def pooled(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct sizes, ascending, and the total weight of each.
+
+        np.unique sorts the size table, not the entries, and merges
+        classes of bit-equal size; np.bincount then adds each entry's
+        weight to its distinct size in entry order, the sums that pooling
+        the per-entry ``n_per`` would give."""
+        distinct, inverse = np.unique(self.sizes, return_inverse=True)
+        return distinct, np.bincount(inverse[self.index], weights=self.weight)
 
     @property
     def sub_atom_share(self) -> float:
         """Share of the superatom weight in entries with n_per < 1: cells
         that count more superatoms than they hold atoms."""
-        return float(self.weight[self.n_per < 1.0].sum()) / self.total_superatoms
+        sub_atom = (self.sizes < 1.0)[self.index]
+        return float(self.weight[sub_atom].sum()) / self.total_superatoms
 
 
 def _axis_masses(
@@ -237,9 +267,12 @@ def partition_superatoms(
     goes into ``weight``. Per-axis masses are lower-tail differences,
     (erfc(lo/(sigma sqrt 2)) - erfc(hi/(sigma sqrt 2))) / 2, which keep the
     far cells' relative precision. Cells whose centres the cloud's symmetry
-    makes equivalent get bit-equal sizes: collective cells of equal
-    sum((c / sigma)**2) on each group of axes of equal sigma, and simple
-    cells whose indices permute each other within such groups.
+    makes equivalent share one class, whose size is computed once:
+    collective cells of equal sum((c / sigma)**2) on each group of axes of
+    equal sigma, and simple cells whose indices permute each other within
+    such groups. Only the classes that kept cells hold are returned, in
+    the order of the groups' keys; the cell centres are built only if the
+    ensemble's ``centers()`` is called.
 
     Raises SizeCapError before allocating a grid that exceeds the memory limit.
     """
@@ -266,40 +299,74 @@ def partition_superatoms(
     (x, mx, _), (y, my, _), (z, mz, _) = cells
     # axes of bit-equal sigma have equal cell counts, so the cells of such a
     # group permute each other; its masses and keys are built so that
-    # permuted cells get bit-equal sizes, which simulate_cloud then pools
+    # permuted cells get bit-equal sizes, and each group's keys rank the
+    # classes of its cells, whose sizes one table holds
     groups: dict[float, list[int]] = {}
     for axis, s in enumerate(spec.sigma):
         groups.setdefault(s, []).append(axis)
     if model == "collective":
-        n_per = _collective_sizes(params, n0, side, groups, [int(k) for k in counts])
+        sizes, ranks = _collective_sizes(params, n0, side, groups, [int(k) for k in counts])
+    else:
+        ranks = [_on_axes(_multiset_ranks(cells[axes[0]][2].size, len(axes)), axes)
+                 for axes in groups.values()]
+        sizes = np.empty([int(rank.max()) + 1 for rank in ranks])
+    classes = np.ravel_multi_index(tuple(ranks), sizes.shape).ravel()
+    sizes = sizes.ravel()
     atoms_in_cell = functools.reduce(np.multiply, (
         _on_axes(_group_product(cells[axes[0]][2], len(axes)), axes) for axes in groups.values()
     )).ravel()
     atoms_in_cell *= spec.n_atoms
-    if model == "simple":
-        n_per = atoms_in_cell
+    if model == "simple":  # a cell's atom number, bit-equal over its class
+        sizes[classes] = atoms_in_cell
     mult = (mx[:, None, None] * my[None, :, None] * mz[None, None, :]).ravel()
 
-    keep = (atoms_in_cell > 0.0) & (n_per > 0.0)
+    keep = (atoms_in_cell > 0.0) & (sizes > 0.0)[classes]
+    classes = classes[keep]
     # a simple cell's weight is mult * (x / x), exactly mult; the power of
     # two scales the quotient exactly and cannot overflow the atom number
-    n_per = n_per[keep]
-    weight = mult[keep] * (atoms_in_cell[keep] / n_per)
-    del atoms_in_cell, mult  # before the centres, the largest array
+    weight = mult[keep] * (atoms_in_cell[keep] / sizes[classes])
+    # renumber the classes that kept cells hold, in table order
+    held = np.zeros(sizes.size, dtype=bool)
+    held[classes] = True
+    rank = np.cumsum(held) - 1
+    centers = functools.partial(_grid_centers, x, y, z, keep)
+    return SuperatomEnsemble(sizes[held], rank[classes], weight, centers)
+
+
+def _grid_centers(x: np.ndarray, y: np.ndarray, z: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The (x, y, z) centres of the octant cells that ``keep`` marks, in
+    the partition's entry order."""
     centers = np.empty((len(x), len(y), len(z), 3))
     centers[..., 0] = x[:, None, None]
     centers[..., 1] = y[None, :, None]
     centers[..., 2] = z
-    return SuperatomEnsemble(n_per, weight, centers.reshape(-1, 3)[keep])
+    return centers.reshape(-1, 3)[keep]
+
+
+def _multiset_ranks(m: int, n: int) -> np.ndarray:
+    """Each cell of an n-axis group of m cells per axis (n = 1, 2 or 3)
+    ranked by its sorted indices a <= b <= c as a + C(b + 1, 2) + C(c + 2, 3):
+    cells whose indices permute each other, a simple-model class, share a
+    rank, and the ranks run densely from 0 to C(m + n - 1, n) - 1."""
+    grid = np.ogrid[(slice(m),) * n]
+    if n == 1:
+        return grid[0]
+    lo, hi = functools.reduce(np.minimum, grid), functools.reduce(np.maximum, grid)
+    if n == 2:
+        return lo + hi * (hi + 1) // 2
+    mid = sum(grid) - lo - hi
+    return lo + mid * (mid + 1) // 2 + hi * (hi + 1) * (hi + 2) // 6
 
 
 def _collective_sizes(
     params: PhysicalParams, n0: float, side: float, groups: dict, counts: list[int]
-) -> np.ndarray:
-    """The collective n_per of every octant cell, 0 where the density
-    underflows. The density exponent sum((c / sigma)**2) / 2 is a sum over
-    the axis groups of (side / 2 sigma)**2 times the group's integer sum of
-    idx**2, so the core formula runs once per distinct key, not per cell."""
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The collective n_per of each class, 0 where the density underflows:
+    a table with one axis per group, over the group's distinct sums of
+    idx**2, and each octant cell's rank on each of those axes. The density
+    exponent sum((c / sigma)**2) / 2 is a sum over the groups of
+    (side / 2 sigma)**2 times that integer sum, so the core formula runs
+    once per class, not per cell."""
     exponent, ranks = 0.0, []
     for g, (s, axes) in enumerate(groups.items()):
         k = counts[axes[0]]
@@ -312,4 +379,4 @@ def _collective_sizes(
     table = np.zeros_like(local)
     occupied = local > 0.0
     _, table[occupied] = blockade_radius_collective(params, local[occupied])
-    return table[tuple(ranks)].ravel()
+    return table, ranks

@@ -155,7 +155,7 @@ def read_curve_csv(path: str) -> ExcitationCurve:
 
 def write_ensemble_csv(path: str, ensemble: SuperatomEnsemble) -> None:
     write_table(
-        path, ENSEMBLE_HEADER, [*ensemble.centers.T, ensemble.n_per, ensemble.weight]
+        path, ENSEMBLE_HEADER, [*ensemble.centers().T, ensemble.n_per, ensemble.weight]
     )
 
 

@@ -29,10 +29,12 @@ __all__ = [
 ]
 
 # Distinct superatom sizes per block of the (size x time) population matrix.
-# simulate_cloud's two memory estimates pad its traced peaks: 41 B per
-# ensemble entry in np.unique, then 9 B per block element. The block check
-# leaves out the 8 B per entry that np.unique leaves alive: 8 B per entry
-# plus 9 B per element never exceeds the larger of the two estimates.
+# simulate_cloud's two memory estimates pad its traced peaks: 8 B per
+# ensemble entry (the gathered distinct-size index, then the product that
+# total_atoms_covered sums) plus 40 B per class in pooled()'s np.unique,
+# estimated as 8 and 48; then 9 B per block element, estimated as 12,
+# plus the 16 B per distinct size that the loop holds. On grids of under
+# 200 times numpy's ufunc buffers add up to 0.13 MB, left out.
 _CHUNK = 4096
 
 
@@ -83,17 +85,21 @@ def simulate_cloud(
 ) -> ExcitationCurve:
     """Weighted excitation curve of a partitioned cloud.
 
-    Weights of exactly equal ``n_per`` are pooled, then the law is summed
-    once per distinct size, in ascending order and fixed-size blocks, so
-    identical inputs give bit-identical curves.
+    Weights of exactly equal size are pooled by ``ensemble.pooled()``,
+    which sorts the ensemble's size table, not its entries. The law is then
+    summed once per distinct size, in ascending order and fixed-size
+    blocks, so identical inputs give bit-identical curves.
     """
     _require(len(ensemble) > 0, "ensemble is empty (every cell's atom number underflows to 0?)")
     t = validate_time_grid(time_grid)
-    require_memory(48.0 * len(ensemble), f"pooling {len(ensemble)} superatom entries")
-    n_distinct, inverse = np.unique(ensemble.n_per, return_inverse=True)
-    grouped = np.bincount(inverse, weights=ensemble.weight)
+    n_classes = ensemble.sizes.size
     require_memory(
-        12.0 * min(n_distinct.size, _CHUNK) * t.size,
+        8.0 * len(ensemble) + 48.0 * n_classes,
+        f"pooling {len(ensemble)} superatom entries of {n_classes} classes",
+    )
+    n_distinct, grouped = ensemble.pooled()
+    require_memory(
+        12.0 * min(n_distinct.size, _CHUNK) * t.size + 16.0 * n_distinct.size,
         f"a curve of {n_distinct.size} distinct superatom sizes at {t.size} times",
     )
     values = np.zeros_like(t)

@@ -7,7 +7,7 @@ import pytest
 
 import blockadesim.exact
 from blockadesim import errors
-from blockadesim.cloud import CloudSpec, peak_density
+from blockadesim.cloud import CloudSpec, SuperatomEnsemble, peak_density
 from blockadesim.core import PhysicalParams, convert_c6_atomic_units
 
 # Magnitude of a repulsive Rydberg-pair van der Waals coefficient, in
@@ -41,6 +41,15 @@ def density_at(spec, point):
     exponent = -0.5 * ((point / np.array(spec.sigma)) ** 2).sum(axis=-1)
     value = peak_density(spec) * np.exp(exponent)
     return float(value) if value.ndim == 0 else value
+
+
+def entry_ensemble(n_per, weight, centers=None):
+    """A SuperatomEnsemble built from per-entry sizes: each entry its own
+    class, so its size table is as long as its entries. ``centers``
+    defaults to the origin for every entry."""
+    n_per = np.asarray(n_per, dtype=float)
+    centers = np.zeros((n_per.size, 3)) if centers is None else np.asarray(centers, dtype=float)
+    return SuperatomEnsemble(n_per, np.arange(n_per.size), weight, lambda: centers)
 
 
 def gaussian_atoms(seed, count, sigma):

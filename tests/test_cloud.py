@@ -26,7 +26,7 @@ from blockadesim.core import (
 from blockadesim.errors import InvalidParameterError, SizeCapError
 from blockadesim.superatom import simulate_cloud
 
-from conftest import N_ATOMS_REF, SIGMA_REF, density_at, traced_peak
+from conftest import N_ATOMS_REF, SIGMA_REF, density_at, entry_ensemble, traced_peak
 
 
 # --- density profile -----------------------------------------------------------
@@ -197,26 +197,28 @@ def full_grid_partition(spec, params, model):
         n_per = atoms
     else:
         _, n_per = blockade_radius_collective(params, density_at(spec, grid))
-    return SuperatomEnsemble(n_per, atoms / n_per, grid)
+    return entry_ensemble(n_per, atoms / n_per, grid)
 
 
 def mirrored(ensemble):
     """Each octant entry at every sign flip of its nonzero centre
     coordinates, each image carrying an equal share of the weight."""
-    mirrors = 2.0 ** np.count_nonzero(ensemble.centers, axis=1)
+    octant = ensemble.centers()
+    mirrors = 2.0 ** np.count_nonzero(octant, axis=1)
     images = []
     for signs in itertools.product((1.0, -1.0), repeat=3):
         # flipping a zero coordinate gives the same cell, not an image
-        new = np.all((np.array(signs) > 0.0) | (ensemble.centers != 0.0), axis=1)
-        images.append((ensemble.centers[new] * signs, ensemble.n_per[new],
+        new = np.all((np.array(signs) > 0.0) | (octant != 0.0), axis=1)
+        images.append((octant[new] * signs, ensemble.n_per[new],
                        ensemble.weight[new] / mirrors[new]))
     centers, n_per, weight = (np.concatenate(part) for part in zip(*images))
-    return SuperatomEnsemble(n_per, weight, centers)
+    return entry_ensemble(n_per, weight, centers)
 
 
 def by_center(ensemble):
-    order = np.lexsort(ensemble.centers.T)
-    return ensemble.centers[order], ensemble.n_per[order], ensemble.weight[order]
+    centers = ensemble.centers()
+    order = np.lexsort(centers.T)
+    return centers[order], ensemble.n_per[order], ensemble.weight[order]
 
 
 @pytest.mark.parametrize("model", ["simple", "collective"])
@@ -250,9 +252,11 @@ def test_octant_mirrors_into_the_full_grid(strong_params, model, cells):
 def test_partition_is_deterministic(reference_cloud, strong_params):
     a = partition_superatoms(reference_cloud, strong_params)
     b = partition_superatoms(reference_cloud, strong_params)
+    assert np.array_equal(a.sizes, b.sizes)
+    assert np.array_equal(a.index, b.index)
     assert np.array_equal(a.n_per, b.n_per)
     assert np.array_equal(a.weight, b.weight)
-    assert np.array_equal(a.centers, b.centers)
+    assert np.array_equal(a.centers(), b.centers())
 
 
 def test_collective_center_matches_bisection_oracle(reference_cloud, strong_params):
@@ -260,7 +264,7 @@ def test_collective_center_matches_bisection_oracle(reference_cloud, strong_para
         reference_cloud, strong_params, model="collective"
     )
     k = int(np.argmax(ensemble.n_per))
-    local = density_at(reference_cloud, ensemble.centers[k])
+    local = density_at(reference_cloud, ensemble.centers()[k])
     assert ensemble.n_per[k] == pytest.approx(
         bisect_superatom_size(strong_params, local), rel=1e-9
     )
@@ -312,7 +316,7 @@ def test_collective_sizes_come_from_the_core_formula(strong_params):
         spec = CloudSpec(N_ATOMS_REF, tuple(SIGMA_REF * r for r in radii))
         ensemble = partition_superatoms(spec, strong_params, model="collective")
         exact_size = collective_size_oracle(strong_params, peak_density(spec), spec.sigma)
-        for center, n_per in zip(ensemble.centers.tolist(), ensemble.n_per.tolist()):
+        for center, n_per in zip(ensemble.centers().tolist(), ensemble.n_per.tolist()):
             exact, exponent = exact_size(center)
             bound = SIZE_ROUNDINGS * np.finfo(float).eps * (1.0 + exponent)
             assert abs(n_per - exact) <= bound * exact, (radii, center)
@@ -322,10 +326,11 @@ def half_side_indices(ensemble):
     """Each entry's cell centre on each axis in half cell sides, 2 m or
     2 m + 1 for the m-th octant cell of an axis of odd or even cell count,
     and m itself."""
-    m = np.empty(ensemble.centers.shape, dtype=int)
+    centers = ensemble.centers()
+    m = np.empty(centers.shape, dtype=int)
     idx = np.empty_like(m)
     for axis in range(3):
-        coords = ensemble.centers[:, axis]
+        coords = centers[:, axis]
         positions = np.unique(coords)
         m[:, axis] = np.searchsorted(positions, coords)
         idx[:, axis] = 2 * m[:, axis] + int(positions[0] > 0.0)
@@ -345,9 +350,14 @@ def test_cells_sharing_a_key_carry_bit_equal_sizes(strong_params, model, radii):
         keys = np.column_stack([(idx[:, axes] ** 2).sum(axis=1) for axes in groups])
     else:
         keys = np.column_stack([np.sort(m[:, axes], axis=1) for axes in groups])
-    sizes = {}
-    for key, n_per in zip(map(tuple, keys.tolist()), ensemble.n_per.tolist()):
+    sizes, classes = {}, {}
+    for key, n_per, cls in zip(
+        map(tuple, keys.tolist()), ensemble.n_per.tolist(), ensemble.index.tolist()
+    ):
         assert sizes.setdefault(key, n_per) == n_per, key
+        assert classes.setdefault(key, cls) == cls, key
+    # one class per key, and the size table holds each class once
+    assert len(set(classes.values())) == len(classes) == ensemble.sizes.size
 
 
 def test_collective_partition_drops_cells_of_zero_density(strong_params, monkeypatch):
@@ -355,7 +365,7 @@ def test_collective_partition_drops_cells_of_zero_density(strong_params, monkeyp
     spec = CloudSpec.isotropic(1e4, 3e-6)
     monkeypatch.setattr(blockadesim.cloud, "SPAN_SIGMAS", 40.0)
     ensemble = partition_superatoms(spec, strong_params, model="collective")
-    assert np.all(density_at(spec, ensemble.centers) > 0.0)
+    assert np.all(density_at(spec, ensemble.centers()) > 0.0)
     assert np.all(np.isfinite(ensemble.weight)) and np.all(ensemble.n_per > 0.0)
     assert ensemble.total_atoms_covered == pytest.approx(spec.n_atoms, rel=1e-6)
 
@@ -371,7 +381,7 @@ def test_collective_weights_count_superatoms_per_cell(reference_cloud, strong_pa
     # central cells hold one blockade sphere by construction of the cell
     # size, so their weights per mirror image sit near 1
     k = int(np.argmax(ensemble.n_per))
-    mirrors = 2.0 ** np.count_nonzero(ensemble.centers[k])
+    mirrors = 2.0 ** np.count_nonzero(ensemble.centers()[k])
     assert ensemble.weight[k] / mirrors == pytest.approx(1.0, abs=0.2)
 
 
@@ -380,7 +390,7 @@ def test_simple_model_weights_are_unity(reference_cloud, strong_params):
         reference_cloud, strong_params, model="simple"
     )
     # one superatom per cell and mirror image
-    mirrors = 2.0 ** np.count_nonzero(ensemble.centers, axis=1)
+    mirrors = 2.0 ** np.count_nonzero(ensemble.centers(), axis=1)
     assert np.all(ensemble.weight / mirrors == 1.0)
 
 
@@ -434,11 +444,26 @@ def test_partition_rejects_bad_model(reference_cloud, strong_params):
 
 def test_ensemble_validation():
     with pytest.raises(InvalidParameterError):
-        SuperatomEnsemble(np.array([1.0, 2.0]), np.array([1.0]), np.zeros((2, 3)))
+        entry_ensemble(np.array([1.0, 2.0]), np.array([1.0]))
     with pytest.raises(InvalidParameterError):
-        SuperatomEnsemble(np.array([1.0, -2.0]), np.array([1.0, 1.0]), np.zeros((2, 3)))
-    empty = SuperatomEnsemble(np.array([]), np.array([]), np.zeros((0, 3)))
+        entry_ensemble(np.array([1.0, -2.0]), np.array([1.0, 1.0]))
+    empty = entry_ensemble(np.array([]), np.array([]))
     assert len(empty) == 0
+
+    def origin():
+        return np.zeros((3, 3))
+
+    sizes, weight = np.array([4.0, 9.0]), np.array([1.0, 2.0, 3.0])
+    pooled = SuperatomEnsemble(sizes, np.array([1, 0, 1]), weight, origin)
+    assert len(pooled) == 3
+    assert np.array_equal(pooled.n_per, [9.0, 4.0, 9.0])
+    assert pooled.total_atoms_covered == 9.0 + 8.0 + 27.0
+    for index in ([0, 2, 1], [1, 1, 1], [-1, 0, 1], [0.0, 1.0, 1.0]):
+        # past the table, a class no entry holds, negative, not integers
+        with pytest.raises(InvalidParameterError, match="class"):
+            SuperatomEnsemble(sizes, np.array(index), weight, origin)
+    with pytest.raises(InvalidParameterError, match="positive"):
+        SuperatomEnsemble(np.array([4.0, 0.0]), np.array([1, 0, 1]), weight, origin)
 
 
 def test_total_weight_scales_with_density_to_the_fifth_root(strong_params):

@@ -9,7 +9,7 @@ import pytest
 
 import blockadesim.cloud
 import blockadesim.runio
-from blockadesim.cloud import SuperatomEnsemble, partition_superatoms
+from blockadesim.cloud import partition_superatoms
 from blockadesim.errors import BlockadeSimError
 from blockadesim.runio import (
     _ROW_BLOCK,
@@ -21,7 +21,7 @@ from blockadesim.runio import (
     write_trajectory_csv,
 )
 
-from conftest import traced_peak
+from conftest import entry_ensemble, traced_peak
 
 
 def naive_table(header, columns) -> str:
@@ -72,7 +72,7 @@ def test_ensemble_csv_rows_are_repr_of_each_entry(tmp_path, rng):
     centers = rng.normal(scale=1e-5, size=(n, 3))
     n_per = rng.uniform(1.0, 5e3, size=n)
     weight = rng.uniform(1e-3, 2.0, size=n)
-    ensemble = SuperatomEnsemble(n_per, weight, centers)
+    ensemble = entry_ensemble(n_per, weight, centers)
     path = tmp_path / "ensemble.csv"
     write_ensemble_csv(str(path), ensemble)
     expected = [ENSEMBLE_HEADER] + [
@@ -86,7 +86,7 @@ def test_ensemble_csv_rows_are_repr_of_each_entry(tmp_path, rng):
 def test_ensemble_csv_streams_rows_to_the_file(tmp_path, rng):
     # the 200k rows take about 21 MB as text; only a block is held at once
     n = 200_000
-    ensemble = SuperatomEnsemble(
+    ensemble = entry_ensemble(
         rng.uniform(1.0, 5e3, size=n), rng.uniform(1e-3, 2.0, size=n),
         rng.normal(scale=1e-5, size=(n, 3)),
     )
@@ -99,7 +99,7 @@ def test_ensemble_csv_of_grid_like_centres_streams_rows_to_the_file(tmp_path, rn
     # as above, but each axis holds 60 coordinates, as the cell grid's do:
     # the text of repeated values is reused within a block, never cached
     n = 200_000
-    ensemble = SuperatomEnsemble(
+    ensemble = entry_ensemble(
         rng.uniform(1.0, 5e3, size=n), rng.uniform(1e-3, 2.0, size=n),
         rng.choice(rng.normal(scale=1e-5, size=60), size=(n, 3)),
     )
@@ -210,7 +210,7 @@ def test_reference_cloud_ensemble_csv_has_the_per_cell_writers_digest(
     path = tmp_path / "ensemble.csv"
     write_ensemble_csv(str(path), ensemble)
     expected = naive_table(
-        ENSEMBLE_HEADER, [*ensemble.centers.T, ensemble.n_per, ensemble.weight]
+        ENSEMBLE_HEADER, [*ensemble.centers().T, ensemble.n_per, ensemble.weight]
     )
     assert len(ensemble) > 3 * _ROW_BLOCK
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (

@@ -6,8 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
+import blockadesim.analysis
+import blockadesim.cloud
 import blockadesim.core
-from blockadesim.cloud import SuperatomEnsemble, partition_superatoms
+from blockadesim.analysis import scaling_experiment
+from blockadesim.cloud import CloudSpec, SuperatomEnsemble, partition_superatoms
+from blockadesim.constants import TWO_PI
 from blockadesim.core import PhysicalParams
 from blockadesim.errors import InvalidParameterError, SizeCapError
 from blockadesim.superatom import (
@@ -18,17 +22,16 @@ from blockadesim.superatom import (
     superatom_population,
 )
 
-from conftest import traced_peak
+from conftest import (
+    N_ATOMS_REF, SIGMA_REF, STRONG_DRIVE_HZ, WEAK_DRIVE_HZ, entry_ensemble, traced_peak,
+)
 
 OMEGA = 2 * math.pi * 1e5
 PARAMS = PhysicalParams(OMEGA, 1e-60)
 
 
 def small_ensemble(n_per, weights):
-    n_per = np.asarray(n_per, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    centers = np.zeros((n_per.size, 3))
-    return SuperatomEnsemble(n_per, weights, centers)
+    return entry_ensemble(n_per, weights)
 
 
 # --- single superatom ------------------------------------------------------------
@@ -149,6 +152,11 @@ def test_curve_matches_per_entry_population_sum(rng):
         expected += w * superatom_population(n, OMEGA, t)
     assert np.abs(curve.values - expected).max() <= 1e-12 * weights.sum()
     assert curve.metadata["n_distinct"] == np.unique(n_per).size
+    # the same entries pooled into one class per distinct size, as a
+    # partition would hand them over, give the same bits
+    classes, index = np.unique(n_per, return_inverse=True)
+    pooled = SuperatomEnsemble(classes, index, weights, lambda: np.zeros((n_per.size, 3)))
+    assert np.array_equal(simulate_cloud(pooled, PARAMS, t).values, curve.values)
 
 
 def test_curve_invariant_under_entry_permutation(rng):
@@ -172,7 +180,7 @@ def test_long_time_mean_is_half_total_weight(rng):
 
 
 def test_empty_ensemble_rejected():
-    empty = SuperatomEnsemble(np.array([]), np.array([]), np.zeros((0, 3)))
+    empty = small_ensemble([], [])
     with pytest.raises(InvalidParameterError, match="ensemble is empty"):
         simulate_cloud(empty, PARAMS, np.linspace(0, 1e-5, 10))
 
@@ -222,6 +230,77 @@ def test_curve_memory_estimate_bounds_the_traced_peak(
         simulate_cloud(ensemble, params, t)
     monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", 4 * peak)
     simulate_cloud(ensemble, params, t)
+
+
+# (entries, distinct sizes) of each cloud at 210 kHz, frozen from the
+# per-entry pooling that sorted every entry's n_per
+POOLED_COUNTS = {
+    ((1.0, 1.0, 1.0), "simple"): (3375, 680),
+    ((1.0, 1.0, 1.0), "collective"): (27000, 1040),
+    ((1.0, 1.0, 1.3), "simple"): (4500, 2400),
+    ((1.0, 1.0, 1.3), "collective"): (34200, 14298),
+    ((0.8, 1.0, 1.3), "simple"): (3600, 3600),
+    ((0.8, 1.0, 1.3), "collective"): (28080, 27439),
+}
+
+
+@pytest.mark.parametrize("cloud_and_model", POOLED_COUNTS)
+def test_pooled_sizes_and_weights_match_the_per_entry_pooling(strong_params, cloud_and_model):
+    # the collective clouds of two and three radii merge 14,516 and 28,080
+    # classes into 14,298 and 27,439 distinct sizes: bit-equal sizes of
+    # different classes must pool as their entries do
+    radii, model = cloud_and_model
+    spec = CloudSpec(N_ATOMS_REF, tuple(SIGMA_REF * r for r in radii))
+    ensemble = partition_superatoms(spec, strong_params, model=model)
+    distinct, weight = ensemble.pooled()
+    oracle, inverse = np.unique(ensemble.n_per, return_inverse=True)
+    assert np.array_equal(distinct, oracle)
+    assert np.array_equal(weight, np.bincount(inverse, weights=ensemble.weight))
+    metadata = simulate_cloud(ensemble, strong_params, np.linspace(0.0, 2e-5, 200)).metadata
+    assert (metadata["n_entries"], metadata["n_distinct"]) == POOLED_COUNTS[cloud_and_model]
+
+
+@pytest.fixture
+def sorts(monkeypatch):
+    """The length of every array that np.unique or np.argsort is handed."""
+    lengths = []
+    for name in ("unique", "argsort"):
+        def recorded(a, *args, _sort=getattr(np, name), **kwargs):
+            lengths.append(np.size(a))
+            return _sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, recorded)
+    return lengths
+
+
+@pytest.mark.parametrize("model", ["simple", "collective"])
+def test_cloud_curves_sort_no_array_as_long_as_the_entries(
+    reference_cloud, strong_params, c6, monkeypatch, sorts, model
+):
+    ensemble = partition_superatoms(reference_cloud, strong_params, model=model)
+    simulate_cloud(ensemble, strong_params, np.linspace(0.0, 2e-5, 200))
+    assert sorts and max(sorts) < len(ensemble)
+
+    # acceptance 07's sweep: no sort as long as any of its ensembles, and
+    # no ensemble's cell centres built
+    entries, centres = [], []
+    partition = blockadesim.analysis.partition_superatoms
+
+    def counted(*args, **kwargs):
+        ensemble = partition(*args, **kwargs)
+        entries.append(len(ensemble))
+        return ensemble
+
+    monkeypatch.setattr(blockadesim.analysis, "partition_superatoms", counted)
+    monkeypatch.setattr(blockadesim.cloud, "_grid_centers", lambda *args: centres.append(args))
+    sorts.clear()
+    scaling_experiment(
+        (SIGMA_REF,) * 3, np.geomspace(2.8e18, 8.2e19, 4),
+        TWO_PI * np.geomspace(WEAK_DRIVE_HZ, STRONG_DRIVE_HZ, 4), c6,
+        np.concatenate([[0.0], np.geomspace(1e-9, 1e-4, 159)]), model=model,
+    )
+    assert len(entries) == 16 and max(sorts) < min(entries)
+    assert centres == []
 
 
 def test_curve_metadata_reports_generation():
