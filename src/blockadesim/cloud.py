@@ -43,13 +43,18 @@ __all__ = [
     "MODELS",
 ]
 
-# the partition peaked at 68-70 (simple) and 65-66 (collective) B per
-# octant cell on the reference cloud at 42 and 210 kHz, and at 55-79 on
-# clouds of two or three distinct radii; building the centres for
-# ensemble.csv while the ensemble is held peaked at 72-82 (tracemalloc)
+# the partition peaked at 68-71 (simple) and 65-66 (collective) B per
+# octant cell on the reference cloud at 42 and 210 kHz, and at 52-74 on
+# clouds of two or three distinct radii (tracemalloc). Building
+# ensemble.csv's coded columns while the ensemble is held peaks at about
+# 40 B per cell plus the orbit ranks' temporaries, about 83 B per entry of
+# one _ORBIT_BLOCK (0.7 MB at most): 40 on a 216,000-cell grid, 56-92 on
+# those clouds where they have over 2,000 cells, and 120-123 on the
+# simple reference grids of 1,728 and 3,375 cells
 _BYTES_PER_CELL = 88.0
 MODELS = ("simple", "collective")
 SPAN_SIGMAS = 5.0  # half-extent of the cell grid on each axis, in rms radii
+_ORBIT_BLOCK = 8192  # entries whose orbits ensemble.csv's columns rank at once
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,8 @@ class SuperatomEnsemble:
     partition gives cells that the cloud's symmetry makes equivalent one
     class, and an ensemble built from per-entry sizes gives each entry its
     own (``index = arange(len(sizes))``). ``n_per`` is each entry's size.
-    ``centers()`` builds the (len, 3) cell centres, for ensemble.csv only.
+    ``columns()`` builds ensemble.csv's five columns (x, y, z, n_per,
+    weight), plain or as runio.write_table's coded pairs, for that file only.
     ``total_atoms_covered`` is sum(weight * n_per), at most the cloud's
     atom number; the shortfall is the tail mass outside the grid.
     """
@@ -130,7 +136,7 @@ class SuperatomEnsemble:
     sizes: np.ndarray
     index: np.ndarray
     weight: np.ndarray
-    centers: Callable[[], np.ndarray]
+    columns: Callable[[], list]
 
     def __post_init__(self) -> None:
         sizes = np.asarray(self.sizes, dtype=float)
@@ -271,8 +277,8 @@ def partition_superatoms(
     collective cells of equal sum((c / sigma)**2) on each group of axes of
     equal sigma, and simple cells whose indices permute each other within
     such groups. Only the classes that kept cells hold are returned, in
-    the order of the groups' keys; the cell centres are built only if the
-    ensemble's ``centers()`` is called.
+    the order of the groups' keys; ensemble.csv's columns are built only if
+    the ensemble's ``columns()`` is called.
 
     Raises SizeCapError before allocating a grid that exceeds the memory limit.
     """
@@ -307,8 +313,10 @@ def partition_superatoms(
     if model == "collective":
         sizes, ranks = _collective_sizes(params, n0, side, groups, [int(k) for k in counts])
     else:
-        ranks = [_on_axes(_multiset_ranks(cells[axes[0]][2].size, len(axes)), axes)
-                 for axes in groups.values()]
+        ranks = []
+        for axes in groups.values():
+            grid = np.ogrid[(slice(cells[axes[0]][2].size),) * len(axes)]
+            ranks.append(_on_axes(_multiset_ranks(grid), axes))
         sizes = np.empty([int(rank.max()) + 1 for rank in ranks])
     classes = np.ravel_multi_index(tuple(ranks), sizes.shape).ravel()
     sizes = sizes.ravel()
@@ -328,33 +336,52 @@ def partition_superatoms(
     # renumber the classes that kept cells hold, in table order
     held = np.zeros(sizes.size, dtype=bool)
     held[classes] = True
-    rank = np.cumsum(held) - 1
-    centers = functools.partial(_grid_centers, x, y, z, keep)
-    return SuperatomEnsemble(sizes[held], rank[classes], weight, centers)
+    sizes, index = sizes[held], (np.cumsum(held) - 1)[classes]
+    columns = functools.partial(
+        _coded_columns, (x, y, z), list(groups.values()), keep, sizes, index, weight
+    )
+    return SuperatomEnsemble(sizes, index, weight, columns)
 
 
-def _grid_centers(x: np.ndarray, y: np.ndarray, z: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The (x, y, z) centres of the octant cells that ``keep`` marks, in
-    the partition's entry order."""
-    centers = np.empty((len(x), len(y), len(z), 3))
-    centers[..., 0] = x[:, None, None]
-    centers[..., 1] = y[None, :, None]
-    centers[..., 2] = z
-    return centers.reshape(-1, 3)[keep]
+def _coded_columns(centres, groups, keep, sizes, index, weight) -> list[tuple]:
+    """ensemble.csv's columns as runio.write_table's coded pairs (table,
+    codes), in the partition's entry order: each axis as its octant
+    centres and each kept cell's index on it, n_per as (sizes, index), and
+    weight as one weight per orbit and each kept cell's orbit. An orbit's
+    cells permute each other within the groups of axes of equal sigma: a
+    simple-model class before ``keep``. Their weights are bit-equal, so any
+    of them fills the orbit's entry."""
+    shape = tuple(axis.size for axis in centres)
+    kept = keep.reshape(shape)
+    # int32 axis indices, which the write holds: 12 B per entry
+    cells = [
+        np.broadcast_to(_on_axes(np.arange(n, dtype=np.int32), [axis]), shape)[kept]
+        for axis, n in enumerate(shape)
+    ]
+    dims = [math.comb(shape[axes[0]] + len(axes) - 1, len(axes)) for axes in groups]
+    orbit = np.empty(len(index), dtype=np.int64)
+    for lo in range(0, orbit.size, _ORBIT_BLOCK):  # bounds the ranks' temporaries
+        rows = slice(lo, lo + _ORBIT_BLOCK)
+        ranks = [_multiset_ranks([cells[a][rows].astype(np.int64) for a in axes])
+                 for axes in groups]
+        orbit[rows] = np.ravel_multi_index(ranks, dims)
+    per_orbit = np.zeros(math.prod(dims))
+    per_orbit[orbit] = weight
+    return [*zip(centres, cells), (sizes, index), (per_orbit, orbit)]
 
 
-def _multiset_ranks(m: int, n: int) -> np.ndarray:
-    """Each cell of an n-axis group of m cells per axis (n = 1, 2 or 3)
-    ranked by its sorted indices a <= b <= c as a + C(b + 1, 2) + C(c + 2, 3):
-    cells whose indices permute each other, a simple-model class, share a
-    rank, and the ranks run densely from 0 to C(m + n - 1, n) - 1."""
-    grid = np.ogrid[(slice(m),) * n]
-    if n == 1:
-        return grid[0]
-    lo, hi = functools.reduce(np.minimum, grid), functools.reduce(np.maximum, grid)
-    if n == 2:
+def _multiset_ranks(idx: list[np.ndarray]) -> np.ndarray:
+    """Cells of an n-axis group (n = 1, 2 or 3), given by their indices on
+    its axes as n broadcastable arrays, ranked by their sorted indices
+    a <= b <= c as a + C(b + 1, 2) + C(c + 2, 3): cells whose indices
+    permute each other, a simple-model class, share a rank, and on a group
+    of m cells per axis the ranks run densely from 0 to C(m + n - 1, n) - 1."""
+    if len(idx) == 1:
+        return idx[0]
+    lo, hi = functools.reduce(np.minimum, idx), functools.reduce(np.maximum, idx)
+    if len(idx) == 2:
         return lo + hi * (hi + 1) // 2
-    mid = sum(grid) - lo - hi
+    mid = sum(idx) - lo - hi
     return lo + mid * (mid + 1) // 2 + hi * (hi + 1) * (hi + 2) // 6
 
 

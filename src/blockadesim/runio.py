@@ -4,9 +4,13 @@ Every CSV goes through write_table, which formats a cell by its column's
 dtype: floats with repr(), which round-trips exactly, so reruns of a
 deterministic workflow are byte-identical; bools as true/false; integers
 and strings with str(). Rows stream in blocks through a temp file plus
-os.replace, so readers never see partial output. A block formats each
-distinct float once, which writes the same bytes as formatting each cell,
-and is joined into one string that is written in one call.
+os.replace, so readers never see partial output. A column may come coded,
+as a table and each row's index into it, as ensemble.csv's do: a table of
+at most one block is formatted once per write. Other columns format each
+distinct float once per block. Either writes the same bytes as formatting
+each cell. Each cell's text carries its separator, so a block's cells
+fill one object grid that a single join turns into the string written in
+one call.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ EXPONENTS_HEADER = "name,value,std_error,n_points"
 FIT_HEADER = "n_sat,n_sat_err,R_per_s,R_err,residual_rms,converged,n_iterations"
 
 # rows formatted, joined into one string and written at once by
-# write_table; writing 200,000 all-distinct 5-column rows peaked at 5.6 MB
+# write_table; writing 200,000 all-distinct 5-column rows peaked at 5.0 MB
 # (tracemalloc), against 3.6 MB when each row was written on its own
 _ROW_BLOCK = 8192
 # a curve row takes at least 4 bytes of its file ("0,0" and a line end);
@@ -67,34 +71,65 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _cells(column: np.ndarray):
-    """Format one column slice: true/false, str, or floats' repr (format_float's),
+def _cells(column: np.ndarray, sep: str) -> np.ndarray:
+    """Format one column slice as an object array of cell texts, each
+    followed by ``sep``: true/false, str, or floats' repr (format_float's),
     computed once per distinct bit pattern: repr depends only on the bits."""
     if column.dtype.kind == "b":
-        return ("true" if flag else "false" for flag in column.tolist())
+        return np.array(["false" + sep, "true" + sep], dtype=object)[column.view(np.uint8)]
     if column.dtype.kind != "f":
-        return map(str, column.tolist())
+        return np.array([str(value) + sep for value in column.tolist()], dtype=object)
     bits, rows = np.unique(column.astype(np.float64).view(np.int64), return_inverse=True)
-    return np.array([*map(repr, bits.view(np.float64).tolist())], dtype=object)[rows]
+    texts = [repr(value) + sep for value in bits.view(np.float64).tolist()]
+    return np.array(texts, dtype=object)[rows]
 
 
 def write_table(path: str, header: str, columns) -> None:
-    """Write equal-length columns under ``header``, formatting _ROW_BLOCK
-    rows at a time into one string, so one block of text is held at once.
+    """Write equal-length columns under ``header``, _ROW_BLOCK rows at a
+    time: each block's cells fill a (rows, columns) object grid, which one
+    join turns into the block's text, so one block is held at once.
 
-    ValueError, before any file is made, if the columns' lengths differ."""
-    columns = [np.asarray(column) for column in columns]
-    lengths = {len(column) for column in columns}
+    A column is an array or sequence, or a coded pair ``(table, codes)``,
+    a tuple, whose row r holds ``table[codes[r]]``. A table of at most
+    _ROW_BLOCK entries is formatted once and gathered per block; a longer
+    one is gathered and formatted per block, as a plain column is.
+
+    ValueError, before any file is made, if the header names another
+    number of columns than given, or the columns' lengths differ."""
+    columns = [
+        (np.asarray(column[0]), np.asarray(column[1])) if isinstance(column, tuple)
+        else (np.asarray(column), None)
+        for column in columns
+    ]
+    names = header.count(",") + 1
+    if len(columns) != names:
+        raise ValueError(f"{path}: header {header!r} names {names} columns, given {len(columns)}")
+    lengths = {len(table if codes is None else codes) for table, codes in columns}
     if len(lengths) > 1:
         raise ValueError(f"{path}: columns of unequal lengths {sorted(lengths)}")
+    n_rows = lengths.pop()
+    seps = [","] * (len(columns) - 1) + ["\n"]
+    # each short table's texts, formatted once; None for other columns
+    texts = [
+        _cells(table, sep) if codes is not None and len(table) <= _ROW_BLOCK else None
+        for (table, codes), sep in zip(columns, seps)
+    ]
 
     def blocks():
         yield header + "\n"
-        for lo in range(0, len(columns[0]), _ROW_BLOCK):
-            rows = zip(*(_cells(column[lo : lo + _ROW_BLOCK]) for column in columns))
-            text = "\n".join(map(",".join, rows)) + "\n"
-            del rows  # the block's cells, freed before its text is written
-            yield text
+        for lo in range(0, n_rows, _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            grid = np.empty((min(_ROW_BLOCK, n_rows - lo), len(columns)), dtype=object)
+            for j, ((table, codes), sep, text) in enumerate(zip(columns, seps, texts)):
+                if codes is None:
+                    grid[:, j] = _cells(table[rows], sep)
+                elif text is None:
+                    grid[:, j] = _cells(table[codes[rows]], sep)
+                else:
+                    grid[:, j] = text[codes[rows]]
+            chunk = "".join(grid.ravel().tolist())
+            del grid  # the block's cells, freed before its text is written
+            yield chunk
 
     atomic_write_text(path, blocks())
 
@@ -154,9 +189,7 @@ def read_curve_csv(path: str) -> ExcitationCurve:
 
 
 def write_ensemble_csv(path: str, ensemble: SuperatomEnsemble) -> None:
-    write_table(
-        path, ENSEMBLE_HEADER, [*ensemble.centers().T, ensemble.n_per, ensemble.weight]
-    )
+    write_table(path, ENSEMBLE_HEADER, ensemble.columns())
 
 
 def write_sweep_csv(path: str, points: tuple[SweepPoint, ...]) -> None:

@@ -33,9 +33,14 @@ __all__ = [
 # ensemble entry (the gathered distinct-size index, then the product that
 # total_atoms_covered sums) plus 40 B per class in pooled()'s np.unique,
 # estimated as 8 and 48; then 9 B per block element, estimated as 12,
-# plus the 16 B per distinct size that the loop holds. On grids of under
-# 200 times numpy's ufunc buffers add up to 0.13 MB, left out.
+# plus the 16 B per distinct size that the loop holds and numpy's ufunc
+# buffers, _UFUNC_BUFFER_BYTES.
 _CHUNK = 4096
+# the broadcast phase sqrt(n_per) omega0 t buffers its short inner loops:
+# up to 161,544 B beyond 9 B per element on blocks of 50-4096 sizes x
+# 1-200 times (tracemalloc), estimated as three of numpy's 8192-element
+# float64 buffers
+_UFUNC_BUFFER_BYTES = 3 * 8 * 8192
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,8 @@ def simulate_cloud(
     )
     n_distinct, grouped = ensemble.pooled()
     require_memory(
-        12.0 * min(n_distinct.size, _CHUNK) * t.size + 16.0 * n_distinct.size,
+        12.0 * min(n_distinct.size, _CHUNK) * t.size + 16.0 * n_distinct.size
+        + _UFUNC_BUFFER_BYTES,
         f"a curve of {n_distinct.size} distinct superatom sizes at {t.size} times",
     )
     values = np.zeros_like(t)

@@ -49,7 +49,25 @@ def entry_ensemble(n_per, weight, centers=None):
     defaults to the origin for every entry."""
     n_per = np.asarray(n_per, dtype=float)
     centers = np.zeros((n_per.size, 3)) if centers is None else np.asarray(centers, dtype=float)
-    return SuperatomEnsemble(n_per, np.arange(n_per.size), weight, lambda: centers)
+    weight = np.asarray(weight, dtype=float)
+    return SuperatomEnsemble(
+        n_per, np.arange(n_per.size), weight, lambda: [*centers.T, n_per, weight]
+    )
+
+
+def gathered_columns(ensemble):
+    """The ensemble's ensemble.csv columns as plain arrays, each coded pair
+    (table, codes) gathered as table[codes]."""
+    return [
+        column[0][column[1]] if isinstance(column, tuple) else np.asarray(column)
+        for column in ensemble.columns()
+    ]
+
+
+def cell_centers(ensemble):
+    """Each entry's (x, y, z) cell centre, shape (len, 3), gathered from
+    the ensemble's coded ensemble.csv columns."""
+    return np.column_stack(gathered_columns(ensemble)[:3])
 
 
 def gaussian_atoms(seed, count, sigma):

@@ -26,7 +26,15 @@ from blockadesim.core import (
 from blockadesim.errors import InvalidParameterError, SizeCapError
 from blockadesim.superatom import simulate_cloud
 
-from conftest import N_ATOMS_REF, SIGMA_REF, density_at, entry_ensemble, traced_peak
+from conftest import (
+    N_ATOMS_REF,
+    SIGMA_REF,
+    cell_centers,
+    density_at,
+    entry_ensemble,
+    gathered_columns,
+    traced_peak,
+)
 
 
 # --- density profile -----------------------------------------------------------
@@ -203,7 +211,7 @@ def full_grid_partition(spec, params, model):
 def mirrored(ensemble):
     """Each octant entry at every sign flip of its nonzero centre
     coordinates, each image carrying an equal share of the weight."""
-    octant = ensemble.centers()
+    octant = cell_centers(ensemble)
     mirrors = 2.0 ** np.count_nonzero(octant, axis=1)
     images = []
     for signs in itertools.product((1.0, -1.0), repeat=3):
@@ -216,7 +224,7 @@ def mirrored(ensemble):
 
 
 def by_center(ensemble):
-    centers = ensemble.centers()
+    centers = cell_centers(ensemble)
     order = np.lexsort(centers.T)
     return centers[order], ensemble.n_per[order], ensemble.weight[order]
 
@@ -256,7 +264,7 @@ def test_partition_is_deterministic(reference_cloud, strong_params):
     assert np.array_equal(a.index, b.index)
     assert np.array_equal(a.n_per, b.n_per)
     assert np.array_equal(a.weight, b.weight)
-    assert np.array_equal(a.centers(), b.centers())
+    assert all(map(np.array_equal, gathered_columns(a), gathered_columns(b)))
 
 
 def test_collective_center_matches_bisection_oracle(reference_cloud, strong_params):
@@ -264,7 +272,7 @@ def test_collective_center_matches_bisection_oracle(reference_cloud, strong_para
         reference_cloud, strong_params, model="collective"
     )
     k = int(np.argmax(ensemble.n_per))
-    local = density_at(reference_cloud, ensemble.centers()[k])
+    local = density_at(reference_cloud, cell_centers(ensemble)[k])
     assert ensemble.n_per[k] == pytest.approx(
         bisect_superatom_size(strong_params, local), rel=1e-9
     )
@@ -316,7 +324,7 @@ def test_collective_sizes_come_from_the_core_formula(strong_params):
         spec = CloudSpec(N_ATOMS_REF, tuple(SIGMA_REF * r for r in radii))
         ensemble = partition_superatoms(spec, strong_params, model="collective")
         exact_size = collective_size_oracle(strong_params, peak_density(spec), spec.sigma)
-        for center, n_per in zip(ensemble.centers().tolist(), ensemble.n_per.tolist()):
+        for center, n_per in zip(cell_centers(ensemble).tolist(), ensemble.n_per.tolist()):
             exact, exponent = exact_size(center)
             bound = SIZE_ROUNDINGS * np.finfo(float).eps * (1.0 + exponent)
             assert abs(n_per - exact) <= bound * exact, (radii, center)
@@ -326,7 +334,7 @@ def half_side_indices(ensemble):
     """Each entry's cell centre on each axis in half cell sides, 2 m or
     2 m + 1 for the m-th octant cell of an axis of odd or even cell count,
     and m itself."""
-    centers = ensemble.centers()
+    centers = cell_centers(ensemble)
     m = np.empty(centers.shape, dtype=int)
     idx = np.empty_like(m)
     for axis in range(3):
@@ -360,12 +368,34 @@ def test_cells_sharing_a_key_carry_bit_equal_sizes(strong_params, model, radii):
     assert len(set(classes.values())) == len(classes) == ensemble.sizes.size
 
 
+@pytest.mark.parametrize("model", ["simple", "collective"])
+@pytest.mark.parametrize(("radii", "groups"), [
+    ((1.0, 1.0, 1.0), [[0, 1, 2]]),
+    ((1.0, 1.0, 1.3), [[0, 1], [2]]),
+    ((0.8, 1.0, 1.3), [[0], [1], [2]]),
+])
+def test_orbit_table_reproduces_every_weight_bit_for_bit(strong_params, model, radii, groups):
+    # ensemble.csv writes weight as one entry per orbit, cells that permute
+    # each other within axes of equal radius, gathered by each cell's orbit
+    spec = CloudSpec(N_ATOMS_REF, tuple(SIGMA_REF * r for r in radii))
+    ensemble = partition_superatoms(spec, strong_params, model=model)
+    *_, (n_per, classes), (per_orbit, orbit) = ensemble.columns()
+    assert per_orbit[orbit].tobytes() == ensemble.weight.tobytes()
+    assert n_per[classes].tobytes() == ensemble.n_per.tobytes()
+    # one orbit per group-wise sorted index key, and one key per orbit
+    _, m = half_side_indices(ensemble)
+    keys = np.column_stack([np.sort(m[:, axes], axis=1) for axes in groups])
+    n_orbits = np.unique(orbit).size
+    assert np.unique(keys, axis=0).shape[0] == n_orbits
+    assert np.unique(np.column_stack([keys, orbit]), axis=0).shape[0] == n_orbits
+
+
 def test_collective_partition_drops_cells_of_zero_density(strong_params, monkeypatch):
     # at 40 rms radii the corner densities underflow to exactly zero
     spec = CloudSpec.isotropic(1e4, 3e-6)
     monkeypatch.setattr(blockadesim.cloud, "SPAN_SIGMAS", 40.0)
     ensemble = partition_superatoms(spec, strong_params, model="collective")
-    assert np.all(density_at(spec, ensemble.centers()) > 0.0)
+    assert np.all(density_at(spec, cell_centers(ensemble)) > 0.0)
     assert np.all(np.isfinite(ensemble.weight)) and np.all(ensemble.n_per > 0.0)
     assert ensemble.total_atoms_covered == pytest.approx(spec.n_atoms, rel=1e-6)
 
@@ -381,7 +411,7 @@ def test_collective_weights_count_superatoms_per_cell(reference_cloud, strong_pa
     # central cells hold one blockade sphere by construction of the cell
     # size, so their weights per mirror image sit near 1
     k = int(np.argmax(ensemble.n_per))
-    mirrors = 2.0 ** np.count_nonzero(ensemble.centers()[k])
+    mirrors = 2.0 ** np.count_nonzero(cell_centers(ensemble)[k])
     assert ensemble.weight[k] / mirrors == pytest.approx(1.0, abs=0.2)
 
 
@@ -390,7 +420,7 @@ def test_simple_model_weights_are_unity(reference_cloud, strong_params):
         reference_cloud, strong_params, model="simple"
     )
     # one superatom per cell and mirror image
-    mirrors = 2.0 ** np.count_nonzero(ensemble.centers(), axis=1)
+    mirrors = 2.0 ** np.count_nonzero(cell_centers(ensemble), axis=1)
     assert np.all(ensemble.weight / mirrors == 1.0)
 
 

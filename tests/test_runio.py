@@ -21,7 +21,7 @@ from blockadesim.runio import (
     write_trajectory_csv,
 )
 
-from conftest import entry_ensemble, traced_peak
+from conftest import entry_ensemble, gathered_columns, traced_peak
 
 
 def naive_table(header, columns) -> str:
@@ -108,6 +108,19 @@ def test_ensemble_csv_of_grid_like_centres_streams_rows_to_the_file(tmp_path, rn
     assert path.stat().st_size > 16 * 2**20
 
 
+@pytest.mark.parametrize("model", ["simple", "collective"])
+@pytest.mark.parametrize("span", [5.0, 10.0])
+def test_partition_ensemble_csv_streams_rows_to_the_file(
+    tmp_path, reference_cloud, strong_params, monkeypatch, model, span
+):
+    # the columns are built inside the write: 3,375 to 216,000 rows, and at
+    # 10 sigma the collective orbit table (37,820 orbits) exceeds a block
+    monkeypatch.setattr(blockadesim.cloud, "SPAN_SIGMAS", span)
+    ensemble = partition_superatoms(reference_cloud, strong_params, model=model)
+    path = tmp_path / "ensemble.csv"
+    assert traced_peak(lambda: write_ensemble_csv(str(path), ensemble)) < 8 * 2**20
+
+
 def test_trajectory_csv_streams_rows_to_the_file(tmp_path, rng):
     n = 200_000
     times, n_rydberg, w_fidelity = rng.uniform(0.0, 1.0, size=(3, n))
@@ -149,6 +162,15 @@ def test_write_table_refuses_unequal_columns_before_making_a_file(tmp_path):
     with pytest.raises(ValueError, match=r"unequal lengths \[2, 3\]") as refused:
         write_table(str(tmp_path / "table.csv"), "a,b", [[1, 2, 3], [0.5, 0.25]])
     assert not isinstance(refused.value, BlockadeSimError)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(("header", "columns"), [("a,b,c", [[1.0, 2.0]]), ("a", [])])
+def test_write_table_refuses_a_header_naming_other_columns_before_making_a_file(
+    tmp_path, header, columns
+):
+    with pytest.raises(ValueError, match="names [13] columns, given [01]"):
+        write_table(str(tmp_path / "table.csv"), header, columns)
     assert os.listdir(tmp_path) == []
 
 
@@ -197,6 +219,26 @@ def test_write_table_matches_a_per_cell_writer(tmp_path, case):
     assert path.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("n_table", [7, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK])
+def test_coded_columns_write_the_bytes_of_their_gathered_columns(tmp_path, rng, n_table):
+    # tables up to _ROW_BLOCK are formatted once, longer ones per block
+    n_rows = 3 * _ROW_BLOCK + 5
+    tables = [
+        rng.choice(_SPECIAL, size=n_table),
+        rng.integers(-(2**40), 2**40, size=n_table),
+        rng.uniform(size=n_table) < 0.5,
+    ]
+    codes = [rng.integers(0, n_table, size=n_rows) for _ in tables]
+    header = "float,count,flag"
+    coded, plain = tmp_path / "coded.csv", tmp_path / "plain.csv"
+    write_table(str(coded), header, [*zip(tables, codes)])
+    write_table(str(plain), header, [table[code] for table, code in zip(tables, codes)])
+    assert coded.read_bytes() == plain.read_bytes()
+    assert coded.read_bytes() == naive_table(
+        header, [table[code] for table, code in zip(tables, codes)]
+    ).encode()
+
+
 @pytest.mark.parametrize("model", ["simple", "collective"])
 def test_reference_cloud_ensemble_csv_has_the_per_cell_writers_digest(
     tmp_path, reference_cloud, strong_params, monkeypatch, model
@@ -209,9 +251,10 @@ def test_reference_cloud_ensemble_csv_has_the_per_cell_writers_digest(
     ensemble = partition_superatoms(reference_cloud, strong_params, model=model)
     path = tmp_path / "ensemble.csv"
     write_ensemble_csv(str(path), ensemble)
-    expected = naive_table(
-        ENSEMBLE_HEADER, [*ensemble.centers().T, ensemble.n_per, ensemble.weight]
-    )
+    columns = gathered_columns(ensemble)
+    assert np.array_equal(columns[3], ensemble.n_per)
+    assert np.array_equal(columns[4], ensemble.weight)
+    expected = naive_table(ENSEMBLE_HEADER, columns)
     assert len(ensemble) > 3 * _ROW_BLOCK
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         hashlib.sha256(expected.encode()).hexdigest()

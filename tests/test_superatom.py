@@ -216,14 +216,19 @@ def test_curve_blocks_are_refused_before_allocating(monkeypatch):
 
 
 @pytest.mark.parametrize("model", ["collective", "simple"])
-@pytest.mark.parametrize("drive_hz", [42e3, 210e3])
+@pytest.mark.parametrize(
+    ("drive_hz", "n_times"),
+    [(42e3, 200), (210e3, 200), (42e3, 50), (210e3, 50)],
+    ids=["42000.0", "210000.0", "42000.0-50-times", "210000.0-50-times"],
+)
 def test_curve_memory_estimate_bounds_the_traced_peak(
-    reference_cloud, c6, monkeypatch, model, drive_hz
+    reference_cloud, c6, monkeypatch, model, drive_hz, n_times
 ):
-    # a limit just below the traced peak must refuse, four times it admit
+    # a limit just below the traced peak must refuse, four times it admit;
+    # on 50 times numpy's ufunc buffers are a large share of the peak
     params = PhysicalParams.from_hz(drive_hz, c6)
     ensemble = partition_superatoms(reference_cloud, params, model=model)
-    t = np.linspace(0.0, 2e-5, 200)
+    t = np.linspace(0.0, 2e-5, n_times)
     peak = traced_peak(lambda: simulate_cloud(ensemble, params, t))
     monkeypatch.setattr(blockadesim.core, "MEMORY_LIMIT_BYTES", peak - 1)
     with pytest.raises(SizeCapError):
@@ -282,8 +287,8 @@ def test_cloud_curves_sort_no_array_as_long_as_the_entries(
     assert sorts and max(sorts) < len(ensemble)
 
     # acceptance 07's sweep: no sort as long as any of its ensembles, and
-    # no ensemble's cell centres built
-    entries, centres = [], []
+    # no ensemble's ensemble.csv columns built
+    entries, columns = [], []
     partition = blockadesim.analysis.partition_superatoms
 
     def counted(*args, **kwargs):
@@ -292,7 +297,7 @@ def test_cloud_curves_sort_no_array_as_long_as_the_entries(
         return ensemble
 
     monkeypatch.setattr(blockadesim.analysis, "partition_superatoms", counted)
-    monkeypatch.setattr(blockadesim.cloud, "_grid_centers", lambda *args: centres.append(args))
+    monkeypatch.setattr(blockadesim.cloud, "_coded_columns", lambda *args: columns.append(args))
     sorts.clear()
     scaling_experiment(
         (SIGMA_REF,) * 3, np.geomspace(2.8e18, 8.2e19, 4),
@@ -300,7 +305,7 @@ def test_cloud_curves_sort_no_array_as_long_as_the_entries(
         np.concatenate([[0.0], np.geomspace(1e-9, 1e-4, 159)]), model=model,
     )
     assert len(entries) == 16 and max(sorts) < min(entries)
-    assert centres == []
+    assert columns == []
 
 
 def test_curve_metadata_reports_generation():
