@@ -43,18 +43,15 @@ __all__ = [
     "MODELS",
 ]
 
-# the partition peaked at 68-71 (simple) and 65-66 (collective) B per
-# octant cell on the reference cloud at 42 and 210 kHz, and at 52-74 on
-# clouds of two or three distinct radii (tracemalloc). Building
-# ensemble.csv's coded columns while the ensemble is held peaks at about
-# 40 B per cell plus the orbit ranks' temporaries, about 83 B per entry of
-# one _ORBIT_BLOCK (0.7 MB at most): 40 on a 216,000-cell grid, 56-92 on
-# those clouds where they have over 2,000 cells, and 120-123 on the
-# simple reference grids of 1,728 and 3,375 cells
+# the partition peaked at 70-75 B per octant cell on the reference cloud
+# at 42 and 210 kHz, both models, most of it the orbit ranks of its one
+# 3-axis group; at 38-42 on clouds of two distinct radii and 60-74 on
+# clouds of three, where the class tables are as large as the grid
+# (tracemalloc). Building ensemble.csv's columns while the ensemble is
+# held adds 12-13 B per cell, the kept cells' int32 axis indices
 _BYTES_PER_CELL = 88.0
 MODELS = ("simple", "collective")
 SPAN_SIGMAS = 5.0  # half-extent of the cell grid on each axis, in rms radii
-_ORBIT_BLOCK = 8192  # entries whose orbits ensemble.csv's columns rank at once
 
 
 @dataclass(frozen=True)
@@ -124,11 +121,14 @@ class SuperatomEnsemble:
     generally fractional (cells rarely hold an integer number of blockade
     spheres).
     ``sizes`` is the table of class sizes, each class some entry's: the
-    partition gives cells that the cloud's symmetry makes equivalent one
-    class, and an ensemble built from per-entry sizes gives each entry its
-    own (``index = arange(len(sizes))``). ``n_per`` is each entry's size.
+    partition makes each orbit of cells that the cloud's symmetry makes
+    equivalent one class, in both models, and an ensemble built from
+    per-entry sizes gives each entry its own (``index =
+    arange(len(sizes))``). ``n_per`` is each entry's size.
     ``columns()`` builds ensemble.csv's five columns (x, y, z, n_per,
-    weight), plain or as runio.write_table's coded pairs, for that file only.
+    weight), plain or as runio.write_table's coded pairs, for that file
+    only; a partition's ensemble codes n_per and weight as its class
+    tables and each entry's class.
     ``total_atoms_covered`` is sum(weight * n_per), at most the cloud's
     atom number; the shortfall is the tail mass outside the grid.
     """
@@ -166,10 +166,6 @@ class SuperatomEnsemble:
         return self.sizes[self.index]
 
     @property
-    def total_superatoms(self) -> float:
-        return float(self.weight.sum())
-
-    @property
     def total_atoms_covered(self) -> float:
         covered = self.n_per
         covered *= self.weight
@@ -190,7 +186,7 @@ class SuperatomEnsemble:
         """Share of the superatom weight in entries with n_per < 1: cells
         that count more superatoms than they hold atoms."""
         sub_atom = (self.sizes < 1.0)[self.index]
-        return float(self.weight[sub_atom].sum()) / self.total_superatoms
+        return float(self.weight[sub_atom].sum()) / float(self.weight.sum())
 
 
 def _axis_masses(
@@ -210,43 +206,6 @@ def _axis_masses(
     tail = 0.5 * np.fromiter(map(math.erfc, scaled), float, len(scaled))
     mass = tail[:-1] - tail[1:]
     return 0.5 * (edges[:-1] + edges[1:]), mult, mass
-
-
-def _group_product(p: np.ndarray, n: int) -> np.ndarray:
-    """The n-fold outer product of ``p`` (n = 1, 2 or 3), each cell's factors
-    multiplied in an order that its index multiset fixes, so cells whose
-    indices permute each other get bit-equal products: a pair's product is
-    symmetric, and a triple multiplies its largest index's factor last."""
-    if n == 1:
-        return p
-    pair = p[:, None] * p
-    if n == 2:
-        return pair
-    base = pair[:, :, None] * p  # (p_i p_j) p_k, right where k is largest
-    i, j, k = np.ogrid[:p.size, :p.size, :p.size]
-    out = base.transpose(0, 2, 1).copy()  # (p_i p_k) p_j
-    np.copyto(out, base.transpose(2, 0, 1), where=i >= j)  # (p_j p_k) p_i
-    np.copyto(out, base, where=k >= np.maximum(i, j))
-    return out
-
-
-def _group_keys(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct sums of idx**2 over the cells of an n-axis group,
-    ascending, and each cell's rank among them. ``idx`` = 2 c / side, the
-    cell centres in half sides, are integers of one parity."""
-    square = idx * idx
-    if n == 1:  # idx ascends from 0 or 1, so its squares are distinct
-        return square, np.arange(idx.size)
-    # square // 4 is m**2 or m (m + 1) at idx = 2m or 2m + 1, so the dense
-    # table of sums it indexes holds at most n idx.size**2 entries
-    quarter = square // 4
-    total = quarter[:, None] + quarter
-    if n == 3:
-        total = total[:, :, None] + quarter
-    present = np.zeros(n * int(quarter[-1]) + 1, dtype=bool)
-    present[total] = True
-    rank = np.cumsum(present) - 1
-    return 4 * np.flatnonzero(present) + n * int(idx[0] % 2), rank[total]
 
 
 def _on_axes(array: np.ndarray, axes: list[int]) -> np.ndarray:
@@ -272,13 +231,13 @@ def partition_superatoms(
     count, whose middle cell is centered on 0); the product of the three
     goes into ``weight``. Per-axis masses are lower-tail differences,
     (erfc(lo/(sigma sqrt 2)) - erfc(hi/(sigma sqrt 2))) / 2, which keep the
-    far cells' relative precision. Cells whose centres the cloud's symmetry
-    makes equivalent share one class, whose size is computed once:
-    collective cells of equal sum((c / sigma)**2) on each group of axes of
-    equal sigma, and simple cells whose indices permute each other within
-    such groups. Only the classes that kept cells hold are returned, in
-    the order of the groups' keys; ensemble.csv's columns are built only if
-    the ensemble's ``columns()`` is called.
+    far cells' relative precision. The cloud's symmetry makes the cells of
+    an orbit equivalent: those whose indices permute each other within
+    each group of axes of equal sigma. Each orbit is one class, in both
+    models, whose atom number, size and weight are computed once, so its
+    cells carry bit-equal values. Only the classes that kept cells hold
+    are returned, in the order of the groups' orbits; ensemble.csv's
+    columns are built only if the ensemble's ``columns()`` is called.
 
     Raises SizeCapError before allocating a grid that exceeds the memory limit.
     """
@@ -302,55 +261,56 @@ def partition_superatoms(
     require_memory(n_cells * _BYTES_PER_CELL, f"{n_cells:.3g} partition cells (one octant)")
 
     cells = [_axis_masses(s, int(k), side) for s, k in zip(spec.sigma, counts)]
-    (x, mx, _), (y, my, _), (z, mz, _) = cells
     # axes of bit-equal sigma have equal cell counts, so the cells of such a
-    # group permute each other; its masses and keys are built so that
-    # permuted cells get bit-equal sizes, and each group's keys rank the
-    # classes of its cells, whose sizes one table holds
+    # group permute each other. Each orbit's key sum(idx**2), share of the
+    # atoms and mirror images come from its sorted indices, the share
+    # multiplied with the largest index's mass last, so every class table,
+    # an outer product over the groups, is computed once per orbit
     groups: dict[float, list[int]] = {}
     for axis, s in enumerate(spec.sigma):
         groups.setdefault(s, []).append(axis)
-    if model == "collective":
-        sizes, ranks = _collective_sizes(params, n0, side, groups, [int(k) for k in counts])
+    keys, shares, mirrors = [], [], []
+    for axes in groups.values():
+        k = int(counts[axes[0]])
+        _, mult, mass = cells[axes[0]]
+        orbits = _orbits(mass.size, len(axes))
+        idx = 2 * np.arange(k // 2, k) - (k - 1)  # cell centres in half sides
+        keys.append(sum(idx[i] ** 2 for i in orbits))
+        shares.append(functools.reduce(np.multiply, (mass[i] for i in orbits)))
+        mirrors.append(functools.reduce(np.multiply, (mult[i] for i in orbits)))
+    shape = tuple(key.size for key in keys)
+    atoms = functools.reduce(np.multiply.outer, shares).ravel()
+    atoms *= spec.n_atoms
+    if model == "simple":  # a cell is one superatom of all its atoms
+        sizes = atoms
     else:
-        ranks = []
-        for axes in groups.values():
-            grid = np.ogrid[(slice(cells[axes[0]][2].size),) * len(axes)]
-            ranks.append(_on_axes(_multiset_ranks(grid), axes))
-        sizes = np.empty([int(rank.max()) + 1 for rank in ranks])
-    classes = np.ravel_multi_index(tuple(ranks), sizes.shape).ravel()
-    sizes = sizes.ravel()
-    atoms_in_cell = functools.reduce(np.multiply, (
-        _on_axes(_group_product(cells[axes[0]][2], len(axes)), axes) for axes in groups.values()
-    )).ravel()
-    atoms_in_cell *= spec.n_atoms
-    if model == "simple":  # a cell's atom number, bit-equal over its class
-        sizes[classes] = atoms_in_cell
-    mult = (mx[:, None, None] * my[None, :, None] * mz[None, None, :]).ravel()
-
-    keep = (atoms_in_cell > 0.0) & (sizes > 0.0)[classes]
-    classes = classes[keep]
-    # a simple cell's weight is mult * (x / x), exactly mult; the power of
+        sizes = _collective_sizes(params, n0, side, list(groups), keys)
+    held = (atoms > 0.0) & (sizes > 0.0)
+    sizes = sizes[held]
+    # a simple class's weight is mult * (x / x), exactly mult; the power of
     # two scales the quotient exactly and cannot overflow the atom number
-    weight = mult[keep] * (atoms_in_cell[keep] / sizes[classes])
-    # renumber the classes that kept cells hold, in table order
-    held = np.zeros(sizes.size, dtype=bool)
-    held[classes] = True
-    sizes, index = sizes[held], (np.cumsum(held) - 1)[classes]
-    columns = functools.partial(
-        _coded_columns, (x, y, z), list(groups.values()), keep, sizes, index, weight
-    )
-    return SuperatomEnsemble(sizes, index, weight, columns)
+    weight = functools.reduce(np.multiply.outer, mirrors).ravel()[held] * (atoms[held] / sizes)
+    del atoms
+    code = np.cumsum(held) - 1  # the held classes renumbered in table order
+    code[~held] = -1
+
+    ranks = [
+        _on_axes(_multiset_ranks(np.ogrid[(slice(cells[axes[0]][2].size),) * len(axes)]), axes)
+        for axes in groups.values()
+    ]
+    index = code[np.ravel_multi_index(tuple(ranks), shape).ravel()]
+    keep = index >= 0
+    index = index[keep]
+    columns = functools.partial(_coded_columns, tuple(c[0] for c in cells), keep, sizes, index,
+                                weight)
+    return SuperatomEnsemble(sizes, index, weight[index], columns)
 
 
-def _coded_columns(centres, groups, keep, sizes, index, weight) -> list[tuple]:
+def _coded_columns(centres, keep, sizes, index, weight) -> list[tuple]:
     """ensemble.csv's columns as runio.write_table's coded pairs (table,
     codes), in the partition's entry order: each axis as its octant
-    centres and each kept cell's index on it, n_per as (sizes, index), and
-    weight as one weight per orbit and each kept cell's orbit. An orbit's
-    cells permute each other within the groups of axes of equal sigma: a
-    simple-model class before ``keep``. Their weights are bit-equal, so any
-    of them fills the orbit's entry."""
+    centres and each kept cell's index on it, and n_per and weight as the
+    class tables and each entry's class."""
     shape = tuple(axis.size for axis in centres)
     kept = keep.reshape(shape)
     # int32 axis indices, which the write holds: 12 B per entry
@@ -358,24 +318,28 @@ def _coded_columns(centres, groups, keep, sizes, index, weight) -> list[tuple]:
         np.broadcast_to(_on_axes(np.arange(n, dtype=np.int32), [axis]), shape)[kept]
         for axis, n in enumerate(shape)
     ]
-    dims = [math.comb(shape[axes[0]] + len(axes) - 1, len(axes)) for axes in groups]
-    orbit = np.empty(len(index), dtype=np.int64)
-    for lo in range(0, orbit.size, _ORBIT_BLOCK):  # bounds the ranks' temporaries
-        rows = slice(lo, lo + _ORBIT_BLOCK)
-        ranks = [_multiset_ranks([cells[a][rows].astype(np.int64) for a in axes])
-                 for axes in groups]
-        orbit[rows] = np.ravel_multi_index(ranks, dims)
-    per_orbit = np.zeros(math.prod(dims))
-    per_orbit[orbit] = weight
-    return [*zip(centres, cells), (sizes, index), (per_orbit, orbit)]
+    return [*zip(centres, cells), (sizes, index), (weight, index)]
+
+
+def _orbits(m: int, n: int) -> tuple[np.ndarray, ...]:
+    """The orbits of an n-axis group of m cells per axis (n = 1, 2 or 3),
+    the sets of cells whose indices permute each other, each as its sorted
+    indices lo <= ... <= hi: n arrays, in the order of the orbits'
+    _multiset_ranks, which order by hi, then by the next lower index, as
+    C order does on a mask indexed [hi, ..., lo]."""
+    grid = np.ogrid[(slice(m),) * n]
+    ordered = np.ones((m,) * n, dtype=bool)
+    for upper, lower in zip(grid, grid[1:]):
+        ordered &= upper >= lower
+    return np.nonzero(ordered)[::-1]
 
 
 def _multiset_ranks(idx: list[np.ndarray]) -> np.ndarray:
     """Cells of an n-axis group (n = 1, 2 or 3), given by their indices on
     its axes as n broadcastable arrays, ranked by their sorted indices
     a <= b <= c as a + C(b + 1, 2) + C(c + 2, 3): cells whose indices
-    permute each other, a simple-model class, share a rank, and on a group
-    of m cells per axis the ranks run densely from 0 to C(m + n - 1, n) - 1."""
+    permute each other, an orbit, share a rank, and on a group of m cells
+    per axis the ranks run densely from 0 to C(m + n - 1, n) - 1."""
     if len(idx) == 1:
         return idx[0]
     lo, hi = functools.reduce(np.minimum, idx), functools.reduce(np.maximum, idx)
@@ -386,24 +350,19 @@ def _multiset_ranks(idx: list[np.ndarray]) -> np.ndarray:
 
 
 def _collective_sizes(
-    params: PhysicalParams, n0: float, side: float, groups: dict, counts: list[int]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The collective n_per of each class, 0 where the density underflows:
-    a table with one axis per group, over the group's distinct sums of
-    idx**2, and each octant cell's rank on each of those axes. The density
-    exponent sum((c / sigma)**2) / 2 is a sum over the groups of
-    (side / 2 sigma)**2 times that integer sum, so the core formula runs
-    once per class, not per cell."""
-    exponent, ranks = 0.0, []
-    for g, (s, axes) in enumerate(groups.items()):
-        k = counts[axes[0]]
-        keys, rank = _group_keys(2 * np.arange(k // 2, k) - (k - 1), len(axes))
-        shape = [1] * len(groups)
-        shape[g] = keys.size
-        exponent = exponent + (side / (2.0 * s)) ** 2 * keys.reshape(shape)
-        ranks.append(_on_axes(rank, axes))
+    params: PhysicalParams, n0: float, side: float, sigmas: list[float], keys: list[np.ndarray]
+) -> np.ndarray:
+    """The collective n_per of each class, 0 where the density underflows,
+    raveled from a table with one axis per group, over its orbits. The
+    density exponent sum((c / sigma)**2) / 2 is a sum over the groups of
+    (side / 2 sigma)**2 times each orbit's integer sum of idx**2, ``keys``,
+    so the core formula runs once per class, not per cell."""
+    exponent = functools.reduce(np.add.outer, [
+        (side / (2.0 * s)) ** 2 * key for s, key in zip(sigmas, keys)
+    ]).ravel()
     local = n0 * np.exp(-0.5 * exponent)
+    del exponent
     table = np.zeros_like(local)
     occupied = local > 0.0
     _, table[occupied] = blockade_radius_collective(params, local[occupied])
-    return table, ranks
+    return table
