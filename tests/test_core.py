@@ -11,7 +11,7 @@ import numpy as np
 import scipy.optimize
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockadesim.constants import HBAR, TWO_PI
@@ -41,6 +41,7 @@ positive_floats = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
 # --- frequency conversions ---------------------------------------------------
 
 
+@settings(derandomize=True)
 @given(positive_floats)
 def test_angular_is_two_pi_times_hz(f):
     assert angular_from_hz(f) == pytest.approx(TWO_PI * f, rel=1e-15)
@@ -83,6 +84,7 @@ def test_simple_radius_drive_scaling(strong_params, c6):
     )
 
 
+@settings(derandomize=True)
 @given(positive_floats)
 def test_simple_radius_c6_scaling(strong_params, k):
     scaled = PhysicalParams(strong_params.omega0, strong_params.c6 * k**6)
