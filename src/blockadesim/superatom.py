@@ -78,10 +78,11 @@ def superatom_population(n_per, omega0: float, t):
     _require(
         bool(np.all(phase < np.inf)), "t is too long: the phase sqrt(n_per) omega0 t overflows"
     )
-    # (1 - cos(phase)) / 2 in the phase's buffer
-    value = np.cos(phase, out=phase)
-    np.subtract(1.0, value, out=value)
-    value *= 0.5
+    # sin(phase / 2)**2 in the phase's buffer: (1 - cos(phase)) / 2 loses
+    # the relative precision of a small phase, all of it below about 1e-8
+    value = np.multiply(phase, 0.5, out=phase)
+    np.sin(value, out=value)
+    np.square(value, out=value)
     return float(value) if value.ndim == 0 else value
 
 

@@ -110,12 +110,23 @@ def test_population_refuses_an_overflowing_phase_naming_t():
         superatom_population(4.0, 1e9, np.array([0.0, 1e300]))  # phase 2e309
 
 
+@pytest.mark.parametrize("phase", [1e-9, 1e-7, 1e-5])
+def test_population_keeps_its_precision_at_small_phase(phase):
+    # sin**2(phase / 2) = phase**2 / 4 (1 - phase**2 / 12) to a relative
+    # 2e-23 at these phases, far below eps; (1 - cos(phase)) / 2 was off
+    # by 1.0, 8.0e-4 and 8.3e-8 of it
+    exact = phase**2 / 4.0 * (1.0 - phase**2 / 12.0)
+    assert superatom_population(1.0, 1.0, phase) == pytest.approx(
+        exact, rel=4 * np.finfo(float).eps, abs=0.0
+    )
+
+
 def test_population_is_bit_identical_to_the_closed_form(rng):
     n_per = rng.uniform(0.0, 1e4, 64)[:, None]
     t = np.linspace(0.0, 3e-5, 50)
-    expected = 0.5 * (1.0 - np.cos(np.sqrt(n_per) * OMEGA * t))
+    expected = np.sin(np.sqrt(n_per) * OMEGA * t / 2.0) ** 2
     assert np.array_equal(superatom_population(n_per, OMEGA, t), expected)
-    assert superatom_population(9.0, OMEGA, 1e-6) == 0.5 * (1.0 - math.cos(3.0 * OMEGA * 1e-6))
+    assert superatom_population(9.0, OMEGA, 1e-6) == math.sin(3.0 * OMEGA * 1e-6 / 2.0) ** 2
 
 
 # --- cloud curves -----------------------------------------------------------------
