@@ -268,7 +268,7 @@ def test_partition_is_deterministic(reference_cloud, strong_params):
     assert all(map(np.array_equal, gathered_columns(a), gathered_columns(b)))
 
 
-# Largest deviations between axis orders of one cloud, measured on both
+# Largest deviations from the first axis order of a cloud, measured on both
 # models at 42 and 210 kHz: the curve 3.0e-15 of its peak, fitted n_sat
 # 2.8e-15 and R 2.5e-14 relative, atoms covered 2.5e-16 relative. Set
 # from those; never widened.
